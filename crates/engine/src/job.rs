@@ -272,17 +272,23 @@ impl JobState {
     /// will be claimed. Idempotent; callable from any thread.
     pub(crate) fn try_finalize(&self) {
         let mut fold = self.fold.lock().expect("job fold lock is never poisoned");
-        if fold.finalized || self.in_flight.load(Ordering::SeqCst) != 0 {
+        if fold.finalized {
             return;
         }
+        // Read the stop flags and the slot counter BEFORE `in_flight`. A
+        // claim raises `in_flight` before it checks the flags and takes a
+        // slot, so a zero read after them proves every claim they count has
+        // been recorded. Read the other way round, a claim of the last slot
+        // can land between the two reads, and a live job resolves as
+        // cancelled while that slot is still running.
         let total = self.total_slots();
+        let claimed = self.next_slot.load(Ordering::SeqCst).min(total);
         let stopped = self.cancelled.load(Ordering::SeqCst)
             || self.failed.load(Ordering::SeqCst)
-            || self.next_slot.load(Ordering::SeqCst) >= total;
-        if !stopped {
+            || claimed >= total;
+        if !stopped || self.in_flight.load(Ordering::SeqCst) != 0 {
             return;
         }
-        let claimed = self.next_slot.load(Ordering::SeqCst).min(total);
         // Workers claim slots in increasing order with no gaps and record
         // every claim, so with in_flight == 0 the filled slots are exactly
         // 0..claimed and the first error in slot order is deterministic.

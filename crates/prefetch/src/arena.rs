@@ -74,7 +74,9 @@ pub struct PreparedSchedule<'a> {
     /// Restricting this fixed order to any pending subset reproduces the
     /// per-call sort the classic pipeline performs.
     weight_order: Vec<u32>,
-    /// Per-subtask required configuration.
+    /// Per-subtask required configuration. Like every configuration table
+    /// below, it holds raw ids until [`intern_configs`](Self::intern_configs)
+    /// renames it into a plan-wide dense dictionary.
     required: Vec<Option<ConfigId>>,
     /// The subtask scheduled immediately before each subtask on the same PE
     /// ([`NO_PRED`] = none).
@@ -257,10 +259,66 @@ impl<'a> PreparedSchedule<'a> {
         self.drhw_count
     }
 
+    /// Renames every configuration the prepared tables refer to (required,
+    /// desired, wanted and last-on-slot) into its position in `dictionary`,
+    /// a sorted list holding every configuration the graph requires.
+    ///
+    /// The renaming is one-to-one and order-preserving, so no kernel result
+    /// changes. What changes is the id space: tile contents written by
+    /// [`apply_to_contents`](Self::apply_to_contents), the configurations
+    /// [`mark_reusable`](Self::mark_reusable) compares and the protection
+    /// counts of [`Scratch`] then use small dense indices shared by every
+    /// schedule interned into the same dictionary, instead of the sparse raw
+    /// ids. Contents and protected configurations fed to an interned schedule
+    /// must be in the same dense space.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dictionary` misses a configuration the graph requires.
+    pub fn intern_configs(&mut self, dictionary: &[ConfigId]) {
+        let intern = |config: ConfigId| {
+            let dense = dictionary.binary_search(&config).unwrap_or_else(|_| {
+                panic!("{config} is missing from the configuration dictionary")
+            });
+            ConfigId::new(dense)
+        };
+        for table in [
+            &mut self.required,
+            &mut self.desired_configs,
+            &mut self.last_config_on_slot,
+        ] {
+            for config in table.iter_mut().flatten() {
+                *config = intern(*config);
+            }
+        }
+        for config in &mut self.wanted_configs {
+            *config = intern(*config);
+        }
+    }
+
+    /// The configuration of every DRHW subtask, in subtask order (repeats
+    /// included; dense ids once [`intern_configs`](Self::intern_configs)
+    /// ran).
+    pub fn required_configs(&self) -> impl Iterator<Item = ConfigId> + '_ {
+        self.required.iter().flatten().copied()
+    }
+
+    /// How many whole loads `window` can hide, capped at the graph size.
+    /// This is the only way [`evaluate_inter_task`](Self::evaluate_inter_task)
+    /// and [`evaluate_hybrid`](Self::evaluate_hybrid) read the window, so two
+    /// windows with the same value give the same results — which makes it,
+    /// with the residency mask, a complete memo key for both kernels.
+    pub fn window_loads(&self, window: InterTaskWindow) -> usize {
+        window
+            .whole_loads(self.platform.reconfig_latency())
+            .min(self.exec_times.len())
+    }
+
     /// Chooses a physical tile for every abstract slot, writing the mapping
     /// into `scratch.slot_to_tile`. Replicates
-    /// [`assign_tiles_protecting`](crate::assign_tiles_protecting) exactly;
-    /// `protected` must be sorted (it is only binary-searched).
+    /// [`assign_tiles_protecting`](crate::assign_tiles_protecting) exactly,
+    /// with the protected set being the configurations whose
+    /// [`Scratch::protect`] count is above zero.
     ///
     /// # Errors
     ///
@@ -282,11 +340,9 @@ impl<'a> PreparedSchedule<'a> {
         }
         let Scratch {
             slot_to_tile,
-            assigned,
             taken,
-            free,
-            free_keyed,
-            protected,
+            free_keys,
+            protect_counts,
             ..
         } = scratch;
         slot_to_tile.clear();
@@ -295,63 +351,59 @@ impl<'a> PreparedSchedule<'a> {
                 slot_to_tile.extend((0..slots).map(TileId::new));
             }
             ReplacementPolicy::LeastRecentlyUsed => {
-                free.clear();
-                free.extend((0..tiles).map(TileId::new));
-                // The (last_used, index) key is a strict total order, so the
-                // unstable sort is deterministic and matches the classic
-                // stable sort without its merge buffer.
-                free.sort_unstable_by_key(|&t| (contents.last_used(t), t.index()));
-                slot_to_tile.extend(free.iter().take(slots).copied());
+                free_keys.clear();
+                free_keys
+                    .extend((0..tiles).map(|t| {
+                        eviction_key(false, false, contents.last_used(TileId::new(t)), t)
+                    }));
+                sort_smallest(free_keys, slots);
+                slot_to_tile.extend(free_keys[..slots].iter().map(|&key| key_tile(key)));
             }
             ReplacementPolicy::ReuseAware => {
-                assigned.clear();
-                assigned.resize(slots, None);
+                slot_to_tile.resize(slots, UNASSIGNED);
                 taken.clear();
                 taken.resize(tiles, false);
                 // Pass 1: give every slot a tile that already holds its first
                 // configuration (greedy, slot order, lowest matching tile).
-                for (slot, desired) in self.desired_configs.iter().enumerate() {
-                    let Some(config) = desired else { continue };
+                let mut unassigned = slots;
+                for (slot, &desired) in self.desired_configs.iter().enumerate() {
+                    if desired.is_none() {
+                        continue;
+                    }
                     let hit = (0..tiles)
-                        .map(TileId::new)
-                        .find(|t| !taken[t.index()] && contents.config_on(*t) == Some(*config));
+                        .find(|&t| !taken[t] && contents.config_on(TileId::new(t)) == desired);
                     if let Some(tile) = hit {
-                        assigned[slot] = Some(tile);
-                        taken[tile.index()] = true;
+                        slot_to_tile[slot] = TileId::new(tile);
+                        taken[tile] = true;
+                        unassigned -= 1;
                     }
                 }
+                if unassigned == 0 {
+                    return Ok(());
+                }
                 // Pass 2: fill the rest with free tiles, evicting tiles whose
-                // content nobody wants first, oldest first. The eviction key
-                // is computed once per tile (not per comparison), then the
-                // tuple order — with the tile index as final tiebreak — gives
-                // the same deterministic total order as the classic sort.
-                free_keyed.clear();
-                free_keyed.extend(
-                    (0..tiles)
-                        .map(TileId::new)
-                        .filter(|t| !taken[t.index()])
-                        .map(|t| {
-                            let held = contents.config_on(t);
-                            let holds_wanted = held
-                                .map(|c| self.wanted_configs.contains(&c))
-                                .unwrap_or(false);
-                            let holds_protected = held
-                                .map(|c| protected.binary_search(&c).is_ok())
-                                .unwrap_or(false);
-                            (holds_wanted, holds_protected, contents.last_used(t), t)
-                        }),
-                );
-                free_keyed.sort_unstable_by_key(|&(wanted, prot, used, t)| {
-                    (wanted, prot, used, t.index())
-                });
-                let mut free_iter = free_keyed.iter().map(|&(_, _, _, t)| t);
-                slot_to_tile.extend(assigned.iter().map(|slot_tile| {
-                    slot_tile.unwrap_or_else(|| {
-                        free_iter
-                            .next()
-                            .expect("slot count was checked against tile count")
-                    })
+                // content nobody wants first, oldest first. One packed key
+                // per free tile orders exactly like the classic tuple, and
+                // only the `unassigned` smallest keys are ever sorted.
+                free_keys.clear();
+                free_keys.extend((0..tiles).filter(|&t| !taken[t]).map(|t| {
+                    let tile = TileId::new(t);
+                    let (holds_wanted, holds_protected) = match contents.config_on(tile) {
+                        Some(held) => (
+                            self.wanted_configs.contains(&held),
+                            protect_counts.get(held.index()).is_some_and(|&n| n > 0),
+                        ),
+                        None => (false, false),
+                    };
+                    eviction_key(holds_wanted, holds_protected, contents.last_used(tile), t)
                 }));
+                sort_smallest(free_keys, unassigned);
+                let mut free_iter = free_keys.iter().map(|&key| key_tile(key));
+                for tile in slot_to_tile.iter_mut().filter(|t| **t == UNASSIGNED) {
+                    *tile = free_iter
+                        .next()
+                        .expect("slot count was checked against tile count");
+                }
             }
         }
         Ok(())
@@ -482,7 +534,6 @@ impl<'a> PreparedSchedule<'a> {
         window: InterTaskWindow,
         scratch: &mut Scratch,
     ) -> Result<(ExecSummary, usize), PrefetchError> {
-        let latency = self.platform.reconfig_latency();
         let needs_base = self.needs_load_mask(scratch.resident);
         // The pending loads by decreasing criticality weight — the order the
         // initialization phase would load them in. Filtering the precomputed
@@ -496,7 +547,7 @@ impl<'a> PreparedSchedule<'a> {
                 .filter(|&&idx| needs_base.contains(idx as usize))
                 .map(|&idx| SubtaskId::new(idx as usize)),
         );
-        let fit = window.whole_loads(latency).min(order_a.len());
+        let fit = self.window_loads(window).min(order_a.len());
         // Extended residency: what the preloads leave on the tiles.
         let mut aux_resident = scratch.resident;
         for &id in order_a.iter().take(fit) {
@@ -551,7 +602,7 @@ impl<'a> PreparedSchedule<'a> {
                 .copied()
                 .filter(|id| needs_base.contains(id.index()) && !needs_aux.contains(id.index())),
         );
-        let preloaded = window.whole_loads(latency).min(order_a.len());
+        let preloaded = self.window_loads(window).min(order_a.len());
         let init_count = order_a.len() - preloaded;
         let init_duration = latency * init_count as u64;
 
@@ -656,8 +707,9 @@ pub struct HybridSummary {
 /// The set-shaped state (residency, needs-load, pending loads) lives in
 /// [`SlotMask`] words, not here; only the buffers that genuinely need heap
 /// backing remain — the load-order lists, the flat finish/load timestamp
-/// tables (valid only under the timing loop's internal masks), and the
-/// replacement-kernel working vectors.
+/// tables (valid only under the timing loop's internal masks), the
+/// replacement-kernel working vectors, and the per-configuration protection
+/// counts the caller maintains between activations.
 #[derive(Debug, Default)]
 pub struct Scratch {
     /// Residency mask consumed by the evaluation kernels (one bit per
@@ -676,17 +728,14 @@ pub struct Scratch {
     loaded_at: Vec<Time>,
     /// The slot-to-tile mapping the replacement kernel produces.
     pub(crate) slot_to_tile: Vec<TileId>,
-    /// Per-slot assignment working buffer of the reuse-aware mapping.
-    assigned: Vec<Option<TileId>>,
     /// Per-tile "already taken" flags of the reuse-aware mapping.
     taken: Vec<bool>,
-    /// Free-tile candidate list of the replacement kernels.
-    free: Vec<TileId>,
-    /// Eviction-order keys of the reuse-aware mapping, precomputed once per
-    /// tile so the sort comparator stays branch-free.
-    free_keyed: Vec<(bool, bool, Time, TileId)>,
-    /// Sorted configurations the upcoming tasks want kept resident.
-    protected: Vec<ConfigId>,
+    /// Packed eviction keys of the free tiles (see [`eviction_key`]).
+    free_keys: Vec<u128>,
+    /// Per-configuration protection counts, indexed by configuration id: a
+    /// configuration is protected from eviction while its count is above
+    /// zero (see [`protect`](Scratch::protect)).
+    protect_counts: Vec<u32>,
 }
 
 impl Scratch {
@@ -699,18 +748,19 @@ impl Scratch {
 
     /// Pre-sizes every buffer for graphs of up to `subtasks` subtasks,
     /// schedules of up to `slots` slots, platforms of up to `tiles` tiles and
-    /// protected-configuration lists of up to `configs` entries.
+    /// configuration ids below `configs` (the size of an
+    /// [interned](PreparedSchedule::intern_configs) dictionary).
     pub fn reserve(&mut self, subtasks: usize, slots: usize, tiles: usize, configs: usize) {
         self.order_a.reserve(subtasks);
         self.order_b.reserve(subtasks);
         self.exec_finish.reserve(subtasks);
         self.loaded_at.reserve(subtasks);
         self.slot_to_tile.reserve(slots.max(tiles));
-        self.assigned.reserve(slots.max(tiles));
         self.taken.reserve(tiles);
-        self.free.reserve(tiles);
-        self.free_keyed.reserve(tiles);
-        self.protected.reserve(configs);
+        self.free_keys.reserve(tiles);
+        if self.protect_counts.len() < configs {
+            self.protect_counts.resize(configs, 0);
+        }
     }
 
     /// The slot-to-tile mapping most recently produced by
@@ -728,15 +778,78 @@ impl Scratch {
         self.resident
     }
 
-    /// Replaces the protected-configuration list (the configurations upcoming
-    /// tasks will want, which the replacement kernel avoids evicting). The
-    /// list is sorted and deduplicated in place.
-    pub fn set_protected(&mut self, configs: impl IntoIterator<Item = ConfigId>) {
-        self.protected.clear();
-        self.protected.extend(configs);
-        self.protected.sort_unstable();
-        self.protected.dedup();
+    /// Protects `configs` once more each. A configuration whose count is
+    /// above zero is in the protected set of
+    /// [`PreparedSchedule::assign_tiles_into`]. Counting instead of a set
+    /// lets a caller protect every queued task's configurations once and
+    /// release each task's own with [`unprotect`](Scratch::unprotect) just
+    /// before it runs. Allocation-free for ids below the `configs` bound
+    /// given to [`reserve`](Scratch::reserve).
+    pub fn protect(&mut self, configs: &[ConfigId]) {
+        for config in configs {
+            let index = config.index();
+            if index >= self.protect_counts.len() {
+                self.protect_counts.resize(index + 1, 0);
+            }
+            self.protect_counts[index] += 1;
+        }
     }
+
+    /// Undoes one [`protect`](Scratch::protect) of each of `configs`.
+    pub fn unprotect(&mut self, configs: &[ConfigId]) {
+        for config in configs {
+            if let Some(count) = self.protect_counts.get_mut(config.index()) {
+                *count = count.saturating_sub(1);
+            }
+        }
+    }
+
+    /// Whether `config`'s protection count is above zero.
+    pub fn is_protected(&self, config: ConfigId) -> bool {
+        self.protect_counts
+            .get(config.index())
+            .is_some_and(|&count| count > 0)
+    }
+
+    /// Drops every protection (all counts back to zero).
+    pub fn clear_protection(&mut self) {
+        self.protect_counts.fill(0);
+    }
+}
+
+/// Sentinel in `Scratch::slot_to_tile` while the reuse-aware mapping still
+/// looks for a slot's tile.
+const UNASSIGNED: TileId = TileId::new(usize::MAX);
+
+/// Bits of an eviction key below the last-use stamp: the tile index.
+const KEY_TILE_BITS: u32 = 62;
+
+/// Packs the classic eviction tuple `(holds_wanted, holds_protected,
+/// last_used, tile)` into one integer whose order is the tuple order: the
+/// two flags in the top bits, the last-use stamp in µs below them, the tile
+/// index in the low [`KEY_TILE_BITS`] bits. Keys are distinct per tile, so
+/// any sort of them is deterministic.
+#[inline]
+fn eviction_key(holds_wanted: bool, holds_protected: bool, last_used: Time, tile: usize) -> u128 {
+    (u128::from(holds_wanted) << 127)
+        | (u128::from(holds_protected) << 126)
+        | (u128::from(last_used.as_micros()) << KEY_TILE_BITS)
+        | tile as u128
+}
+
+/// The tile index an [`eviction_key`] was built for.
+#[inline]
+fn key_tile(key: u128) -> TileId {
+    TileId::new((key & ((1 << KEY_TILE_BITS) - 1)) as usize)
+}
+
+/// Moves the `k` smallest keys to the front of `keys`, in ascending order;
+/// the rest are left unordered.
+fn sort_smallest(keys: &mut [u128], k: usize) {
+    if k < keys.len() {
+        keys.select_nth_unstable(k);
+    }
+    keys[..k].sort_unstable();
 }
 
 /// How the port chooses its next load (mirror of the executor's
@@ -1124,6 +1237,72 @@ mod tests {
         }
     }
 
+    /// Residency masks over `n` subtasks: empty, full, every singleton and
+    /// a few pseudo-random mixtures.
+    fn mask_sample(n: usize) -> Vec<SlotMask> {
+        let full = SlotMask::full(n);
+        let mut masks = vec![SlotMask::EMPTY, full];
+        masks.extend((0..n).map(|i| SlotMask::from_bits(1 << i)));
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        for _ in 0..8 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            masks.push(SlotMask::from_bits(state & full.bits()));
+        }
+        masks
+    }
+
+    #[test]
+    fn windowed_kernels_read_the_window_only_through_its_whole_loads() {
+        use drhw_workloads::multimedia::{
+            fully_parallel_schedule, jpeg_decoder_graph, mpeg_encoder_graph, parallel_jpeg_graph,
+            pattern_recognition_graph, MpegFrame,
+        };
+        let mut cases = vec![fig3()];
+        for graph in [
+            pattern_recognition_graph(),
+            jpeg_decoder_graph(),
+            parallel_jpeg_graph(),
+            mpeg_encoder_graph(MpegFrame::P),
+        ] {
+            let schedule = fully_parallel_schedule(&graph).unwrap();
+            cases.push((graph, schedule, Platform::virtex_like(16).unwrap()));
+        }
+        let mut scratch = Scratch::new();
+        for (graph, schedule, platform) in &cases {
+            let hybrid = HybridPrefetch::compute(graph, schedule, platform).unwrap();
+            let prepared = PreparedSchedule::new(graph, schedule.clone(), platform).unwrap();
+            let n = graph.len() as u64;
+            let latency = platform.reconfig_latency();
+            // Windows a memo keyed on `window_loads` treats as one: the two
+            // ends of every whole-load step below the graph size, and two
+            // windows that already hold a load per subtask.
+            let mut pairs: Vec<(Time, Time)> = (0..n)
+                .map(|k| (latency * k, latency * k + latency - Time::from_micros(1)))
+                .collect();
+            pairs.push((latency * n, latency * (n + 5) + Time::from_micros(17)));
+            for resident in mask_sample(graph.len()) {
+                for &(a, b) in &pairs {
+                    let (a, b) = (InterTaskWindow::new(a), InterTaskWindow::new(b));
+                    let label = format!("{} {resident:?} {a:?} vs {b:?}", graph.name());
+                    assert_eq!(
+                        prepared.window_loads(a),
+                        prepared.window_loads(b),
+                        "{label}"
+                    );
+                    scratch.resident = resident;
+                    let inter_a = prepared.evaluate_inter_task(a, &mut scratch);
+                    let inter_b = prepared.evaluate_inter_task(b, &mut scratch);
+                    assert_eq!(inter_a, inter_b, "inter-task {label}");
+                    let hybrid_a = prepared.evaluate_hybrid(&hybrid, a, &mut scratch);
+                    let hybrid_b = prepared.evaluate_hybrid(&hybrid, b, &mut scratch);
+                    assert_eq!(hybrid_a, hybrid_b, "hybrid {label}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn replacement_and_reuse_kernels_match_the_classic_modules() {
         let (g, schedule, platform) = fig3();
@@ -1137,11 +1316,17 @@ mod tests {
                 ReplacementPolicy::LeastRecentlyUsed,
                 ReplacementPolicy::Direct,
             ] {
-                let protected: BTreeSet<ConfigId> =
-                    [ConfigId::new(2), ConfigId::new(7)].into_iter().collect();
-                let classic =
-                    assign_tiles_protecting(&g, &schedule, &contents, policy, &protected).unwrap();
-                scratch.set_protected(protected.iter().copied());
+                let protected = [ConfigId::new(2), ConfigId::new(7)];
+                let classic = assign_tiles_protecting(
+                    &g,
+                    &schedule,
+                    &contents,
+                    policy,
+                    &protected.into_iter().collect(),
+                )
+                .unwrap();
+                scratch.clear_protection();
+                scratch.protect(&protected);
                 prepared
                     .assign_tiles_into(&contents, policy, &mut scratch)
                     .unwrap();
@@ -1179,7 +1364,7 @@ mod tests {
                 &mut classic_contents,
                 Time::from_millis(10 * (step + 1)),
             );
-            scratch.set_protected(std::iter::empty());
+            scratch.clear_protection();
             prepared
                 .assign_tiles_into(&contents, ReplacementPolicy::ReuseAware, &mut scratch)
                 .unwrap();
@@ -1268,7 +1453,7 @@ mod tests {
         assert_eq!(prepared.analysis().topological_order().len(), 4);
         // TileMapping parity: identity mapping for the Direct policy.
         let mut scratch = Scratch::new();
-        scratch.set_protected(std::iter::empty());
+        scratch.clear_protection();
         let contents = TileContents::new(3);
         prepared
             .assign_tiles_into(&contents, ReplacementPolicy::Direct, &mut scratch)

@@ -25,7 +25,7 @@ use drhw_model::{
 };
 use drhw_prefetch::{
     DesignTimePrefetch, ExecSummary, HybridPrefetch, InterTaskWindow, PolicyKind, PreparedSchedule,
-    SlotMask,
+    ReplacementPolicy, SlotMask,
 };
 use drhw_tcm::{DesignTimeLibrary, DesignTimeScheduler, RuntimeScheduler, TaskActivation};
 use rand::rngs::StdRng;
@@ -70,9 +70,12 @@ impl ScenarioSearchArtifacts {
 /// activation-independent on-demand baseline outcome.
 #[derive(Debug)]
 struct ScenarioArtifacts<'a> {
+    /// The prepared schedule, its configurations interned into the plan's
+    /// dense dictionary.
     prepared: PreparedSchedule<'a>,
-    /// Configurations the scenario's DRHW subtasks require (protected from
-    /// eviction while the scenario is still queued in the iteration).
+    /// The distinct dense configurations the scenario's DRHW subtasks
+    /// require (protected from eviction while the scenario is still queued
+    /// in the iteration).
     required_configs: Vec<ConfigId>,
     design_time: DesignTimePrefetch,
     hybrid: HybridPrefetch,
@@ -88,11 +91,14 @@ struct ScenarioArtifacts<'a> {
 #[derive(Debug)]
 struct PlanShared<'a> {
     library: DesignTimeLibrary,
-    /// (task, scenario) → slot in `artifacts`. Consulted once per activation
-    /// per iteration to resolve the flat slot; the hot loop then indexes the
-    /// vector directly.
-    artifact_index: BTreeMap<(TaskId, ScenarioId), usize>,
+    /// Per task, in task-set order, the (scenario, slot in `artifacts`)
+    /// pairs the plan prepared. Scanned once per activation per iteration to
+    /// resolve the flat slot; the hot loop then indexes the vector directly.
+    scenario_slots: Vec<Vec<(ScenarioId, usize)>>,
     artifacts: Vec<ScenarioArtifacts<'a>>,
+    /// Number of distinct configurations the plan's graphs require: the
+    /// artifacts' dense configuration ids are `0..config_count`.
+    config_count: usize,
     /// Process-unique identity of this artifact set, used to bind scratch
     /// kernel-memo tables to the plan they were warmed on (see
     /// [`SimScratch`]). Plans stamped out by `with_config` share it.
@@ -180,17 +186,32 @@ impl<'a> IterationPlan<'a> {
         // Injected search artifacts, parallel to `jobs` (separate vector so
         // the graph references keep the task set's lifetime).
         let mut hints: Vec<Option<&ScenarioSearchArtifacts>> = Vec::new();
+        let mut scenario_slots = Vec::with_capacity(task_set.tasks().len());
         for task in task_set.tasks() {
+            let mut slots = Vec::new();
             for scenario in task.scenarios() {
                 if let Some(reachable) = &reachable {
                     if !reachable.contains(&(task.id(), scenario.id())) {
                         continue;
                     }
                 }
+                slots.push((scenario.id(), jobs.len()));
                 jobs.push((task.id(), scenario.id(), scenario.graph()));
                 hints.push(precomputed.get(&(task.id(), scenario.id())));
             }
+            scenario_slots.push(slots);
         }
+        // Raw configuration ids are sparse (they run into the thousands on
+        // generated workloads); the hot loop wants them dense. One sorted
+        // dictionary of every configuration the prepared graphs require
+        // renames them one-to-one, so tile contents and protection counts
+        // index small tables.
+        let mut dictionary: Vec<ConfigId> = jobs
+            .iter()
+            .flat_map(|&(_, _, graph)| graph.ids().filter_map(|id| graph.required_config(id)))
+            .collect();
+        dictionary.sort_unstable();
+        dictionary.dedup();
 
         // Per-(task, scenario) preparation is independent, and the design-time
         // searches dominate a cold build — fan it out over the same
@@ -203,16 +224,14 @@ impl<'a> IterationPlan<'a> {
         if workers <= 1 {
             // One kernel scratch for the whole sequential pass.
             let mut build_scratch = drhw_prefetch::Scratch::new();
-            for ((slot, &(task, scenario, graph)), &hint) in slots.iter_mut().zip(&jobs).zip(&hints)
-            {
+            for ((slot, &job), &hint) in slots.iter_mut().zip(&jobs).zip(&hints) {
                 let outcome = prepare_scenario(
                     &library,
                     &config,
                     platform,
-                    task,
-                    scenario,
-                    graph,
+                    job,
                     hint,
+                    &dictionary,
                     &mut build_scratch,
                 );
                 let stop = outcome.is_err();
@@ -245,15 +264,13 @@ impl<'a> IterationPlan<'a> {
                             if job >= jobs.len() {
                                 break;
                             }
-                            let (task, scenario, graph) = jobs[job];
                             let outcome = prepare_scenario(
                                 &library,
                                 &config,
                                 platform,
-                                task,
-                                scenario,
-                                graph,
+                                jobs[job],
                                 hints[job],
+                                &dictionary,
                                 &mut build_scratch,
                             );
                             if outcome.is_err() {
@@ -277,27 +294,24 @@ impl<'a> IterationPlan<'a> {
             }
         }
 
-        let mut artifact_index = BTreeMap::new();
-        let mut artifacts = Vec::with_capacity(jobs.len());
-        for (slot, &(task, scenario, _)) in slots.iter_mut().zip(&jobs) {
-            match slot.take() {
-                Some(Ok(prepared)) => {
-                    artifact_index.insert((task, scenario), artifacts.len());
-                    artifacts.push(prepared);
-                }
+        let artifacts = slots
+            .into_iter()
+            .map(|slot| match slot {
+                Some(Ok(prepared)) => prepared,
                 _ => {
                     unreachable!("workers only leave holes after an error, and errors return above")
                 }
-            }
-        }
+            })
+            .collect();
         Ok(IterationPlan {
             task_set,
             platform,
             config,
             shared: Arc::new(PlanShared {
                 library,
-                artifact_index,
+                scenario_slots,
                 artifacts,
+                config_count: dictionary.len(),
                 token: PLAN_TOKENS.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
             }),
         })
@@ -362,20 +376,26 @@ impl<'a> IterationPlan<'a> {
     /// cache stores and later injects back via
     /// [`new_with_artifacts`](Self::new_with_artifacts).
     pub fn search_artifacts(&self) -> Vec<((TaskId, ScenarioId), ScenarioSearchArtifacts)> {
-        self.shared
-            .artifact_index
+        let mut extracted: Vec<_> = self
+            .task_set
+            .tasks()
             .iter()
-            .map(|(&key, &slot)| {
-                let artifacts = &self.shared.artifacts[slot];
-                (
-                    key,
-                    ScenarioSearchArtifacts {
-                        design_time: artifacts.design_time.clone(),
-                        hybrid: artifacts.hybrid.clone(),
-                    },
-                )
+            .zip(&self.shared.scenario_slots)
+            .flat_map(|(task, slots)| {
+                slots.iter().map(|&(scenario, slot)| {
+                    let artifacts = &self.shared.artifacts[slot];
+                    (
+                        (task.id(), scenario),
+                        ScenarioSearchArtifacts {
+                            design_time: artifacts.design_time.clone(),
+                            hybrid: artifacts.hybrid.clone(),
+                        },
+                    )
+                })
             })
-            .collect()
+            .collect();
+        extracted.sort_unstable_by_key(|&(key, _)| key);
+        extracted
     }
 
     /// The seed driving iteration `index`, derived from the master seed with
@@ -412,17 +432,15 @@ impl<'a> IterationPlan<'a> {
     pub fn make_scratch(&self) -> SimScratch {
         let mut subtasks = 0usize;
         let mut slots = 0usize;
-        let mut configs = 0usize;
         for artifacts in &self.shared.artifacts {
             subtasks = subtasks.max(artifacts.prepared.graph().len());
             slots = slots.max(artifacts.prepared.schedule().slot_count());
-            configs += artifacts.required_configs.len();
         }
         SimScratch::with_capacity(
             subtasks,
             slots,
             self.platform.tile_count(),
-            configs,
+            self.shared.config_count,
             self.task_set.tasks().len(),
             self.shared.artifacts.len(),
             self.shared.token,
@@ -556,29 +574,61 @@ impl<'a> IterationPlan<'a> {
         scratch: &mut SimScratch,
     ) -> Result<IterationOutcome, SimError> {
         self.pick_activations_into(index, &mut scratch.activations);
-        let mut outcome = IterationOutcome::default();
         let tasks = self.task_set.tasks();
 
-        // Resolve every activation's artifact slot up front — one map lookup
-        // per activation, after which the loop below (including its upcoming-
-        // configuration suffix scans) only indexes the flat artifact vector.
-        // A correlated scenario policy can name a scenario the task does not
-        // define; report it as the scheduling error it is rather than
-        // panicking inside a worker thread.
+        // Resolve every activation's artifact slot up front — one short scan
+        // of the task's prepared scenarios per activation, after which the
+        // loop below only indexes the flat artifact vector. A correlated
+        // scenario policy can name a scenario the task does not define;
+        // report it as the scheduling error it is rather than panicking
+        // inside a worker thread.
         scratch.activation_artifacts.clear();
         for &(task_index, scenario_id) in &scratch.activations {
-            let task = &tasks[task_index];
-            let slot = *self
-                .shared
-                .artifact_index
-                .get(&(task.id(), scenario_id))
+            let slot = self.shared.scenario_slots[task_index]
+                .iter()
+                .find(|&&(scenario, _)| scenario == scenario_id)
+                .map(|&(_, slot)| slot)
                 .ok_or(drhw_tcm::TcmError::UnknownScenario {
-                    task: task.id(),
+                    task: tasks[task_index].id(),
                     scenario: scenario_id,
                 })?;
             scratch.activation_artifacts.push(slot);
         }
 
+        // The run-time scheduler knows which tasks follow in this iteration,
+        // and the reuse-aware replacement avoids evicting the configurations
+        // they are about to need. Every queued activation protects its
+        // configurations once here and releases them just before its own
+        // assignment, so each assignment sees exactly the configurations of
+        // the activations after it. Only the reuse-aware rule reads them.
+        let protect =
+            policy.exploits_reuse() && self.config.replacement == ReplacementPolicy::ReuseAware;
+        if protect {
+            for &slot in &scratch.activation_artifacts {
+                scratch
+                    .prefetch
+                    .protect(&self.shared.artifacts[slot].required_configs);
+            }
+        }
+        let outcome = self.run_activations(policy, protect, scratch);
+        if outcome.is_err() && protect {
+            // An error leaves the rest of the queue protected; the next
+            // iteration must start from an all-zero table.
+            scratch.prefetch.clear_protection();
+        }
+        outcome
+    }
+
+    /// Runs the activations resolved by [`run_iteration`](Self::run_iteration)
+    /// in order, releasing each one's protection (when `protect` is set)
+    /// just before its tile assignment.
+    fn run_activations(
+        &self,
+        policy: PolicyKind,
+        protect: bool,
+        scratch: &mut SimScratch,
+    ) -> Result<IterationOutcome, SimError> {
+        let mut outcome = IterationOutcome::default();
         for position in 0..scratch.activations.len() {
             let slot = scratch.activation_artifacts[position];
             let artifacts = &self.shared.artifacts[slot];
@@ -600,19 +650,8 @@ impl<'a> IterationPlan<'a> {
                     }
                 }
             } else {
-                // The run-time scheduler knows which tasks follow in this
-                // iteration; the replacement module avoids evicting the
-                // configurations they are about to need.
-                {
-                    let SimScratch {
-                        prefetch,
-                        activation_artifacts,
-                        ..
-                    } = scratch;
-                    let upcoming = activation_artifacts[position + 1..]
-                        .iter()
-                        .flat_map(|&s| self.shared.artifacts[s].required_configs.iter().copied());
-                    prefetch.set_protected(upcoming);
+                if protect {
+                    scratch.prefetch.unprotect(&artifacts.required_configs);
                 }
                 prepared.assign_tiles_into(
                     &scratch.contents,
@@ -621,12 +660,14 @@ impl<'a> IterationPlan<'a> {
                 )?;
                 let reused = prepared.mark_reusable(&scratch.contents, &mut scratch.prefetch);
 
-                // The evaluation kernels are pure in (residency mask, window)
-                // for a prepared schedule, so their summaries are served from
-                // the per-artifact memo when the same state recurs — the
-                // steady-state common case within a chunk. Hits are copies of
-                // previously computed summaries: bit-identical by definition,
-                // which the differential oracle corpus double-checks.
+                // The evaluation kernels are pure in the residency mask (plus,
+                // for the windowed policies, the number of whole loads the
+                // inter-task window holds) for a prepared schedule, so their
+                // summaries are served from the per-artifact memo when the
+                // same state recurs — the steady-state common case within a
+                // chunk. Hits are copies of previously computed summaries:
+                // bit-identical by definition, which the differential oracle
+                // corpus double-checks.
                 let resident = scratch.prefetch.resident();
                 let (penalty, loads, cancelled) = match policy {
                     PolicyKind::NoPrefetch | PolicyKind::DesignTimeOnly => {
@@ -644,7 +685,7 @@ impl<'a> IterationPlan<'a> {
                         (summary.penalty, summary.loads, 0)
                     }
                     PolicyKind::RunTimeInterTask => {
-                        let key = (resident, scratch.window);
+                        let key = (resident, prepared.window_loads(scratch.window));
                         let (summary, preloaded) = match scratch.memo[slot].inter.get(key) {
                             Some(hit) => hit,
                             None => {
@@ -658,7 +699,7 @@ impl<'a> IterationPlan<'a> {
                         (summary.penalty, summary.loads + preloaded, 0)
                     }
                     PolicyKind::Hybrid => {
-                        let key = (resident, scratch.window);
+                        let key = (resident, prepared.window_loads(scratch.window));
                         let summary = match scratch.memo[slot].hybrid.get(key) {
                             Some(hit) => hit,
                             None => {
@@ -777,23 +818,16 @@ fn reachable_scenarios(
 /// the graph, both searches are skipped and the stored artifacts are used
 /// verbatim. Pure function of its inputs — the plan builder calls it
 /// from worker threads and folds results back in deterministic order.
-#[allow(clippy::too_many_arguments)]
 fn prepare_scenario<'a>(
     library: &DesignTimeLibrary,
     config: &SimulationConfig,
     platform: &'a Platform,
-    task: TaskId,
-    scenario: ScenarioId,
-    graph: &'a SubtaskGraph,
+    (task, scenario, graph): (TaskId, ScenarioId, &'a SubtaskGraph),
     precomputed: Option<&ScenarioSearchArtifacts>,
+    dictionary: &[ConfigId],
     build_scratch: &mut drhw_prefetch::Scratch,
 ) -> Result<ScenarioArtifacts<'a>, SimError> {
     let schedule = build_schedule(library, config, platform, task, scenario, graph)?;
-    let required_configs = graph
-        .drhw_subtasks()
-        .into_iter()
-        .filter_map(|id| graph.required_config(id))
-        .collect();
     let (design_time, hybrid) = match precomputed.filter(|artifacts| artifacts.fits(graph)) {
         Some(artifacts) => (artifacts.design_time.clone(), artifacts.hybrid.clone()),
         None => {
@@ -809,7 +843,11 @@ fn prepare_scenario<'a>(
             (design_time, hybrid)
         }
     };
-    let prepared = PreparedSchedule::new(graph, schedule, platform)?;
+    let mut prepared = PreparedSchedule::new(graph, schedule, platform)?;
+    prepared.intern_configs(dictionary);
+    let mut required_configs: Vec<ConfigId> = prepared.required_configs().collect();
+    required_configs.sort_unstable();
+    required_configs.dedup();
     let on_demand = prepared.evaluate_on_demand_cold(build_scratch)?;
     Ok(ScenarioArtifacts {
         prepared,
@@ -1028,6 +1066,45 @@ mod tests {
         }
         // Task 0 is activated in some iteration of the quick config.
         assert!(saw_unknown);
+    }
+
+    #[test]
+    fn an_error_mid_iteration_leaves_no_configuration_protected() {
+        let set = two_task_set();
+        let platform = Platform::virtex_like(6).unwrap();
+        let config = SimulationConfig::quick().with_chunk_size(1);
+        let cold = IterationPlan::new(&set, &platform, config.clone()).unwrap();
+        let mut artifacts: BTreeMap<_, _> = cold.search_artifacts().into_iter().collect();
+        // A stored load order naming the chain's first subtask twice: the
+        // hybrid kernel rejects it on the chain's cold activation, while the
+        // fork queued behind it still has its configurations protected.
+        let chain = (TaskId::new(0), ScenarioId::new(0));
+        let fork = (TaskId::new(1), ScenarioId::new(0));
+        artifacts.get_mut(&chain).unwrap().hybrid =
+            HybridPrefetch::from_critical(drhw_prefetch::CriticalSetAnalysis::from_parts(
+                Vec::new(),
+                vec![drhw_model::SubtaskId::new(0); 2],
+                Time::ZERO,
+                0,
+                3,
+            ));
+        let plan = IterationPlan::new_with_artifacts(&set, &platform, config, &artifacts).unwrap();
+        let index = (0..plan.config().iterations)
+            .find(|&i| plan.activations(i) == [chain, fork])
+            .expect("some iteration runs the chain before the fork");
+        let mut scratch = plan.make_scratch();
+        let err = plan
+            .evaluate_with(PolicyKind::Hybrid, index, &mut scratch)
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SimError::Prefetch(drhw_prefetch::PrefetchError::InvalidLoadOrder { .. })
+            ),
+            "{err}"
+        );
+        assert!((0..plan.shared.config_count)
+            .all(|config| !scratch.prefetch.is_protected(ConfigId::new(config))));
     }
 
     #[test]

@@ -49,14 +49,12 @@ impl MemoKey for SlotMask {
     }
 }
 
-impl MemoKey for (SlotMask, InterTaskWindow) {
+impl MemoKey for (SlotMask, usize) {
     fn fingerprint(self) -> u64 {
-        mix(self.0.bits().wrapping_add(
-            self.1
-                .remaining()
-                .as_micros()
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        ))
+        mix(self
+            .0
+            .bits()
+            .wrapping_add((self.1 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)))
     }
 }
 
@@ -92,19 +90,22 @@ impl<K: MemoKey, V: Copy> MemoSet<K, V> {
 }
 
 /// Per-(task, scenario) memo of the run-time evaluation kernels. The kernels
-/// are pure functions of the residency mask (plus the inter-task window for
-/// the windowed policies) once the schedule is prepared, so their summaries
-/// can be replayed from here instead of re-running the timing loop — the
-/// replacement/reuse/contents pipeline still runs every activation because
-/// it feeds the evolving tile state.
+/// are pure functions of the residency mask (plus, for the windowed
+/// policies, the number of whole loads the inter-task window holds — see
+/// [`PreparedSchedule::window_loads`](drhw_prefetch::PreparedSchedule::window_loads))
+/// once the schedule is prepared, so their summaries can be replayed from
+/// here instead of re-running the timing loop — the replacement/reuse/
+/// contents pipeline still runs every activation because it feeds the
+/// evolving tile state.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct KernelMemo {
     /// `evaluate_list` keyed by residency mask.
     pub(crate) list: MemoSet<SlotMask, ExecSummary>,
-    /// `evaluate_inter_task` (summary, preloaded) keyed by (mask, window).
-    pub(crate) inter: MemoSet<(SlotMask, InterTaskWindow), (ExecSummary, usize)>,
-    /// `evaluate_hybrid` keyed by (mask, window).
-    pub(crate) hybrid: MemoSet<(SlotMask, InterTaskWindow), HybridSummary>,
+    /// `evaluate_inter_task` (summary, preloaded) keyed by (mask, window
+    /// loads).
+    pub(crate) inter: MemoSet<(SlotMask, usize), (ExecSummary, usize)>,
+    /// `evaluate_hybrid` keyed by (mask, window loads).
+    pub(crate) hybrid: MemoSet<(SlotMask, usize), HybridSummary>,
 }
 
 /// The mutable per-worker state threaded through
@@ -140,7 +141,7 @@ pub struct SimScratch {
 impl SimScratch {
     /// Creates a scratch pre-sized for plans whose largest graph has
     /// `subtasks` subtasks on `slots` slots, on a platform of `tiles` tiles,
-    /// with at most `configs` protected configurations and `tasks` tasks per
+    /// with `configs` dense configuration ids and `tasks` tasks per
     /// iteration.
     pub(crate) fn with_capacity(
         subtasks: usize,

@@ -14,10 +14,11 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use drhw_bench::experiments::workload_config;
 use drhw_model::Platform;
 use drhw_prefetch::PolicyKind;
 use drhw_sim::{IterationPlan, SimBatch, SimulationConfig};
-use drhw_workloads::{MultimediaWorkload, Workload};
+use drhw_workloads::{MultimediaWorkload, PocketGlWorkload, Workload};
 
 /// Counts every allocation event (alloc, alloc_zeroed, realloc) and forwards
 /// to the system allocator.
@@ -65,28 +66,22 @@ fn batch_run_allocations(plan: &IterationPlan<'_>) -> usize {
     allocation_events() - before
 }
 
-#[test]
-fn warm_iteration_loop_performs_zero_heap_allocations() {
-    let workload = MultimediaWorkload;
+/// Scores every (policy, iteration) pair of `workload` on `tiles` tiles
+/// against one scratch fresh from `make_scratch` and returns the allocation
+/// events counted.
+fn warm_loop_allocations(workload: &dyn Workload, tiles: usize) -> usize {
     let set = workload.task_set();
-    let platform = Platform::virtex_like(8).expect("tile count is positive");
-    let config = SimulationConfig::default()
-        .with_iterations(96)
+    let platform = Platform::virtex_like(tiles).expect("tile count is positive");
+    let config = workload_config(workload, 96, 7)
         .with_chunk_size(32)
-        .with_seed(7)
         .with_threads(1);
     let plan = IterationPlan::new(&set, &platform, config).expect("plan builds");
+    // No warm-up: make_scratch pre-sizes every buffer (kernel tables, the
+    // dense configuration ids' protection counts, the memos), so even the
+    // first iteration must be allocation-free.
     let mut scratch = plan.make_scratch();
-
-    // Warm-up: touch every policy's code path once.
-    for policy in PolicyKind::ALL {
-        plan.evaluate_with(policy, 0, &mut scratch)
-            .expect("iteration evaluates");
-    }
-
-    // The invariant itself: scoring every (policy, iteration) pair against
-    // the warm scratch must never touch the allocator. evaluate_with replays
-    // each chunk prefix, so this also covers the chunk-reset path.
+    // evaluate_with replays each chunk prefix, so this also covers the
+    // chunk-reset path.
     let before = allocation_events();
     for policy in PolicyKind::ALL {
         for index in 0..plan.config().iterations {
@@ -94,11 +89,28 @@ fn warm_iteration_loop_performs_zero_heap_allocations() {
                 .expect("iteration evaluates");
         }
     }
-    assert_eq!(
-        allocation_events() - before,
-        0,
-        "the steady-state per-iteration loop must be allocation-free"
-    );
+    allocation_events() - before
+}
+
+#[test]
+fn warm_iteration_loop_performs_zero_heap_allocations() {
+    // The invariant itself, on two inputs: the multimedia set (independent
+    // scenarios, configuration ids from 0) and Pocket GL (40 prepared
+    // scenarios under correlated selection, configuration ids from 100).
+    for (workload, tiles) in [
+        (&MultimediaWorkload as &dyn Workload, 8),
+        (&PocketGlWorkload, 10),
+    ] {
+        assert_eq!(
+            warm_loop_allocations(workload, tiles),
+            0,
+            "the steady-state per-iteration loop must be allocation-free ({}@{tiles})",
+            workload.name()
+        );
+    }
+    let workload = MultimediaWorkload;
+    let set = workload.task_set();
+    let platform = Platform::virtex_like(8).expect("tile count is positive");
 
     // End-to-end corollary: a warm SimBatch run allocates only its per-run
     // setup (scratch, job slots, reports), so the allocation count must not

@@ -1,14 +1,20 @@
 //! Property-based tests (proptest) of the scheduling invariants on random
-//! task graphs, plus a reference-model check of the `SlotMask` bitmask set
-//! the hot kernels use in place of per-subtask boolean vectors.
+//! task graphs, a reference-model check of the `SlotMask` bitmask set the
+//! hot kernels use in place of per-subtask boolean vectors, and a parity
+//! check of the allocation-free replacement kernels against the classic
+//! replacement and reuse modules.
 
 use std::collections::{BTreeSet, HashSet};
 
 use drhw_integration::random_instance;
-use drhw_model::{PeAssignment, Platform, SubtaskId, Time};
+use drhw_model::{
+    ConfigId, InitialSchedule, PeAssignment, Platform, Subtask, SubtaskGraph, SubtaskId, TileId,
+    TileSlot, Time,
+};
 use drhw_prefetch::{
-    BranchBoundScheduler, CriticalSetAnalysis, HybridPrefetch, InterTaskWindow, ListScheduler,
-    OnDemandScheduler, PrefetchProblem, PrefetchScheduler, SlotMask,
+    assign_tiles_protecting, reusable_subtasks, BranchBoundScheduler, CriticalSetAnalysis,
+    HybridPrefetch, InterTaskWindow, ListScheduler, OnDemandScheduler, PrefetchProblem,
+    PrefetchScheduler, PreparedSchedule, ReplacementPolicy, Scratch, SlotMask, TileContents,
 };
 use drhw_tcm::DesignTimeScheduler;
 use proptest::prelude::*;
@@ -216,6 +222,16 @@ proptest! {
         }
     }
 
+    /// The allocation-free replacement and reuse kernels agree with the
+    /// classic modules for all three replacement rules on random tile
+    /// states: configurations repeated across tiles, tied last-use stamps,
+    /// random protected sets, sparse ids from 10 000 up, and up to 64 tiles
+    /// with as many slots as tiles or fewer.
+    #[test]
+    fn replacement_kernels_match_the_classic_modules(seed in 0u64..1_000_000, tiles in 1usize..65) {
+        check_replacement_parity(seed, tiles);
+    }
+
     /// `SlotMask` behaves exactly like a `HashSet<usize>` over `0..64` under
     /// a random interleaving of inserts, removes and membership queries:
     /// same membership, same popcount, and ascending iteration order.
@@ -283,6 +299,126 @@ proptest! {
         );
         // Round trip through FromIterator preserves the set.
         prop_assert_eq!(mask_a.iter().collect::<SlotMask>(), mask_a);
+    }
+}
+
+/// Draws from a random tile state and checks every replacement rule of the
+/// allocation-free kernels (`assign_tiles_into` + `mark_reusable`) against
+/// the classic modules (`assign_tiles_protecting` + `reusable_subtasks`),
+/// on the schedule both with raw configuration ids and interned into a
+/// dense dictionary.
+fn check_replacement_parity(seed: u64, tiles: usize) {
+    let mut state = seed;
+    let mut draw = |bound: usize| (split_mix(&mut state) % bound as u64) as usize;
+    let slots = 1 + draw(tiles);
+    let subtasks = slots + draw(SlotMask::CAPACITY - slots + 1);
+    // Small pools of sparse ids, so configurations repeat across subtasks
+    // and tiles; `foreign` ones are wanted by no subtask of this graph.
+    let mut sparse = || ConfigId::new(10_000 + draw(50_000));
+    let pool: Vec<ConfigId> = (0..12).map(|_| sparse()).collect();
+    let foreign: Vec<ConfigId> = (0..4).map(|_| sparse()).collect();
+    let pool = &pool[..1 + draw(pool.len())];
+    let mut graph = SubtaskGraph::new("parity");
+    let mut assignment = Vec::with_capacity(subtasks);
+    for i in 0..subtasks {
+        let config = pool[draw(pool.len())];
+        graph.add_subtask(Subtask::new(
+            format!("s{i}"),
+            Time::from_millis(1 + draw(5) as u64),
+            config,
+        ));
+        let slot = if i < slots { i } else { draw(slots) };
+        assignment.push(PeAssignment::Tile(TileSlot::new(slot)));
+    }
+    let schedule = InitialSchedule::from_assignment(&graph, assignment).unwrap();
+    let platform = Platform::virtex_like(tiles).unwrap();
+    let mut dictionary: Vec<ConfigId> = pool.iter().chain(&foreign).copied().collect();
+    dictionary.sort_unstable();
+    dictionary.dedup();
+    let dense = |config: ConfigId| ConfigId::new(dictionary.binary_search(&config).unwrap());
+    let raw = PreparedSchedule::new(&graph, schedule.clone(), &platform).unwrap();
+    let mut interned = PreparedSchedule::new(&graph, schedule.clone(), &platform).unwrap();
+    interned.intern_configs(&dictionary);
+
+    let mut scratch = Scratch::new();
+    for _ in 0..4 {
+        // Most tiles hold a configuration; last-use stamps come from a few
+        // values, so eviction keys tie on everything but the tile index.
+        let mut contents = TileContents::new(tiles);
+        let mut dense_contents = TileContents::new(tiles);
+        for t in 0..tiles {
+            let tile = TileId::new(t);
+            let stamp = Time::from_millis(5 * draw(4) as u64);
+            let held = match draw(4) {
+                0 => None,
+                1 => Some(foreign[draw(foreign.len())]),
+                _ => Some(pool[draw(pool.len())]),
+            };
+            match held {
+                Some(config) => {
+                    contents.record_load(tile, config, stamp);
+                    dense_contents.record_load(tile, dense(config), stamp);
+                }
+                None => {
+                    contents.record_use(tile, stamp);
+                    dense_contents.record_use(tile, stamp);
+                }
+            }
+        }
+        let protected: BTreeSet<ConfigId> = dictionary
+            .iter()
+            .copied()
+            .filter(|_| draw(2) == 0)
+            .collect();
+        // Protected twice and released once stays protected; released
+        // without a second protection drops back to zero.
+        let extra: Vec<ConfigId> = dictionary
+            .iter()
+            .copied()
+            .filter(|_| draw(2) == 0)
+            .collect();
+        for policy in [
+            ReplacementPolicy::ReuseAware,
+            ReplacementPolicy::LeastRecentlyUsed,
+            ReplacementPolicy::Direct,
+        ] {
+            let classic =
+                assign_tiles_protecting(&graph, &schedule, &contents, policy, &protected).unwrap();
+            let expected: Vec<TileId> = (0..classic.slot_count())
+                .map(|s| classic.tile_of(TileSlot::new(s)))
+                .collect();
+            let resident: SlotMask = reusable_subtasks(&graph, &schedule, &classic, &contents)
+                .iter()
+                .map(|id| id.index())
+                .collect();
+            let variants = [
+                (
+                    &raw,
+                    &contents,
+                    protected.iter().copied().collect::<Vec<_>>(),
+                    extra.clone(),
+                ),
+                (
+                    &interned,
+                    &dense_contents,
+                    protected.iter().map(|&c| dense(c)).collect(),
+                    extra.iter().map(|&c| dense(c)).collect(),
+                ),
+            ];
+            for (prepared, tile_state, ids, extra) in &variants {
+                scratch.clear_protection();
+                scratch.protect(ids);
+                scratch.protect(extra);
+                scratch.unprotect(extra);
+                prepared
+                    .assign_tiles_into(tile_state, policy, &mut scratch)
+                    .unwrap();
+                assert_eq!(scratch.slot_to_tile(), &expected[..], "{policy}");
+                let count = prepared.mark_reusable(tile_state, &mut scratch);
+                assert_eq!(count, resident.len(), "{policy}");
+                assert_eq!(scratch.resident(), resident, "{policy}");
+            }
+        }
     }
 }
 
