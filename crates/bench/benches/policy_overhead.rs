@@ -4,14 +4,14 @@
 //! This is not a paper artifact by itself, but it documents that the full
 //! experiment harness (1000 iterations × 9 tile counts × 3 policies) runs in
 //! seconds, and it tracks regressions in the per-activation scheduling cost.
-//! Policies dispatch through the batched engine pinned to one worker so the
+//! Policies run through the plan's sequential `IterationPlan::run` so the
 //! numbers isolate per-policy scheduling cost from parallel scaling (that
-//! side lives in the `sim_batch` bench).
+//! side lives in the `engine_pool` bench).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use drhw_model::Platform;
 use drhw_prefetch::PolicyKind;
-use drhw_sim::{IterationPlan, SimBatch, SimulationConfig};
+use drhw_sim::{IterationPlan, SimulationConfig};
 use drhw_workloads::{MultimediaWorkload, Workload};
 
 fn bench_policies(c: &mut Criterion) {
@@ -25,13 +25,7 @@ fn bench_policies(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::from_parameter(policy),
             &policy,
-            |b, &policy| {
-                b.iter(|| {
-                    SimBatch::with_threads(&plan, 1)
-                        .run(&[policy])
-                        .expect("simulation runs")
-                })
-            },
+            |b, &policy| b.iter(|| plan.run(&[policy]).expect("simulation runs")),
         );
     }
     group.finish();

@@ -9,12 +9,13 @@
 //! baseline values, so loosening one for a legitimately noisy metric is an
 //! explicit, reviewable change.
 //!
-//! The baseline file is hand-rolled JSON in the same two-space-indent style
-//! as `BENCH_results.json` (no JSON backend is available offline):
+//! The baseline file is written in the same two-space-indent style as
+//! `BENCH_results.json` and read back with the engine's JSON codec
+//! ([`drhw_engine::json`]), so any valid JSON layout of it parses:
 //!
 //! ```json
 //! {
-//!   "schema_version": 7,
+//!   "schema_version": 8,
 //!   "default_tolerance": 0.5000,
 //!   "tolerance": {
 //!     "wall_clock_ms.cross_policy": 1.0000
@@ -36,6 +37,10 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+
+use drhw_engine::json::{self, JsonError, JsonValue};
+
+use crate::report::SCHEMA_VERSION;
 
 /// Tolerance applied when a metric has no per-metric override.
 pub const DEFAULT_TOLERANCE: f64 = 0.5;
@@ -162,55 +167,49 @@ impl fmt::Display for GateError {
 
 impl std::error::Error for GateError {}
 
-/// Parses a baseline file in the hand-rolled two-space-indent JSON dialect.
+/// Parses a baseline file: one JSON object whose `tolerance` object holds
+/// per-metric bands, whose other objects hold `section.key` metric values,
+/// and whose remaining numbers are undotted metrics — apart from
+/// `default_tolerance` and the informational `schema_version`.
 ///
 /// # Errors
 ///
-/// Returns [`GateError::InvalidBaseline`] when the text carries no metric
-/// values or a value fails to parse as a number.
+/// Returns [`GateError::InvalidBaseline`] when the text is not a JSON
+/// object, carries no metric values, or holds a value that is not a number.
 pub fn parse_baseline(text: &str) -> Result<Baseline, GateError> {
+    let root = json::parse(text).map_err(|err| GateError::InvalidBaseline {
+        reason: json_error_reason(text, &err),
+    })?;
+    let entries = root.entries().ok_or_else(|| GateError::InvalidBaseline {
+        reason: "the top level is not a JSON object".to_string(),
+    })?;
     let mut baseline = Baseline {
         default_tolerance: DEFAULT_TOLERANCE,
         ..Baseline::default()
     };
-    let mut section: Option<String> = None;
-    for line in text.lines() {
-        let trimmed = line.trim_start();
-        let indent = line.len() - trimmed.len();
-        let Some(rest) = trimmed.strip_prefix('"') else {
-            continue;
-        };
-        let Some((key, raw)) = rest.split_once("\": ") else {
-            continue;
-        };
-        let raw = raw.trim_end_matches(',').trim();
-        if indent == 2 {
-            if raw == "{" {
-                section = Some(key.to_string());
-                continue;
+    for (key, value) in entries {
+        match (key.as_str(), value.entries()) {
+            ("tolerance", Some(bands)) => {
+                for (metric, band) in bands {
+                    baseline
+                        .tolerance
+                        .insert(metric.clone(), number(metric, band)?);
+                }
             }
-            section = None;
-            match key {
-                "default_tolerance" => {
-                    baseline.default_tolerance = parse_number(key, raw)?;
-                }
-                "schema_version" => {
-                    // Informational; any version parses the same today.
-                    parse_number(key, raw)?;
-                }
-                _ => {
+            (section, Some(metrics)) => {
+                for (metric, value) in metrics {
                     baseline
                         .values
-                        .insert(key.to_string(), parse_number(key, raw)?);
+                        .insert(format!("{section}.{metric}"), number(metric, value)?);
                 }
             }
-        } else if indent == 4 {
-            let Some(section) = &section else { continue };
-            let value = parse_number(key, raw)?;
-            if section == "tolerance" {
-                baseline.tolerance.insert(key.to_string(), value);
-            } else {
-                baseline.values.insert(format!("{section}.{key}"), value);
+            ("default_tolerance", None) => baseline.default_tolerance = number(key, value)?,
+            // Informational; any version parses the same today.
+            ("schema_version", None) => {
+                number(key, value)?;
+            }
+            (_, None) => {
+                baseline.values.insert(key.clone(), number(key, value)?);
             }
         }
     }
@@ -222,10 +221,19 @@ pub fn parse_baseline(text: &str) -> Result<Baseline, GateError> {
     Ok(baseline)
 }
 
-fn parse_number(key: &str, raw: &str) -> Result<f64, GateError> {
-    raw.parse::<f64>().map_err(|_| GateError::InvalidBaseline {
-        reason: format!("value of {key:?} is not a number: {raw:?}"),
+fn number(key: &str, value: &JsonValue) -> Result<f64, GateError> {
+    value.as_f64().ok_or_else(|| GateError::InvalidBaseline {
+        reason: format!("value of {key:?} is not a number: {}", value.to_json()),
     })
+}
+
+/// A parse error plus the line of the file it points into, so a broken
+/// baseline names the offending entry.
+fn json_error_reason(text: &str, err: &JsonError) -> String {
+    let before = &text.as_bytes()[..err.offset.min(text.len())];
+    let line_number = before.iter().filter(|&&byte| byte == b'\n').count() + 1;
+    let line = text.lines().nth(line_number - 1).unwrap_or_default().trim();
+    format!("{err} (line {line_number}: {line})")
 }
 
 /// Loads and parses the baseline file at `path`.
@@ -267,7 +275,7 @@ pub fn render_baseline_json(measured: &[Measured], default_tolerance: f64) -> St
         }
     }
     let mut out = String::from("{\n");
-    out.push_str("  \"schema_version\": 7,\n");
+    out.push_str(&format!("  \"schema_version\": {SCHEMA_VERSION},\n"));
     out.push_str(&format!(
         "  \"default_tolerance\": {default_tolerance:.4},\n"
     ));
@@ -529,6 +537,14 @@ mod tests {
         let text = render_baseline_json(&measured, 0.4);
         let baseline = parse_baseline(&text).unwrap();
         assert!((baseline.default_tolerance - 0.4).abs() < 1e-12);
+        // The baseline carries the results file's schema version.
+        assert_eq!(
+            json::parse(&text)
+                .unwrap()
+                .get("schema_version")
+                .and_then(JsonValue::as_u64),
+            Some(u64::from(SCHEMA_VERSION))
+        );
         assert!(
             (baseline.values["iterations_per_sec.hybrid"] - 1234.5).abs() < 1e-9,
             "{baseline:?}"
@@ -580,6 +596,37 @@ mod tests {
         let err = parse_baseline("{\n  \"iterations_per_sec\": {\n    \"hybrid\": oops\n  }\n}\n")
             .unwrap_err();
         assert!(err.to_string().contains("hybrid"));
+    }
+
+    #[test]
+    fn the_committed_baseline_parses_in_any_json_layout() {
+        let text = include_str!("../../../BENCH_baseline.json");
+        let committed = parse_baseline(text).unwrap();
+        assert!(!committed.values.is_empty());
+        assert!(!committed.tolerance.is_empty());
+        let one_line = json::parse(text).unwrap().to_json();
+        assert!(!one_line.contains('\n'));
+        assert_eq!(parse_baseline(&one_line).unwrap(), committed);
+    }
+
+    #[test]
+    fn invalid_json_is_an_invalid_baseline() {
+        for text in [
+            "",
+            "{\"iterations_per_sec\": {\"hybrid\": 1.0}",
+            "{\"iterations_per_sec\": {\"hybrid\": 1.0}} trailing",
+            "{\"iterations_per_sec\": {\"hybrid\": 1.0,}}",
+            "[1.0]",
+        ] {
+            assert!(
+                matches!(parse_baseline(text), Err(GateError::InvalidBaseline { .. })),
+                "{text:?}"
+            );
+        }
+        // The reason points at the broken line.
+        let err =
+            parse_baseline("{\n  \"schema_version\": 8,\n  \"plain\": 1.0.0\n}\n").unwrap_err();
+        assert!(err.to_string().contains("line 3"), "{err}");
     }
 
     #[test]

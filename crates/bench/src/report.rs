@@ -6,6 +6,10 @@ use drhw_sim::SimulationReport;
 
 use crate::experiments::{AblationRow, FigurePoint, Table1Row};
 
+/// The `schema_version` of `BENCH_results.json`, which the perf gate's
+/// baseline file carries too.
+pub const SCHEMA_VERSION: u32 = 8;
+
 /// Renders Table 1 with a side-by-side paper-versus-measured comparison.
 pub fn render_table1(rows: &[Table1Row]) -> String {
     let mut out = String::new();
@@ -159,7 +163,7 @@ pub struct TrafficBlock {
 /// is machine-readable.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunTiming {
-    /// Worker threads the batched engine used.
+    /// Worker threads of the engine the run went through.
     pub threads: usize,
     /// Wall-clock of each experiment, as `(label, milliseconds)` pairs in run
     /// order.
@@ -341,7 +345,7 @@ pub fn render_results_json(reports: &[SimulationReport], timing: &RunTiming) -> 
         number(traffic.events_per_sec)
     ));
     out.push_str("  },\n");
-    out.push_str("  \"schema_version\": 8\n}\n");
+    out.push_str(&format!("  \"schema_version\": {SCHEMA_VERSION}\n}}\n"));
     out
 }
 

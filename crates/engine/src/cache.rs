@@ -305,7 +305,6 @@ impl PlanCache {
 mod tests {
     use super::*;
     use drhw_prefetch::PolicyKind;
-    use drhw_sim::SimBatch;
     use drhw_workloads::WorkloadRegistry;
 
     fn prepare(workload: &str, tiles: usize) -> PreparedPlan {
@@ -337,12 +336,8 @@ mod tests {
         config.task_inclusion_probability = workload.task_inclusion_probability();
         let direct = IterationPlan::new(&task_set, &platform, config.clone()).unwrap();
 
-        let expected = SimBatch::with_threads(&direct, 1)
-            .run(&[PolicyKind::Hybrid])
-            .unwrap();
-        let cached = SimBatch::with_threads(prepared.plan(), 1)
-            .run(&[PolicyKind::Hybrid])
-            .unwrap();
+        let expected = direct.run(&[PolicyKind::Hybrid]).unwrap();
+        let cached = prepared.plan().run(&[PolicyKind::Hybrid]).unwrap();
         assert_eq!(expected, cached);
 
         // Deriving a new seed shares the artifacts and still agrees with a
@@ -350,12 +345,8 @@ mod tests {
         let job = prepared.derive(config.clone().with_seed(42)).unwrap();
         let fresh = IterationPlan::new(&task_set, &platform, config.with_seed(42)).unwrap();
         assert_eq!(
-            SimBatch::with_threads(job.plan(), 1)
-                .run(&PolicyKind::ALL)
-                .unwrap(),
-            SimBatch::with_threads(&fresh, 1)
-                .run(&PolicyKind::ALL)
-                .unwrap()
+            job.plan().run(&PolicyKind::ALL).unwrap(),
+            fresh.run(&PolicyKind::ALL).unwrap()
         );
     }
 
@@ -373,9 +364,7 @@ mod tests {
             .unwrap();
         assert!(!cache.contains(&key("multimedia", 8)));
         // The in-flight job still evaluates fine on the evicted entry.
-        let reports = SimBatch::with_threads(job.plan(), 1)
-            .run(&[PolicyKind::NoPrefetch])
-            .unwrap();
+        let reports = job.plan().run(&[PolicyKind::NoPrefetch]).unwrap();
         assert_eq!(reports.len(), 1);
     }
 

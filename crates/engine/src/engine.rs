@@ -5,8 +5,8 @@
 //! pool. Jobs ([`JobSpec`]) are submitted and executed as `policies ×
 //! chunks` slots claimed by the pool; results are folded in deterministic
 //! (policy, chunk) order, so a job's reports are **bit-identical** to the
-//! classic `IterationPlan` + `SimBatch` path — regardless of cache hits,
-//! worker count or how many jobs run interleaved.
+//! sequential `IterationPlan::run` — regardless of cache hits, worker count
+//! or how many jobs run interleaved.
 
 use std::collections::VecDeque;
 use std::path::PathBuf;
@@ -326,7 +326,7 @@ impl Engine {
                 .map(|outcome| outcome.ideal() + outcome.penalty())
                 .collect();
             // Fold per-chunk partial sums in chunk order so the floating-
-            // point energy total matches the batched engine bit for bit.
+            // point energy total matches the job fold bit for bit.
             let mut total = ChunkStats::default();
             for chunk in outcomes.chunks(chunk_size) {
                 let mut stats = ChunkStats::default();

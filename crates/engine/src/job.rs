@@ -1,11 +1,11 @@
 //! Job state: the unit of work the engine's worker pool executes.
 //!
 //! A job is `policies × chunks` independent slots (exactly the work
-//! decomposition of [`drhw_sim::SimBatch`]). Workers claim slots from an
-//! atomic counter and record [`ChunkStats`] results; a fold cursor advances
-//! strictly in (policy, chunk) order, which is what makes the final reports
-//! — and the [`ProgressEvent`] stream — bit-identical regardless of worker
-//! count, claim interleaving or how many other jobs share the pool.
+//! decomposition of [`drhw_sim::IterationPlan::run`]). Workers claim slots
+//! from an atomic counter and record [`ChunkStats`] results; a fold cursor
+//! advances strictly in (policy, chunk) order, which is what makes the final
+//! reports — and the [`ProgressEvent`] stream — bit-identical regardless of
+//! worker count, claim interleaving or how many other jobs share the pool.
 //!
 //! Cancellation is cooperative: [`JobHandle::cancel`] flips a flag checked
 //! before every claim, so a cancelled job stops within one chunk of work per
@@ -218,8 +218,8 @@ impl JobState {
     }
 
     /// Folds every contiguously-available `Ok` slot past the cursor, in
-    /// (policy, chunk) order — the exact fold `SimBatch` performs, so the
-    /// final reports are bit-identical to its.
+    /// (policy, chunk) order — the exact fold `IterationPlan::run` performs,
+    /// so the final reports are bit-identical to its.
     fn advance_fold(&self, fold: &mut FoldState) {
         while fold.cursor < fold.slots.len() {
             let Some(Ok(stats)) = &fold.slots[fold.cursor] else {

@@ -5,8 +5,10 @@
 //! (experiments, benches, examples, tests and the `engine_serve` JSON-lines
 //! front-end all go through it).
 //!
-//! Where the classic API hand-wires `TaskSet` → `IterationPlan` →
-//! `SimBatch` per run, an [`Engine`] is built once and serves many jobs:
+//! Where the simulation core hand-wires `TaskSet` → `IterationPlan` →
+//! `IterationPlan::run` per run, on one thread, an [`Engine`] is built once
+//! and serves many jobs on its worker pool — the workspace's only parallel
+//! executor:
 //!
 //! * **Plan caching** — prepared [`IterationPlan`](drhw_sim::IterationPlan)
 //!   artifacts are cached under (workload, tiles, point-selection) keys, so
@@ -19,10 +21,10 @@
 //!   order.
 //! * **Cooperative cancellation** — [`JobHandle::cancel`] stops a job within
 //!   one chunk of work per worker.
-//! * **Bit-identical results** — job reports equal the classic
-//!   `IterationPlan` + `SimBatch` output bit for bit, regardless of cache
-//!   hits, worker count or interleaved jobs (enforced by the integration
-//!   tests and the differential-oracle corpus).
+//! * **Bit-identical results** — job reports equal the sequential
+//!   `IterationPlan::run` output bit for bit, regardless of cache hits,
+//!   worker count or interleaved jobs (enforced by the integration tests and
+//!   the differential-oracle corpus).
 //!
 //! ```
 //! use drhw_engine::{Engine, JobSpec};

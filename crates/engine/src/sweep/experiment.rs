@@ -17,11 +17,11 @@
 //! a restarted runner recognises completed sets by id no matter how the
 //! spec was reorganised into axes.
 
+use drhw_model::fnv1a;
 use drhw_prefetch::{PolicyKind, ReplacementPolicy};
 use drhw_sim::PointSelection;
 use drhw_workloads::WorkloadRegistry;
 
-use crate::disk::fnv1a;
 use crate::error::EngineError;
 use crate::json::JsonValue;
 use crate::spec::{check_object_fields, parse_point_selection, SpecField};

@@ -18,7 +18,9 @@
 //!   port, configurable latency);
 //! * [`InitialSchedule`] / [`TimedSchedule`] — reconfiguration-oblivious
 //!   schedules and their timed realisations;
-//! * [`Scenario`], [`Task`], [`TaskSet`] — the TCM application model.
+//! * [`Scenario`], [`Task`], [`TaskSet`] — the TCM application model;
+//! * [`SplitMix64`], [`mix64`] and [`fnv1a`] — the one pseudo-random stream
+//!   and the one hash every seed and fingerprint is derived from.
 //!
 //! # Quick example
 //!
@@ -56,6 +58,7 @@
 mod analysis;
 mod error;
 mod graph;
+mod hash;
 mod ids;
 mod platform;
 mod scenario;
@@ -66,6 +69,7 @@ mod time;
 pub use analysis::GraphAnalysis;
 pub use error::ModelError;
 pub use graph::SubtaskGraph;
+pub use hash::{fnv1a, mix64, splitmix64, SplitMix64, GOLDEN_GAMMA};
 pub use ids::{
     ConfigId, IspId, PeAssignment, PeClass, ScenarioId, SubtaskId, TaskId, TileId, TileSlot,
 };

@@ -2,17 +2,18 @@
 //! first-divergence shrinking.
 //!
 //! A [`DiffCase`] pins one `(workload, tiles, seed, knobs)` tuple. Running a
-//! case sweeps **all five policies** and compares the parallel engine against
-//! the straight-line reference three ways:
+//! case sweeps **all five policies** and compares the fast path against the
+//! straight-line reference two ways:
 //!
 //! 1. per-iteration outcomes (`IterationPlan::evaluate_run`), field by field;
-//! 2. the aggregate report of a single-threaded `SimBatch`;
-//! 3. the aggregate report of a default-thread-count `SimBatch`.
+//! 2. the aggregate reports of the sequential `IterationPlan::run`.
 //!
-//! Integer fields must match exactly and the floating-point energy total must
-//! match **bit for bit** (`f64::to_bits`), because the engine promises
-//! reports independent of its thread count and the reference defines what
-//! the numbers ought to be.
+//! [`run_corpus`] then replays every named case through the `drhw-engine`
+//! worker pool, cold and warm, against those aggregate reports. Integer
+//! fields must match exactly and the floating-point energy total must match
+//! **bit for bit** (`f64::to_bits`), because the engine promises reports
+//! independent of its thread count and the reference defines what the
+//! numbers ought to be.
 //!
 //! When a case diverges, [`run_corpus`] shrinks it before reporting: the
 //! iteration count is cut to the first divergent iteration, then whole
@@ -26,7 +27,7 @@ use drhw_engine::{Engine, JobSpec};
 use drhw_model::{PeClass, Platform, Scenario, ScenarioId, SubtaskGraph, Task, TaskId, TaskSet};
 use drhw_prefetch::{PolicyKind, ReplacementPolicy};
 use drhw_sim::{
-    IterationOutcome, IterationPlan, PointSelection, ScenarioPolicy, SimBatch, SimulationConfig,
+    IterationOutcome, IterationPlan, PointSelection, ScenarioPolicy, SimulationConfig,
     SimulationReport,
 };
 use drhw_workloads::{FuzzFamily, FuzzWorkload, Workload};
@@ -159,8 +160,8 @@ pub struct Divergence {
     /// The first diverging iteration, or `None` for aggregate-report
     /// comparisons.
     pub iteration: Option<usize>,
-    /// The first diverging field (aggregate comparisons carry the thread
-    /// mode of the batch pass, e.g. `penalty_total[threads=1]`).
+    /// The first diverging field (aggregate comparisons carry an
+    /// `[aggregate]` suffix, e.g. `penalty_total[aggregate]`).
     pub field: String,
     /// The engine's value, rendered.
     pub engine: String,
@@ -205,10 +206,9 @@ pub struct CaseOutcome {
     pub iterations: usize,
     /// Policies swept (always all five).
     pub policies: usize,
-    /// The aggregate default-thread-count [`SimBatch`] reports of the case,
-    /// when every policy simulated cleanly — reused by [`run_corpus`] as
-    /// the comparison target for the engine replay, so the direct path is
-    /// not recomputed.
+    /// The aggregate [`IterationPlan::run`] reports of the case, when every
+    /// policy simulated cleanly — reused by [`run_corpus`] as the comparison
+    /// target for the engine replay, so the direct path is not recomputed.
     pub reports: Option<Vec<SimulationReport>>,
 }
 
@@ -279,16 +279,14 @@ fn compare_outcome(
 fn compare_report(
     case: &DiffCase,
     policy: PolicyKind,
-    threads: &'static str,
     engine: &SimulationReport,
     oracle: &ReferenceReport,
 ) -> Result<(), Box<Divergence>> {
-    let suffix = format!("[threads={threads}]");
     compare_fields!(
         case,
         policy,
         None,
-        suffix,
+        "[aggregate]",
         [
             ("activations", engine.activations(), oracle.activations),
             ("ideal_total", engine.ideal_total(), oracle.ideal_total),
@@ -328,8 +326,8 @@ fn compare_report(
     Ok(())
 }
 
-/// Runs one case: all five policies, per-iteration and aggregate (1 thread
-/// and default threads) comparisons.
+/// Runs one case: all five policies, per-iteration and aggregate
+/// comparisons.
 ///
 /// # Errors
 ///
@@ -377,7 +375,7 @@ pub fn run_case(case: &DiffCase) -> Result<CaseOutcome, Box<Divergence>> {
             (Ok(e), Ok(o)) => (e, o),
             (Err(_), Err(_)) => {
                 // Both sides agree the case is unschedulable under this
-                // policy; the aggregate batch pass is skipped below.
+                // policy; the aggregate pass is skipped below.
                 reference_reports.push(None);
                 continue;
             }
@@ -417,32 +415,28 @@ pub fn run_case(case: &DiffCase) -> Result<CaseOutcome, Box<Divergence>> {
         )));
     }
 
-    // Aggregate comparison: one batch per thread mode covering every policy
-    // at once (a batch over a policy subset would still be bit-identical,
-    // but sweeping all five in one pool is what production runs do).
-    let mut batch_reports = None;
+    // Aggregate comparison: one run covering every policy at once (a run
+    // over a policy subset would still be bit-identical, but sweeping all
+    // five in one pass is what production jobs do).
+    let mut reports = None;
     if reference_reports.iter().all(Option::is_some) {
-        let single = SimBatch::with_threads(&plan, 1)
-            .run(&PolicyKind::ALL)
-            .expect("per-iteration pass already succeeded");
-        let parallel = SimBatch::new(&plan)
+        let run = plan
             .run(&PolicyKind::ALL)
             .expect("per-iteration pass already succeeded");
         for (which, policy) in PolicyKind::ALL.into_iter().enumerate() {
             let reference = reference_reports[which]
                 .as_ref()
                 .expect("all policies succeeded");
-            compare_report(case, policy, "1", &single[which], reference)?;
-            compare_report(case, policy, "default", &parallel[which], reference)?;
+            compare_report(case, policy, &run[which], reference)?;
         }
-        batch_reports = Some(parallel);
+        reports = Some(run);
     }
 
     Ok(CaseOutcome {
         label: case.label.clone(),
         iterations: case.config.iterations,
         policies: PolicyKind::ALL.len(),
-        reports: batch_reports,
+        reports,
     })
 }
 
@@ -491,9 +485,9 @@ pub fn pinned_corpus(cases: usize) -> Vec<DiffCase> {
 /// the `drhw-engine` job path (plan cache, worker pool, ordered fold) —
 /// once cold (a cache miss that prepares the plan) and once warm (a
 /// guaranteed cache hit on the same key) — and both replays are compared
-/// bit for bit against the [`SimBatch`] reports the direct pass already
-/// computed. The two stacks, and the hit and miss paths, must be
-/// indistinguishable on the whole corpus.
+/// bit for bit against the [`IterationPlan::run`] reports the direct pass
+/// already computed. The sequential run and the worker pool, and the hit
+/// and miss paths, must be indistinguishable on the whole corpus.
 ///
 /// # Errors
 ///
@@ -517,35 +511,35 @@ pub fn run_corpus(cases: &[DiffCase]) -> Result<Vec<CaseOutcome>, Box<Divergence
 }
 
 /// Replays a named case through the engine — cold, then warm — and demands
-/// bit-for-bit agreement with the direct batch reports `run_case` computed
+/// bit-for-bit agreement with the direct reports `run_case` computed
 /// (including agreement on *failing*: if the direct pass produced no
 /// aggregate reports, the engine job must error too).
 fn engine_check(
     case: &DiffCase,
     engine: &Engine,
-    batch_reports: Option<&[SimulationReport]>,
+    direct_reports: Option<&[SimulationReport]>,
 ) -> Result<(), Box<Divergence>> {
     let Some(spec) = case.job_spec() else {
         return Ok(());
     };
-    let divergence = |field: &str, engine_side: String, batch_side: String| {
+    let divergence = |field: &str, engine_side: String, direct_side: String| {
         Box::new(Divergence {
             case: case.label.clone(),
             policy: PolicyKind::NoPrefetch,
             iteration: None,
             field: field.to_string(),
             engine: engine_side,
-            oracle: batch_side,
+            oracle: direct_side,
             minimized: None,
         })
     };
-    match (engine.run(spec.clone()), batch_reports) {
-        (Ok(via_engine), Some(via_batch)) => {
-            if via_engine != via_batch {
+    match (engine.run(spec.clone()), direct_reports) {
+        (Ok(via_engine), Some(direct)) => {
+            if via_engine != direct {
                 return Err(divergence(
-                    "reports[engine-vs-batch]",
+                    "reports[engine-vs-direct]",
                     format!("{via_engine:?}"),
-                    format!("{via_batch:?}"),
+                    format!("{direct:?}"),
                 ));
             }
             // Resubmit: same key, so this run is served from the plan
@@ -583,12 +577,12 @@ fn engine_check(
         }
         (Err(_), None) => Ok(()),
         (Ok(_), None) => Err(divergence(
-            "error[engine-vs-batch]",
+            "error[engine-vs-direct]",
             "simulated successfully".to_string(),
             "direct pass produced no aggregate reports".to_string(),
         )),
         (Err(e), Some(_)) => Err(divergence(
-            "error[engine-vs-batch]",
+            "error[engine-vs-direct]",
             e.to_string(),
             "simulated successfully".to_string(),
         )),

@@ -10,10 +10,10 @@
 //!   for any `(policy, workload, tiles, seed)` tuple;
 //! * [`diff`] — the **differential harness**: a pinned fuzz corpus over the
 //!   generated DAG families of `drhw-workloads::fuzz`, swept across all five
-//!   policies, comparing the engine against the reference bit for bit
-//!   (per-iteration outcomes *and* aggregate reports, single-threaded and
-//!   multi-threaded), with first divergences shrunk down to the smallest
-//!   failing task set.
+//!   policies, comparing the fast path against the reference bit for bit
+//!   (per-iteration outcomes, the sequential aggregate reports, and cold
+//!   and warm replays through the multi-threaded `drhw-engine` pool), with
+//!   first divergences shrunk down to the smallest failing task set.
 //!
 //! The corpus size is controlled by the `DRHW_FUZZ_CASES` environment
 //! variable (see [`diff::corpus_cases_from_env`]); the corpus itself is

@@ -48,7 +48,7 @@
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
-use drhw_model::{SubtaskId, Time};
+use drhw_model::{mix64, SubtaskId, Time};
 
 use crate::error::PrefetchError;
 use crate::executor::{simulate, simulate_with_needs, LoadStrategy};
@@ -285,14 +285,6 @@ const EVAL_SLOTS: usize = 32768;
 /// dropped, which only weakens pruning, never correctness.
 const DOMINANCE_CAP: usize = 64;
 
-/// SplitMix64 finalizer — mixes every key bit into the slot index (the same
-/// fingerprint construction as the run-time kernel memos in `drhw-sim`).
-fn mix(z: u64) -> u64 {
-    let z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Memo key: which loads cost anything (the restricted set) and the exact
 /// order the prefix loads them in.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -302,12 +294,16 @@ struct EvalKey {
 }
 
 impl EvalKey {
+    /// The SplitMix64 finalizer mixes every key bit into the slot index —
+    /// the same fingerprint construction as the run-time kernel memos in
+    /// `drhw-sim`.
     fn fingerprint(self) -> u64 {
-        mix(self
-            .set
-            .bits()
-            .wrapping_add(mix(self.order as u64))
-            .wrapping_add(mix((self.order >> 64) as u64).rotate_left(1)))
+        mix64(
+            self.set
+                .bits()
+                .wrapping_add(mix64(self.order as u64))
+                .wrapping_add(mix64((self.order >> 64) as u64).rotate_left(1)),
+        )
     }
 }
 

@@ -21,9 +21,8 @@ use crate::problem::{ExecutionResult, PrefetchProblem};
 ///
 /// The trait is object-safe so simulations can switch policies at run time,
 /// and requires `Send + Sync` so schedulers can be shared freely by the
-/// parallel batched simulation engine (`SimBatch` in `drhw-sim`), which
-/// evaluates many (policy, iteration) pairs concurrently against the same
-/// design-time artifacts.
+/// engine's worker pool (`drhw-engine`), which evaluates many (policy,
+/// iteration) pairs concurrently against the same design-time artifacts.
 pub trait PrefetchScheduler: Send + Sync {
     /// A short human-readable name used in experiment reports.
     fn name(&self) -> &str;

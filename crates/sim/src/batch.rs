@@ -1,15 +1,11 @@
-//! The parallel batched simulation engine.
+//! The sequential batch run of a prepared plan.
 //!
-//! [`SimBatch`] takes a prepared [`IterationPlan`] and runs all requested
-//! policies × iterations in one pass over a small scoped-thread worker pool
-//! (`std` only). The unit of work is one *chunk* of consecutive iterations
-//! per policy; workers claim chunks from a shared atomic counter, and the
-//! per-chunk statistics are folded back together **in (policy, chunk) order**
-//! on the calling thread, so the resulting [`SimulationReport`]s are
-//! bit-identical no matter how many threads ran or how work was interleaved.
-
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+//! [`IterationPlan::run`] scores every requested policy over every
+//! configured iteration on the calling thread: the synchronous single-plan
+//! entry point for tests, benches and tools. Parallel execution lives in
+//! one place, the `drhw-engine` worker pool, which claims the same
+//! (policy, chunk) units and folds them in the same order — so both paths
+//! produce bit-identical reports.
 
 use drhw_prefetch::PolicyKind;
 
@@ -18,336 +14,137 @@ use crate::plan::IterationPlan;
 use crate::stats::ChunkStats;
 use crate::SimulationReport;
 
-/// A batched run of one or more policies over a prepared simulation.
-///
-/// ```
-/// use drhw_model::{ConfigId, Platform, Subtask, SubtaskGraph, Task, TaskId, TaskSet, Time};
-/// use drhw_prefetch::PolicyKind;
-/// use drhw_sim::{IterationPlan, SimBatch, SimulationConfig};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut graph = SubtaskGraph::new("toy");
-/// let a = graph.add_subtask(Subtask::new("a", Time::from_millis(10), ConfigId::new(0)));
-/// let b = graph.add_subtask(Subtask::new("b", Time::from_millis(10), ConfigId::new(1)));
-/// graph.add_dependency(a, b)?;
-/// let set = TaskSet::new("toy", vec![Task::single_scenario(TaskId::new(0), "toy", graph)?])?;
-/// let platform = Platform::virtex_like(4)?;
-///
-/// let plan = IterationPlan::new(&set, &platform, SimulationConfig::quick())?;
-/// let reports = SimBatch::new(&plan).run(&PolicyKind::ALL)?;
-/// assert_eq!(reports.len(), PolicyKind::ALL.len());
-/// // Thread count never changes the outcome.
-/// let single = SimBatch::with_threads(&plan, 1).run(&PolicyKind::ALL)?;
-/// assert_eq!(reports, single);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug)]
-pub struct SimBatch<'p, 'a> {
-    plan: &'p IterationPlan<'a>,
-    threads: usize,
-}
-
-impl<'p, 'a> SimBatch<'p, 'a> {
-    /// A batch over the given plan, using the thread count the plan's
-    /// configuration resolves to ([`SimulationConfig::resolved_threads`]).
-    ///
-    /// [`SimulationConfig::resolved_threads`]: crate::SimulationConfig::resolved_threads
-    pub fn new(plan: &'p IterationPlan<'a>) -> Self {
-        let threads = plan.config().resolved_threads();
-        SimBatch::with_threads(plan, threads)
-    }
-
-    /// A batch with an explicit worker count (at least 1).
-    pub fn with_threads(plan: &'p IterationPlan<'a>, threads: usize) -> Self {
-        SimBatch {
-            plan,
-            threads: threads.max(1),
-        }
-    }
-
-    /// The number of worker threads this batch will use.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
+impl IterationPlan<'_> {
     /// Runs every requested policy over every configured iteration and
     /// returns one report per policy, in the order given.
     ///
+    /// One scratch serves the whole pass; chunks are evaluated in
+    /// (policy, chunk) order with
+    /// [`evaluate_chunk_with`](Self::evaluate_chunk_with) and folded with
+    /// [`ChunkStats::merge`] and [`ChunkStats::finish`] — the fold the
+    /// engine's worker pool performs, so an engine job over the same plan
+    /// reports the same numbers bit for bit. Apart from the scratch and the
+    /// returned reports, the pass performs no heap allocation.
+    ///
     /// # Errors
     ///
-    /// Returns the first error in (policy, iteration) order — the same error
-    /// a sequential run would report, regardless of the thread count.
+    /// Returns the first error in (policy, chunk) order.
     pub fn run(&self, policies: &[PolicyKind]) -> Result<Vec<SimulationReport>, SimError> {
-        let chunk_count = self.plan.chunk_count();
-        let jobs = policies.len() * chunk_count;
-        let workers = self.threads.min(jobs.max(1));
-
-        let mut slots: Vec<Option<Result<ChunkStats, SimError>>> = Vec::new();
-        slots.resize_with(jobs, || None);
-
-        if workers <= 1 {
-            // One scratch for the whole sequential pass: per-iteration work
-            // reuses its buffers and never touches the allocator.
-            let mut scratch = self.plan.make_scratch();
-            for (job, slot) in slots.iter_mut().enumerate() {
-                let policy = policies[job / chunk_count];
-                let outcome =
-                    self.plan
-                        .evaluate_chunk_with(policy, job % chunk_count, &mut scratch);
-                let stop = outcome.is_err();
-                *slot = Some(outcome);
-                // Fail fast, as the pre-batch sequential runner did; the
-                // fold below reports the error from its slot.
-                if stop {
-                    break;
-                }
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            let failed = AtomicBool::new(false);
-            let results = Mutex::new(&mut slots);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| {
-                        // One scratch per worker, reused across every chunk
-                        // the worker claims.
-                        let mut scratch = self.plan.make_scratch();
-                        loop {
-                            // Check the failure flag BEFORE claiming: once a
-                            // job is claimed it is always evaluated and its
-                            // slot written, so the filled slots always form a
-                            // prefix of the job order and every error lands
-                            // in it.
-                            if failed.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            let job = next.fetch_add(1, Ordering::Relaxed);
-                            if job >= jobs {
-                                break;
-                            }
-                            let policy = policies[job / chunk_count];
-                            let outcome = self.plan.evaluate_chunk_with(
-                                policy,
-                                job % chunk_count,
-                                &mut scratch,
-                            );
-                            if outcome.is_err() {
-                                failed.store(true, Ordering::Relaxed);
-                            }
-                            results.lock().expect("simulation workers never panic")[job] =
-                                Some(outcome);
-                        }
-                    });
-                }
-            });
-        }
-
-        // Report the first error in job order — deterministic regardless of
-        // which worker hit it first. Scanning every slot (rather than
-        // stopping at the first hole) keeps this robust even if a job after
-        // the failure was abandoned unevaluated.
-        for slot in slots.iter_mut() {
-            if matches!(slot.as_ref(), Some(Err(_))) {
-                let Some(Err(e)) = slot.take() else {
-                    unreachable!("just matched an error in this slot")
-                };
-                return Err(e);
-            }
-        }
-
-        // Fold in (policy, chunk) order so integer counters and the f64
-        // energy sum come out bit-identical to a single-threaded run. With
-        // no error present every job was claimed and completed, so every
-        // slot is filled.
+        let mut scratch = self.make_scratch();
         let mut reports = Vec::with_capacity(policies.len());
-        for (which, &policy) in policies.iter().enumerate() {
+        for &policy in policies {
             let mut total = ChunkStats::default();
-            for chunk in 0..chunk_count {
-                match slots[which * chunk_count + chunk].take() {
-                    Some(Ok(stats)) => total.merge(&stats),
-                    _ => unreachable!(
-                        "workers only leave holes after an error, and errors return above"
-                    ),
-                }
+            for chunk in 0..self.chunk_count() {
+                total.merge(&self.evaluate_chunk_with(policy, chunk, &mut scratch)?);
             }
             reports.push(total.finish(
                 policy,
-                self.plan.platform().tile_count(),
-                self.plan.config().iterations,
+                self.platform().tile_count(),
+                self.config().iterations,
             ));
         }
         Ok(reports)
     }
 }
 
+// §7-shape tests: the plan's sequential run is the simulation core every
+// driver (engine jobs included) reproduces, so the behavioural contract
+// lives here.
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{PointSelection, ScenarioPolicy};
+    use crate::plan::tests::two_task_set;
     use crate::SimulationConfig;
-    use drhw_model::{
-        ConfigId, Platform, Scenario, ScenarioId, Subtask, SubtaskGraph, Task, TaskId, TaskSet,
-        Time,
-    };
+    use drhw_model::{Platform, ScenarioId, TaskId};
     use std::collections::BTreeMap;
-
-    fn task_set() -> TaskSet {
-        let mut g = SubtaskGraph::new("pipe");
-        let a = g.add_subtask(Subtask::new("a", Time::from_millis(9), ConfigId::new(0)));
-        let b = g.add_subtask(Subtask::new("b", Time::from_millis(7), ConfigId::new(1)));
-        let c = g.add_subtask(Subtask::new("c", Time::from_millis(5), ConfigId::new(2)));
-        g.add_dependency(a, b).unwrap();
-        g.add_dependency(b, c).unwrap();
-        let mut h = SubtaskGraph::new("pair");
-        let x = h.add_subtask(Subtask::new("x", Time::from_millis(8), ConfigId::new(10)));
-        let y = h.add_subtask(Subtask::new("y", Time::from_millis(6), ConfigId::new(11)));
-        h.add_dependency(x, y).unwrap();
-        TaskSet::new(
-            "batch",
-            vec![
-                Task::new(
-                    TaskId::new(0),
-                    "pipe",
-                    vec![Scenario::new(ScenarioId::new(0), g)],
-                )
-                .unwrap(),
-                Task::new(
-                    TaskId::new(1),
-                    "pair",
-                    vec![Scenario::new(ScenarioId::new(0), h)],
-                )
-                .unwrap(),
-            ],
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn thread_count_does_not_change_the_reports() {
-        let set = task_set();
-        let platform = Platform::virtex_like(4).unwrap();
-        let config = SimulationConfig::quick()
-            .with_iterations(40)
-            .with_chunk_size(8);
-        let plan = IterationPlan::new(&set, &platform, config).unwrap();
-        let sequential = SimBatch::with_threads(&plan, 1)
-            .run(&PolicyKind::ALL)
-            .unwrap();
-        for threads in [2, 3, 7] {
-            let parallel = SimBatch::with_threads(&plan, threads)
-                .run(&PolicyKind::ALL)
-                .unwrap();
-            assert_eq!(sequential, parallel, "{threads} threads");
-        }
-    }
 
     #[test]
     fn parallel_plan_build_matches_a_sequential_build() {
         // Plan preparation itself fans out over workers; the resulting plans
         // must be indistinguishable from a single-threaded build.
-        let set = task_set();
+        let set = two_task_set();
         let platform = Platform::virtex_like(4).unwrap();
         let config = SimulationConfig::quick().with_iterations(16);
         let sequential =
             IterationPlan::new(&set, &platform, config.clone().with_threads(1)).unwrap();
         let parallel = IterationPlan::new(&set, &platform, config.with_threads(4)).unwrap();
-        let a = SimBatch::with_threads(&sequential, 1)
+        assert_eq!(
+            sequential.run(&PolicyKind::ALL).unwrap(),
+            parallel.run(&PolicyKind::ALL).unwrap()
+        );
+    }
+
+    #[test]
+    fn thread_count_does_not_change_the_reports() {
+        // `threads` sizes the plan-build workers (and the engine's default
+        // pool); no worker count may change a report.
+        let set = two_task_set();
+        let platform = Platform::virtex_like(4).unwrap();
+        let config = SimulationConfig::quick()
+            .with_iterations(40)
+            .with_chunk_size(8);
+        let sequential = IterationPlan::new(&set, &platform, config.clone().with_threads(1))
+            .unwrap()
             .run(&PolicyKind::ALL)
             .unwrap();
-        let b = SimBatch::with_threads(&parallel, 1)
-            .run(&PolicyKind::ALL)
-            .unwrap();
-        assert_eq!(a, b);
+        for threads in [2, 3, 7] {
+            let parallel =
+                IterationPlan::new(&set, &platform, config.clone().with_threads(threads))
+                    .unwrap()
+                    .run(&PolicyKind::ALL)
+                    .unwrap();
+            assert_eq!(sequential, parallel, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn default_threads_agree_with_a_single_worker() {
+        let set = two_task_set();
+        let platform = Platform::virtex_like(8).unwrap();
+        let run = |config: SimulationConfig| {
+            IterationPlan::new(&set, &platform, config)
+                .unwrap()
+                .run(&[PolicyKind::Hybrid])
+                .unwrap()
+        };
+        assert_eq!(
+            run(SimulationConfig::quick()),
+            run(SimulationConfig::quick().with_threads(1))
+        );
     }
 
     #[test]
     fn oversubscribed_batch_still_runs() {
-        let set = task_set();
+        let set = two_task_set();
         let platform = Platform::virtex_like(4).unwrap();
-        // 5 iterations fit in a single chunk, far fewer jobs than workers.
+        // 64 plan-build workers for two (task, scenario) pairs, and 5
+        // iterations that fit in a single chunk.
         let config = SimulationConfig::quick()
             .with_iterations(5)
             .with_threads(64);
         let plan = IterationPlan::new(&set, &platform, config).unwrap();
-        let batch = SimBatch::new(&plan);
-        assert_eq!(batch.threads(), 64);
-        let reports = batch.run(&[PolicyKind::Hybrid]).unwrap();
+        let reports = plan.run(&[PolicyKind::Hybrid]).unwrap();
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].iterations(), 5);
     }
 
     #[test]
     fn reports_cover_the_requested_policies_in_order() {
-        let set = task_set();
+        let set = two_task_set();
         let platform = Platform::virtex_like(4).unwrap();
         let plan = IterationPlan::new(&set, &platform, SimulationConfig::quick()).unwrap();
         let wanted = [PolicyKind::Hybrid, PolicyKind::NoPrefetch];
-        let reports = SimBatch::new(&plan).run(&wanted).unwrap();
+        let reports = plan.run(&wanted).unwrap();
         let kinds: Vec<PolicyKind> = reports.iter().map(|r| r.policy()).collect();
         assert_eq!(kinds, wanted);
     }
 
-    // §7-shape tests, formerly hosted by the DynamicSimulation facade: the
-    // plan + batch pair is now the only driver, so the behavioural contract
-    // lives here.
-
-    /// A small two-task set with a chain and a fork, enough to exercise reuse.
-    fn small_task_set() -> TaskSet {
-        let mut chain = SubtaskGraph::new("chain");
-        let ids: Vec<_> = (0..3)
-            .map(|i| {
-                chain.add_subtask(Subtask::new(
-                    format!("c{i}"),
-                    Time::from_millis(10),
-                    ConfigId::new(i),
-                ))
-            })
-            .collect();
-        chain.add_dependency(ids[0], ids[1]).unwrap();
-        chain.add_dependency(ids[1], ids[2]).unwrap();
-
-        let mut fork = SubtaskGraph::new("fork");
-        let root = fork.add_subtask(Subtask::new(
-            "root",
-            Time::from_millis(15),
-            ConfigId::new(10),
-        ));
-        for i in 0..2 {
-            let child = fork.add_subtask(Subtask::new(
-                format!("f{i}"),
-                Time::from_millis(8),
-                ConfigId::new(11 + i),
-            ));
-            fork.add_dependency(root, child).unwrap();
-        }
-
-        TaskSet::new(
-            "small",
-            vec![
-                Task::new(
-                    TaskId::new(0),
-                    "chain",
-                    vec![Scenario::new(ScenarioId::new(0), chain)],
-                )
-                .unwrap(),
-                Task::new(
-                    TaskId::new(1),
-                    "fork",
-                    vec![Scenario::new(ScenarioId::new(0), fork)],
-                )
-                .unwrap(),
-            ],
-        )
-        .unwrap()
-    }
-
     fn simulate(policy: PolicyKind, tiles: usize) -> SimulationReport {
-        let set = small_task_set();
+        let set = two_task_set();
         let platform = Platform::virtex_like(tiles).unwrap();
         let plan = IterationPlan::new(&set, &platform, SimulationConfig::quick()).unwrap();
-        let mut reports = SimBatch::new(&plan).run(&[policy]).unwrap();
-        reports.remove(0)
+        plan.run(&[policy]).unwrap().remove(0)
     }
 
     #[test]
@@ -382,39 +179,11 @@ mod tests {
     }
 
     #[test]
-    fn same_seed_is_deterministic() {
-        let a = simulate(PolicyKind::Hybrid, 6);
-        let b = simulate(PolicyKind::Hybrid, 6);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn different_seeds_change_the_workload_but_not_the_shape() {
-        let set = small_task_set();
-        let platform = Platform::virtex_like(6).unwrap();
-        let plan_a =
-            IterationPlan::new(&set, &platform, SimulationConfig::quick().with_seed(1)).unwrap();
-        let plan_b =
-            IterationPlan::new(&set, &platform, SimulationConfig::quick().with_seed(2)).unwrap();
-        let a = SimBatch::new(&plan_a)
-            .run(&[PolicyKind::NoPrefetch])
-            .unwrap()
-            .remove(0);
-        let b = SimBatch::new(&plan_b)
-            .run(&[PolicyKind::NoPrefetch])
-            .unwrap()
-            .remove(0);
-        // Different activation counts are expected; both still show overhead.
-        assert!(a.overhead_percent() > 5.0);
-        assert!(b.overhead_percent() > 5.0);
-    }
-
-    #[test]
     fn run_all_covers_every_policy() {
-        let set = small_task_set();
+        let set = two_task_set();
         let platform = Platform::virtex_like(8).unwrap();
         let plan = IterationPlan::new(&set, &platform, SimulationConfig::quick()).unwrap();
-        let reports = SimBatch::new(&plan).run(&PolicyKind::ALL).unwrap();
+        let reports = plan.run(&PolicyKind::ALL).unwrap();
         assert_eq!(reports.len(), PolicyKind::ALL.len());
         for (report, policy) in reports.iter().zip(PolicyKind::ALL) {
             assert_eq!(report.policy(), policy);
@@ -424,29 +193,14 @@ mod tests {
     }
 
     #[test]
-    fn default_threads_agree_with_a_single_worker() {
-        let set = small_task_set();
-        let platform = Platform::virtex_like(8).unwrap();
-        let plan = IterationPlan::new(&set, &platform, SimulationConfig::quick()).unwrap();
-        let direct = SimBatch::with_threads(&plan, 1)
-            .run(&[PolicyKind::Hybrid])
-            .unwrap();
-        let default = SimBatch::new(&plan).run(&[PolicyKind::Hybrid]).unwrap();
-        assert_eq!(default, direct);
-    }
-
-    #[test]
     fn energy_aware_selection_also_runs() {
-        let set = small_task_set();
+        let set = two_task_set();
         let platform = Platform::virtex_like(4).unwrap();
         let config = SimulationConfig::quick()
             .with_point_selection(PointSelection::EnergyAware)
             .with_iterations(20);
         let plan = IterationPlan::new(&set, &platform, config).unwrap();
-        let report = SimBatch::new(&plan)
-            .run(&[PolicyKind::Hybrid])
-            .unwrap()
-            .remove(0);
+        let report = plan.run(&[PolicyKind::Hybrid]).unwrap().remove(0);
         assert!(report.activations() > 0);
     }
 
@@ -454,19 +208,16 @@ mod tests {
     fn fully_parallel_falls_back_when_the_platform_is_small() {
         // The fork task needs 3 slots; with only 2 tiles the plan must fall
         // back to a Pareto point that fits.
-        let set = small_task_set();
+        let set = two_task_set();
         let platform = Platform::virtex_like(2).unwrap();
         let plan = IterationPlan::new(&set, &platform, SimulationConfig::quick()).unwrap();
-        let report = SimBatch::new(&plan)
-            .run(&[PolicyKind::RunTime])
-            .unwrap()
-            .remove(0);
+        let report = plan.run(&[PolicyKind::RunTime]).unwrap().remove(0);
         assert!(report.activations() > 0);
     }
 
     #[test]
     fn correlated_scenarios_use_the_listed_combinations() {
-        let set = small_task_set();
+        let set = two_task_set();
         let platform = Platform::virtex_like(8).unwrap();
         let mut combo = BTreeMap::new();
         combo.insert(TaskId::new(0), ScenarioId::new(0));
@@ -474,10 +225,7 @@ mod tests {
         let config =
             SimulationConfig::quick().with_scenario_policy(ScenarioPolicy::Correlated(vec![combo]));
         let plan = IterationPlan::new(&set, &platform, config).unwrap();
-        let report = SimBatch::new(&plan)
-            .run(&[PolicyKind::Hybrid])
-            .unwrap()
-            .remove(0);
+        let report = plan.run(&[PolicyKind::Hybrid]).unwrap().remove(0);
         assert!(report.activations() > 0);
     }
 }

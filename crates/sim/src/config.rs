@@ -55,9 +55,10 @@ pub struct SimulationConfig {
     pub point_selection: PointSelection,
     /// How scenarios are selected.
     pub scenario_policy: ScenarioPolicy,
-    /// Number of worker threads used by the batched engine. `0` (the default)
-    /// resolves to the `DRHW_SIM_THREADS` environment variable if set, and to
-    /// the machine's available parallelism otherwise. The thread count never
+    /// Number of worker threads that build the plan (and, in `drhw-engine`,
+    /// the default size of the worker pool). `0` (the default) resolves to
+    /// the `DRHW_SIM_THREADS` environment variable if set, and to the
+    /// machine's available parallelism otherwise. The thread count never
     /// changes the results: reports are bit-identical for any value.
     pub threads: usize,
     /// Number of consecutive iterations evaluated as one unit of parallel
@@ -124,7 +125,7 @@ impl SimulationConfig {
         Ok(())
     }
 
-    /// The worker-thread count the batched engine will actually use:
+    /// The worker-thread count actually used:
     /// [`threads`](Self::threads) if non-zero, else the `DRHW_SIM_THREADS`
     /// environment variable, else the available hardware parallelism.
     pub fn resolved_threads(&self) -> usize {

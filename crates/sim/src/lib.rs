@@ -7,31 +7,31 @@
 //!
 //! An [`IterationPlan`] prepares a task set and a platform once — the TCM
 //! design-time library, one initial schedule per (task, scenario) pair, the
-//! design-time and hybrid prefetch artifacts — and a [`SimBatch`] then runs
-//! any [`PolicyKind`](drhw_prefetch::PolicyKind) under an identical
-//! randomised workload so policy comparisons are paired. The result is a
+//! design-time and hybrid prefetch artifacts — and then runs any
+//! [`PolicyKind`](drhw_prefetch::PolicyKind) under an identical randomised
+//! workload so policy comparisons are paired. The result is a
 //! [`SimulationReport`] whose [`overhead_percent`](SimulationReport::overhead_percent)
 //! is the metric plotted on the paper's figures.
 //!
 //! The plan can score any (policy, iteration) pair independently thanks to
-//! per-iteration seeds, and [`SimBatch`] fans policies × iterations out over
-//! a scoped-thread worker pool ([`SimulationConfig::threads`], or the
-//! `DRHW_SIM_THREADS` environment variable). Reports are **bit-identical for
-//! every thread count**: work is split into fixed chunks of consecutive
-//! iterations ([`SimulationConfig::chunk_size`]) whose boundaries depend only
-//! on the configuration, and per-chunk statistics are folded back in chunk
-//! order.
+//! per-iteration seeds. Work splits into fixed chunks of consecutive
+//! iterations ([`SimulationConfig::chunk_size`]) whose boundaries depend
+//! only on the configuration; [`IterationPlan::run`] evaluates them in
+//! (policy, chunk) order on the calling thread and folds the per-chunk
+//! statistics back in that order.
 //!
-//! This crate is the simulation *core*; the preferred application-facing
-//! entry point is the `drhw-engine` crate, whose `Engine` submits jobs by
-//! workload name on top of these primitives and adds plan caching across
-//! runs, streaming progress and cancellation — with reports bit-identical
-//! to a direct [`SimBatch`] run.
+//! This crate is the simulation *core*. Parallel execution lives in the
+//! `drhw-engine` crate, whose `Engine` submits jobs by workload name, fans
+//! their (policy, chunk) units out over a worker pool
+//! ([`SimulationConfig::threads`], or the `DRHW_SIM_THREADS` environment
+//! variable) and adds plan caching across runs, streaming progress and
+//! cancellation — with reports **bit-identical** to [`IterationPlan::run`]
+//! for every worker count.
 //!
 //! ```
 //! use drhw_model::{ConfigId, Platform, Subtask, SubtaskGraph, Task, TaskId, TaskSet, Time};
 //! use drhw_prefetch::PolicyKind;
-//! use drhw_sim::{IterationPlan, SimBatch, SimulationConfig};
+//! use drhw_sim::{IterationPlan, SimulationConfig};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut graph = SubtaskGraph::new("toy");
@@ -42,7 +42,7 @@
 //! let platform = Platform::virtex_like(4)?;
 //!
 //! let plan = IterationPlan::new(&set, &platform, SimulationConfig::quick())?;
-//! let reports = SimBatch::new(&plan).run(&[PolicyKind::NoPrefetch, PolicyKind::Hybrid])?;
+//! let reports = plan.run(&[PolicyKind::NoPrefetch, PolicyKind::Hybrid])?;
 //! assert!(reports[1].overhead_percent() <= reports[0].overhead_percent());
 //! # Ok(())
 //! # }
@@ -58,7 +58,6 @@ mod plan;
 mod scratch;
 mod stats;
 
-pub use batch::SimBatch;
 pub use config::{PointSelection, ScenarioPolicy, SimulationConfig, DEFAULT_CHUNK_SIZE};
 pub use error::SimError;
 pub use plan::{IterationPlan, ScenarioSearchArtifacts};

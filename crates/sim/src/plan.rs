@@ -7,9 +7,10 @@
 //! iteration derives its own seed from the master seed, so the activation
 //! sequence of iteration *i* is the same no matter which thread evaluates it,
 //! which policy is being scored, or how many iterations ran before it. This
-//! is what lets [`SimBatch`](crate::SimBatch) fan the §7 evaluation out
-//! across cores while producing reports bit-identical to a single-threaded
-//! run, with policy comparisons still paired on identical workloads.
+//! is what lets the `drhw-engine` worker pool fan the §7 evaluation out
+//! across cores while producing reports bit-identical to the sequential
+//! [`IterationPlan::run`], with policy comparisons still paired on
+//! identical workloads.
 //!
 //! Tile contents and the inter-task idle window persist across the
 //! iterations of one *chunk* ([`SimulationConfig::chunk_size`]) and reset at
@@ -21,7 +22,8 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use drhw_model::{
-    ConfigId, InitialSchedule, Platform, ScenarioId, SubtaskGraph, Task, TaskId, TaskSet,
+    splitmix64, ConfigId, InitialSchedule, Platform, ScenarioId, SubtaskGraph, Task, TaskId,
+    TaskSet, GOLDEN_GAMMA,
 };
 use drhw_prefetch::{
     DesignTimePrefetch, ExecSummary, HybridPrefetch, InterTaskWindow, PolicyKind, PreparedSchedule,
@@ -113,7 +115,7 @@ static PLAN_TOKENS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64:
 /// every task, ready to score any (policy, iteration) pair from any thread.
 ///
 /// The plan is immutable after construction and `Send + Sync`, so a single
-/// instance can back an entire [`SimBatch`](crate::SimBatch) run. The
+/// instance can back every worker of an engine job. The
 /// design-time artifacts live behind an [`Arc`], so
 /// [`with_config`](Self::with_config) can stamp out plans for new
 /// run-time parameters (seed, iteration count, replacement policy, …)
@@ -214,10 +216,10 @@ impl<'a> IterationPlan<'a> {
         dictionary.dedup();
 
         // Per-(task, scenario) preparation is independent, and the design-time
-        // searches dominate a cold build — fan it out over the same
-        // scoped-thread claim pool the batch engine uses, and fold the
-        // artifacts back in job order so the plan is bit-identical to a
-        // sequential build no matter the thread count or interleaving.
+        // searches dominate a cold build — fan it out over a scoped-thread
+        // claim pool, and fold the artifacts back in job order so the plan
+        // is bit-identical to a sequential build no matter the thread count
+        // or interleaving.
         let workers = config.resolved_threads().min(jobs.len().max(1));
         let mut slots: Vec<Option<Result<ScenarioArtifacts<'a>, SimError>>> = Vec::new();
         slots.resize_with(jobs.len(), || None);
@@ -400,6 +402,8 @@ impl<'a> IterationPlan<'a> {
 
     /// The seed driving iteration `index`, derived from the master seed with
     /// a SplitMix64 step so neighbouring iterations get decorrelated streams.
+    /// The step is a bijection of `seed + index · γ` (γ odd), so two
+    /// iterations of one run never share a seed.
     pub fn iteration_seed(&self, index: usize) -> u64 {
         splitmix64(
             self.config
@@ -449,8 +453,8 @@ impl<'a> IterationPlan<'a> {
 
     /// Scores one (policy, iteration) pair independently of any other.
     ///
-    /// The iteration is evaluated exactly as [`SimBatch`](crate::SimBatch)
-    /// would evaluate it: the chunk containing `index` is replayed from its
+    /// The iteration is evaluated exactly as [`run`](Self::run) would
+    /// evaluate it: the chunk containing `index` is replayed from its
     /// cold start so tile contents and the inter-task window carry the same
     /// history, then the outcome of iteration `index` itself is returned.
     ///
@@ -494,10 +498,10 @@ impl<'a> IterationPlan<'a> {
     ///
     /// This is the entry point the differential oracle (`drhw-oracle`)
     /// targets: it exposes exactly what each iteration contributed — with the
-    /// same chunked state-reset semantics the batched engine uses — without
+    /// same chunked state-reset semantics [`run`](Self::run) uses — without
     /// the quadratic chunk replay that per-index [`evaluate`](Self::evaluate)
     /// calls would cost. Summing the outcomes reproduces the
-    /// [`SimBatch`](crate::SimBatch) report, with one caveat for the
+    /// [`run`](Self::run) report, with one caveat for the
     /// floating-point energy field: the engine folds per-chunk partial sums
     /// in chunk order, so a bit-for-bit reproduction must group the
     /// outcomes by chunk the same way rather than running one straight fold.
@@ -533,9 +537,9 @@ impl<'a> IterationPlan<'a> {
     }
 
     /// Evaluates every iteration of one chunk in order and returns their
-    /// summed statistics. This is the unit of work the parallel engines
-    /// ([`SimBatch`](crate::SimBatch) and the `drhw-engine` job executor)
-    /// schedule onto threads; workers pass their own long-lived scratch.
+    /// summed statistics. This is the unit of work [`run`](Self::run) folds
+    /// in order and the `drhw-engine` job executor schedules onto threads;
+    /// workers pass their own long-lived scratch.
     ///
     /// Folding the returned [`ChunkStats`] in (policy, chunk) order with
     /// [`ChunkStats::merge`] and finishing with [`ChunkStats::finish`]
@@ -903,18 +907,6 @@ fn fastest_schedule(
     Ok(point.schedule().clone())
 }
 
-/// The Weyl-sequence increment of SplitMix64.
-const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// One SplitMix64 output step: a bijective avalanche mix, so distinct
-/// (seed, iteration) pairs never collapse onto the same iteration seed.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(GOLDEN_GAMMA);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Picks a scenario of a task with probability proportional to the scenario
 /// weights.
 fn pick_weighted_scenario(task: &Task, rng: &mut StdRng) -> ScenarioId {
@@ -936,11 +928,13 @@ fn pick_weighted_scenario(task: &Task, rng: &mut StdRng) -> ScenarioId {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use drhw_model::{Scenario, Subtask, Time};
 
-    fn two_task_set() -> TaskSet {
+    /// A small two-task set — a three-subtask chain and a fork — enough to
+    /// exercise reuse, the fallback Pareto point and correlated scenarios.
+    pub(crate) fn two_task_set() -> TaskSet {
         let mut chain = SubtaskGraph::new("chain");
         let ids: Vec<_> = (0..3)
             .map(|i| {

@@ -1,4 +1,4 @@
-//! Reusable per-worker state of the batched simulation engine.
+//! Reusable per-worker state of the simulation core.
 //!
 //! [`SimScratch`] bundles everything one worker mutates while evaluating
 //! iterations: the prefetch-kernel buffers ([`drhw_prefetch::Scratch`]), the
@@ -20,7 +20,7 @@
 //! * Kernel buffers are cleared and refilled by the kernels themselves; their
 //!   contents are meaningless between calls.
 
-use drhw_model::{ScenarioId, Time};
+use drhw_model::{mix64, ScenarioId, Time, GOLDEN_GAMMA};
 use drhw_prefetch::{ExecSummary, HybridSummary, InterTaskWindow, Scratch, SlotMask, TileContents};
 
 /// Slots per memo set (a power of two — the fingerprint is masked down to an
@@ -31,30 +31,25 @@ const MEMO_SLOTS: usize = 256;
 
 /// A key a [`MemoSet`] can index by: a cheap 64-bit fingerprint that picks
 /// the slot (full keys are still compared on probe, so fingerprint collisions
-/// only cost a miss, never a wrong hit).
+/// only cost a miss, never a wrong hit). Fingerprints run the key through
+/// the SplitMix64 finalizer, which mixes every key bit into the slot index.
 pub(crate) trait MemoKey: Copy + PartialEq {
     fn fingerprint(self) -> u64;
 }
 
-/// SplitMix64 finalizer — mixes every key bit into the slot index.
-fn mix(z: u64) -> u64 {
-    let z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl MemoKey for SlotMask {
     fn fingerprint(self) -> u64 {
-        mix(self.bits())
+        mix64(self.bits())
     }
 }
 
 impl MemoKey for (SlotMask, usize) {
     fn fingerprint(self) -> u64 {
-        mix(self
-            .0
-            .bits()
-            .wrapping_add((self.1 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+        mix64(
+            self.0
+                .bits()
+                .wrapping_add((self.1 as u64).wrapping_mul(GOLDEN_GAMMA)),
+        )
     }
 }
 
@@ -109,8 +104,9 @@ pub(crate) struct KernelMemo {
 }
 
 /// The mutable per-worker state threaded through
-/// [`IterationPlan::evaluate_with`](crate::IterationPlan::evaluate_with) and
-/// the [`SimBatch`](crate::SimBatch) workers.
+/// [`IterationPlan::evaluate_with`](crate::IterationPlan::evaluate_with),
+/// [`IterationPlan::run`](crate::IterationPlan::run) and the engine's pool
+/// workers.
 ///
 /// Create one via [`IterationPlan::make_scratch`](crate::IterationPlan::make_scratch),
 /// which pre-sizes every buffer for the plan.

@@ -24,9 +24,9 @@ pub struct SimulationReport {
 ///
 /// Produced by [`IterationPlan::evaluate`](crate::IterationPlan::evaluate);
 /// summing the outcomes of every iteration (in iteration order) yields exactly
-/// the [`SimulationReport`] of the whole run, which is how the parallel
-/// [`SimBatch`](crate::SimBatch) engine reassembles bit-identical reports from
-/// work done on many threads.
+/// the [`SimulationReport`] of the whole run, which is how the engine's
+/// worker pool reassembles bit-identical reports from work done on many
+/// threads.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct IterationOutcome {
     pub(crate) activations: usize,
@@ -90,8 +90,8 @@ impl IterationOutcome {
 /// [`finish`](Self::finish) reproduces the aggregate [`SimulationReport`]
 /// bit for bit (the ordering matters only for the floating-point energy
 /// sum; every other field is an integer). This is the contract both
-/// [`SimBatch`](crate::SimBatch) and the `drhw-engine` job executor build
-/// their determinism guarantee on.
+/// [`IterationPlan::run`](crate::IterationPlan::run) and the `drhw-engine`
+/// job executor build their determinism guarantee on.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChunkStats {
     pub(crate) activations: usize,

@@ -39,30 +39,13 @@ use std::io::Write;
 use std::path::Path;
 
 use drhw_engine::Engine;
-use drhw_model::Time;
+use drhw_model::{fnv1a, splitmix64, SplitMix64, Time};
 use drhw_prefetch::PolicyKind;
 
-use crate::generator::SplitMix64;
 use crate::latency::Histogram;
 use crate::record;
 use crate::scenario::{GeneratorKind, TrafficScenario};
 use crate::TrafficError;
-
-/// FNV-1a over a byte string — the workspace's stable string hash.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
-
-/// One SplitMix64 mixing step applied to a raw value — used to turn
-/// structured tags (seed ⊕ name hashes) into well-spread stream seeds.
-fn mix64(value: u64) -> u64 {
-    SplitMix64::new(value).next_u64()
-}
 
 /// The service pool of one (workload, policy) pair: the measured
 /// per-iteration execution times jobs sample from, plus the paper's
@@ -212,7 +195,7 @@ pub fn run_scenario(
                 arrivals
             }
             _ => {
-                let seed = mix64(scenario.seed ^ fnv1a(spec.name.as_bytes()));
+                let seed = splitmix64(scenario.seed ^ fnv1a(spec.name.as_bytes()));
                 let mut generator = spec.build(seed, None);
                 let mut arrivals = Vec::new();
                 while let Some(t) = generator.next_arrival_us() {
@@ -311,8 +294,8 @@ fn run_cell(setup: CellSetup<'_>, events: &mut dyn Write) -> Result<CellReport, 
     // Service draws depend on (seed, workload, policy, arrival index) only —
     // independent of the generator, so a trace replay of another
     // generator's arrivals reproduces identical service times job for job.
-    let mut service_rng = SplitMix64::new(mix64(
-        mix64(setup.seed ^ fnv1a(setup.workload.as_bytes()))
+    let mut service_rng = SplitMix64::new(splitmix64(
+        splitmix64(setup.seed ^ fnv1a(setup.workload.as_bytes()))
             ^ fnv1a(setup.policy.to_string().as_bytes()),
     ));
     let pool_len = setup.pool.times.len() as u64;

@@ -9,48 +9,9 @@
 //! (every cell of one generator sees the identical arrival stream) and
 //! scenario outputs byte-identical at any engine worker count.
 
-/// A deterministic SplitMix64 stream — the same generator the simulation
-/// stack derives its per-iteration randomness from.
-#[derive(Debug, Clone)]
-pub struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    /// A stream seeded with `seed`.
-    pub fn new(seed: u64) -> Self {
-        SplitMix64 { state: seed }
-    }
-
-    /// One SplitMix64 output step.
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// A uniform draw in the half-open unit interval `(0, 1]` (never zero,
-    /// so `ln` is always finite).
-    pub fn next_unit(&mut self) -> f64 {
-        (((self.next_u64() >> 11) + 1) as f64) * (1.0 / 9_007_199_254_740_992.0)
-    }
-
-    /// An exponential inter-arrival gap in microseconds for a process of
-    /// `rate_per_sec` events per second (at least 1 µs, so arrival times
-    /// strictly increase).
-    pub fn next_exp_gap_us(&mut self, rate_per_sec: f64) -> u64 {
-        let gap = -self.next_unit().ln() * 1e6 / rate_per_sec;
-        (gap.round() as u64).max(1)
-    }
-
-    /// An exponential duration in microseconds with the given mean.
-    pub fn next_exp_mean_us(&mut self, mean_us: f64) -> u64 {
-        let duration = -self.next_unit().ln() * mean_us;
-        (duration.round() as u64).max(1)
-    }
-}
+// The stream lives in `drhw-model`, shared with the simulator's seed
+// derivation; re-exported for callers that import it from this crate.
+pub use drhw_model::SplitMix64;
 
 /// An arrival process on the virtual clock.
 pub trait TrafficGenerator {

@@ -1,12 +1,12 @@
 //! The zero-allocation invariant of the per-iteration evaluator.
 //!
-//! The batched engine promises that, once a plan and a scratch exist, the
+//! The simulation core promises that, once a plan and a scratch exist, the
 //! steady-state per-iteration loop never touches the global allocator: every
 //! buffer lives in [`drhw_sim::SimScratch`] and is pre-sized by
 //! `IterationPlan::make_scratch`. This test installs a counting global
 //! allocator and proves it, plus the weaker-but-end-to-end corollary that a
-//! warm `SimBatch` run performs a constant number of allocations no matter
-//! how many iterations it simulates.
+//! warm `IterationPlan::run` performs a constant number of allocations no
+//! matter how many iterations it simulates.
 //!
 //! Everything lives in ONE `#[test]` on purpose: the allocation counter is
 //! process-global, and concurrent tests in the same binary would pollute it.
@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use drhw_bench::experiments::workload_config;
 use drhw_model::Platform;
 use drhw_prefetch::PolicyKind;
-use drhw_sim::{IterationPlan, SimBatch, SimulationConfig};
+use drhw_sim::{IterationPlan, SimulationConfig};
 use drhw_workloads::{MultimediaWorkload, PocketGlWorkload, Workload};
 
 /// Counts every allocation event (alloc, alloc_zeroed, realloc) and forwards
@@ -54,15 +54,14 @@ fn allocation_events() -> usize {
     ALLOCATION_EVENTS.load(Ordering::Relaxed)
 }
 
-/// Counts the allocation events of one warm single-threaded `SimBatch` run
-/// over all five policies.
-fn batch_run_allocations(plan: &IterationPlan<'_>) -> usize {
-    let batch = SimBatch::with_threads(plan, 1);
+/// Counts the allocation events of one warm `IterationPlan::run` over all
+/// five policies.
+fn plan_run_allocations(plan: &IterationPlan<'_>) -> usize {
     // Warm run outside the measurement: lets lazy process-wide state (e.g.
     // environment lookups) settle.
-    batch.run(&PolicyKind::ALL).expect("simulation runs");
+    plan.run(&PolicyKind::ALL).expect("simulation runs");
     let before = allocation_events();
-    batch.run(&PolicyKind::ALL).expect("simulation runs");
+    plan.run(&PolicyKind::ALL).expect("simulation runs");
     allocation_events() - before
 }
 
@@ -112,9 +111,9 @@ fn warm_iteration_loop_performs_zero_heap_allocations() {
     let set = workload.task_set();
     let platform = Platform::virtex_like(8).expect("tile count is positive");
 
-    // End-to-end corollary: a warm SimBatch run allocates only its per-run
-    // setup (scratch, job slots, reports), so the allocation count must not
-    // grow with the iteration count.
+    // End-to-end corollary: a warm run allocates only its per-run setup
+    // (scratch, reports), so the allocation count must not grow with the
+    // iteration count.
     let small = IterationPlan::new(
         &set,
         &platform,
@@ -135,15 +134,15 @@ fn warm_iteration_loop_performs_zero_heap_allocations() {
             .with_threads(1),
     )
     .expect("plan builds");
-    let small_allocs = batch_run_allocations(&small);
-    let large_allocs = batch_run_allocations(&large);
+    let small_allocs = plan_run_allocations(&small);
+    let large_allocs = plan_run_allocations(&large);
     assert_eq!(
         small_allocs, large_allocs,
-        "SimBatch allocations must be independent of the iteration count \
+        "plan run allocations must be independent of the iteration count \
          (64 iters: {small_allocs}, 512 iters: {large_allocs})"
     );
     assert!(
         small_allocs < 64,
-        "a batch run should only pay a small constant setup cost, got {small_allocs}"
+        "a plan run should only pay a small constant setup cost, got {small_allocs}"
     );
 }

@@ -4,10 +4,9 @@
 //! hybrid heuristic must never lose to loading on demand — the invariant the
 //! `drhw-sim` crate documentation claims.
 
-use drhw_bench::experiments::workload_config;
 use drhw_model::{ConfigId, Platform, Subtask, SubtaskGraph, Task, TaskId, TaskSet, Time};
 use drhw_prefetch::PolicyKind;
-use drhw_sim::{IterationPlan, SimBatch, SimulationConfig};
+use drhw_sim::{IterationPlan, SimulationConfig};
 use drhw_workloads::WorkloadRegistry;
 
 /// The four-subtask graph of Fig. 3: `1 -> {2, 3}`, `3 -> 4`, as used by the
@@ -33,7 +32,7 @@ fn every_policy_runs_on_the_quickstart_graph() {
     .unwrap();
     let platform = Platform::virtex_like(4).unwrap();
     let plan = IterationPlan::new(&set, &platform, SimulationConfig::quick()).unwrap();
-    let reports = SimBatch::new(&plan).run(&PolicyKind::ALL).unwrap();
+    let reports = plan.run(&PolicyKind::ALL).unwrap();
 
     let mut overhead = std::collections::BTreeMap::new();
     for (policy, report) in PolicyKind::ALL.into_iter().zip(&reports) {
@@ -66,9 +65,7 @@ fn every_policy_runs_on_the_quickstart_graph() {
 #[test]
 fn every_registered_workload_round_trips_through_the_engine() {
     // Registry round trip: each built-in workload must build a valid task
-    // set, then simulate end-to-end through the `drhw-engine` job path —
-    // with the result bit-identical to a directly prepared
-    // IterationPlan + SimBatch run under the same derived config.
+    // set, then simulate end-to-end through the `drhw-engine` job path.
     let engine = drhw_engine::Engine::builder().build();
     let registry = WorkloadRegistry::with_builtins();
     assert!(!registry.is_empty());
@@ -106,17 +103,6 @@ fn every_registered_workload_round_trips_through_the_engine() {
             reports[1].overhead_percent() <= reports[0].overhead_percent(),
             "{name}: hybrid must not exceed no-prefetch"
         );
-
-        // Old-API parity under the same workload → config mapping the
-        // experiment binaries used before the engine existed.
-        let platform = Platform::virtex_like(tiles).unwrap();
-        let config = workload_config(workload.as_ref(), 20, 1);
-        let plan = IterationPlan::new(&set, &platform, config)
-            .unwrap_or_else(|e| panic!("{name}: plan fails to build: {e}"));
-        let classic = SimBatch::new(&plan)
-            .run(&policies)
-            .unwrap_or_else(|e| panic!("{name}: simulation fails: {e}"));
-        assert_eq!(reports, classic, "{name}: engine and classic API disagree");
     }
 }
 
@@ -126,7 +112,7 @@ fn hybrid_never_loses_to_no_prefetch_on_the_multimedia_set() {
     for tiles in [8, 12, 16] {
         let platform = Platform::virtex_like(tiles).unwrap();
         let plan = IterationPlan::new(&set, &platform, SimulationConfig::quick()).unwrap();
-        let mut reports = SimBatch::new(&plan)
+        let mut reports = plan
             .run(&[PolicyKind::NoPrefetch, PolicyKind::Hybrid])
             .unwrap();
         let hybrid = reports.remove(1);

@@ -2,12 +2,15 @@
 //! same reports, and policy comparisons are paired (every policy sees exactly
 //! the same activation sequence).
 
+use drhw_bench::experiments::workload_config;
+use drhw_engine::{Engine, JobSpec};
 use drhw_model::Platform;
 use drhw_prefetch::PolicyKind;
-use drhw_sim::{IterationPlan, SimBatch, SimulationConfig};
+use drhw_sim::{IterationPlan, SimulationConfig};
 use drhw_workloads::multimedia::multimedia_task_set;
 use drhw_workloads::pocket_gl::pocket_gl_task_set;
 use drhw_workloads::random::{random_task_set, seeded_random_graph, RandomGraphConfig};
+use drhw_workloads::WorkloadRegistry;
 
 #[test]
 fn identical_specs_produce_identical_reports_through_the_engine() {
@@ -41,8 +44,8 @@ fn identical_seeds_produce_identical_reports() {
     let plan_b = IterationPlan::new(&set, &platform, config).unwrap();
     for policy in PolicyKind::ALL {
         assert_eq!(
-            SimBatch::new(&plan_a).run(&[policy]).unwrap(),
-            SimBatch::new(&plan_b).run(&[policy]).unwrap(),
+            plan_a.run(&[policy]).unwrap(),
+            plan_b.run(&[policy]).unwrap(),
             "{policy}"
         );
     }
@@ -54,7 +57,7 @@ fn policies_see_exactly_the_same_workload() {
     let platform = Platform::virtex_like(12).unwrap();
     let config = SimulationConfig::default().with_iterations(60).with_seed(3);
     let plan = IterationPlan::new(&set, &platform, config).unwrap();
-    let reports = SimBatch::new(&plan).run(&PolicyKind::ALL).unwrap();
+    let reports = plan.run(&PolicyKind::ALL).unwrap();
     let reference = &reports[0];
     for report in &reports {
         assert_eq!(report.activations(), reference.activations());
@@ -74,8 +77,8 @@ fn pocket_gl_simulation_is_deterministic_too() {
         .with_iterations(50)
         .with_seed(11);
     let plan = IterationPlan::new(&set, &platform, config).unwrap();
-    let a = SimBatch::new(&plan).run(&[PolicyKind::Hybrid]).unwrap();
-    let b = SimBatch::new(&plan).run(&[PolicyKind::Hybrid]).unwrap();
+    let a = plan.run(&[PolicyKind::Hybrid]).unwrap();
+    let b = plan.run(&[PolicyKind::Hybrid]).unwrap();
     assert_eq!(a, b);
 }
 
@@ -90,44 +93,51 @@ fn random_workload_generation_is_seed_stable() {
 }
 
 #[test]
-fn sim_batch_is_bit_identical_for_any_thread_count() {
-    // The ISSUE 2 acceptance criterion: with the same master seed, a
-    // single-threaded SimBatch and a multi-threaded one must produce
-    // identical SimulationReports for all five policies on the multimedia
-    // set — including the floating-point energy totals, which the engine
+fn engine_matches_the_sequential_run_for_any_worker_count() {
+    // The §7 case: the same master seed must give identical reports for all
+    // five policies whether the plan runs sequentially or on a pool of any
+    // size — including the floating-point energy totals, which the engine
     // folds in chunk order precisely so this equality is exact.
-    let set = multimedia_task_set();
+    let registry = WorkloadRegistry::with_builtins();
+    let multimedia = registry.resolve("multimedia").unwrap();
+    let set = multimedia.task_set();
     let platform = Platform::virtex_like(9).unwrap();
-    let config = SimulationConfig::default()
+    let config = workload_config(multimedia.as_ref(), 96, 2005).with_chunk_size(16);
+    let sequential = IterationPlan::new(&set, &platform, config)
+        .unwrap()
+        .run(&PolicyKind::ALL)
+        .unwrap();
+    let spec = JobSpec::new("multimedia")
+        .with_tiles(9)
         .with_iterations(96)
         .with_chunk_size(16)
         .with_seed(2005);
-    let plan = IterationPlan::new(&set, &platform, config).unwrap();
-    let sequential = SimBatch::with_threads(&plan, 1)
-        .run(&PolicyKind::ALL)
-        .unwrap();
-    for threads in [2, 4, 8] {
-        let parallel = SimBatch::with_threads(&plan, threads)
-            .run(&PolicyKind::ALL)
+    for threads in [1, 2, 4, 8] {
+        let parallel = Engine::builder()
+            .threads(threads)
+            .build()
+            .run(spec.clone())
             .unwrap();
         assert_eq!(
             sequential, parallel,
-            "{threads}-thread batch diverged from the sequential reference"
+            "{threads}-worker engine diverged from the sequential run"
         );
     }
 }
 
 #[test]
 fn batch_reports_match_across_independently_built_plans() {
+    // Two builds of the same plan — one on the default plan-build worker
+    // count, one on three workers — run to the same reports.
     let set = multimedia_task_set();
     let platform = Platform::virtex_like(9).unwrap();
     let config = SimulationConfig::default().with_iterations(40).with_seed(7);
     let plan_a = IterationPlan::new(&set, &platform, config.clone()).unwrap();
-    let plan_b = IterationPlan::new(&set, &platform, config).unwrap();
-    let batch = SimBatch::with_threads(&plan_b, 3)
-        .run(&PolicyKind::ALL)
-        .unwrap();
-    assert_eq!(SimBatch::new(&plan_a).run(&PolicyKind::ALL).unwrap(), batch);
+    let plan_b = IterationPlan::new(&set, &platform, config.with_threads(3)).unwrap();
+    assert_eq!(
+        plan_a.run(&PolicyKind::ALL).unwrap(),
+        plan_b.run(&PolicyKind::ALL).unwrap()
+    );
 }
 
 #[test]
@@ -146,11 +156,7 @@ fn different_seeds_produce_different_workloads() {
         SimulationConfig::default().with_iterations(80).with_seed(2),
     )
     .unwrap();
-    let a = SimBatch::new(&plan_a)
-        .run(&[PolicyKind::NoPrefetch])
-        .unwrap();
-    let b = SimBatch::new(&plan_b)
-        .run(&[PolicyKind::NoPrefetch])
-        .unwrap();
+    let a = plan_a.run(&[PolicyKind::NoPrefetch]).unwrap();
+    let b = plan_b.run(&[PolicyKind::NoPrefetch]).unwrap();
     assert_ne!(a, b);
 }

@@ -1,20 +1,21 @@
 //! Integration tests of the `drhw-engine` job layer: bit-for-bit parity
-//! with the classic `IterationPlan` + `SimBatch` API, plan-cache semantics
-//! (hit/miss equivalence, eviction, seed independence), deterministic
-//! streaming progress, cooperative cancellation, and the release-mode
-//! warm-versus-cold amortisation bound.
+//! with the sequential `IterationPlan::run`, worker-count and plan-cache
+//! invariance (hit/miss equivalence, eviction, seed independence),
+//! deterministic streaming progress, cooperative cancellation, and the
+//! release-mode warm-versus-cold amortisation bound.
 
 use std::ops::RangeInclusive;
 use std::sync::Arc;
 
+use drhw_bench::experiments::workload_config;
 use drhw_engine::{Engine, EngineError, JobSpec};
 use drhw_model::{ConfigId, Platform, Subtask, SubtaskGraph, Task, TaskId, TaskSet, Time};
 use drhw_prefetch::PolicyKind;
-use drhw_sim::{IterationPlan, SimBatch, SimulationConfig, SimulationReport};
+use drhw_sim::{IterationPlan, SimulationReport};
 use drhw_workloads::{Workload, WorkloadRegistry};
 
 /// The classic path for a named workload: build the task set, derive the
-/// config exactly as the pre-engine harness did, run `SimBatch`.
+/// config exactly as the pre-engine harness did, run the plan sequentially.
 fn classic_reports(
     workload: &str,
     tiles: usize,
@@ -26,15 +27,9 @@ fn classic_reports(
     let workload = registry.resolve(workload).expect("workload resolves");
     let set = workload.task_set();
     let platform = Platform::virtex_like(tiles).expect("tiles are positive");
-    let mut config = SimulationConfig::default()
-        .with_iterations(iterations)
-        .with_seed(seed);
-    config.task_inclusion_probability = workload.task_inclusion_probability();
-    if let Some(combos) = workload.correlated_scenarios() {
-        config = config.with_scenario_policy(drhw_sim::ScenarioPolicy::Correlated(combos));
-    }
+    let config = workload_config(workload.as_ref(), iterations, seed);
     let plan = IterationPlan::new(&set, &platform, config).expect("plan builds");
-    SimBatch::new(&plan).run(policies).expect("simulation runs")
+    plan.run(policies).expect("simulation runs")
 }
 
 #[test]
@@ -57,30 +52,53 @@ fn engine_reports_are_bit_identical_to_the_classic_api() {
 
 #[test]
 fn cache_hits_and_thread_counts_never_change_a_report() {
-    // Three engines: cold single-thread, cold multi-thread, and one that
-    // serves the job twice (second submission is a cache hit). All four
-    // results must be bit-identical.
-    let spec = JobSpec::new("multimedia")
-        .with_tiles(9)
-        .with_iterations(70)
-        .with_seed(13);
-    let single = Engine::builder().threads(1).build();
-    let multi = Engine::builder().threads(4).build();
-    let first = single.run(spec.clone()).expect("job runs");
-    let parallel = multi.run(spec.clone()).expect("job runs");
-    let second = multi.run(spec.clone()).expect("job runs");
-    assert_eq!(first, parallel, "thread count must not change the report");
-    assert_eq!(parallel, second, "a cache hit must not change the report");
-    let stats = multi.cache_stats();
-    assert_eq!(stats.misses, 1);
-    assert_eq!(stats.hits, 1);
-
-    // A different seed on the warm engine is still a cache hit (the seed is
-    // not part of the plan key) and still matches a cold engine bit for bit.
-    let reseeded = spec.with_seed(14);
-    let warm = multi.run(reseeded.clone()).expect("job runs");
-    assert_eq!(multi.cache_stats().hits, 2);
-    assert_eq!(warm, single.run(reseeded).expect("job runs"));
+    // The default chunking; the §7 determinism case (chunk size 16, all
+    // five policies, the paper's seed) whose floating-point energy totals
+    // only match because the fold runs in chunk order; and a job of one
+    // chunk per policy, with fewer slots than the largest pool has workers.
+    let multimedia = JobSpec::new("multimedia").with_tiles(9);
+    let specs = [
+        multimedia.clone().with_iterations(70).with_seed(13),
+        multimedia
+            .clone()
+            .with_iterations(96)
+            .with_chunk_size(16)
+            .with_seed(2005),
+        multimedia.with_iterations(5).with_seed(14),
+    ];
+    let engines: Vec<Engine> = [1, 2, 4, 8]
+        .into_iter()
+        .map(|threads| Engine::builder().threads(threads).build())
+        .collect();
+    for spec in &specs {
+        // A fresh single-worker engine: cold plan, one worker folding.
+        let reference = Engine::builder()
+            .threads(1)
+            .build()
+            .run(spec.clone())
+            .expect("job runs");
+        for engine in &engines {
+            // Every engine serves each spec twice; the second run is always
+            // a cache hit.
+            for _ in 0..2 {
+                assert_eq!(
+                    engine.run(spec.clone()).expect("job runs"),
+                    reference,
+                    "{} worker(s), {} iterations",
+                    engine.threads(),
+                    spec.iterations.unwrap_or_default()
+                );
+            }
+        }
+    }
+    // Seed, iteration count and chunk size are not part of the plan key:
+    // each engine prepared the multimedia@9 plan once and served every
+    // other job from its cache.
+    for engine in &engines {
+        let stats = engine.cache_stats();
+        assert_eq!(stats.misses, 1);
+        assert_eq!(stats.hits, 2 * specs.len() as u64 - 1);
+    }
 }
 
 #[test]

@@ -7,7 +7,7 @@ use drhw_bench::experiments::{figure6_series, figure7_series, headline_numbers, 
 use drhw_engine::Engine;
 use drhw_model::Platform;
 use drhw_prefetch::PolicyKind;
-use drhw_sim::{IterationPlan, SimBatch, SimulationConfig};
+use drhw_sim::{IterationPlan, SimulationConfig};
 use drhw_workloads::multimedia::multimedia_task_set;
 use drhw_workloads::pocket_gl::pocket_gl_task_set;
 
@@ -116,7 +116,7 @@ fn figure_policies_always_beat_the_baselines() {
             .with_iterations(ITERATIONS)
             .with_seed(SEED);
         let plan = IterationPlan::new(&set, &platform, config).unwrap();
-        let reports = SimBatch::new(&plan).run(&PolicyKind::ALL).unwrap();
+        let reports = plan.run(&PolicyKind::ALL).unwrap();
         let overhead = |policy: PolicyKind| {
             reports
                 .iter()

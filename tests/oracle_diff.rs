@@ -1,10 +1,10 @@
-//! Differential tests: the parallel engine versus the straight-line oracle.
+//! Differential tests: the fast path versus the straight-line oracle.
 //!
 //! The pinned corpus sweeps all five policies over generated workloads from
 //! every DAG family and demands **bit-for-bit** agreement — per-iteration
-//! outcomes and aggregate reports, in both the single-threaded and the
-//! default thread mode (CI additionally runs the whole suite under
-//! `DRHW_SIM_THREADS=1`). `DRHW_FUZZ_CASES` scales the corpus; the default
+//! outcomes, the sequential aggregate reports, and their replay through the
+//! engine's default-size worker pool (CI additionally runs the whole suite
+//! under `DRHW_SIM_THREADS=1`). `DRHW_FUZZ_CASES` scales the corpus; the default
 //! here keeps unoptimised test runs quick, while the `oracle_diff` binary
 //! (release) runs hundreds by default and thousands on demand.
 
@@ -16,8 +16,8 @@ use drhw_sim::{IterationPlan, SimulationConfig};
 
 /// Default corpus size for unoptimised `cargo test` runs; the release-mode
 /// test (and the `oracle_diff` binary) run the full pinned 240-case corpus,
-/// which `run_corpus` routes through BOTH the direct plan + batch path and
-/// the `drhw-engine` job path with bit-for-bit comparison.
+/// which `run_corpus` routes through BOTH the direct `IterationPlan::run`
+/// path and the `drhw-engine` job path with bit-for-bit comparison.
 #[cfg(debug_assertions)]
 const DEFAULT_TEST_CASES: usize = 18;
 #[cfg(not(debug_assertions))]

@@ -8,8 +8,8 @@ use std::collections::{BTreeSet, HashSet};
 
 use drhw_integration::random_instance;
 use drhw_model::{
-    ConfigId, InitialSchedule, PeAssignment, Platform, Subtask, SubtaskGraph, SubtaskId, TileId,
-    TileSlot, Time,
+    ConfigId, InitialSchedule, PeAssignment, Platform, SplitMix64, Subtask, SubtaskGraph,
+    SubtaskId, TileId, TileSlot, Time,
 };
 use drhw_prefetch::{
     assign_tiles_protecting, reusable_subtasks, BranchBoundScheduler, CriticalSetAnalysis,
@@ -237,11 +237,11 @@ proptest! {
     /// same membership, same popcount, and ascending iteration order.
     #[test]
     fn slot_mask_matches_a_hash_set_reference(seed in 0u64..10_000, ops in 1usize..256) {
-        let mut state = seed;
+        let mut rng = SplitMix64::new(seed);
         let mut mask = SlotMask::empty();
         let mut model: HashSet<usize> = HashSet::new();
         for _ in 0..ops {
-            let word = split_mix(&mut state);
+            let word = rng.next_u64();
             let index = (word % SlotMask::CAPACITY as u64) as usize;
             match (word >> 8) % 3 {
                 0 => {
@@ -267,16 +267,16 @@ proptest! {
     /// set algebra, element for element.
     #[test]
     fn slot_mask_algebra_matches_the_reference_model(seed in 0u64..10_000, fill in 1u64..48) {
-        let mut state = seed;
+        let mut rng = SplitMix64::new(seed);
         let mut mask_a = SlotMask::empty();
         let mut mask_b = SlotMask::empty();
         let mut set_a: HashSet<usize> = HashSet::new();
         let mut set_b: HashSet<usize> = HashSet::new();
         for _ in 0..fill {
-            let index = (split_mix(&mut state) % SlotMask::CAPACITY as u64) as usize;
+            let index = (rng.next_u64() % SlotMask::CAPACITY as u64) as usize;
             mask_a.insert(index);
             set_a.insert(index);
-            let index = (split_mix(&mut state) % SlotMask::CAPACITY as u64) as usize;
+            let index = (rng.next_u64() % SlotMask::CAPACITY as u64) as usize;
             mask_b.insert(index);
             set_b.insert(index);
         }
@@ -308,8 +308,8 @@ proptest! {
 /// on the schedule both with raw configuration ids and interned into a
 /// dense dictionary.
 fn check_replacement_parity(seed: u64, tiles: usize) {
-    let mut state = seed;
-    let mut draw = |bound: usize| (split_mix(&mut state) % bound as u64) as usize;
+    let mut rng = SplitMix64::new(seed);
+    let mut draw = |bound: usize| (rng.next_u64() % bound as u64) as usize;
     let slots = 1 + draw(tiles);
     let subtasks = slots + draw(SlotMask::CAPACITY - slots + 1);
     // Small pools of sparse ids, so configurations repeat across subtasks
@@ -420,15 +420,4 @@ fn check_replacement_parity(seed: u64, tiles: usize) {
             }
         }
     }
-}
-
-/// SplitMix64 step: drives the `SlotMask` reference-model tests from a
-/// proptest-drawn seed (the vendored proptest stub draws integer ranges
-/// only, so operation sequences are derived from the seed here).
-fn split_mix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
