@@ -10,10 +10,11 @@
 //! backoff and counted, so the swarm observes backpressure instead of
 //! failing on it.
 //!
-//! All clients arm at a [`Barrier`] and fire together; the measured window
-//! runs from the barrier release to the last job's terminal line, which
-//! makes `jobs_per_sec` an end-to-end number including connect jitter,
-//! queueing and engine contention.
+//! All clients arm at a [`Barrier`] and fire together at a second one,
+//! released only after the clock starts; the measured window runs from
+//! there to the last job's terminal line, which makes `jobs_per_sec` an
+//! end-to-end number including queueing and engine contention, and keeps
+//! every recorded latency inside the window.
 //!
 //! Besides the closed-loop swarm there is an **open-loop** mode
 //! ([`run_open_loop`]): jobs are dispatched on a Poisson schedule at a fixed
@@ -249,7 +250,7 @@ fn submit_once(
     }
 }
 
-fn run_client(config: &SwarmConfig, index: usize, barrier: &Barrier) -> ClientReport {
+fn run_client(config: &SwarmConfig, index: usize, armed: &Barrier, fire: &Barrier) -> ClientReport {
     let mut report = ClientReport::default();
     let mut stream = None;
     for attempt in 0..config.connect_attempts {
@@ -261,9 +262,10 @@ fn run_client(config: &SwarmConfig, index: usize, barrier: &Barrier) -> ClientRe
             Err(_) => thread::sleep(Duration::from_millis(5 + (attempt as u64 % 16))),
         }
     }
-    // Every client passes the barrier exactly once, connected or not, so
+    // Every client passes both barriers exactly once, connected or not, so
     // the swarm cannot deadlock on failed connects.
-    barrier.wait();
+    armed.wait();
+    fire.wait();
     let Some(mut stream) = stream else {
         report.errored = config.jobs_per_client as u64;
         return report;
@@ -332,26 +334,30 @@ pub fn run_swarm(config: &SwarmConfig) -> Result<SwarmOutcome, String> {
         return Err("swarm config: spec_json must not carry an id (the swarm assigns them)".into());
     }
 
-    let barrier = Arc::new(Barrier::new(config.clients + 1));
+    let armed = Arc::new(Barrier::new(config.clients + 1));
+    let fire = Arc::new(Barrier::new(config.clients + 1));
     let reports: Arc<Mutex<Vec<ClientReport>>> =
         Arc::new(Mutex::new(Vec::with_capacity(config.clients)));
     let mut handles = Vec::with_capacity(config.clients);
     for index in 0..config.clients {
         let config = config.clone();
-        let barrier = Arc::clone(&barrier);
+        let (armed, fire) = (Arc::clone(&armed), Arc::clone(&fire));
         let reports = Arc::clone(&reports);
         let handle = thread::Builder::new()
             .name(format!("loadgen-{index}"))
             .stack_size(96 * 1024)
             .spawn(move || {
-                let report = run_client(&config, index, &barrier);
+                let report = run_client(&config, index, &armed, &fire);
                 reports.lock().unwrap().push(report);
             })
             .map_err(|e| format!("cannot spawn client thread {index}: {e}"))?;
         handles.push(handle);
     }
-    barrier.wait();
+    armed.wait();
+    // The clock starts before any client may send, so no job can begin
+    // before the window does.
     let started = Instant::now();
+    fire.wait();
     for handle in handles {
         let _ = handle.join();
     }

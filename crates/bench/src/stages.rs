@@ -13,11 +13,11 @@
 //! | `list_scheduler`    | the run-time list-scheduling kernel (arena path)     |
 //! | `replacement_reuse` | slot-to-tile replacement + reuse detection kernels   |
 //!
-//! The design-time stages run through the classic one-shot entry points (that
-//! is what a design flow pays); the run-time stages run through the same
+//! The design-time stages run through the one-shot entry points (that is
+//! what a design flow pays); the run-time stages run through the same
 //! allocation-free [`drhw_prefetch::PreparedSchedule`] kernels the simulation
 //! engine uses, so the numbers track the code that actually executes per
-//! iteration.
+//! iteration. Both time their load orders on the same timing loop.
 
 use std::hint::black_box;
 use std::time::Instant;

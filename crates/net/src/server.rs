@@ -3,9 +3,9 @@
 //! [`ServerStats`].
 
 use std::io::{self, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
 
 use drhw_engine::Engine;
@@ -68,6 +68,13 @@ pub(crate) struct Shared {
     pub(crate) engine: Arc<Engine>,
     pub(crate) config: ServerConfig,
     pub(crate) draining: AtomicBool,
+    /// The listener's address, which [`begin_drain`](Self::begin_drain)
+    /// connects to.
+    addr: SocketAddr,
+    /// The client address of the connection that woke the accept loop for
+    /// a drain, once it is made. Held while it is being made, so the loop
+    /// can tell it from a late client.
+    wake_up: Mutex<Option<SocketAddr>>,
     /// Jobs pending or executing across all sessions — the backpressure gauge.
     pending: AtomicUsize,
     active: Mutex<usize>,
@@ -76,9 +83,32 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    /// Flips the server into drain mode (idempotent).
+    /// Flips the server into drain mode (idempotent). The first call wakes
+    /// the accept loop, blocked in `accept`, with one loopback connection
+    /// that is neither answered nor counted.
     pub(crate) fn begin_drain(&self) {
-        self.draining.store(true, Ordering::SeqCst);
+        // `Server::drop` calls this, so it must not panic; the address is
+        // valid whatever a panicking holder left.
+        let mut wake_up = self.wake_up.lock().unwrap_or_else(PoisonError::into_inner);
+        if self.draining.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        let mut target = self.addr;
+        if target.ip().is_unspecified() {
+            target.set_ip(match target {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        if let Ok(stream) = TcpStream::connect(target) {
+            *wake_up = stream.local_addr().ok();
+        }
+    }
+
+    /// Whether `peer` is the connection [`begin_drain`](Self::begin_drain)
+    /// woke the accept loop with.
+    fn is_wake_up(&self, peer: SocketAddr) -> bool {
+        *self.wake_up.lock().unwrap_or_else(PoisonError::into_inner) == Some(peer)
     }
 
     /// Claims one unit of the server-wide pending bound, failing when the
@@ -179,12 +209,13 @@ impl Server {
             .validate()
             .map_err(|message| io::Error::new(io::ErrorKind::InvalidInput, message))?;
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             engine,
             config,
             draining: AtomicBool::new(false),
+            addr,
+            wake_up: Mutex::new(None),
             pending: AtomicUsize::new(0),
             active: Mutex::new(0),
             active_cond: Condvar::new(),
@@ -246,17 +277,25 @@ impl Drop for Server {
     }
 }
 
+/// Blocks in `accept` until a drain begins; from then on it polls every
+/// `poll_interval`, so it notices the last session closing.
 fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
+    let mut polling = false;
     loop {
+        if !polling && shared.draining.load(Ordering::SeqCst) {
+            polling = listener.set_nonblocking(true).is_ok();
+        }
         match listener.accept() {
             Ok((stream, peer)) => {
                 if shared.draining.load(Ordering::SeqCst) {
-                    refuse(
-                        shared,
-                        stream,
-                        "draining",
-                        "server is draining and no longer accepts connections",
-                    );
+                    if !shared.is_wake_up(peer) {
+                        refuse(
+                            shared,
+                            stream,
+                            "draining",
+                            "server is draining and no longer accepts connections",
+                        );
+                    }
                 } else if !try_admit_connection(shared) {
                     refuse(
                         shared,
@@ -348,6 +387,7 @@ fn refuse(shared: &Shared, mut stream: TcpStream, reason: &str, message: &str) {
 mod tests {
     use super::*;
     use std::io::{BufRead, BufReader, Write};
+    use std::time::{Duration, Instant};
 
     fn test_engine() -> Arc<Engine> {
         Arc::new(Engine::builder().threads(2).build())
@@ -430,6 +470,38 @@ mod tests {
         assert!(line.contains(r#""reason":"connection-limit""#), "{line}");
         server.handle().shutdown();
         server.join();
+    }
+
+    #[test]
+    fn a_client_is_answered_without_waiting_out_the_poll_interval() {
+        let config = ServerConfig {
+            poll_interval: Duration::from_secs(5),
+            ..ServerConfig::default()
+        };
+        let server = Server::start(test_engine(), config).expect("bind");
+        thread::sleep(Duration::from_millis(50));
+        let started = Instant::now();
+        let (mut stream, mut reader) = connect(server.local_addr());
+        writeln!(
+            stream,
+            r#"{{"id":1,"workload":"multimedia","tiles":8,"iterations":1,"policies":["no-prefetch"]}}"#
+        )
+        .unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        let waited = started.elapsed();
+        assert!(line.contains(r#""type":"result""#), "{line}");
+        assert!(waited < Duration::from_secs(1), "answered after {waited:?}");
+        // Close the session before draining, so the drain need not wait a
+        // poll interval for it.
+        stream.shutdown(Shutdown::Write).unwrap();
+        line.clear();
+        assert_eq!(reader.read_line(&mut line).unwrap(), 0, "{line}");
+        server.handle().shutdown();
+        let stats = server.join();
+        // The drain's wake-up connection is neither served nor refused.
+        assert_eq!(stats.connections_served, 1);
+        assert_eq!(stats.connections_refused, 0);
     }
 
     #[test]

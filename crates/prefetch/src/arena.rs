@@ -1,13 +1,23 @@
-//! Allocation-free per-activation evaluation kernels.
+//! The timing engine and the allocation-free per-activation kernels.
 //!
-//! The dynamic simulation evaluates the same (graph, initial schedule,
-//! platform) triple thousands of times with different residency states. The
-//! classic entry points ([`PrefetchProblem`](crate::PrefetchProblem) plus the
-//! [`PrefetchScheduler`](crate::PrefetchScheduler) implementations) rebuild
-//! the graph analysis, the topological order and a handful of vectors on
-//! every call — fine for one-shot use, wasteful in a hot loop.
+//! Every prefetch policy in this crate — on-demand loading, the run-time
+//! list scheduler of ref [7], the branch & bound optimum and the stored
+//! hybrid schedules — boils down to choosing the order in which the single
+//! reconfiguration port performs the needed loads. `simulate_core` is the
+//! one implementation of the platform rules that times such an order (or an
+//! online choice rule):
 //!
-//! This module splits that work in two:
+//! 1. a subtask starts when its graph predecessors and the previous subtask
+//!    on its PE have finished and its configuration is resident;
+//! 2. a load may only start once the previous subtask on the target tile has
+//!    finished (reconfiguring destroys the configuration still in use);
+//! 3. the port performs loads one at a time.
+//!
+//! The simulation runs it thousands of times per (graph, initial schedule,
+//! platform) triple through the per-activation kernels below; the one-shot
+//! API ([`PrefetchProblem`](crate::PrefetchProblem), the schedulers, both
+//! branch & bound searches and the critical-set loop) runs it at a wider
+//! mask and can have it record the port order. The work splits in two:
 //!
 //! * [`PreparedSchedule`] owns everything that is *activation-independent*,
 //!   computed once per (task, scenario) pair and laid out
@@ -22,20 +32,19 @@
 //!   [`Scratch::reserve`], so a warm evaluation loop performs **zero heap
 //!   allocations**.
 //!
-//! Residency, needs-load and pending-load sets are [`SlotMask`] bitmasks
-//! (one `u64` word each): membership is a bit test, set union is `OR`, and
-//! "are all dependencies timed?" is a single `AND` against a precomputed
-//! per-subtask dependency mask. The mask width bounds the kernels to graphs
-//! of at most [`SlotMask::CAPACITY`] subtasks — [`PreparedSchedule::new`]
-//! validates the invariant up front and larger graphs keep using the classic
-//! scheduler entry points.
+//! Residency, needs-load, timed and pending-load sets are [`SlotMask`]
+//! bitmasks: membership is a bit test, set union is `OR`, and "are all
+//! dependencies timed?" is a single `AND` against a precomputed
+//! per-subtask dependency mask. The per-activation kernels run at the
+//! one-word default — [`PreparedSchedule::new`] rejects graphs above
+//! [`SlotMask::CAPACITY`] — while the one-shot façade prepares its
+//! schedules at four words.
 //!
-//! The kernels replicate the classic implementations *exactly* — same
-//! traversal orders, same tie-breaking comparators, same chunk semantics
-//! (mask iteration is ascending by construction, matching the classic
-//! ascending-id vectors) — so their results are bit-for-bit identical to the
-//! [`executor`](crate::executor)-based path. The differential oracle corpus
-//! (`drhw-oracle`) enforces that equivalence on every CI run.
+//! The replacement, reuse, inter-task and hybrid kernels replicate the
+//! classic modules *exactly* (same traversal orders and tie-breaking
+//! comparators; mask iteration is ascending like the classic id vectors),
+//! and the differential oracle corpus (`drhw-oracle`) checks the whole
+//! pipeline against an independent reference on every CI run.
 
 use drhw_model::{
     ConfigId, GraphAnalysis, InitialSchedule, PeAssignment, Platform, SubtaskGraph, SubtaskId,
@@ -56,8 +65,8 @@ const NO_PRED: u32 = u32::MAX;
 /// evaluation: every activation-independent artifact is computed once here,
 /// flattened into index-addressed arrays, and borrowed by the per-activation
 /// kernels.
-#[derive(Debug)]
-pub struct PreparedSchedule<'a> {
+#[derive(Debug, Clone)]
+pub struct PreparedSchedule<'a, const W: usize = 1> {
     graph: &'a SubtaskGraph,
     platform: &'a Platform,
     schedule: InitialSchedule,
@@ -83,7 +92,7 @@ pub struct PreparedSchedule<'a> {
     pred_on_pe: Vec<u32>,
     /// All timing dependencies of each subtask (graph predecessors plus the
     /// PE predecessor) as one mask: "every dependency timed" is one `AND`.
-    dep_masks: Vec<SlotMask>,
+    dep_masks: Vec<SlotMask<W>>,
     /// CSR offsets into `pred_ids`, one entry per subtask plus a tail.
     pred_offsets: Vec<u32>,
     /// CSR-packed dependency lists (graph predecessors, then the PE
@@ -110,25 +119,25 @@ pub struct PreparedSchedule<'a> {
     drhw_count: usize,
 }
 
-impl<'a> PreparedSchedule<'a> {
-    /// Prepares a schedule for repeated evaluation.
+impl<'a, const W: usize> PreparedSchedule<'a, W> {
+    /// Prepares a schedule at a mask width of `W` words.
     ///
     /// # Errors
     ///
     /// Returns an error if the graph is invalid, has more subtasks than the
-    /// [`SlotMask`] width ([`PrefetchError::ExceedsMaskWidth`]), or the
-    /// schedule needs more tile slots than the platform has tiles.
-    pub fn new(
+    /// mask width ([`PrefetchError::ExceedsMaskWidth`]), or the schedule
+    /// needs more tile slots than the platform has tiles.
+    pub(crate) fn prepare(
         graph: &'a SubtaskGraph,
         schedule: InitialSchedule,
         platform: &'a Platform,
     ) -> Result<Self, PrefetchError> {
         graph.validate()?;
         let n = graph.len();
-        if !SlotMask::fits(n) {
+        if !SlotMask::<W>::fits(n) {
             return Err(PrefetchError::ExceedsMaskWidth {
                 subtasks: n,
-                capacity: SlotMask::CAPACITY,
+                capacity: SlotMask::<W>::CAPACITY,
             });
         }
         if schedule.slot_count() > platform.tile_count() {
@@ -157,7 +166,7 @@ impl<'a> PreparedSchedule<'a> {
             exec_times.push(graph.subtask(id).exec_time());
             weights.push(analysis.weight(id));
             required.push(graph.required_config(id));
-            let mut deps = SlotMask::empty();
+            let mut deps = SlotMask::EMPTY;
             for &p in graph.predecessors(id) {
                 pred_ids.push(p.index() as u32);
                 deps.insert(p.index());
@@ -257,6 +266,87 @@ impl<'a> PreparedSchedule<'a> {
     /// Number of DRHW subtasks in the graph.
     pub fn drhw_count(&self) -> usize {
         self.drhw_count
+    }
+
+    /// The paper's criticality weight of subtask `idx` (its bottom level).
+    pub(crate) fn weight(&self, idx: usize) -> Time {
+        self.weights[idx]
+    }
+
+    /// The subtasks of `set` by decreasing criticality weight (ties:
+    /// ascending id) — the order the list scheduler and the initialization
+    /// phase prefer. Filtering the precomputed whole-graph order down to
+    /// `set` is exactly a sort of `set` by that comparator.
+    pub(crate) fn by_weight(&self, set: SlotMask<W>) -> impl Iterator<Item = SubtaskId> + '_ {
+        self.weight_order
+            .iter()
+            .map(|&idx| idx as usize)
+            .filter(move |&idx| set.contains(idx))
+            .map(SubtaskId::new)
+    }
+
+    /// Computes which subtasks need a configuration load given a residency
+    /// mask. A subtask needs none when the configuration on its slot is
+    /// already its own: left there by the previous subtask of the slot
+    /// (intra-task reuse), or resident from an earlier task — which only
+    /// helps while no different configuration was loaded on the slot since
+    /// the task started.
+    pub(crate) fn needs_load_mask(&self, resident: SlotMask<W>) -> SlotMask<W> {
+        let mut needs = SlotMask::EMPTY;
+        for slot in 0..self.slot_offsets.len() - 1 {
+            let range = self.slot_offsets[slot] as usize..self.slot_offsets[slot + 1] as usize;
+            // What the tile holds while the task runs its slot sequence;
+            // `None` is whatever a previous task left, which is not one of
+            // this slot's resident configurations.
+            let mut current: Option<ConfigId> = None;
+            for (position, &raw) in self.slot_subtasks[range].iter().enumerate() {
+                let idx = raw as usize;
+                let Some(required) = self.required[idx] else {
+                    continue;
+                };
+                let externally_resident = position == 0 && resident.contains(idx);
+                let later_resident = position > 0 && resident.contains(idx) && current.is_none();
+                if Some(required) == current || externally_resident || later_resident {
+                    current = Some(required);
+                    continue;
+                }
+                needs.insert(idx);
+                current = Some(required);
+            }
+        }
+        needs
+    }
+
+    /// Latest finish among the dependencies of `idx` (graph predecessors and
+    /// the previous subtask on its PE), floored at `earliest_exec`: the
+    /// instant `idx` could start if its own load were free. Meaningful once
+    /// every dependency has its finish time in `exec_finish`.
+    #[inline]
+    pub(crate) fn deps_ready(&self, exec_finish: &[Time], earliest_exec: Time, idx: usize) -> Time {
+        let range = self.pred_offsets[idx] as usize..self.pred_offsets[idx + 1] as usize;
+        self.pred_ids[range]
+            .iter()
+            .fold(earliest_exec, |ready, &p| {
+                ready.max(exec_finish[p as usize])
+            })
+    }
+}
+
+impl<'a> PreparedSchedule<'a> {
+    /// Prepares a schedule for repeated evaluation by the per-activation
+    /// kernels, which track at most [`SlotMask::CAPACITY`] subtasks.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the graph is invalid, has more subtasks than the
+    /// [`SlotMask`] width ([`PrefetchError::ExceedsMaskWidth`]), or the
+    /// schedule needs more tile slots than the platform has tiles.
+    pub fn new(
+        graph: &'a SubtaskGraph,
+        schedule: InitialSchedule,
+        platform: &'a Platform,
+    ) -> Result<Self, PrefetchError> {
+        Self::prepare(graph, schedule, platform)
     }
 
     /// Renames every configuration the prepared tables refer to (required,
@@ -449,33 +539,6 @@ impl<'a> PreparedSchedule<'a> {
         }
     }
 
-    /// Computes which subtasks need a configuration load given a residency
-    /// mask, honouring intra-task reuse. Replicates the private
-    /// `compute_needs_load` of [`PrefetchProblem`](crate::PrefetchProblem)
-    /// over the CSR slot tables.
-    fn needs_load_mask(&self, resident: SlotMask) -> SlotMask {
-        let mut needs = SlotMask::empty();
-        for slot in 0..self.slot_offsets.len() - 1 {
-            let range = self.slot_offsets[slot] as usize..self.slot_offsets[slot + 1] as usize;
-            let mut current: Option<ConfigId> = None;
-            for (position, &raw) in self.slot_subtasks[range].iter().enumerate() {
-                let idx = raw as usize;
-                let Some(required) = self.required[idx] else {
-                    continue;
-                };
-                let externally_resident = position == 0 && resident.contains(idx);
-                let later_resident = position > 0 && resident.contains(idx) && current.is_none();
-                if Some(required) == current || externally_resident || later_resident {
-                    current = Some(required);
-                    continue;
-                }
-                needs.insert(idx);
-                current = Some(required);
-            }
-        }
-        needs
-    }
-
     /// Scores the on-demand (no-prefetch) policy with nothing resident.
     ///
     /// The outcome is activation-independent, so callers normally invoke this
@@ -496,8 +559,8 @@ impl<'a> PreparedSchedule<'a> {
             Strategy::OnDemand,
             Time::ZERO,
             Time::ZERO,
-            &mut scratch.exec_finish,
-            &mut scratch.loaded_at,
+            &mut scratch.timeline,
+            None,
         )
     }
 
@@ -515,8 +578,8 @@ impl<'a> PreparedSchedule<'a> {
             Strategy::ListByWeight,
             Time::ZERO,
             Time::ZERO,
-            &mut scratch.exec_finish,
-            &mut scratch.loaded_at,
+            &mut scratch.timeline,
+            None,
         )
     }
 
@@ -536,17 +599,10 @@ impl<'a> PreparedSchedule<'a> {
     ) -> Result<(ExecSummary, usize), PrefetchError> {
         let needs_base = self.needs_load_mask(scratch.resident);
         // The pending loads by decreasing criticality weight — the order the
-        // initialization phase would load them in. Filtering the precomputed
-        // whole-graph weight order down to the pending set gives exactly the
-        // list the classic pipeline sorts per call.
+        // initialization phase would load them in.
         let order_a = &mut scratch.order_a;
         order_a.clear();
-        order_a.extend(
-            self.weight_order
-                .iter()
-                .filter(|&&idx| needs_base.contains(idx as usize))
-                .map(|&idx| SubtaskId::new(idx as usize)),
-        );
+        order_a.extend(self.by_weight(needs_base));
         let fit = self.window_loads(window).min(order_a.len());
         // Extended residency: what the preloads leave on the tiles.
         let mut aux_resident = scratch.resident;
@@ -560,8 +616,8 @@ impl<'a> PreparedSchedule<'a> {
             Strategy::ListByWeight,
             Time::ZERO,
             Time::ZERO,
-            &mut scratch.exec_finish,
-            &mut scratch.loaded_at,
+            &mut scratch.timeline,
+            None,
         )?;
         Ok((summary, fit))
     }
@@ -636,19 +692,7 @@ impl<'a> PreparedSchedule<'a> {
             body_resident.insert(id.index());
         }
         let needs_body = self.needs_load_mask(body_resident);
-        // The classic path validates the stored order against the body
-        // problem's loads; replicate that contract.
-        if order_b.len() != needs_body.len() {
-            let id = order_b
-                .iter()
-                .copied()
-                .find(|id| !needs_body.contains(id.index()))
-                .unwrap_or(SubtaskId::new(0));
-            return Err(PrefetchError::InvalidLoadOrder { id });
-        }
-        if let Some(&id) = order_b.iter().find(|id| !needs_body.contains(id.index())) {
-            return Err(PrefetchError::InvalidLoadOrder { id });
-        }
+        validate_order(needs_body, order_b)?;
 
         let summary = simulate_core(
             self,
@@ -656,8 +700,8 @@ impl<'a> PreparedSchedule<'a> {
             Strategy::Fixed(order_b),
             init_duration,
             init_duration,
-            &mut scratch.exec_finish,
-            &mut scratch.loaded_at,
+            &mut scratch.timeline,
+            None,
         )?;
         Ok(HybridSummary {
             penalty: summary.penalty,
@@ -720,12 +764,8 @@ pub struct Scratch {
     order_a: Vec<SubtaskId>,
     /// Hybrid body load order.
     order_b: Vec<SubtaskId>,
-    /// Execution finish times of the timing loop; entries are only
-    /// meaningful under the loop's internal `timed` mask.
-    exec_finish: Vec<Time>,
-    /// Instant each load completes; entries are only meaningful under the
-    /// loop's internal `loaded` mask.
-    loaded_at: Vec<Time>,
+    /// The timing loop's timestamp tables.
+    timeline: Timeline,
     /// The slot-to-tile mapping the replacement kernel produces.
     pub(crate) slot_to_tile: Vec<TileId>,
     /// Per-tile "already taken" flags of the reuse-aware mapping.
@@ -753,8 +793,8 @@ impl Scratch {
     pub fn reserve(&mut self, subtasks: usize, slots: usize, tiles: usize, configs: usize) {
         self.order_a.reserve(subtasks);
         self.order_b.reserve(subtasks);
-        self.exec_finish.reserve(subtasks);
-        self.loaded_at.reserve(subtasks);
+        self.timeline.exec_finish.reserve(subtasks);
+        self.timeline.loaded_at.reserve(subtasks);
         self.slot_to_tile.reserve(slots.max(tiles));
         self.taken.reserve(tiles);
         self.free_keys.reserve(tiles);
@@ -852,21 +892,60 @@ fn sort_smallest(keys: &mut [u128], k: usize) {
     keys[..k].sort_unstable();
 }
 
-/// How the port chooses its next load (mirror of the executor's
-/// `LoadStrategy`, borrowing the fixed order from the scratch).
-enum Strategy<'o> {
+/// How the port chooses its next load.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Strategy<'o> {
+    /// Perform the loads exactly in the given order (a permutation of the
+    /// loads; callers validate it).
     Fixed(&'o [SubtaskId]),
+    /// Whenever the port is free, start the startable load with the highest
+    /// criticality weight (the run-time heuristic of ref [7]).
     ListByWeight,
+    /// No prefetch: a load is only requested once the subtask could otherwise
+    /// start executing; requests are served first-come first-served.
     OnDemand,
+}
+
+/// The timing loop's flat per-subtask timestamp tables. While the loop
+/// runs, entries are only meaningful under its internal masks; once it
+/// returns `Ok`, `exec_finish` holds every subtask's finish time and
+/// `loaded_at` the completion instant of every load it performed.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct Timeline {
+    pub(crate) exec_finish: Vec<Time>,
+    pub(crate) loaded_at: Vec<Time>,
+}
+
+/// Checks that `order` is a permutation of `loads`, naming the first id of
+/// the order that is not a load or repeats one, else the first load it
+/// misses.
+pub(crate) fn validate_order<const W: usize>(
+    loads: SlotMask<W>,
+    order: &[SubtaskId],
+) -> Result<(), PrefetchError> {
+    let mut seen = SlotMask::<W>::EMPTY;
+    for &id in order {
+        let index = id.index();
+        if index >= SlotMask::<W>::CAPACITY || !loads.contains(index) || seen.contains(index) {
+            return Err(PrefetchError::InvalidLoadOrder { id });
+        }
+        seen.insert(index);
+    }
+    match loads.difference(seen).iter().next() {
+        Some(missing) => Err(PrefetchError::InvalidLoadOrder {
+            id: SubtaskId::new(missing),
+        }),
+        None => Ok(()),
+    }
 }
 
 /// Earliest instant a subtask could start, ignoring its own load. `None`
 /// while a dependency is untimed (one mask `AND` against the precomputed
 /// dependency set, then a `max` fold over the CSR predecessor list).
 #[inline]
-fn ready_time(
-    prepared: &PreparedSchedule<'_>,
-    timed: SlotMask,
+fn ready_time<const W: usize>(
+    prepared: &PreparedSchedule<'_, W>,
+    timed: SlotMask<W>,
     exec_finish: &[Time],
     earliest_exec: Time,
     idx: usize,
@@ -874,20 +953,15 @@ fn ready_time(
     if !prepared.dep_masks[idx].difference(timed).is_empty() {
         return None;
     }
-    let mut ready = earliest_exec;
-    let range = prepared.pred_offsets[idx] as usize..prepared.pred_offsets[idx + 1] as usize;
-    for &p in &prepared.pred_ids[range] {
-        ready = ready.max(exec_finish[p as usize]);
-    }
-    Some(ready)
+    Some(prepared.deps_ready(exec_finish, earliest_exec, idx))
 }
 
 /// Earliest instant the tile of `idx` can accept a load. `None` while its
 /// previous occupant is untimed.
 #[inline]
-fn tile_available(
-    prepared: &PreparedSchedule<'_>,
-    timed: SlotMask,
+fn tile_available<const W: usize>(
+    prepared: &PreparedSchedule<'_, W>,
+    timed: SlotMask<W>,
     exec_finish: &[Time],
     idx: usize,
 ) -> Option<Time> {
@@ -901,22 +975,33 @@ fn tile_available(
     }
 }
 
-/// The timing loop shared by every strategy: a scratch-buffer replica of the
-/// executor's `simulate` that reports only the aggregate summary instead of
-/// materialising execution and load windows. The timed/loaded/pending sets
-/// are register-resident bitmasks; `exec_finish`/`loaded_at` are flat
-/// timestamp tables valid only under those masks.
-fn simulate_core(
-    prepared: &PreparedSchedule<'_>,
-    needs: SlotMask,
+/// The timing loop every strategy and every caller shares. Times the loads
+/// in `needs` under `strategy`, with no execution starting before
+/// `earliest_exec` and the port free from `earliest_port`, and reports the
+/// aggregate summary. The timed/loaded/pending sets are register-resident
+/// bitmasks; the timestamps land in `timeline` (see [`Timeline`]). When
+/// `order` is given, the loop records the port order into it — everything
+/// else a timed schedule shows follows from the timeline.
+///
+/// # Errors
+///
+/// Returns [`PrefetchError::DeadlockedOrder`] when neither an execution nor
+/// a load can make progress (only a fixed order can do that).
+pub(crate) fn simulate_core<const W: usize>(
+    prepared: &PreparedSchedule<'_, W>,
+    needs: SlotMask<W>,
     strategy: Strategy<'_>,
     earliest_exec: Time,
     earliest_port: Time,
-    exec_finish: &mut Vec<Time>,
-    loaded_at: &mut Vec<Time>,
+    timeline: &mut Timeline,
+    mut order: Option<&mut Vec<SubtaskId>>,
 ) -> Result<ExecSummary, PrefetchError> {
     let latency = prepared.platform.reconfig_latency();
     let n = prepared.exec_times.len();
+    let Timeline {
+        exec_finish,
+        loaded_at,
+    } = timeline;
 
     if exec_finish.len() < n {
         exec_finish.resize(n, Time::ZERO);
@@ -924,8 +1009,8 @@ fn simulate_core(
     if loaded_at.len() < n {
         loaded_at.resize(n, Time::ZERO);
     }
-    let mut timed = SlotMask::empty();
-    let mut loaded = SlotMask::empty();
+    let mut timed = SlotMask::<W>::EMPTY;
+    let mut loaded = SlotMask::<W>::EMPTY;
     let mut pending = needs;
     let total_loads = needs.len();
 
@@ -965,7 +1050,7 @@ fn simulate_core(
 
         // Phase 2: let the port start (at most) one more load.
         if !pending.is_empty() {
-            let pick = match &strategy {
+            let pick = match strategy {
                 Strategy::Fixed(order) => {
                     while fixed_cursor < order.len() && loaded.contains(order[fixed_cursor].index())
                     {
@@ -995,8 +1080,7 @@ fn simulate_core(
                             if t > horizon {
                                 continue;
                             }
-                            // Replicates `max_by(weight asc, index desc)`:
-                            // higher weight wins, lower index breaks ties.
+                            // Higher weight wins, lower index breaks ties.
                             best = match best {
                                 None => Some((idx, t)),
                                 Some((bidx, _))
@@ -1013,8 +1097,8 @@ fn simulate_core(
                     })
                 }
                 Strategy::OnDemand => {
-                    // Replicates `min_by(ready asc, weight desc, index asc)`:
-                    // the earliest requested load wins, most critical first.
+                    // The earliest requested load wins, then the most
+                    // critical, then the lowest index.
                     let mut best: Option<(usize, Time)> = None;
                     for idx in pending.iter() {
                         let Some(t) = ready_time(prepared, timed, exec_finish, earliest_exec, idx)
@@ -1047,6 +1131,9 @@ fn simulate_core(
                 port_free = finish;
                 last_load_finish = finish;
                 pending.remove(idx);
+                if let Some(order) = order.as_deref_mut() {
+                    order.push(SubtaskId::new(idx));
+                }
                 progress = true;
             }
         }
@@ -1066,38 +1153,13 @@ fn simulate_core(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::{simulate, LoadStrategy};
+    use crate::fixtures::fig3;
     use crate::{
         apply_schedule_to_contents, assign_tiles_protecting, plan_preloads, reusable_subtasks,
-        ListScheduler, OnDemandScheduler, PrefetchProblem, PrefetchScheduler, TileMapping,
+        ListScheduler, PrefetchProblem, PrefetchScheduler, TileMapping,
     };
     use drhw_model::Subtask;
     use std::collections::BTreeSet;
-
-    /// The Fig. 3 example plus an extra slot-sharing tail, to exercise
-    /// intra-task reuse and tile-occupancy constraints.
-    fn fig3() -> (SubtaskGraph, InitialSchedule, Platform) {
-        let mut g = SubtaskGraph::new("fig3");
-        let s1 = g.add_subtask(Subtask::new("1", Time::from_millis(10), ConfigId::new(1)));
-        let s2 = g.add_subtask(Subtask::new("2", Time::from_millis(12), ConfigId::new(2)));
-        let s3 = g.add_subtask(Subtask::new("3", Time::from_millis(6), ConfigId::new(3)));
-        let s4 = g.add_subtask(Subtask::new("4", Time::from_millis(8), ConfigId::new(4)));
-        g.add_dependency(s1, s2).unwrap();
-        g.add_dependency(s1, s3).unwrap();
-        g.add_dependency(s3, s4).unwrap();
-        let schedule = InitialSchedule::from_assignment(
-            &g,
-            vec![
-                PeAssignment::Tile(TileSlot::new(0)),
-                PeAssignment::Tile(TileSlot::new(1)),
-                PeAssignment::Tile(TileSlot::new(2)),
-                PeAssignment::Tile(TileSlot::new(0)),
-            ],
-        )
-        .unwrap();
-        let platform = Platform::virtex_like(3).unwrap();
-        (g, schedule, platform)
-    }
 
     fn resident_masks(n: usize) -> Vec<BTreeSet<SubtaskId>> {
         // Empty, every singleton, and the full set.
@@ -1107,42 +1169,6 @@ mod tests {
         }
         masks.push((0..n).map(SubtaskId::new).collect());
         masks
-    }
-
-    #[test]
-    fn list_kernel_matches_the_classic_list_scheduler() {
-        let (g, schedule, platform) = fig3();
-        let prepared = PreparedSchedule::new(&g, schedule.clone(), &platform).unwrap();
-        let mut scratch = Scratch::new();
-        for resident in resident_masks(g.len()) {
-            let problem =
-                PrefetchProblem::with_resident(&g, &schedule, &platform, &resident).unwrap();
-            let classic = ListScheduler::new().schedule(&problem).unwrap();
-            prepared.clear_residency(&mut scratch);
-            for &id in &resident {
-                scratch.resident.insert(id.index());
-            }
-            let summary = prepared.evaluate_list(&mut scratch).unwrap();
-            assert_eq!(summary.penalty, classic.penalty(), "{resident:?}");
-            assert_eq!(summary.loads, classic.load_count(), "{resident:?}");
-            assert_eq!(
-                summary.trailing_port_idle,
-                classic.trailing_port_idle(),
-                "{resident:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn on_demand_kernel_matches_the_classic_scheduler() {
-        let (g, schedule, platform) = fig3();
-        let prepared = PreparedSchedule::new(&g, schedule.clone(), &platform).unwrap();
-        let mut scratch = Scratch::new();
-        let problem = PrefetchProblem::new(&g, &schedule, &platform).unwrap();
-        let classic = OnDemandScheduler::new().schedule(&problem).unwrap();
-        let summary = prepared.evaluate_on_demand_cold(&mut scratch).unwrap();
-        assert_eq!(summary.penalty, classic.penalty());
-        assert_eq!(summary.loads, classic.load_count());
     }
 
     #[test]
@@ -1240,7 +1266,7 @@ mod tests {
     /// Residency masks over `n` subtasks: empty, full, every singleton and
     /// a few pseudo-random mixtures.
     fn mask_sample(n: usize) -> Vec<SlotMask> {
-        let full = SlotMask::full(n);
+        let full: SlotMask = SlotMask::full(n);
         let mut masks = vec![SlotMask::EMPTY, full];
         masks.extend((0..n).map(|i| SlotMask::from_bits(1 << i)));
         let mut state = 0x2545_F491_4F6C_DD1Du64;
@@ -1374,31 +1400,6 @@ mod tests {
     }
 
     #[test]
-    fn fixed_strategy_matches_the_classic_executor() {
-        let (g, schedule, platform) = fig3();
-        let prepared = PreparedSchedule::new(&g, schedule.clone(), &platform).unwrap();
-        let problem = PrefetchProblem::new(&g, &schedule, &platform).unwrap();
-        let list = ListScheduler::new().schedule(&problem).unwrap();
-        let replay = simulate(&problem, LoadStrategy::FixedOrder(list.load_order())).unwrap();
-        // Drive the core directly with the same fixed order.
-        let mut scratch = Scratch::new();
-        prepared.clear_residency(&mut scratch);
-        let needs = prepared.needs_load_mask(scratch.resident);
-        let summary = simulate_core(
-            &prepared,
-            needs,
-            Strategy::Fixed(list.load_order()),
-            Time::ZERO,
-            Time::ZERO,
-            &mut scratch.exec_finish,
-            &mut scratch.loaded_at,
-        )
-        .unwrap();
-        assert_eq!(summary.penalty, replay.penalty());
-        assert_eq!(summary.loads, replay.load_count());
-    }
-
-    #[test]
     fn prepared_schedule_rejects_oversized_schedules() {
         let (g, schedule, _) = fig3();
         let small = Platform::virtex_like(2).unwrap();
@@ -1417,7 +1418,7 @@ mod tests {
         // 65 independent subtasks on one shared slot: a valid schedule, but
         // one more subtask than the bitmask kernels can track.
         let mut g = SubtaskGraph::new("wide");
-        let n = SlotMask::CAPACITY + 1;
+        let n = SlotMask::<1>::CAPACITY + 1;
         for i in 0..n {
             g.add_subtask(Subtask::new(
                 format!("s{i}"),
@@ -1434,7 +1435,7 @@ mod tests {
             err,
             PrefetchError::ExceedsMaskWidth {
                 subtasks: n,
-                capacity: SlotMask::CAPACITY
+                capacity: SlotMask::<1>::CAPACITY
             }
         );
         assert!(err.to_string().contains("65 subtasks"));

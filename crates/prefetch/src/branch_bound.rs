@@ -19,7 +19,8 @@
 //!   fixed-order simulation depends on nothing else once the problem's graph,
 //!   schedule, platform and timing offsets are fixed, so entries stay valid
 //!   across rounds (and across the design-time all-loads search, whose leaves
-//!   are the first round's evaluations);
+//!   are the first round's evaluations). It is a hash map that grows with
+//!   use: a search that ends at the root allocates next to nothing;
 //! * a **dominance table**, valid within one search only: a prefix whose
 //!   per-load finish times (compared in ascending subtask id order, so
 //!   permutations of the same set line up) are all `>=` those of an
@@ -45,16 +46,16 @@
 //! `schedule_naive` entry points keep the unassisted algorithm alive as the
 //! differential reference).
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 
-use drhw_model::{mix64, SubtaskId, Time};
+use drhw_model::{SubtaskId, Time};
 
+use crate::arena::{Strategy, Timeline};
 use crate::error::PrefetchError;
-use crate::executor::{simulate, simulate_with_needs, LoadStrategy};
 use crate::list_scheduler::ListScheduler;
 use crate::mask::SlotMask;
-use crate::problem::{ExecutionResult, PrefetchProblem};
+use crate::problem::{ExecutionResult, PrefetchProblem, ProblemMask};
 use crate::scheduler::PrefetchScheduler;
 
 /// Exact prefetch scheduler with a heuristic fallback for large problems.
@@ -133,12 +134,12 @@ impl BranchBoundScheduler {
             return Ok((incumbent, SearchStats::default()));
         }
 
-        // Memoization and dominance key on a (SlotMask, packed order) pair, so
-        // they require every subtask id to fit the mask and the order to fit
-        // the packing. Oversized problems still get the full assisted control
-        // flow, just with the caches disabled.
+        // Memoization and dominance key on a (one-word SlotMask, packed order)
+        // pair, so they require every subtask id to fit one mask word and the
+        // order to fit the packing. Larger problems still get the full
+        // assisted control flow, just with the caches disabled.
         let cacheable =
-            SlotMask::fits(problem.graph().len()) && loads.len() <= PACKED_ORDER_CAPACITY;
+            SlotMask::<1>::fits(problem.graph().len()) && loads.len() <= PACKED_ORDER_CAPACITY;
         let full_set = if cacheable {
             loads.iter().map(|id| id.index()).collect()
         } else {
@@ -153,7 +154,7 @@ impl BranchBoundScheduler {
             cacheable,
             full_set,
             warm_bound: None,
-            needs: vec![false; problem.graph().len()],
+            timeline: Timeline::default(),
             state: Vec::with_capacity(loads.len()),
             exec_tail: exec_tails(problem)?,
             latency: problem.platform().reconfig_latency(),
@@ -209,6 +210,7 @@ impl BranchBoundScheduler {
             best: incumbent,
             nodes: 0,
             node_limit: self.node_limit,
+            timeline: Timeline::default(),
         };
         let mut prefix = Vec::with_capacity(loads.len());
         search.explore(&mut prefix, &loads)?;
@@ -274,37 +276,16 @@ pub struct SearchStats {
 /// set mask fits, so 7 bits are plenty and 18 ids fill 126 bits).
 const PACKED_ORDER_CAPACITY: usize = 18;
 
-/// Slots of the evaluation memo (a power of two — the fingerprint is masked
-/// down to an index). One critical-set loop touches a few thousand distinct
-/// prefixes on the benchmark graphs; 32768 slots keep conflict evictions rare
-/// (so entries survive from one round to the next) while a lookup stays one
-/// probe.
-const EVAL_SLOTS: usize = 32768;
-
 /// Cap on stored dominance states per load set. Beyond it new states are
 /// dropped, which only weakens pruning, never correctness.
 const DOMINANCE_CAP: usize = 64;
 
 /// Memo key: which loads cost anything (the restricted set) and the exact
 /// order the prefix loads them in.
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 struct EvalKey {
     set: SlotMask,
     order: u128,
-}
-
-impl EvalKey {
-    /// The SplitMix64 finalizer mixes every key bit into the slot index —
-    /// the same fingerprint construction as the run-time kernel memos in
-    /// `drhw-sim`.
-    fn fingerprint(self) -> u64 {
-        mix64(
-            self.set
-                .bits()
-                .wrapping_add(mix64(self.order as u64))
-                .wrapping_add(mix64((self.order >> 64) as u64).rotate_left(1)),
-        )
-    }
 }
 
 fn pack_order(order: &[SubtaskId]) -> u128 {
@@ -333,8 +314,8 @@ type EvalValue = Option<(Time, Box<[Time]>)>;
 /// logic error (debug builds assert against it) — call
 /// [`clear`](SearchCache::clear) in between.
 pub struct SearchCache {
-    evals: Box<[Option<(EvalKey, EvalValue)>]>,
-    dominance: HashMap<u64, Vec<Box<[Time]>>>,
+    evals: HashMap<EvalKey, EvalValue>,
+    dominance: HashMap<SlotMask, Vec<Box<[Time]>>>,
     #[cfg(debug_assertions)]
     bound_to: Option<(usize, usize, usize, Time, Time)>,
 }
@@ -343,7 +324,7 @@ impl SearchCache {
     /// Creates an empty cache.
     pub fn new() -> Self {
         SearchCache {
-            evals: vec![None; EVAL_SLOTS].into_boxed_slice(),
+            evals: HashMap::new(),
             dominance: HashMap::new(),
             #[cfg(debug_assertions)]
             bound_to: None,
@@ -353,7 +334,7 @@ impl SearchCache {
     /// Drops every memoized entry, making the cache safe to reuse with a
     /// different problem.
     pub fn clear(&mut self) {
-        self.evals.fill(None);
+        self.evals.clear();
         self.dominance.clear();
         #[cfg(debug_assertions)]
         {
@@ -388,23 +369,12 @@ impl SearchCache {
         }
     }
 
-    fn eval_get(&self, key: EvalKey) -> Option<EvalValue> {
-        match &self.evals[key.fingerprint() as usize & (EVAL_SLOTS - 1)] {
-            Some((stored, value)) if *stored == key => Some(value.clone()),
-            _ => None,
-        }
-    }
-
-    fn eval_put(&mut self, key: EvalKey, value: EvalValue) {
-        self.evals[key.fingerprint() as usize & (EVAL_SLOTS - 1)] = Some((key, value));
-    }
-
     /// Records `state` (ascending-id per-load finish times of a prefix over
     /// `set`) and reports whether an already-recorded state dominates it
     /// componentwise. Dominated states are not recorded — the dominating one
     /// already covers everything they would.
     fn dominance_probe(&mut self, set: SlotMask, state: &[Time]) -> bool {
-        let states = self.dominance.entry(set.bits()).or_default();
+        let states = self.dominance.entry(set).or_default();
         if states
             .iter()
             .any(|s| s.iter().zip(state).all(|(a, b)| a <= b))
@@ -427,7 +397,7 @@ impl Default for SearchCache {
 impl fmt::Debug for SearchCache {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SearchCache")
-            .field("evals", &self.evals.iter().filter(|e| e.is_some()).count())
+            .field("evals", &self.evals.len())
             .field("dominance_sets", &self.dominance.len())
             .finish()
     }
@@ -442,9 +412,8 @@ struct AssistedSearch<'c, 'p, 'a> {
     cacheable: bool,
     full_set: SlotMask,
     warm_bound: Option<Time>,
-    /// Scratch needs-load flags for restricted evaluations (all `false`
-    /// between uses).
-    needs: Vec<bool>,
+    /// The timing loop's tables, reused by every evaluation of the search.
+    timeline: Timeline,
     /// Scratch buffer for canonicalized dominance states.
     state: Vec<Time>,
     /// Per-subtask execution tails for the serialization bound (see
@@ -501,7 +470,7 @@ impl AssistedSearch<'_, '_, '_> {
             // improvements (rare) re-simulate to materialize the full result.
             match self.eval(self.full_set, prefix, true) {
                 Ok(Some((penalty, _))) if penalty < self.best.penalty() => {
-                    if let Ok(result) = simulate(self.problem, LoadStrategy::FixedOrder(prefix)) {
+                    if let Ok(result) = self.problem.simulate(Strategy::Fixed(prefix)) {
                         self.best = result;
                     }
                 }
@@ -615,43 +584,27 @@ impl AssistedSearch<'_, '_, '_> {
             order: pack_order(order),
         });
         if let Some(key) = key {
-            if let Some(value) = self.cache.eval_get(key) {
+            if let Some(value) = self.cache.evals.get(&key) {
                 self.stats.memo_hits += 1;
-                return Ok(value);
+                return Ok(value.clone());
             }
         }
-        let outcome = if full {
-            simulate(self.problem, LoadStrategy::FixedOrder(order))
+        let needs = if full {
+            self.problem.needs_mask()
         } else {
-            for &id in order {
-                self.needs[id.index()] = true;
-            }
-            let outcome =
-                simulate_with_needs(self.problem, LoadStrategy::FixedOrder(order), &self.needs);
-            for &id in order {
-                self.needs[id.index()] = false;
-            }
-            outcome
+            order.iter().map(|id| id.index()).collect()
         };
-        let value = match outcome {
-            Ok(result) => {
-                let times: Box<[Time]> = order
-                    .iter()
-                    .map(|&id| {
-                        result
-                            .timed()
-                            .load(id)
-                            .expect("every restricted load is performed")
-                            .finish
-                    })
-                    .collect();
-                Some((result.penalty(), times))
+        let value = match self.problem.time_order(needs, order, &mut self.timeline) {
+            Ok(penalty) => {
+                let loaded_at = &self.timeline.loaded_at;
+                let times = order.iter().map(|id| loaded_at[id.index()]).collect();
+                Some((penalty, times))
             }
             Err(PrefetchError::DeadlockedOrder) => None,
             Err(other) => return Err(other),
         };
         if let Some(key) = key {
-            self.cache.eval_put(key, value.clone());
+            self.cache.evals.insert(key, value.clone());
         }
         Ok(value)
     }
@@ -700,6 +653,7 @@ struct NaiveSearch<'p, 'a> {
     best: ExecutionResult,
     nodes: u64,
     node_limit: u64,
+    timeline: Timeline,
 }
 
 impl NaiveSearch<'_, '_> {
@@ -714,7 +668,7 @@ impl NaiveSearch<'_, '_> {
         self.nodes += 1;
 
         if remaining.is_empty() {
-            if let Ok(result) = simulate(self.problem, LoadStrategy::FixedOrder(prefix)) {
+            if let Ok(result) = self.problem.simulate(Strategy::Fixed(prefix)) {
                 if result.penalty() < self.best.penalty() {
                     self.best = result;
                 }
@@ -724,10 +678,9 @@ impl NaiveSearch<'_, '_> {
 
         // Lower bound: only the prefix loads cost anything; the rest are free.
         if !prefix.is_empty() {
-            let subset: BTreeSet<SubtaskId> = prefix.iter().copied().collect();
-            let relaxed = self.problem.restricted_to_loads(&subset);
-            match simulate(&relaxed, LoadStrategy::FixedOrder(prefix)) {
-                Ok(result) if result.penalty() >= self.best.penalty() => return Ok(()),
+            let needs: ProblemMask = prefix.iter().map(|id| id.index()).collect();
+            match self.problem.time_order(needs, prefix, &mut self.timeline) {
+                Ok(penalty) if penalty >= self.best.penalty() => return Ok(()),
                 Ok(_) => {}
                 // A deadlocking prefix can never become a feasible order.
                 Err(PrefetchError::DeadlockedOrder) => return Ok(()),
@@ -765,6 +718,7 @@ mod tests {
     use drhw_model::{
         ConfigId, InitialSchedule, PeAssignment, Platform, Subtask, SubtaskGraph, TileSlot,
     };
+    use std::collections::BTreeSet;
 
     /// A two-tile problem where greedy weight order is sub-optimal:
     /// the highest-weight load is not the one that must go first to keep the
@@ -812,7 +766,7 @@ mod tests {
         let mut best = Time::MAX;
         let mut order = loads.clone();
         permute(&mut order, 0, &mut |candidate| {
-            if let Ok(result) = simulate(&problem, LoadStrategy::FixedOrder(candidate)) {
+            if let Ok(result) = problem.simulate(Strategy::Fixed(candidate)) {
                 best = best.min(result.penalty());
             }
         });
@@ -936,6 +890,25 @@ mod tests {
             .schedule_with_stats(&problem, &mut cache, None)
             .unwrap();
         assert!(assisted.nodes <= naive.nodes);
+    }
+
+    /// The façade copies the schedule it prepares, but the cache's
+    /// identity check still sees the caller's schedule: a second schedule,
+    /// even an equal one, is a different problem.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "SearchCache reused across different problems")]
+    fn reusing_a_cache_on_another_schedule_is_caught_in_debug_builds() {
+        let (g, schedule, platform) = tricky();
+        let other = schedule.clone();
+        let scheduler = BranchBoundScheduler::new();
+        let mut cache = SearchCache::new();
+        let first = PrefetchProblem::new(&g, &schedule, &platform).unwrap();
+        scheduler
+            .schedule_with_stats(&first, &mut cache, None)
+            .unwrap();
+        let second = PrefetchProblem::new(&g, &other, &platform).unwrap();
+        let _ = scheduler.schedule_with_stats(&second, &mut cache, None);
     }
 
     #[test]

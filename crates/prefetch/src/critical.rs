@@ -25,7 +25,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::branch_bound::{BranchBoundScheduler, SearchCache};
 use crate::error::PrefetchError;
-use crate::problem::PrefetchProblem;
+use crate::problem::{ExecutionResult, PrefetchProblem};
 use crate::scheduler::PrefetchScheduler;
 
 /// The result of the critical-subtask selection for one initial schedule.
@@ -96,13 +96,15 @@ impl CriticalSetAnalysis {
         scheduler: &dyn PrefetchScheduler,
         cache: &mut SearchCache,
     ) -> Result<Self, PrefetchError> {
-        let drhw_subtasks = graph.drhw_subtasks().len();
         let mut critical: BTreeSet<SubtaskId> = BTreeSet::new();
         let mut iterations = 0usize;
         let mut previous_order: Vec<SubtaskId> = Vec::new();
+        // One problem for every round: each round only re-targets it at the
+        // grown critical set.
+        let mut problem = PrefetchProblem::new(graph, schedule, platform)?;
         loop {
             iterations += 1;
-            let problem = PrefetchProblem::with_resident(graph, schedule, platform, &critical)?;
+            problem.set_resident(&critical);
             // Warm start: the loads of this round are a subset of the previous
             // round's (marking one more subtask resident never adds loads), so
             // the previous best order filtered to the current loads is a
@@ -115,65 +117,11 @@ impl CriticalSetAnalysis {
             let warm = (!warm.is_empty()).then_some(warm.as_slice());
             let result = scheduler.schedule_assisted(&problem, cache, warm)?;
             previous_order = result.load_order().to_vec();
-            if result.penalty().is_zero() {
-                return Ok(Self::assemble(
-                    graph,
-                    schedule,
-                    platform,
-                    critical,
-                    result.load_order().to_vec(),
-                    Time::ZERO,
-                    iterations,
-                    drhw_subtasks,
-                ));
-            }
-            // Candidates: subtasks whose own load directly delayed them and
-            // that are not already assumed resident.
-            let candidate = result
-                .delayed_subtasks()
-                .into_iter()
-                .filter(|id| !critical.contains(id))
-                .max_by(|a, b| {
-                    problem
-                        .weight(*a)
-                        .cmp(&problem.weight(*b))
-                        .then(b.index().cmp(&a.index()))
-                });
-            // Fall back to the heaviest remaining load if the delay is only
-            // inherited (rare, but keeps the loop well-founded).
-            let candidate = candidate.or_else(|| {
-                result
-                    .load_order()
-                    .iter()
-                    .copied()
-                    .filter(|id| !critical.contains(id))
-                    .max_by(|a, b| {
-                        problem
-                            .weight(*a)
-                            .cmp(&problem.weight(*b))
-                            .then(b.index().cmp(&a.index()))
-                    })
-            });
-            match candidate {
+            match next_critical(&problem, &result, &critical) {
                 Some(pick) => {
                     critical.insert(pick);
                 }
-                None => {
-                    // Every loaded subtask is already assumed resident yet a
-                    // penalty remains: the residual cannot be removed by
-                    // reuse (e.g. a slot forced to hold two configurations in
-                    // a row). Store it so the run-time phase can account for it.
-                    return Ok(Self::assemble(
-                        graph,
-                        schedule,
-                        platform,
-                        critical,
-                        result.load_order().to_vec(),
-                        result.penalty(),
-                        iterations,
-                        drhw_subtasks,
-                    ));
-                }
+                None => return Ok(Self::assemble(&problem, critical, &result, iterations)),
             }
         }
     }
@@ -194,64 +142,17 @@ impl CriticalSetAnalysis {
         platform: &Platform,
         scheduler: &dyn PrefetchScheduler,
     ) -> Result<Self, PrefetchError> {
-        let drhw_subtasks = graph.drhw_subtasks().len();
         let mut critical: BTreeSet<SubtaskId> = BTreeSet::new();
         let mut iterations = 0usize;
         loop {
             iterations += 1;
             let problem = PrefetchProblem::with_resident(graph, schedule, platform, &critical)?;
             let result = scheduler.schedule(&problem)?;
-            if result.penalty().is_zero() {
-                return Ok(Self::assemble(
-                    graph,
-                    schedule,
-                    platform,
-                    critical,
-                    result.load_order().to_vec(),
-                    Time::ZERO,
-                    iterations,
-                    drhw_subtasks,
-                ));
-            }
-            let candidate = result
-                .delayed_subtasks()
-                .into_iter()
-                .filter(|id| !critical.contains(id))
-                .max_by(|a, b| {
-                    problem
-                        .weight(*a)
-                        .cmp(&problem.weight(*b))
-                        .then(b.index().cmp(&a.index()))
-                });
-            let candidate = candidate.or_else(|| {
-                result
-                    .load_order()
-                    .iter()
-                    .copied()
-                    .filter(|id| !critical.contains(id))
-                    .max_by(|a, b| {
-                        problem
-                            .weight(*a)
-                            .cmp(&problem.weight(*b))
-                            .then(b.index().cmp(&a.index()))
-                    })
-            });
-            match candidate {
+            match next_critical(&problem, &result, &critical) {
                 Some(pick) => {
                     critical.insert(pick);
                 }
-                None => {
-                    return Ok(Self::assemble(
-                        graph,
-                        schedule,
-                        platform,
-                        critical,
-                        result.load_order().to_vec(),
-                        result.penalty(),
-                        iterations,
-                        drhw_subtasks,
-                    ));
-                }
+                None => return Ok(Self::assemble(&problem, critical, &result, iterations)),
             }
         }
     }
@@ -276,34 +177,29 @@ impl CriticalSetAnalysis {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// The analysis a finished loop stores: its critical set and the load
+    /// order and penalty of its last round's schedule.
     fn assemble(
-        graph: &SubtaskGraph,
-        _schedule: &InitialSchedule,
-        _platform: &Platform,
+        problem: &PrefetchProblem<'_>,
         critical: BTreeSet<SubtaskId>,
-        stored_order: Vec<SubtaskId>,
-        stored_penalty: Time,
+        result: &ExecutionResult,
         iterations: usize,
-        drhw_subtasks: usize,
     ) -> Self {
         // The initialization phase loads critical subtasks most-critical first;
         // the loading order is decided at design time (paper §6).
-        let analysis =
-            drhw_model::GraphAnalysis::new(graph).expect("graph validated by the prefetch problem");
         let mut critical: Vec<SubtaskId> = critical.into_iter().collect();
         critical.sort_by(|a, b| {
-            analysis
+            problem
                 .weight(*b)
-                .cmp(&analysis.weight(*a))
+                .cmp(&problem.weight(*a))
                 .then(a.index().cmp(&b.index()))
         });
         CriticalSetAnalysis {
             critical,
-            stored_order,
-            stored_penalty,
+            stored_order: result.load_order().to_vec(),
+            stored_penalty: result.penalty(),
             iterations,
-            drhw_subtasks,
+            drhw_subtasks: problem.graph().drhw_subtasks().len(),
         }
     }
 
@@ -363,35 +259,42 @@ impl CriticalSetAnalysis {
     }
 }
 
+/// The subtask one round of the selection loop adds to the critical set,
+/// or `None` when the loop is done: the round's schedule has no penalty, or
+/// every loaded subtask is already assumed resident and the residual
+/// penalty cannot be removed by reuse (e.g. a slot forced to hold two
+/// configurations in a row) — the stored schedule keeps it for the
+/// run-time phase to account for.
+fn next_critical(
+    problem: &PrefetchProblem<'_>,
+    result: &ExecutionResult,
+    critical: &BTreeSet<SubtaskId>,
+) -> Option<SubtaskId> {
+    if result.penalty().is_zero() {
+        return None;
+    }
+    let heaviest = |ids: &mut dyn Iterator<Item = SubtaskId>| {
+        ids.filter(|id| !critical.contains(id)).max_by(|a, b| {
+            problem
+                .weight(*a)
+                .cmp(&problem.weight(*b))
+                .then(b.index().cmp(&a.index()))
+        })
+    };
+    // Candidates: subtasks whose own load directly delayed them and that
+    // are not already assumed resident. Fall back to the heaviest remaining
+    // load if the delay is only inherited (rare, but keeps the loop
+    // well-founded).
+    heaviest(&mut result.delayed_subtasks().into_iter())
+        .or_else(|| heaviest(&mut result.load_order().iter().copied()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::fig3;
     use crate::{ListScheduler, PrefetchProblem};
     use drhw_model::{ConfigId, PeAssignment, Subtask, TileSlot};
-
-    /// The Fig. 3 / Fig. 5 example: only subtask 1 is critical.
-    fn fig3() -> (SubtaskGraph, InitialSchedule, Platform) {
-        let mut g = SubtaskGraph::new("fig3");
-        let s1 = g.add_subtask(Subtask::new("1", Time::from_millis(10), ConfigId::new(1)));
-        let s2 = g.add_subtask(Subtask::new("2", Time::from_millis(12), ConfigId::new(2)));
-        let s3 = g.add_subtask(Subtask::new("3", Time::from_millis(6), ConfigId::new(3)));
-        let s4 = g.add_subtask(Subtask::new("4", Time::from_millis(8), ConfigId::new(4)));
-        g.add_dependency(s1, s2).unwrap();
-        g.add_dependency(s1, s3).unwrap();
-        g.add_dependency(s3, s4).unwrap();
-        let schedule = InitialSchedule::from_assignment(
-            &g,
-            vec![
-                PeAssignment::Tile(TileSlot::new(0)),
-                PeAssignment::Tile(TileSlot::new(1)),
-                PeAssignment::Tile(TileSlot::new(2)),
-                PeAssignment::Tile(TileSlot::new(0)),
-            ],
-        )
-        .unwrap();
-        let platform = Platform::virtex_like(3).unwrap();
-        (g, schedule, platform)
-    }
 
     #[test]
     fn fig3_has_exactly_one_critical_subtask() {

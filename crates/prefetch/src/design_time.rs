@@ -11,6 +11,7 @@
 use drhw_model::{InitialSchedule, Platform, SubtaskGraph, SubtaskId, Time};
 use serde::{Deserialize, Serialize};
 
+use crate::arena::Strategy;
 use crate::branch_bound::{BranchBoundScheduler, SearchCache};
 use crate::error::PrefetchError;
 use crate::problem::{ExecutionResult, PrefetchProblem};
@@ -134,10 +135,7 @@ impl DesignTimePrefetch {
     /// frozen order (the policy never adapts, so the caller must pass the
     /// worst-case problem this artifact was computed from).
     pub fn replay(&self, problem: &PrefetchProblem<'_>) -> Result<ExecutionResult, PrefetchError> {
-        crate::executor::simulate(
-            problem,
-            crate::executor::LoadStrategy::FixedOrder(&self.load_order),
-        )
+        problem.simulate(Strategy::Fixed(&self.load_order))
     }
 }
 

@@ -27,13 +27,14 @@ pub enum PrefetchError {
         /// Tiles available on the platform.
         available: usize,
     },
-    /// The task graph has more subtasks than the bitmask-based hot kernels
-    /// can track (the [`SlotMask`](crate::SlotMask) width). The classic
-    /// scheduler entry points remain available for larger graphs.
+    /// The task graph has more subtasks than the timing engine tracks at
+    /// the [`SlotMask`](crate::SlotMask) width in use: 64 for the
+    /// per-activation kernels, 256 for the one-shot
+    /// [`PrefetchProblem`](crate::PrefetchProblem) API.
     ExceedsMaskWidth {
         /// Subtasks in the graph.
         subtasks: usize,
-        /// Maximum the prepared-schedule kernels support.
+        /// Maximum the mask width supports.
         capacity: usize,
     },
 }
@@ -66,8 +67,8 @@ impl fmt::Display for PrefetchError {
             PrefetchError::ExceedsMaskWidth { subtasks, capacity } => {
                 write!(
                     f,
-                    "graph has {subtasks} subtasks but the prepared-schedule kernels track at \
-                     most {capacity}; use the classic scheduler API for larger graphs"
+                    "graph has {subtasks} subtasks but the timing engine tracks at most \
+                     {capacity} at this mask width"
                 )
             }
         }

@@ -17,9 +17,9 @@ use std::collections::BTreeSet;
 use drhw_model::{InitialSchedule, Platform, SubtaskGraph, SubtaskId, Time};
 use serde::{Deserialize, Serialize};
 
+use crate::arena::Strategy;
 use crate::critical::CriticalSetAnalysis;
 use crate::error::PrefetchError;
-use crate::executor::{simulate, LoadStrategy};
 use crate::inter_task::InterTaskWindow;
 use crate::problem::{ExecutionResult, PrefetchProblem};
 use crate::scheduler::PrefetchScheduler;
@@ -219,57 +219,68 @@ impl HybridPrefetch {
         resident: &BTreeSet<SubtaskId>,
         window: InterTaskWindow,
     ) -> Result<HybridRuntimeDecision, PrefetchError> {
-        let base = PrefetchProblem::with_resident(graph, schedule, platform, resident)?;
-        let cs: BTreeSet<SubtaskId> = self.critical.critical_subtasks().iter().copied().collect();
-        let assumed_resident: BTreeSet<SubtaskId> = resident.union(&cs).copied().collect();
-        let assumed = PrefetchProblem::with_resident(graph, schedule, platform, &assumed_resident)?;
+        let mut problem = PrefetchProblem::with_resident(graph, schedule, platform, resident)?;
+        Ok(self.decide(&mut problem, resident, window))
+    }
+
+    /// The run-time decision for `resident`, given the problem built for it.
+    /// Leaves `problem` re-targeted at the assumed residency: `resident`
+    /// plus the critical set.
+    fn decide(
+        &self,
+        problem: &mut PrefetchProblem<'_>,
+        resident: &BTreeSet<SubtaskId>,
+        window: InterTaskWindow,
+    ) -> HybridRuntimeDecision {
+        let critical = self.critical.critical_subtasks();
+        let needed_now: Vec<SubtaskId> = critical
+            .iter()
+            .copied()
+            .filter(|&id| problem.needs_load(id))
+            .collect();
+        let mut assumed_resident = resident.clone();
+        assumed_resident.extend(critical.iter().copied());
+        problem.set_resident(&assumed_resident);
 
         // Critical subtasks whose residency assumption must be realised by the
         // initialization phase: they need a load now, and pre-loading them
         // actually helps (their slot is untouched before they run).
-        let mut init: Vec<SubtaskId> = self
-            .critical
-            .critical_subtasks()
-            .iter()
-            .copied()
-            .filter(|&id| base.needs_load(id) && !assumed.needs_load(id))
+        let mut init: Vec<SubtaskId> = needed_now
+            .into_iter()
+            .filter(|&id| !problem.needs_load(id))
             .collect();
         // Loads already hidden by the previous task's idle window.
         let fit = window
-            .whole_loads(platform.reconfig_latency())
+            .whole_loads(problem.platform().reconfig_latency())
             .min(init.len());
         let preloaded: Vec<SubtaskId> = init.drain(..fit).collect();
 
         // Body loads: the stored order, minus the loads whose configuration is
         // resident (cancelled), plus any critical subtask whose reuse cannot
         // be realised (its slot is overwritten earlier in the task).
-        let body_needed: BTreeSet<SubtaskId> = assumed.loads().into_iter().collect();
-        let mut body_loads: Vec<SubtaskId> = self
-            .critical
-            .stored_load_order()
+        let stored = self.critical.stored_load_order();
+        let mut body_loads: Vec<SubtaskId> = stored
             .iter()
             .copied()
-            .filter(|id| body_needed.contains(id))
+            .filter(|&id| problem.needs_load(id))
             .collect();
-        for id in &body_needed {
-            if !body_loads.contains(id) {
-                body_loads.push(*id);
+        for id in problem.loads() {
+            if !body_loads.contains(&id) {
+                body_loads.push(id);
             }
         }
-        let cancelled_loads: Vec<SubtaskId> = self
-            .critical
-            .stored_load_order()
+        let cancelled_loads: Vec<SubtaskId> = stored
             .iter()
             .copied()
-            .filter(|id| !body_needed.contains(id))
+            .filter(|&id| !problem.needs_load(id))
             .collect();
 
-        Ok(HybridRuntimeDecision {
+        HybridRuntimeDecision {
             init_loads: init,
             preloaded,
             body_loads,
             cancelled_loads,
-        })
+        }
     }
 
     /// Simulates one activation of the task under the hybrid heuristic.
@@ -290,7 +301,8 @@ impl HybridPrefetch {
         resident: &BTreeSet<SubtaskId>,
         window: InterTaskWindow,
     ) -> Result<HybridOutcome, PrefetchError> {
-        let decision = self.runtime_decision(graph, schedule, platform, resident, window)?;
+        let mut problem = PrefetchProblem::with_resident(graph, schedule, platform, resident)?;
+        let decision = self.decide(&mut problem, resident, window);
         let latency = platform.reconfig_latency();
         let init_duration = latency * decision.init_loads.len() as u64;
 
@@ -300,14 +312,11 @@ impl HybridPrefetch {
         let mut body_resident = resident.clone();
         body_resident.extend(decision.init_loads.iter().copied());
         body_resident.extend(decision.preloaded.iter().copied());
-        let body_problem =
-            PrefetchProblem::with_resident(graph, schedule, platform, &body_resident)?
-                .with_earliest_exec_start(init_duration)
-                .with_earliest_port_start(init_duration);
-        let result = simulate(
-            &body_problem,
-            LoadStrategy::FixedOrder(&decision.body_loads),
-        )?;
+        problem.set_resident(&body_resident);
+        let result = problem
+            .with_earliest_exec_start(init_duration)
+            .with_earliest_port_start(init_duration)
+            .simulate(Strategy::Fixed(&decision.body_loads))?;
         Ok(HybridOutcome {
             decision,
             init_duration,
@@ -319,32 +328,8 @@ impl HybridPrefetch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::fig3;
     use crate::{BranchBoundScheduler, ListScheduler, PrefetchScheduler};
-    use drhw_model::{ConfigId, PeAssignment, Subtask, TileSlot};
-
-    /// The Fig. 3 / Fig. 5 example: CS = {subtask 1}.
-    fn fig3() -> (SubtaskGraph, InitialSchedule, Platform) {
-        let mut g = SubtaskGraph::new("fig3");
-        let s1 = g.add_subtask(Subtask::new("1", Time::from_millis(10), ConfigId::new(1)));
-        let s2 = g.add_subtask(Subtask::new("2", Time::from_millis(12), ConfigId::new(2)));
-        let s3 = g.add_subtask(Subtask::new("3", Time::from_millis(6), ConfigId::new(3)));
-        let s4 = g.add_subtask(Subtask::new("4", Time::from_millis(8), ConfigId::new(4)));
-        g.add_dependency(s1, s2).unwrap();
-        g.add_dependency(s1, s3).unwrap();
-        g.add_dependency(s3, s4).unwrap();
-        let schedule = InitialSchedule::from_assignment(
-            &g,
-            vec![
-                PeAssignment::Tile(TileSlot::new(0)),
-                PeAssignment::Tile(TileSlot::new(1)),
-                PeAssignment::Tile(TileSlot::new(2)),
-                PeAssignment::Tile(TileSlot::new(0)),
-            ],
-        )
-        .unwrap();
-        let platform = Platform::virtex_like(3).unwrap();
-        (g, schedule, platform)
-    }
 
     #[test]
     fn cold_start_pays_exactly_the_initialization_phase() {

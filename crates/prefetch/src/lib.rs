@@ -66,7 +66,6 @@ mod branch_bound;
 mod critical;
 mod design_time;
 mod error;
-mod executor;
 mod hybrid;
 mod inter_task;
 mod list_scheduler;
@@ -93,3 +92,38 @@ pub use problem::{ExecutionResult, PrefetchProblem};
 pub use replacement::{assign_tiles, assign_tiles_protecting, ReplacementPolicy};
 pub use reuse::{apply_schedule_to_contents, reusable_subtasks, TileContents, TileMapping};
 pub use scheduler::PrefetchScheduler;
+
+/// Fixtures shared by the unit tests.
+#[cfg(test)]
+mod fixtures {
+    use drhw_model::{
+        ConfigId, InitialSchedule, PeAssignment, Platform, Subtask, SubtaskGraph, TileSlot, Time,
+    };
+
+    /// The Fig. 3 / Fig. 5 example: four subtasks on three tiles,
+    /// 1 -> {2, 3}, 3 -> 4. Subtask 4 shares slot 0 with subtask 1, which
+    /// finishes early enough for load 4 to hide behind subtasks 2 and 3;
+    /// only subtask 1 is critical.
+    pub(crate) fn fig3() -> (SubtaskGraph, InitialSchedule, Platform) {
+        let mut g = SubtaskGraph::new("fig3");
+        let s1 = g.add_subtask(Subtask::new("1", Time::from_millis(10), ConfigId::new(1)));
+        let s2 = g.add_subtask(Subtask::new("2", Time::from_millis(12), ConfigId::new(2)));
+        let s3 = g.add_subtask(Subtask::new("3", Time::from_millis(6), ConfigId::new(3)));
+        let s4 = g.add_subtask(Subtask::new("4", Time::from_millis(8), ConfigId::new(4)));
+        g.add_dependency(s1, s2).unwrap();
+        g.add_dependency(s1, s3).unwrap();
+        g.add_dependency(s3, s4).unwrap();
+        let schedule = InitialSchedule::from_assignment(
+            &g,
+            vec![
+                PeAssignment::Tile(TileSlot::new(0)),
+                PeAssignment::Tile(TileSlot::new(1)),
+                PeAssignment::Tile(TileSlot::new(2)),
+                PeAssignment::Tile(TileSlot::new(0)),
+            ],
+        )
+        .unwrap();
+        let platform = Platform::virtex_like(3).unwrap();
+        (g, schedule, platform)
+    }
+}

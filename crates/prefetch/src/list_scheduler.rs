@@ -10,8 +10,8 @@
 //!
 //! [`GraphAnalysis::weight`]: drhw_model::GraphAnalysis::weight
 
+use crate::arena::Strategy;
 use crate::error::PrefetchError;
-use crate::executor::{simulate, LoadStrategy};
 use crate::problem::{ExecutionResult, PrefetchProblem};
 use crate::scheduler::PrefetchScheduler;
 
@@ -63,7 +63,7 @@ impl PrefetchScheduler for ListScheduler {
     }
 
     fn schedule(&self, problem: &PrefetchProblem<'_>) -> Result<ExecutionResult, PrefetchError> {
-        simulate(problem, LoadStrategy::ListByWeight)
+        problem.simulate(Strategy::ListByWeight)
     }
 }
 

@@ -5,8 +5,8 @@
 //! simulation of §7 (23 % overhead on the multimedia set, 71 % on the 3-D
 //! renderer).
 
+use crate::arena::Strategy;
 use crate::error::PrefetchError;
-use crate::executor::{simulate, LoadStrategy};
 use crate::problem::{ExecutionResult, PrefetchProblem};
 use crate::scheduler::PrefetchScheduler;
 
@@ -47,7 +47,7 @@ impl PrefetchScheduler for OnDemandScheduler {
     }
 
     fn schedule(&self, problem: &PrefetchProblem<'_>) -> Result<ExecutionResult, PrefetchError> {
-        simulate(problem, LoadStrategy::OnDemand)
+        problem.simulate(Strategy::OnDemand)
     }
 }
 

@@ -7,17 +7,29 @@
 //! [`PrefetchProblem`] bundles everything the heuristics need: the graph, the
 //! initial schedule, the platform, the criticality weights, the ideal
 //! makespan, and — crucially — *which* subtasks actually need their
-//! configuration loaded (the rest are reused).
+//! configuration loaded (the rest are reused). It is a thin façade over a
+//! [`PreparedSchedule`] at [`PROBLEM_WORDS`] mask words: every scheduler
+//! times its load orders on the arena's timing loop, the same code the
+//! simulation's per-activation kernels run.
 
 use std::collections::BTreeSet;
 
 use drhw_model::{
-    ConfigId, GraphAnalysis, InitialSchedule, PeAssignment, Platform, SubtaskGraph, SubtaskId,
-    TileSlot, Time, TimedSchedule,
+    ConfigId, ExecutionWindow, GraphAnalysis, InitialSchedule, LoadWindow, Platform, SubtaskGraph,
+    SubtaskId, TileSlot, Time, TimedSchedule,
 };
 use serde::{Deserialize, Serialize};
 
+use crate::arena::{simulate_core, validate_order, PreparedSchedule, Strategy, Timeline};
 use crate::error::PrefetchError;
+use crate::mask::SlotMask;
+
+/// Mask words of the one-shot API: problems of up to `64 × 4 = 256`
+/// subtasks, the largest graphs its callers build.
+const PROBLEM_WORDS: usize = 4;
+
+/// A set of subtasks of a [`PrefetchProblem`].
+pub(crate) type ProblemMask = SlotMask<PROBLEM_WORDS>;
 
 /// One instance of the prefetch scheduling problem.
 ///
@@ -26,6 +38,8 @@ use crate::error::PrefetchError;
 /// reused and need no load. Everything else mapped on DRHW needs a load,
 /// except subtasks that inherit the configuration left on their slot by an
 /// earlier subtask of the same task (intra-task reuse).
+///
+/// Graphs of up to 256 subtasks are supported.
 ///
 /// # Examples
 ///
@@ -52,12 +66,13 @@ use crate::error::PrefetchError;
 /// ```
 #[derive(Debug, Clone)]
 pub struct PrefetchProblem<'a> {
-    graph: &'a SubtaskGraph,
+    /// The caller's schedule. The prepared schedule holds a copy; this
+    /// reference is what [`schedule`](Self::schedule) returns, so a
+    /// [`SearchCache`](crate::SearchCache) can tell problems over the same
+    /// schedule apart from problems over another one by address.
     schedule: &'a InitialSchedule,
-    platform: &'a Platform,
-    analysis: GraphAnalysis,
-    needs_load: Vec<bool>,
-    ideal_makespan: Time,
+    prepared: PreparedSchedule<'a, PROBLEM_WORDS>,
+    needs: ProblemMask,
     earliest_exec_start: Time,
     earliest_port_start: Time,
 }
@@ -69,7 +84,8 @@ impl<'a> PrefetchProblem<'a> {
     /// # Errors
     ///
     /// Returns an error if the schedule needs more tile slots than the
-    /// platform has tiles or if the model is otherwise invalid.
+    /// platform has tiles, the graph has more than 256 subtasks, or the
+    /// model is otherwise invalid.
     pub fn new(
         graph: &'a SubtaskGraph,
         schedule: &'a InitialSchedule,
@@ -89,33 +105,38 @@ impl<'a> PrefetchProblem<'a> {
     /// # Errors
     ///
     /// Returns an error if the schedule needs more tile slots than the
-    /// platform has tiles or if the model is otherwise invalid.
+    /// platform has tiles, the graph has more than 256 subtasks, or the
+    /// model is otherwise invalid.
     pub fn with_resident(
         graph: &'a SubtaskGraph,
         schedule: &'a InitialSchedule,
         platform: &'a Platform,
         resident: &BTreeSet<SubtaskId>,
     ) -> Result<Self, PrefetchError> {
-        graph.validate()?;
-        if schedule.slot_count() > platform.tile_count() {
-            return Err(PrefetchError::NotEnoughTiles {
-                required: schedule.slot_count(),
-                available: platform.tile_count(),
-            });
-        }
-        let analysis = GraphAnalysis::new(graph)?;
-        let ideal_makespan = schedule.ideal_timing(graph)?.makespan();
-        let needs_load = compute_needs_load(graph, schedule, resident);
-        Ok(PrefetchProblem {
-            graph,
+        let prepared = PreparedSchedule::prepare(graph, schedule.clone(), platform)?;
+        let mut problem = PrefetchProblem {
             schedule,
-            platform,
-            analysis,
-            needs_load,
-            ideal_makespan,
+            prepared,
+            needs: ProblemMask::EMPTY,
             earliest_exec_start: Time::ZERO,
             earliest_port_start: Time::ZERO,
-        })
+        };
+        problem.set_resident(resident);
+        Ok(problem)
+    }
+
+    /// Re-targets the problem at another resident set, keeping everything
+    /// prepared — what [`with_resident`](Self::with_resident) would build
+    /// for `resident`, without preparing the schedule again. Ids outside the
+    /// graph are ignored.
+    pub(crate) fn set_resident(&mut self, resident: &BTreeSet<SubtaskId>) {
+        let n = self.graph().len();
+        let resident = resident
+            .iter()
+            .map(|id| id.index())
+            .take_while(|&index| index < n)
+            .collect();
+        self.needs = self.prepared.needs_load_mask(resident);
     }
 
     /// Returns a copy of the problem in which no execution may start before
@@ -137,33 +158,33 @@ impl<'a> PrefetchProblem<'a> {
     }
 
     /// The subtask graph being scheduled.
-    pub fn graph(&self) -> &SubtaskGraph {
-        self.graph
+    pub fn graph(&self) -> &'a SubtaskGraph {
+        self.prepared.graph()
     }
 
     /// The reconfiguration-oblivious initial schedule.
-    pub fn schedule(&self) -> &InitialSchedule {
+    pub fn schedule(&self) -> &'a InitialSchedule {
         self.schedule
     }
 
     /// The target platform.
-    pub fn platform(&self) -> &Platform {
-        self.platform
+    pub fn platform(&self) -> &'a Platform {
+        self.prepared.platform()
     }
 
     /// Precedence-only analysis (criticality weights, ALAP levels).
     pub fn analysis(&self) -> &GraphAnalysis {
-        &self.analysis
+        self.prepared.analysis()
     }
 
     /// The paper's criticality weight of a subtask (its bottom level).
     pub fn weight(&self, id: SubtaskId) -> Time {
-        self.analysis.weight(id)
+        self.prepared.weight(id.index())
     }
 
     /// Makespan of the initial schedule with zero reconfiguration latency.
     pub fn ideal_makespan(&self) -> Time {
-        self.ideal_makespan
+        self.prepared.ideal_makespan()
     }
 
     /// Earliest instant any execution may start.
@@ -178,56 +199,29 @@ impl<'a> PrefetchProblem<'a> {
 
     /// Whether a subtask requires a configuration load in this problem.
     pub fn needs_load(&self, id: SubtaskId) -> bool {
-        self.needs_load[id.index()]
+        id.index() < self.graph().len() && self.needs.contains(id.index())
     }
 
-    /// The needs-load flags indexed by subtask position — the executor's view
-    /// of [`needs_load`](Self::needs_load), exposed so search code can
-    /// evaluate "only these loads cost anything" relaxations without cloning
-    /// the whole problem.
-    pub(crate) fn needs_load_slice(&self) -> &[bool] {
-        &self.needs_load
+    /// The set of subtasks that require a load.
+    pub(crate) fn needs_mask(&self) -> ProblemMask {
+        self.needs
     }
 
     /// The subtasks that require a load, in subtask-id order.
     pub fn loads(&self) -> Vec<SubtaskId> {
-        self.graph
-            .ids()
-            .filter(|&id| self.needs_load[id.index()])
-            .collect()
+        self.needs.iter().map(SubtaskId::new).collect()
     }
 
     /// The subtasks that require a load, ordered by decreasing criticality
     /// weight (the priority order of the list scheduler and of the hybrid
     /// initialization phase).
     pub fn loads_by_weight_desc(&self) -> Vec<SubtaskId> {
-        let mut loads = self.loads();
-        loads.sort_by(|a, b| {
-            self.weight(*b)
-                .cmp(&self.weight(*a))
-                .then(a.index().cmp(&b.index()))
-        });
-        loads
+        self.prepared.by_weight(self.needs).collect()
     }
 
     /// Number of loads in the problem.
     pub fn load_count(&self) -> usize {
-        self.needs_load.iter().filter(|&&b| b).count()
-    }
-
-    /// Returns a copy of the problem in which only `subset` (a subset of the
-    /// current loads) must be loaded and every other load is assumed free.
-    ///
-    /// Used by the branch & bound scheduler to compute optimistic lower bounds
-    /// for partial load orders.
-    pub(crate) fn restricted_to_loads(&self, subset: &BTreeSet<SubtaskId>) -> Self {
-        let mut clone = self.clone();
-        for (index, flag) in clone.needs_load.iter_mut().enumerate() {
-            if *flag && !subset.contains(&SubtaskId::new(index)) {
-                *flag = false;
-            }
-        }
-        clone
+        self.needs.len()
     }
 
     /// The abstract tile slot a subtask is mapped on, if it runs on DRHW.
@@ -237,44 +231,119 @@ impl<'a> PrefetchProblem<'a> {
 
     /// The configuration a subtask requires, if it runs on DRHW.
     pub fn config_of(&self, id: SubtaskId) -> Option<ConfigId> {
-        self.graph.required_config(id)
+        self.graph().required_config(id)
     }
-}
 
-/// Determines which subtasks need a configuration load, honouring intra-task
-/// reuse (consecutive occurrences of the same configuration on a slot) and
-/// externally resident configurations for the first users of each slot.
-fn compute_needs_load(
-    graph: &SubtaskGraph,
-    schedule: &InitialSchedule,
-    resident: &BTreeSet<SubtaskId>,
-) -> Vec<bool> {
-    let mut needs = vec![false; graph.len()];
-    for slot_index in 0..schedule.slot_count() {
-        let slot = PeAssignment::Tile(TileSlot::new(slot_index));
-        // `current` models what is on the tile while the task executes its
-        // slot sequence; `None` means "whatever a previous task left there,
-        // which is not one of this slot's resident configs".
-        let mut current: Option<ConfigId> = None;
-        for (position, &id) in schedule.subtasks_on(slot).iter().enumerate() {
-            let required = match graph.required_config(id) {
-                Some(config) => config,
-                None => continue,
-            };
-            let externally_resident = position == 0 && resident.contains(&id);
-            // A subtask marked resident later in the slot sequence can only
-            // actually be reused if no different configuration was loaded on
-            // the slot since the task started; `current` tracks exactly that.
-            let later_resident = position > 0 && resident.contains(&id) && current.is_none();
-            if Some(required) == current || externally_resident || later_resident {
-                current = Some(required);
-                continue;
-            }
-            needs[id.index()] = true;
-            current = Some(required);
+    /// Times the problem's loads under `strategy` and records the full
+    /// result: execution and load windows, port order and per-subtask load
+    /// delays.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PrefetchError::InvalidLoadOrder`] if a fixed order is not a
+    /// permutation of the problem's loads, and
+    /// [`PrefetchError::DeadlockedOrder`] if it cannot be executed.
+    pub(crate) fn simulate(
+        &self,
+        strategy: Strategy<'_>,
+    ) -> Result<ExecutionResult, PrefetchError> {
+        if let Strategy::Fixed(order) = strategy {
+            validate_order(self.needs, order)?;
         }
+        let mut timeline = Timeline::default();
+        let mut order = Vec::with_capacity(self.needs.len());
+        simulate_core(
+            &self.prepared,
+            self.needs,
+            strategy,
+            self.earliest_exec_start,
+            self.earliest_port_start,
+            &mut timeline,
+            Some(&mut order),
+        )?;
+        Ok(self.record(&timeline, order))
     }
-    needs
+
+    /// Times `order` with only the loads of `needs` costing anything — the
+    /// problem's own loads, or a subset of them for the relaxations branch &
+    /// bound bounds its prefixes with — and returns the penalty. The load
+    /// completion instants are left in `timeline.loaded_at`.
+    ///
+    /// # Errors
+    ///
+    /// As [`simulate`](Self::simulate), with `needs` in place of the
+    /// problem's loads.
+    pub(crate) fn time_order(
+        &self,
+        needs: ProblemMask,
+        order: &[SubtaskId],
+        timeline: &mut Timeline,
+    ) -> Result<Time, PrefetchError> {
+        validate_order(needs, order)?;
+        let summary = simulate_core(
+            &self.prepared,
+            needs,
+            Strategy::Fixed(order),
+            self.earliest_exec_start,
+            self.earliest_port_start,
+            timeline,
+            None,
+        )?;
+        Ok(summary.penalty)
+    }
+
+    /// Assembles the result of a finished loop from its timeline and port
+    /// order: each execution started its duration before it finished, each
+    /// load one latency before it completed, and a subtask's load delay is
+    /// how long it started after its dependencies allowed.
+    fn record(&self, timeline: &Timeline, order: Vec<SubtaskId>) -> ExecutionResult {
+        let graph = self.graph();
+        let latency = self.platform().reconfig_latency();
+        let starts: Vec<Time> = graph
+            .ids()
+            .map(|id| timeline.exec_finish[id.index()] - graph.subtask(id).exec_time())
+            .collect();
+        let executions = graph
+            .ids()
+            .map(|id| ExecutionWindow {
+                subtask: id,
+                pe: self.schedule.assignment(id),
+                start: starts[id.index()],
+                finish: timeline.exec_finish[id.index()],
+            })
+            .collect();
+        let loads = order
+            .iter()
+            .map(|&id| {
+                let finish = timeline.loaded_at[id.index()];
+                LoadWindow {
+                    subtask: id,
+                    slot: self
+                        .slot_of(id)
+                        .expect("only DRHW subtasks ever need a load"),
+                    start: finish - latency,
+                    finish,
+                }
+            })
+            .collect();
+        let load_delays = graph
+            .ids()
+            .map(|id| {
+                let ready = self.prepared.deps_ready(
+                    &timeline.exec_finish,
+                    self.earliest_exec_start,
+                    id.index(),
+                );
+                starts[id.index()].saturating_sub(ready)
+            })
+            .collect();
+        ExecutionResult::new(
+            TimedSchedule::new(executions, loads),
+            order,
+            load_delays,
+            self.ideal_makespan(),
+        )
+    }
 }
 
 /// The outcome of timing a schedule under one load order / policy.
@@ -369,7 +438,8 @@ impl ExecutionResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use drhw_model::Subtask;
+    use crate::fixtures::fig3;
+    use drhw_model::{PeAssignment, Subtask};
 
     fn graph_two_slots() -> (SubtaskGraph, Vec<SubtaskId>, InitialSchedule) {
         // slot0: a (cfg0) -> c (cfg0) ; slot1: b (cfg1)
@@ -490,5 +560,185 @@ mod tests {
         assert_eq!(p.ideal_makespan(), Time::from_millis(30));
         assert_eq!(p.slot_of(SubtaskId::new(0)), Some(TileSlot::new(0)));
         assert_eq!(p.config_of(SubtaskId::new(2)), Some(ConfigId::new(0)));
+    }
+
+    #[test]
+    fn on_demand_pays_for_every_load_on_the_critical_path() {
+        let (g, schedule, platform) = fig3();
+        let ids: Vec<SubtaskId> = g.ids().collect();
+        let problem = PrefetchProblem::new(&g, &schedule, &platform).unwrap();
+        let result = problem.simulate(Strategy::OnDemand).unwrap();
+        // Ideal: s1 0-10, s2 10-22, s3 10-16, s4 16-24 (s4 shares slot0 with s1).
+        assert_eq!(problem.ideal_makespan(), Time::from_millis(24));
+        // On demand the first load starts at t=0 and every execution start
+        // waits for its own 4 ms load; penalty must be strictly positive.
+        assert!(result.penalty() > Time::ZERO);
+        assert_eq!(result.load_count(), 4);
+        // s1 is directly delayed by its own load: nothing else can run first.
+        assert_eq!(result.load_delay(ids[0]), Time::from_millis(4));
+    }
+
+    #[test]
+    fn list_prefetch_hides_all_but_the_first_load() {
+        let (g, schedule, platform) = fig3();
+        let ids: Vec<SubtaskId> = g.ids().collect();
+        let problem = PrefetchProblem::new(&g, &schedule, &platform).unwrap();
+        let result = problem.simulate(Strategy::ListByWeight).unwrap();
+        // Only the very first load (subtask 1) cannot be hidden: 4 ms penalty,
+        // exactly the "applying prefetch" schedule of Fig. 3(c).
+        assert_eq!(result.penalty(), Time::from_millis(4));
+        assert_eq!(result.load_delay(ids[0]), Time::from_millis(4));
+        assert_eq!(result.load_delay(ids[1]), Time::ZERO);
+        assert_eq!(result.load_delay(ids[2]), Time::ZERO);
+        assert_eq!(result.load_delay(ids[3]), Time::ZERO);
+        assert!(result.penalty() <= problem.simulate(Strategy::OnDemand).unwrap().penalty());
+    }
+
+    #[test]
+    fn fixed_order_matches_list_result_for_the_same_order() {
+        let (g, schedule, platform) = fig3();
+        let problem = PrefetchProblem::new(&g, &schedule, &platform).unwrap();
+        let list = problem.simulate(Strategy::ListByWeight).unwrap();
+        let replay = problem
+            .simulate(Strategy::Fixed(list.load_order()))
+            .unwrap();
+        assert_eq!(replay.penalty(), list.penalty());
+        assert_eq!(replay.timed().makespan(), list.timed().makespan());
+    }
+
+    #[test]
+    fn fixed_order_rejects_non_permutations() {
+        let (g, schedule, platform) = fig3();
+        let ids: Vec<SubtaskId> = g.ids().collect();
+        let problem = PrefetchProblem::new(&g, &schedule, &platform).unwrap();
+        let err = problem.simulate(Strategy::Fixed(&[ids[0]])).unwrap_err();
+        assert!(matches!(err, PrefetchError::InvalidLoadOrder { .. }));
+        let err = problem
+            .simulate(Strategy::Fixed(&[ids[0], ids[1], ids[2], ids[2]]))
+            .unwrap_err();
+        assert!(matches!(err, PrefetchError::InvalidLoadOrder { .. }));
+    }
+
+    #[test]
+    fn full_residency_leaves_only_the_unavoidable_slot_reload() {
+        let (g, schedule, platform) = fig3();
+        let ids: Vec<SubtaskId> = g.ids().collect();
+        let resident: BTreeSet<SubtaskId> = g.ids().collect();
+        let problem = PrefetchProblem::with_resident(&g, &schedule, &platform, &resident).unwrap();
+        // Subtask 4 shares slot0 with subtask 1 but uses a different
+        // configuration, so its load cannot be removed by residency.
+        assert_eq!(problem.load_count(), 1);
+        assert_eq!(problem.loads(), vec![ids[3]]);
+        let result = problem.simulate(Strategy::ListByWeight).unwrap();
+        // That single load hides behind the execution of subtask 3.
+        assert_eq!(result.penalty(), Time::ZERO);
+        assert_eq!(
+            result.timed().execution_makespan(),
+            problem.ideal_makespan()
+        );
+        assert!(result.trailing_port_idle() > Time::ZERO);
+    }
+
+    #[test]
+    fn no_loads_means_no_penalty() {
+        // A graph whose slots each host a single configuration can be made
+        // entirely resident, and then nothing is loaded at all.
+        let mut g = SubtaskGraph::new("resident");
+        let a = g.add_subtask(Subtask::new("a", Time::from_millis(5), ConfigId::new(0)));
+        let b = g.add_subtask(Subtask::new("b", Time::from_millis(7), ConfigId::new(1)));
+        g.add_dependency(a, b).unwrap();
+        let schedule = InitialSchedule::from_assignment(
+            &g,
+            vec![
+                PeAssignment::Tile(TileSlot::new(0)),
+                PeAssignment::Tile(TileSlot::new(1)),
+            ],
+        )
+        .unwrap();
+        let platform = Platform::virtex_like(2).unwrap();
+        let resident: BTreeSet<SubtaskId> = g.ids().collect();
+        let problem = PrefetchProblem::with_resident(&g, &schedule, &platform, &resident).unwrap();
+        assert_eq!(problem.load_count(), 0);
+        let result = problem.simulate(Strategy::ListByWeight).unwrap();
+        assert_eq!(result.penalty(), Time::ZERO);
+        assert_eq!(result.timed().makespan(), problem.ideal_makespan());
+        assert_eq!(result.trailing_port_idle(), problem.ideal_makespan());
+    }
+
+    #[test]
+    fn zero_latency_platform_never_pays_overhead() {
+        let (g, schedule, _) = fig3();
+        let platform = Platform::new(3, Time::ZERO).unwrap();
+        let problem = PrefetchProblem::new(&g, &schedule, &platform).unwrap();
+        for strategy in [Strategy::OnDemand, Strategy::ListByWeight] {
+            let result = problem.simulate(strategy).unwrap();
+            assert_eq!(result.penalty(), Time::ZERO);
+        }
+    }
+
+    #[test]
+    fn earliest_exec_start_delays_the_whole_body() {
+        let (g, schedule, platform) = fig3();
+        let problem = PrefetchProblem::new(&g, &schedule, &platform)
+            .unwrap()
+            .with_earliest_exec_start(Time::from_millis(100));
+        let result = problem.simulate(Strategy::ListByWeight).unwrap();
+        assert!(
+            result.timed().execution_makespan()
+                >= problem.ideal_makespan() + Time::from_millis(100)
+        );
+    }
+
+    #[test]
+    fn trailing_idle_window_is_reported() {
+        let (g, schedule, platform) = fig3();
+        let problem = PrefetchProblem::new(&g, &schedule, &platform).unwrap();
+        let result = problem.simulate(Strategy::ListByWeight).unwrap();
+        // The port performs 4 loads of 4 ms; executions run for ~34 ms, so the
+        // port is idle for a while at the end of the task.
+        assert!(result.trailing_port_idle() > Time::ZERO);
+        assert_eq!(
+            result.trailing_port_idle(),
+            result.timed().execution_makespan() - result.port_busy_until()
+        );
+    }
+
+    #[test]
+    fn head_of_line_blocking_order_still_completes_when_feasible() {
+        // Loading the second slot-0 occupant (s4) before s3 is legal but
+        // wasteful: its tile only frees after s1 finishes, so the order
+        // [s1, s2, s4, s3] makes the port wait. The loop must not deadlock
+        // on it.
+        let (g, schedule, platform) = fig3();
+        let ids: Vec<SubtaskId> = g.ids().collect();
+        let problem = PrefetchProblem::new(&g, &schedule, &platform).unwrap();
+        let order = vec![ids[0], ids[1], ids[3], ids[2]];
+        let result = problem.simulate(Strategy::Fixed(&order)).unwrap();
+        assert!(result.penalty() >= Time::from_millis(4));
+    }
+
+    #[test]
+    fn graphs_above_the_facade_width_are_rejected() {
+        let mut g = SubtaskGraph::new("too-wide");
+        let n = ProblemMask::CAPACITY + 1;
+        for i in 0..n {
+            g.add_subtask(Subtask::new(
+                format!("s{i}"),
+                Time::from_millis(1),
+                ConfigId::new(i),
+            ));
+        }
+        let schedule =
+            InitialSchedule::from_assignment(&g, vec![PeAssignment::Tile(TileSlot::new(0)); n])
+                .unwrap();
+        let platform = Platform::virtex_like(1).unwrap();
+        let err = PrefetchProblem::new(&g, &schedule, &platform).unwrap_err();
+        assert_eq!(
+            err,
+            PrefetchError::ExceedsMaskWidth {
+                subtasks: 257,
+                capacity: 256
+            }
+        );
     }
 }

@@ -100,7 +100,7 @@ impl fmt::Display for SimError {
                 write!(
                     f,
                     "platform has {tiles} tiles but the simulation kernels track at most \
-                     {capacity} slots; use the classic scheduler API for wider platforms"
+                     {capacity} slots; use the one-shot scheduler API for wider platforms"
                 )
             }
         }

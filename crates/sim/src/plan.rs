@@ -173,10 +173,10 @@ impl<'a> IterationPlan<'a> {
         // reject wider platforms here, with a descriptive error, instead of
         // truncating or panicking inside a worker thread. (Per-graph width is
         // validated by `PreparedSchedule::new` below.)
-        if !SlotMask::fits(platform.tile_count()) {
+        if !SlotMask::<1>::fits(platform.tile_count()) {
             return Err(SimError::PlatformExceedsMaskWidth {
                 tiles: platform.tile_count(),
-                capacity: SlotMask::CAPACITY,
+                capacity: SlotMask::<1>::CAPACITY,
             });
         }
         let library = DesignTimeLibrary::build(task_set, platform, &DesignTimeScheduler::new())?;
@@ -1217,17 +1217,17 @@ pub(crate) mod tests {
 
     #[test]
     fn wide_platforms_are_rejected_at_plan_time() {
-        // The bitmask kernels track at most SlotMask::CAPACITY slots; a
+        // The bitmask kernels track at most SlotMask::<1>::CAPACITY slots; a
         // wider platform must be rejected with a descriptive error before
         // any worker thread starts, not truncated or panicked on.
         let set = two_task_set();
-        let platform = Platform::virtex_like(SlotMask::CAPACITY + 1).unwrap();
+        let platform = Platform::virtex_like(SlotMask::<1>::CAPACITY + 1).unwrap();
         let err = IterationPlan::new(&set, &platform, SimulationConfig::quick()).unwrap_err();
         assert_eq!(
             err,
             SimError::PlatformExceedsMaskWidth {
-                tiles: SlotMask::CAPACITY + 1,
-                capacity: SlotMask::CAPACITY
+                tiles: SlotMask::<1>::CAPACITY + 1,
+                capacity: SlotMask::<1>::CAPACITY
             }
         );
         assert!(err.to_string().contains("65 tiles"));

@@ -8,11 +8,12 @@
 //! warm `IterationPlan::run` performs a constant number of allocations no
 //! matter how many iterations it simulates.
 //!
-//! Everything lives in ONE `#[test]` on purpose: the allocation counter is
-//! process-global, and concurrent tests in the same binary would pollute it.
+//! The counter is per thread: the test harness's own threads allocate while
+//! a test runs, and a process-wide count would charge those events to the
+//! loop under measurement.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 use drhw_bench::experiments::workload_config;
 use drhw_model::Platform;
@@ -20,25 +21,33 @@ use drhw_prefetch::PolicyKind;
 use drhw_sim::{IterationPlan, SimulationConfig};
 use drhw_workloads::{MultimediaWorkload, PocketGlWorkload, Workload};
 
-/// Counts every allocation event (alloc, alloc_zeroed, realloc) and forwards
-/// to the system allocator.
+/// Counts every allocation event (alloc, alloc_zeroed, realloc) of the
+/// calling thread and forwards to the system allocator.
 struct CountingAllocator;
 
-static ALLOCATION_EVENTS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Allocation events of the current thread. Constant-initialised and
+    /// without a destructor, so reading it never allocates.
+    static ALLOCATION_EVENTS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    let _ = ALLOCATION_EVENTS.try_with(|events| events.set(events.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATION_EVENTS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATION_EVENTS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATION_EVENTS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -50,8 +59,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
+/// Allocation events the calling thread has made so far.
 fn allocation_events() -> usize {
-    ALLOCATION_EVENTS.load(Ordering::Relaxed)
+    ALLOCATION_EVENTS.with(Cell::get)
 }
 
 /// Counts the allocation events of one warm `IterationPlan::run` over all

@@ -238,11 +238,11 @@ proptest! {
     #[test]
     fn slot_mask_matches_a_hash_set_reference(seed in 0u64..10_000, ops in 1usize..256) {
         let mut rng = SplitMix64::new(seed);
-        let mut mask = SlotMask::empty();
+        let mut mask: SlotMask = SlotMask::empty();
         let mut model: HashSet<usize> = HashSet::new();
         for _ in 0..ops {
             let word = rng.next_u64();
-            let index = (word % SlotMask::CAPACITY as u64) as usize;
+            let index = (word % SlotMask::<1>::CAPACITY as u64) as usize;
             match (word >> 8) % 3 {
                 0 => {
                     mask.insert(index);
@@ -268,15 +268,15 @@ proptest! {
     #[test]
     fn slot_mask_algebra_matches_the_reference_model(seed in 0u64..10_000, fill in 1u64..48) {
         let mut rng = SplitMix64::new(seed);
-        let mut mask_a = SlotMask::empty();
-        let mut mask_b = SlotMask::empty();
+        let mut mask_a: SlotMask = SlotMask::empty();
+        let mut mask_b: SlotMask = SlotMask::empty();
         let mut set_a: HashSet<usize> = HashSet::new();
         let mut set_b: HashSet<usize> = HashSet::new();
         for _ in 0..fill {
-            let index = (rng.next_u64() % SlotMask::CAPACITY as u64) as usize;
+            let index = (rng.next_u64() % SlotMask::<1>::CAPACITY as u64) as usize;
             mask_a.insert(index);
             set_a.insert(index);
-            let index = (rng.next_u64() % SlotMask::CAPACITY as u64) as usize;
+            let index = (rng.next_u64() % SlotMask::<1>::CAPACITY as u64) as usize;
             mask_b.insert(index);
             set_b.insert(index);
         }
@@ -311,7 +311,7 @@ fn check_replacement_parity(seed: u64, tiles: usize) {
     let mut rng = SplitMix64::new(seed);
     let mut draw = |bound: usize| (rng.next_u64() % bound as u64) as usize;
     let slots = 1 + draw(tiles);
-    let subtasks = slots + draw(SlotMask::CAPACITY - slots + 1);
+    let subtasks = slots + draw(SlotMask::<1>::CAPACITY - slots + 1);
     // Small pools of sparse ids, so configurations repeat across subtasks
     // and tiles; `foreign` ones are wanted by no subtask of this graph.
     let mut sparse = || ConfigId::new(10_000 + draw(50_000));
