@@ -9,16 +9,23 @@
 //! gates; the bench exists so a regression can be bisected to one kernel
 //! with `cargo bench -p drhw-bench --bench kernels`. CI invokes it as a
 //! smoke test, so any panic in a kernel fails the pipeline.
+//!
+//! `kernel_make_scratch` times the per-(worker, job) set-up in front of
+//! those kernels: binding a fresh `SimScratch` to a Pocket GL plan and to a
+//! multimedia plan, memo tables included.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use drhw_bench::experiments::workload_config;
 use drhw_model::{Platform, Time};
 use drhw_prefetch::{
     HybridPrefetch, InterTaskWindow, PreparedSchedule, ReplacementPolicy, Scratch, TileContents,
 };
+use drhw_sim::{IterationPlan, SimulationConfig};
 use drhw_workloads::multimedia::{
     fully_parallel_schedule, jpeg_decoder_graph, mpeg_encoder_graph, parallel_jpeg_graph,
     pattern_recognition_graph, MpegFrame,
 };
+use drhw_workloads::{MultimediaWorkload, PocketGlWorkload, Workload};
 
 fn bench_kernels(c: &mut Criterion) {
     let platform = Platform::virtex_like(16).expect("non-empty platform");
@@ -125,5 +132,32 @@ fn bench_kernels(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_kernels);
+fn bench_make_scratch(c: &mut Criterion) {
+    let sets = [
+        (
+            PocketGlWorkload.task_set(),
+            &PocketGlWorkload as &dyn Workload,
+            10,
+        ),
+        (MultimediaWorkload.task_set(), &MultimediaWorkload, 8),
+    ];
+    let platforms: Vec<Platform> = sets
+        .iter()
+        .map(|&(_, _, tiles)| Platform::virtex_like(tiles).expect("non-empty platform"))
+        .collect();
+    let seed = SimulationConfig::default().seed;
+    let plans: Vec<IterationPlan<'_>> = sets
+        .iter()
+        .zip(&platforms)
+        .map(|((set, workload, _), platform)| {
+            IterationPlan::new(set, platform, workload_config(*workload, 64, seed))
+                .expect("figure plans build")
+        })
+        .collect();
+    c.bench_function("kernel_make_scratch", |b| {
+        b.iter(|| (plans[0].make_scratch(), plans[1].make_scratch()))
+    });
+}
+
+criterion_group!(benches, bench_kernels, bench_make_scratch);
 criterion_main!(benches);

@@ -40,6 +40,13 @@
 //! [`SlotMask::CAPACITY`] — while the one-shot façade prepares its
 //! schedules at four words.
 //!
+//! The replacement kernel applies the same idea to tiles: [`Scratch`] keeps
+//! one tile mask per configuration, so the reuse-aware rule finds the
+//! lowest free tile holding a slot's configuration with one `AND` and one
+//! trailing-zeros count instead of scanning the platform. Its tile masks
+//! are one word too, so it rejects tile contents wider than
+//! [`SlotMask::CAPACITY`] ([`PrefetchError::TooManyTiles`]).
+//!
 //! The replacement, reuse, inter-task and hybrid kernels replicate the
 //! classic modules *exactly* (same traversal orders and tie-breaking
 //! comparators; mask iteration is ascending like the classic id vectors),
@@ -410,10 +417,18 @@ impl<'a> PreparedSchedule<'a> {
     /// with the protected set being the configurations whose
     /// [`Scratch::protect`] count is above zero.
     ///
+    /// The reuse-aware rule finds its tiles through one tile mask per
+    /// configuration, built from `contents` on entry and cleared on exit:
+    /// pass 1 picks a slot's tile with one `AND` and one trailing-zeros
+    /// count, and pass 2's "holds a wanted configuration" flag is one bit
+    /// test.
+    ///
     /// # Errors
     ///
     /// Returns [`PrefetchError::NotEnoughTiles`] if the schedule uses more
-    /// slots than `contents` tracks tiles.
+    /// slots than `contents` tracks tiles, and
+    /// [`PrefetchError::TooManyTiles`] if `contents` tracks more tiles than
+    /// a one-word [`SlotMask`] holds.
     pub fn assign_tiles_into(
         &self,
         contents: &TileContents,
@@ -428,9 +443,15 @@ impl<'a> PreparedSchedule<'a> {
                 available: tiles,
             });
         }
+        if !SlotMask::<1>::fits(tiles) {
+            return Err(PrefetchError::TooManyTiles {
+                tiles,
+                capacity: SlotMask::<1>::CAPACITY,
+            });
+        }
         let Scratch {
             slot_to_tile,
-            taken,
+            tile_masks,
             free_keys,
             protect_counts,
             ..
@@ -450,49 +471,68 @@ impl<'a> PreparedSchedule<'a> {
                 slot_to_tile.extend(free_keys[..slots].iter().map(|&key| key_tile(key)));
             }
             ReplacementPolicy::ReuseAware => {
+                for t in 0..tiles {
+                    if let Some(held) = contents.config_on(TileId::new(t)) {
+                        if held.index() >= tile_masks.len() {
+                            tile_masks.resize(held.index() + 1, SlotMask::EMPTY);
+                        }
+                        tile_masks[held.index()].insert(t);
+                    }
+                }
+                let holding = |config: ConfigId| {
+                    tile_masks
+                        .get(config.index())
+                        .copied()
+                        .unwrap_or(SlotMask::EMPTY)
+                };
                 slot_to_tile.resize(slots, UNASSIGNED);
-                taken.clear();
-                taken.resize(tiles, false);
                 // Pass 1: give every slot a tile that already holds its first
                 // configuration (greedy, slot order, lowest matching tile).
-                let mut unassigned = slots;
-                for (slot, &desired) in self.desired_configs.iter().enumerate() {
-                    if desired.is_none() {
-                        continue;
-                    }
-                    let hit = (0..tiles)
-                        .find(|&t| !taken[t] && contents.config_on(TileId::new(t)) == desired);
-                    if let Some(tile) = hit {
+                let mut taken = SlotMask::EMPTY;
+                for (slot, desired) in self.desired_configs.iter().enumerate() {
+                    let Some(desired) = *desired else { continue };
+                    if let Some(tile) = holding(desired).difference(taken).iter().next() {
                         slot_to_tile[slot] = TileId::new(tile);
-                        taken[tile] = true;
-                        unassigned -= 1;
+                        taken.insert(tile);
                     }
                 }
-                if unassigned == 0 {
-                    return Ok(());
+                let unassigned = slots - taken.len();
+                if unassigned > 0 {
+                    // Pass 2: fill the rest with free tiles, evicting tiles
+                    // whose content nobody wants first, oldest first. One
+                    // packed key per free tile orders exactly like the
+                    // classic tuple, and only the `unassigned` smallest keys
+                    // are ever sorted.
+                    let wanted = self
+                        .wanted_configs
+                        .iter()
+                        .fold(SlotMask::EMPTY, |mask, &config| mask.union(holding(config)));
+                    free_keys.clear();
+                    free_keys.extend(SlotMask::full(tiles).difference(taken).iter().map(|t| {
+                        let tile = TileId::new(t);
+                        let holds_protected = contents.config_on(tile).is_some_and(|held| {
+                            protect_counts.get(held.index()).is_some_and(|&n| n > 0)
+                        });
+                        eviction_key(
+                            wanted.contains(t),
+                            holds_protected,
+                            contents.last_used(tile),
+                            t,
+                        )
+                    }));
+                    sort_smallest(free_keys, unassigned);
+                    let mut free_iter = free_keys.iter().map(|&key| key_tile(key));
+                    for tile in slot_to_tile.iter_mut().filter(|t| **t == UNASSIGNED) {
+                        *tile = free_iter
+                            .next()
+                            .expect("slot count was checked against tile count");
+                    }
                 }
-                // Pass 2: fill the rest with free tiles, evicting tiles whose
-                // content nobody wants first, oldest first. One packed key
-                // per free tile orders exactly like the classic tuple, and
-                // only the `unassigned` smallest keys are ever sorted.
-                free_keys.clear();
-                free_keys.extend((0..tiles).filter(|&t| !taken[t]).map(|t| {
-                    let tile = TileId::new(t);
-                    let (holds_wanted, holds_protected) = match contents.config_on(tile) {
-                        Some(held) => (
-                            self.wanted_configs.contains(&held),
-                            protect_counts.get(held.index()).is_some_and(|&n| n > 0),
-                        ),
-                        None => (false, false),
-                    };
-                    eviction_key(holds_wanted, holds_protected, contents.last_used(tile), t)
-                }));
-                sort_smallest(free_keys, unassigned);
-                let mut free_iter = free_keys.iter().map(|&key| key_tile(key));
-                for tile in slot_to_tile.iter_mut().filter(|t| **t == UNASSIGNED) {
-                    *tile = free_iter
-                        .next()
-                        .expect("slot count was checked against tile count");
+                // Leave every mask empty for the next call.
+                for t in 0..tiles {
+                    if let Some(held) = contents.config_on(TileId::new(t)) {
+                        tile_masks[held.index()].clear();
+                    }
                 }
             }
         }
@@ -752,8 +792,9 @@ pub struct HybridSummary {
 /// [`SlotMask`] words, not here; only the buffers that genuinely need heap
 /// backing remain — the load-order lists, the flat finish/load timestamp
 /// tables (valid only under the timing loop's internal masks), the
-/// replacement-kernel working vectors, and the per-configuration protection
-/// counts the caller maintains between activations.
+/// replacement kernel's per-configuration tile masks and eviction keys, and
+/// the per-configuration protection counts the caller maintains between
+/// activations.
 #[derive(Debug, Default)]
 pub struct Scratch {
     /// Residency mask consumed by the evaluation kernels (one bit per
@@ -768,8 +809,10 @@ pub struct Scratch {
     timeline: Timeline,
     /// The slot-to-tile mapping the replacement kernel produces.
     pub(crate) slot_to_tile: Vec<TileId>,
-    /// Per-tile "already taken" flags of the reuse-aware mapping.
-    taken: Vec<bool>,
+    /// The tiles holding each configuration, indexed by configuration id.
+    /// The reuse-aware mapping fills the masks from the tile contents on
+    /// entry and empties them again before it returns.
+    tile_masks: Vec<SlotMask>,
     /// Packed eviction keys of the free tiles (see [`eviction_key`]).
     free_keys: Vec<u128>,
     /// Per-configuration protection counts, indexed by configuration id: a
@@ -796,8 +839,10 @@ impl Scratch {
         self.timeline.exec_finish.reserve(subtasks);
         self.timeline.loaded_at.reserve(subtasks);
         self.slot_to_tile.reserve(slots.max(tiles));
-        self.taken.reserve(tiles);
         self.free_keys.reserve(tiles);
+        if self.tile_masks.len() < configs {
+            self.tile_masks.resize(configs, SlotMask::EMPTY);
+        }
         if self.protect_counts.len() < configs {
             self.protect_counts.resize(configs, 0);
         }
@@ -1396,6 +1441,34 @@ mod tests {
                 .unwrap();
             prepared.apply_to_contents(&mut contents, &scratch, Time::from_millis(10 * (step + 1)));
             assert_eq!(contents, classic_contents, "step {step}");
+        }
+    }
+
+    #[test]
+    fn replacement_rejects_contents_wider_than_one_mask_word() {
+        let (g, schedule, platform) = fig3();
+        let prepared = PreparedSchedule::new(&g, schedule, &platform).unwrap();
+        let mut scratch = Scratch::new();
+        let widest = SlotMask::<1>::CAPACITY;
+        for policy in [
+            ReplacementPolicy::ReuseAware,
+            ReplacementPolicy::LeastRecentlyUsed,
+            ReplacementPolicy::Direct,
+        ] {
+            prepared
+                .assign_tiles_into(&TileContents::new(widest), policy, &mut scratch)
+                .unwrap();
+            let err = prepared
+                .assign_tiles_into(&TileContents::new(widest + 1), policy, &mut scratch)
+                .unwrap_err();
+            assert_eq!(
+                err,
+                PrefetchError::TooManyTiles {
+                    tiles: widest + 1,
+                    capacity: widest
+                },
+                "{policy}"
+            );
         }
     }
 

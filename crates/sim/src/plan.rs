@@ -36,7 +36,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::config::{PointSelection, ScenarioPolicy, SimulationConfig};
 use crate::error::SimError;
-use crate::scratch::SimScratch;
+use crate::scratch::{ScratchShape, SimScratch};
 use crate::stats::{ChunkStats, IterationOutcome};
 
 /// The design-time *search* artifacts of one (task, scenario) pair — the
@@ -98,9 +98,10 @@ struct PlanShared<'a> {
     /// resolve the flat slot; the hot loop then indexes the vector directly.
     scenario_slots: Vec<Vec<(ScenarioId, usize)>>,
     artifacts: Vec<ScenarioArtifacts<'a>>,
-    /// Number of distinct configurations the plan's graphs require: the
-    /// artifacts' dense configuration ids are `0..config_count`.
-    config_count: usize,
+    /// What a scratch bound to this plan must hold. Its `configs` is the
+    /// number of distinct configurations the plan's graphs require: the
+    /// artifacts' dense configuration ids are `0..configs`.
+    scratch_shape: ScratchShape,
     /// Process-unique identity of this artifact set, used to bind scratch
     /// kernel-memo tables to the plan they were warmed on (see
     /// [`SimScratch`]). Plans stamped out by `with_config` share it.
@@ -296,7 +297,7 @@ impl<'a> IterationPlan<'a> {
             }
         }
 
-        let artifacts = slots
+        let artifacts: Vec<ScenarioArtifacts<'a>> = slots
             .into_iter()
             .map(|slot| match slot {
                 Some(Ok(prepared)) => prepared,
@@ -305,6 +306,21 @@ impl<'a> IterationPlan<'a> {
                 }
             })
             .collect();
+        let scratch_shape = ScratchShape {
+            subtasks: artifacts
+                .iter()
+                .map(|artifact| artifact.prepared.graph().len())
+                .max()
+                .unwrap_or(0),
+            slots: artifacts
+                .iter()
+                .map(|artifact| artifact.prepared.schedule().slot_count())
+                .max()
+                .unwrap_or(0),
+            tiles: platform.tile_count(),
+            configs: dictionary.len(),
+            tasks: task_set.tasks().len(),
+        };
         Ok(IterationPlan {
             task_set,
             platform,
@@ -313,7 +329,7 @@ impl<'a> IterationPlan<'a> {
                 library,
                 scenario_slots,
                 artifacts,
-                config_count: dictionary.len(),
+                scratch_shape,
                 token: PLAN_TOKENS.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
             }),
         })
@@ -430,25 +446,29 @@ impl<'a> IterationPlan<'a> {
             .collect()
     }
 
-    /// Creates a [`SimScratch`] whose buffers are pre-sized for this plan, so
-    /// evaluation through it never touches the allocator — not even on the
-    /// first iteration.
+    /// Creates a [`SimScratch`] bound to this plan: tile contents for its
+    /// platform, buffers pre-sized for its largest graph, widest schedule
+    /// and configuration dictionary, and one memo per prepared scenario
+    /// sized to the keys that scenario can produce. Evaluation through it
+    /// never touches the allocator — not even on the first iteration. Any
+    /// plan can evaluate through the scratch; another plan rebinds it first.
     pub fn make_scratch(&self) -> SimScratch {
-        let mut subtasks = 0usize;
-        let mut slots = 0usize;
-        for artifacts in &self.shared.artifacts {
-            subtasks = subtasks.max(artifacts.prepared.graph().len());
-            slots = slots.max(artifacts.prepared.schedule().slot_count());
-        }
-        SimScratch::with_capacity(
-            subtasks,
-            slots,
-            self.platform.tile_count(),
-            self.shared.config_count,
-            self.task_set.tasks().len(),
-            self.shared.artifacts.len(),
+        let mut scratch = SimScratch::unbound();
+        self.bind(&mut scratch);
+        scratch
+    }
+
+    /// Binds `scratch` to this plan (see [`SimScratch::bind_plan`]); a no-op
+    /// when it already is.
+    fn bind(&self, scratch: &mut SimScratch) {
+        scratch.bind_plan(
             self.shared.token,
-        )
+            &self.shared.scratch_shape,
+            self.shared
+                .artifacts
+                .iter()
+                .map(|artifact| artifact.prepared.graph().len()),
+        );
     }
 
     /// Scores one (policy, iteration) pair independently of any other.
@@ -483,7 +503,7 @@ impl<'a> IterationPlan<'a> {
                 iterations: self.config.iterations,
             });
         }
-        scratch.bind_plan(self.shared.token, self.shared.artifacts.len());
+        self.bind(scratch);
         let chunk_start = index - index % self.config.chunk_size;
         scratch.reset_chunk();
         for warm in chunk_start..index {
@@ -525,7 +545,7 @@ impl<'a> IterationPlan<'a> {
         policy: PolicyKind,
         scratch: &mut SimScratch,
     ) -> Result<Vec<IterationOutcome>, SimError> {
-        scratch.bind_plan(self.shared.token, self.shared.artifacts.len());
+        self.bind(scratch);
         let mut outcomes = Vec::with_capacity(self.config.iterations);
         for index in 0..self.config.iterations {
             if index % self.config.chunk_size == 0 {
@@ -556,7 +576,7 @@ impl<'a> IterationPlan<'a> {
         chunk: usize,
         scratch: &mut SimScratch,
     ) -> Result<ChunkStats, SimError> {
-        scratch.bind_plan(self.shared.token, self.shared.artifacts.len());
+        self.bind(scratch);
         let start = chunk * self.config.chunk_size;
         let end = (start + self.config.chunk_size).min(self.config.iterations);
         scratch.reset_chunk();
@@ -1097,7 +1117,7 @@ pub(crate) mod tests {
             ),
             "{err}"
         );
-        assert!((0..plan.shared.config_count)
+        assert!((0..plan.shared.scratch_shape.configs)
             .all(|config| !scratch.prefetch.is_protected(ConfigId::new(config))));
     }
 
@@ -1231,6 +1251,44 @@ pub(crate) mod tests {
             }
         );
         assert!(err.to_string().contains("65 tiles"));
+    }
+
+    #[test]
+    fn memo_tables_follow_each_scenario_key_space() {
+        use drhw_workloads::{MultimediaWorkload, PocketGlWorkload, Workload};
+        for (workload, tiles) in [
+            (&PocketGlWorkload as &dyn Workload, 5),
+            (&MultimediaWorkload, 8),
+        ] {
+            let set = workload.task_set();
+            let platform = Platform::virtex_like(tiles).unwrap();
+            let mut config = SimulationConfig::quick();
+            config.task_inclusion_probability = workload.task_inclusion_probability();
+            if let Some(combos) = workload.correlated_scenarios() {
+                config = config.with_scenario_policy(ScenarioPolicy::Correlated(combos));
+            }
+            let plan = IterationPlan::new(&set, &platform, config).unwrap();
+            let scratch = plan.make_scratch();
+            assert_eq!(scratch.memo.len(), plan.shared.artifacts.len());
+            for (artifacts, memo) in plan.shared.artifacts.iter().zip(&scratch.memo) {
+                let graph = artifacts.prepared.graph();
+                let n = graph.len();
+                let label = format!("{} ({n} subtasks)", graph.name());
+                // Every list memo of both workloads fits in 2^n entries.
+                assert!(memo.list.is_key_indexed(), "{label}");
+                let windowed = memo.inter.is_key_indexed();
+                assert_eq!(memo.hybrid.is_key_indexed(), windowed, "{label}");
+                assert_eq!(windowed, (n + 1) << n <= 256, "{label}");
+                match graph.name() {
+                    "parallel-jpeg" | "pattern-recognition" => assert!(!windowed, "{label}"),
+                    "jpeg-decoder" | "mpeg-encoder-i" | "mpeg-encoder-p" | "mpeg-encoder-b" => {
+                        assert!(windowed, "{label}")
+                    }
+                    // Pocket GL: key-indexed throughout.
+                    _ => assert!(windowed && n <= 2, "{label}"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@ use drhw_sim::{IterationPlan, SimulationConfig};
 use drhw_workloads::multimedia::multimedia_task_set;
 use drhw_workloads::pocket_gl::pocket_gl_task_set;
 use drhw_workloads::random::{random_task_set, seeded_random_graph, RandomGraphConfig};
-use drhw_workloads::WorkloadRegistry;
+use drhw_workloads::{MultimediaWorkload, PocketGlWorkload, Workload, WorkloadRegistry};
 
 #[test]
 fn identical_specs_produce_identical_reports_through_the_engine() {
@@ -138,6 +138,56 @@ fn batch_reports_match_across_independently_built_plans() {
         plan_a.run(&PolicyKind::ALL).unwrap(),
         plan_b.run(&PolicyKind::ALL).unwrap()
     );
+}
+
+#[test]
+fn a_scratch_reused_across_plans_matches_a_fresh_one() {
+    // A scratch made by one plan must simulate whichever plan evaluates
+    // through it: that plan's platform, buffer sizes and memo tables —
+    // across tile counts and across workloads — and again the first plan's
+    // once it comes back.
+    let seed = SimulationConfig::default().seed;
+    let multimedia = MultimediaWorkload.task_set();
+    let pocket_gl = PocketGlWorkload.task_set();
+    let platforms: Vec<Platform> = [8, 16, 5, 10]
+        .into_iter()
+        .map(|tiles| Platform::virtex_like(tiles).unwrap())
+        .collect();
+    let cases = [
+        (
+            &MultimediaWorkload as &dyn Workload,
+            &multimedia,
+            &platforms[0],
+        ),
+        (&MultimediaWorkload, &multimedia, &platforms[1]),
+        (&PocketGlWorkload, &pocket_gl, &platforms[2]),
+        (&PocketGlWorkload, &pocket_gl, &platforms[3]),
+    ];
+    let plans: Vec<(String, IterationPlan<'_>)> = cases
+        .iter()
+        .map(|&(workload, set, platform)| {
+            let config = workload_config(workload, 64, seed);
+            let label = format!("{}@{}", workload.name(), platform.tile_count());
+            (label, IterationPlan::new(set, platform, config).unwrap())
+        })
+        .collect();
+    for (first_label, first) in &plans {
+        for (other_label, other) in &plans {
+            if first_label == other_label {
+                continue;
+            }
+            let mut scratch = first.make_scratch();
+            for (label, plan) in [(other_label, other), (first_label, first)] {
+                for policy in PolicyKind::ALL {
+                    assert_eq!(
+                        plan.evaluate_run_with(policy, &mut scratch),
+                        plan.evaluate_run(policy),
+                        "{label} through a scratch made by {first_label}, {policy}"
+                    );
+                }
+            }
+        }
+    }
 }
 
 #[test]

@@ -9,10 +9,12 @@
 //! (release) runs hundreds by default and thousands on demand.
 
 use drhw_model::{ConfigId, Platform, Subtask, SubtaskGraph, Task, TaskId, TaskSet, Time};
+use drhw_oracle::diff::CORPUS_SEED;
 use drhw_oracle::reference::{OracleConfig, ReferencePolicy, ReferenceSimulator};
 use drhw_oracle::{corpus_cases_from_env, pinned_corpus, run_case, run_corpus, DiffCase};
-use drhw_prefetch::PolicyKind;
+use drhw_prefetch::{PolicyKind, ReplacementPolicy, SlotMask};
 use drhw_sim::{IterationPlan, SimulationConfig};
+use drhw_workloads::{FuzzFamily, FuzzWorkload, MultimediaWorkload, PocketGlWorkload, Workload};
 
 /// Default corpus size for unoptimised `cargo test` runs; the release-mode
 /// test (and the `oracle_diff` binary) run the full pinned 240-case corpus,
@@ -34,6 +36,41 @@ fn pinned_corpus_agrees_bit_for_bit() {
             assert_eq!(outcomes.len(), cases.len());
             let iterations: usize = outcomes.iter().map(|o| o.iterations).sum();
             assert!(iterations > 0, "the corpus must actually simulate");
+        }
+        Err(divergence) => panic!("{divergence}"),
+    }
+}
+
+#[test]
+fn the_widest_simulated_platform_agrees_bit_for_bit() {
+    // The simulation tracks tiles in one-word masks: 64 tiles is the widest
+    // platform it runs (one more is rejected at plan time, see
+    // `wide_platforms_are_rejected_at_plan_time` in drhw-sim). The pinned
+    // corpus stays at 1-11 tiles, so these cases pin the boundary itself —
+    // multimedia, Pocket GL and one fuzz family under all three replacement
+    // rules, every policy, per iteration, in aggregate and through the
+    // engine.
+    let widest = SlotMask::<1>::CAPACITY;
+    let fuzz = FuzzWorkload::new(FuzzFamily::Layered, CORPUS_SEED);
+    let workloads: [&dyn Workload; 3] = [&MultimediaWorkload, &PocketGlWorkload, &fuzz];
+    let mut cases = Vec::new();
+    for workload in workloads {
+        for replacement in [
+            ReplacementPolicy::ReuseAware,
+            ReplacementPolicy::LeastRecentlyUsed,
+            ReplacementPolicy::Direct,
+        ] {
+            let mut case = DiffCase::from_workload(workload, widest, 24, CORPUS_SEED, 8);
+            case.config.replacement = replacement;
+            case.label = format!("{} {replacement}", case.label);
+            cases.push(case);
+        }
+    }
+    match run_corpus(&cases) {
+        Ok(outcomes) => {
+            for outcome in &outcomes {
+                assert!(outcome.reports.is_some(), "{} must simulate", outcome.label);
+            }
         }
         Err(divergence) => panic!("{divergence}"),
     }
