@@ -146,7 +146,7 @@ fn bench_make_scratch(c: &mut Criterion) {
         .map(|&(_, _, tiles)| Platform::virtex_like(tiles).expect("non-empty platform"))
         .collect();
     let seed = SimulationConfig::default().seed;
-    let plans: Vec<IterationPlan<'_>> = sets
+    let plans: Vec<IterationPlan> = sets
         .iter()
         .zip(&platforms)
         .map(|((set, workload, _), platform)| {

@@ -14,6 +14,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![forbid(unsafe_code)]
 
 pub mod cli;
 pub mod experiments;

@@ -11,14 +11,19 @@
 //! are run-time knobs, stamped onto a shared plan per job via
 //! [`IterationPlan::with_config`]. A repeat job with a new seed is therefore
 //! a cache hit that skips all design-time work.
+//!
+//! A plan owns its task set and platform, so an entry is just an
+//! `Arc<IterationPlan>`; a job's plan shares the entry's artifacts and keeps
+//! them alive past an eviction.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 #[cfg(test)]
 use std::time::Instant;
 
-use drhw_model::{Platform, ScenarioId, TaskId, TaskSet};
-use drhw_sim::{IterationPlan, ScenarioSearchArtifacts, SimError, SimulationConfig};
+use drhw_sim::IterationPlan;
+#[cfg(test)]
+use drhw_sim::SimError;
 
 /// Cache key: the exact set of inputs the design-time artifacts depend on.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -29,112 +34,6 @@ pub(crate) struct PlanKey {
     pub tiles: usize,
     /// Discriminant of the point-selection strategy.
     pub point_selection: u8,
-}
-
-/// A prepared plan that owns its task set and platform, so it can outlive
-/// the job that created it and be shared across jobs.
-///
-/// `IterationPlan` borrows the task set and platform it simulates; a cache
-/// entry must own them. The borrow is tied to the boxed allocations below,
-/// which are heap-stable (moving the `Box` moves only the pointer) and
-/// never mutated or dropped while `plan` exists — `plan` is declared first,
-/// so it drops first.
-#[derive(Debug)]
-pub(crate) struct PreparedPlan {
-    /// Borrows from `_task_set` and `_platform`; the `'static` lifetime is a
-    /// private fiction that never escapes this struct un-reborrowed.
-    plan: IterationPlan<'static>,
-    _task_set: Box<TaskSet>,
-    _platform: Box<Platform>,
-}
-
-impl PreparedPlan {
-    /// Prepares a plan that owns its inputs.
-    ///
-    /// # Errors
-    ///
-    /// Propagates plan-construction errors.
-    pub fn prepare(
-        task_set: TaskSet,
-        platform: Platform,
-        config: SimulationConfig,
-    ) -> Result<Self, SimError> {
-        Self::prepare_with_artifacts(task_set, platform, config, &BTreeMap::new())
-    }
-
-    /// Like [`prepare`](Self::prepare), injecting previously extracted
-    /// design-time search artifacts (the on-disk plan cache's restore path);
-    /// pairs the map does not cover — or does not fit — are computed cold.
-    ///
-    /// # Errors
-    ///
-    /// Propagates plan-construction errors.
-    pub fn prepare_with_artifacts(
-        task_set: TaskSet,
-        platform: Platform,
-        config: SimulationConfig,
-        artifacts: &BTreeMap<(TaskId, ScenarioId), ScenarioSearchArtifacts>,
-    ) -> Result<Self, SimError> {
-        let task_set = Box::new(task_set);
-        let platform = Box::new(platform);
-        // SAFETY: the references handed to `IterationPlan::new_with_artifacts`
-        // point into the boxed heap allocations above, which (a) do not move
-        // when the boxes are moved into the struct, (b) are never mutated (no
-        // &mut is ever taken), and (c) outlive `plan` because `plan` is
-        // declared before them and Rust drops fields in declaration order.
-        // The `'static` plan never leaves this struct except reborrowed to
-        // the struct's own lifetime (`plan()`/`derive()`), so the fiction
-        // cannot be observed.
-        let task_set_ref: &'static TaskSet = unsafe { &*(task_set.as_ref() as *const TaskSet) };
-        let platform_ref: &'static Platform = unsafe { &*(platform.as_ref() as *const Platform) };
-        let plan =
-            IterationPlan::new_with_artifacts(task_set_ref, platform_ref, config, artifacts)?;
-        Ok(PreparedPlan {
-            plan,
-            _task_set: task_set,
-            _platform: platform,
-        })
-    }
-
-    /// The prepared plan, reborrowed to this entry's lifetime. The engine
-    /// derives job plans through [`derive`](Self::derive); this accessor
-    /// serves the on-disk cache's artifact extraction and the cache's own
-    /// tests.
-    pub fn plan(&self) -> &IterationPlan<'_> {
-        &self.plan
-    }
-
-    /// Stamps a job-specific run configuration onto the shared artifacts.
-    /// The returned [`JobPlan`] keeps this entry alive.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::IncompatiblePlanConfig`] when a design-time knob
-    /// differs (the cache key prevents this for engine-issued derivations).
-    pub fn derive(self: &Arc<Self>, config: SimulationConfig) -> Result<JobPlan, SimError> {
-        let plan = self.plan.with_config(config)?;
-        Ok(JobPlan {
-            plan,
-            _keepalive: Arc::clone(self),
-        })
-    }
-}
-
-/// A job's own view of a cached plan: the re-parameterised
-/// [`IterationPlan`] plus the keep-alive of the cache entry backing it.
-#[derive(Debug)]
-pub(crate) struct JobPlan {
-    /// Borrows from the entry held by `_keepalive`; declared first so it
-    /// drops first (same fiction as [`PreparedPlan::plan`]).
-    plan: IterationPlan<'static>,
-    _keepalive: Arc<PreparedPlan>,
-}
-
-impl JobPlan {
-    /// The plan, reborrowed to this handle's lifetime.
-    pub fn plan(&self) -> &IterationPlan<'_> {
-        &self.plan
-    }
 }
 
 /// Counters describing how the plan cache behaved so far.
@@ -171,7 +70,7 @@ impl CacheStats {
 }
 
 struct Slot {
-    entry: Arc<PreparedPlan>,
+    entry: Arc<IterationPlan>,
     last_used: u64,
 }
 
@@ -206,7 +105,7 @@ impl PlanCache {
     /// its recency; `None` on a miss (the caller prepares the plan
     /// *without* holding the cache lock and hands it back via
     /// [`store`](Self::store)).
-    pub fn lookup(&mut self, key: &PlanKey) -> Option<Arc<PreparedPlan>> {
+    pub fn lookup(&mut self, key: &PlanKey) -> Option<Arc<IterationPlan>> {
         self.tick += 1;
         let slot = self.entries.get_mut(key)?;
         slot.last_used = self.tick;
@@ -224,10 +123,10 @@ impl PlanCache {
     pub fn store(
         &mut self,
         key: PlanKey,
-        entry: Arc<PreparedPlan>,
+        entry: Arc<IterationPlan>,
         prepare_ms: f64,
         disk_hit: bool,
-    ) -> Arc<PreparedPlan> {
+    ) -> Arc<IterationPlan> {
         self.misses += 1;
         self.disk_hits += u64::from(disk_hit);
         self.prepare_ms += prepare_ms;
@@ -270,8 +169,8 @@ impl PlanCache {
     pub fn get_or_prepare(
         &mut self,
         key: PlanKey,
-        build: impl FnOnce() -> Result<PreparedPlan, SimError>,
-    ) -> Result<Arc<PreparedPlan>, SimError> {
+        build: impl FnOnce() -> Result<IterationPlan, SimError>,
+    ) -> Result<Arc<IterationPlan>, SimError> {
         if let Some(entry) = self.lookup(&key) {
             return Ok(entry);
         }
@@ -304,17 +203,19 @@ impl PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use drhw_model::Platform;
     use drhw_prefetch::PolicyKind;
+    use drhw_sim::SimulationConfig;
     use drhw_workloads::WorkloadRegistry;
 
-    fn prepare(workload: &str, tiles: usize) -> PreparedPlan {
+    fn prepare(workload: &str, tiles: usize) -> IterationPlan {
         let registry = WorkloadRegistry::with_builtins();
         let workload = registry.resolve(workload).unwrap();
         let task_set = workload.task_set();
         let platform = Platform::virtex_like(tiles).unwrap();
         let mut config = SimulationConfig::quick();
         config.task_inclusion_probability = workload.task_inclusion_probability();
-        PreparedPlan::prepare(task_set, platform, config).unwrap()
+        IterationPlan::new(&task_set, &platform, config).unwrap()
     }
 
     fn key(workload: &str, tiles: usize) -> PlanKey {
@@ -337,15 +238,15 @@ mod tests {
         let direct = IterationPlan::new(&task_set, &platform, config.clone()).unwrap();
 
         let expected = direct.run(&[PolicyKind::Hybrid]).unwrap();
-        let cached = prepared.plan().run(&[PolicyKind::Hybrid]).unwrap();
+        let cached = prepared.run(&[PolicyKind::Hybrid]).unwrap();
         assert_eq!(expected, cached);
 
         // Deriving a new seed shares the artifacts and still agrees with a
         // fresh plan for that seed.
-        let job = prepared.derive(config.clone().with_seed(42)).unwrap();
+        let job = prepared.with_config(config.clone().with_seed(42)).unwrap();
         let fresh = IterationPlan::new(&task_set, &platform, config.with_seed(42)).unwrap();
         assert_eq!(
-            job.plan().run(&PolicyKind::ALL).unwrap(),
+            job.run(&PolicyKind::ALL).unwrap(),
             fresh.run(&PolicyKind::ALL).unwrap()
         );
     }
@@ -356,7 +257,7 @@ mod tests {
         let entry = cache
             .get_or_prepare(key("multimedia", 8), || Ok(prepare("multimedia", 8)))
             .unwrap();
-        let job = entry.derive(SimulationConfig::quick()).unwrap();
+        let job = entry.with_config(SimulationConfig::quick()).unwrap();
         drop(entry);
         // Evict the entry by inserting a different one.
         cache
@@ -364,7 +265,7 @@ mod tests {
             .unwrap();
         assert!(!cache.contains(&key("multimedia", 8)));
         // The in-flight job still evaluates fine on the evicted entry.
-        let reports = job.plan().run(&[PolicyKind::NoPrefetch]).unwrap();
+        let reports = job.run(&[PolicyKind::NoPrefetch]).unwrap();
         assert_eq!(reports.len(), 1);
     }
 

@@ -111,7 +111,7 @@ impl DiskPlanCache {
     /// (write to a temporary file, then rename into place) so concurrent
     /// readers never observe a torn entry. Best-effort: I/O failures leave
     /// the cache as it was and report `false`.
-    pub fn store(&self, key: &PlanKey, fingerprint: u64, plan: &IterationPlan<'_>) -> bool {
+    pub fn store(&self, key: &PlanKey, fingerprint: u64, plan: &IterationPlan) -> bool {
         let payload = encode_entry(key, fingerprint, &plan.search_artifacts());
         let path = self.entry_path(key);
         if fs::create_dir_all(&self.dir).is_err() {
@@ -362,26 +362,26 @@ mod tests {
     use super::*;
     use drhw_workloads::WorkloadRegistry;
 
-    fn fixture() -> (PlanKey, u64, IterationPlan<'static>, &'static TaskSet) {
+    fn fixture() -> (PlanKey, u64, IterationPlan) {
         let registry = WorkloadRegistry::with_builtins();
         let workload = registry.resolve("multimedia").unwrap();
-        let task_set = Box::leak(Box::new(workload.task_set()));
-        let platform = Box::leak(Box::new(Platform::virtex_like(8).unwrap()));
+        let task_set = workload.task_set();
+        let platform = Platform::virtex_like(8).unwrap();
         let mut config = SimulationConfig::quick();
         config.task_inclusion_probability = workload.task_inclusion_probability();
-        let fingerprint = workload_fingerprint(task_set, platform, &config);
-        let plan = IterationPlan::new(task_set, platform, config).unwrap();
+        let fingerprint = workload_fingerprint(&task_set, &platform, &config);
+        let plan = IterationPlan::new(&task_set, &platform, config).unwrap();
         let key = PlanKey {
             workload: "multimedia".to_string(),
             tiles: 8,
             point_selection: 0,
         };
-        (key, fingerprint, plan, task_set)
+        (key, fingerprint, plan)
     }
 
     #[test]
     fn entries_round_trip_bit_identically() {
-        let (key, fingerprint, plan, _) = fixture();
+        let (key, fingerprint, plan) = fixture();
         let extracted = plan.search_artifacts();
         let text = encode_entry(&key, fingerprint, &extracted);
         let decoded = decode_entry(&text, &key, fingerprint).expect("entry decodes");
@@ -395,7 +395,7 @@ mod tests {
 
     #[test]
     fn version_key_and_fingerprint_mismatches_reject_the_entry() {
-        let (key, fingerprint, plan, _) = fixture();
+        let (key, fingerprint, plan) = fixture();
         let text = encode_entry(&key, fingerprint, &plan.search_artifacts());
         assert!(decode_entry(&text, &key, fingerprint).is_some());
         // Stale fingerprint: the workload definition changed.
@@ -420,7 +420,7 @@ mod tests {
 
     #[test]
     fn corruption_and_truncation_reject_the_entry() {
-        let (key, fingerprint, plan, _) = fixture();
+        let (key, fingerprint, plan) = fixture();
         let text = encode_entry(&key, fingerprint, &plan.search_artifacts());
         // Truncation at any point either breaks the JSON or the checksum.
         for cut in [text.len() / 4, text.len() / 2, text.len() - 1] {
@@ -476,7 +476,7 @@ mod tests {
 
     #[test]
     fn disk_cache_loads_what_it_stored_and_ignores_damage() {
-        let (key, fingerprint, plan, _) = fixture();
+        let (key, fingerprint, plan) = fixture();
         let dir = std::env::temp_dir().join(format!("drhw-disk-cache-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         let cache = DiskPlanCache::new(dir.clone());

@@ -16,10 +16,10 @@ use std::thread::JoinHandle;
 
 use drhw_model::{Platform, Time};
 use drhw_prefetch::PolicyKind;
-use drhw_sim::{ChunkStats, SimulationConfig, SimulationReport};
+use drhw_sim::{ChunkStats, IterationPlan, SimError, SimulationConfig, SimulationReport};
 use drhw_workloads::{Workload, WorkloadRegistry};
 
-use crate::cache::{CacheStats, PlanCache, PlanKey, PreparedPlan};
+use crate::cache::{CacheStats, PlanCache, PlanKey};
 use crate::disk::DiskPlanCache;
 use crate::error::EngineError;
 use crate::job::{JobHandle, JobId, JobState};
@@ -221,32 +221,12 @@ impl Engine {
     /// or the plan cannot be prepared. Simulation errors surface through
     /// [`JobHandle::wait`].
     pub fn submit(&self, spec: JobSpec) -> Result<JobHandle, EngineError> {
-        spec.validate()?;
-        let workload = self.registry.resolve(&spec.workload)?;
-        let workload_name = workload.name().to_string();
-        let tiles = spec.resolved_tiles(workload.as_ref());
-        let config = spec.config_for(workload.as_ref(), &self.default_config);
-        let sim_error = |source| EngineError::Sim {
-            workload: workload_name.clone(),
-            source,
-        };
-
-        let key = PlanKey {
-            workload: workload_name.clone(),
-            tiles,
-            point_selection: spec.resolved_point_selection(&self.default_config) as u8,
-        };
-        let (entry, cache_hit) = self
-            .cached_entry(workload.as_ref(), key, &config)
-            .map_err(&sim_error)?;
-        let plan = entry.derive(config).map_err(&sim_error)?;
-        let policies = spec.resolved_policies();
+        let (plan, workload, cache_hit) = self.job_plan(&spec)?;
         let (sender, receiver) = mpsc::channel();
         let state = Arc::new(JobState::new(
             JobId::new(self.next_job.fetch_add(1, Ordering::SeqCst)),
             spec,
-            workload_name,
-            policies,
+            workload,
             plan,
             cache_hit,
             sender,
@@ -293,28 +273,14 @@ impl Engine {
         &self,
         spec: &JobSpec,
     ) -> Result<Vec<ServiceMeasurement>, EngineError> {
-        spec.validate()?;
-        let workload = self.registry.resolve(&spec.workload)?;
-        let workload_name = workload.name().to_string();
-        let tiles = spec.resolved_tiles(workload.as_ref());
-        let config = spec.config_for(workload.as_ref(), &self.default_config);
+        let (plan, workload, _cache_hit) = self.job_plan(spec)?;
         let sim_error = |source| EngineError::Sim {
-            workload: workload_name.clone(),
+            workload: workload.clone(),
             source,
         };
-
-        let key = PlanKey {
-            workload: workload_name.clone(),
-            tiles,
-            point_selection: spec.resolved_point_selection(&self.default_config) as u8,
-        };
-        let (entry, _cache_hit) = self
-            .cached_entry(workload.as_ref(), key, &config)
-            .map_err(&sim_error)?;
-        let iterations = config.iterations;
-        let chunk_size = config.chunk_size.max(1);
-        let job = entry.derive(config).map_err(&sim_error)?;
-        let plan = job.plan();
+        let tiles = plan.platform().tile_count();
+        let iterations = plan.config().iterations;
+        let chunk_size = plan.config().chunk_size;
         let mut scratch = plan.make_scratch();
         let mut measurements = Vec::new();
         for policy in spec.resolved_policies() {
@@ -345,16 +311,42 @@ impl Engine {
         Ok(measurements)
     }
 
-    /// Returns the cached prepared plan for `key` (and whether it was a
-    /// cache hit), preparing it — with the on-disk restore path, off-lock —
-    /// on a miss. Shared by [`submit`](Self::submit) and
+    /// Prepares a job's plan: validates the spec, resolves its workload and
+    /// stamps the spec's run configuration onto the cached plan (preparing
+    /// and caching that plan on a miss). Returns the plan, the workload's
+    /// registry name and whether the cache hit. Shared by
+    /// [`submit`](Self::submit) and
     /// [`measure_service_times`](Self::measure_service_times).
+    fn job_plan(&self, spec: &JobSpec) -> Result<(IterationPlan, String, bool), EngineError> {
+        spec.validate()?;
+        let workload = self.registry.resolve(&spec.workload)?;
+        let config = spec.config_for(workload.as_ref(), &self.default_config);
+        let name = workload.name().to_string();
+        let key = PlanKey {
+            workload: name.clone(),
+            tiles: spec.resolved_tiles(workload.as_ref()),
+            point_selection: spec.resolved_point_selection(&self.default_config) as u8,
+        };
+        let sim_error = |source| EngineError::Sim {
+            workload: name.clone(),
+            source,
+        };
+        let (entry, cache_hit) = self
+            .cached_entry(workload.as_ref(), key, &config)
+            .map_err(&sim_error)?;
+        let plan = entry.with_config(config).map_err(&sim_error)?;
+        Ok((plan, name, cache_hit))
+    }
+
+    /// Returns the cached prepared plan for `key` (and whether it was a
+    /// cache hit), preparing it on a miss — off-lock, restoring its search
+    /// artifacts from the on-disk cache when one is configured.
     fn cached_entry(
         &self,
         workload: &dyn Workload,
         key: PlanKey,
         config: &SimulationConfig,
-    ) -> Result<(Arc<PreparedPlan>, bool), drhw_sim::SimError> {
+    ) -> Result<(Arc<IterationPlan>, bool), SimError> {
         // Fast path under the lock; the expensive preparation happens
         // UNLOCKED so a cold prepare never stalls other submitters (a rare
         // same-key race prepares twice and `store` keeps the first copy).
@@ -363,48 +355,39 @@ impl Engine {
             .lock()
             .expect("engine cache lock is never poisoned")
             .lookup(&key);
-        let cache_hit = cached.is_some();
-        let entry = match cached {
-            Some(entry) => entry,
-            None => {
-                let started = std::time::Instant::now();
-                let (prepared, disk_hit) = (|| {
-                    let platform = Platform::virtex_like(key.tiles)?;
-                    let task_set = workload.task_set();
-                    // With a cache directory configured, try to restore the
-                    // expensive design-time search artifacts from disk; a
-                    // missing, stale or corrupt entry degrades to a cold
-                    // build whose artifacts are persisted for next time.
-                    let Some(disk) = &self.disk else {
-                        let prepared = PreparedPlan::prepare(task_set, platform, config.clone())?;
-                        return Ok((prepared, false));
-                    };
-                    let fingerprint =
-                        crate::disk::workload_fingerprint(&task_set, &platform, config);
-                    match disk.load(&key, fingerprint) {
-                        Some(artifacts) => PreparedPlan::prepare_with_artifacts(
-                            task_set,
-                            platform,
-                            config.clone(),
-                            &artifacts,
-                        )
-                        .map(|prepared| (prepared, true)),
-                        None => {
-                            let prepared =
-                                PreparedPlan::prepare(task_set, platform, config.clone())?;
-                            disk.store(&key, fingerprint, prepared.plan());
-                            Ok((prepared, false))
-                        }
-                    }
-                })()?;
-                let prepare_ms = started.elapsed().as_secs_f64() * 1e3;
-                self.cache
-                    .lock()
-                    .expect("engine cache lock is never poisoned")
-                    .store(key, Arc::new(prepared), prepare_ms, disk_hit)
-            }
-        };
-        Ok((entry, cache_hit))
+        if let Some(entry) = cached {
+            return Ok((entry, true));
+        }
+        let started = std::time::Instant::now();
+        let platform = Platform::virtex_like(key.tiles)?;
+        let task_set = workload.task_set();
+        // With a cache directory configured, try to restore the expensive
+        // design-time search artifacts from disk; a missing, stale or corrupt
+        // entry degrades to a cold build whose artifacts are persisted for
+        // next time.
+        let disk = self.disk.as_ref().map(|disk| {
+            let fingerprint = crate::disk::workload_fingerprint(&task_set, &platform, config);
+            (disk, fingerprint)
+        });
+        let restored = disk.and_then(|(disk, fingerprint)| disk.load(&key, fingerprint));
+        let disk_hit = restored.is_some();
+        let plan = IterationPlan::new_with_artifacts(
+            &task_set,
+            &platform,
+            config.clone(),
+            &restored.unwrap_or_default(),
+        )?;
+        // Only a cold build writes: a restored entry is already on disk.
+        if let Some((disk, fingerprint)) = disk.filter(|_| !disk_hit) {
+            disk.store(&key, fingerprint, &plan);
+        }
+        let prepare_ms = started.elapsed().as_secs_f64() * 1e3;
+        let entry = self
+            .cache
+            .lock()
+            .expect("engine cache lock is never poisoned")
+            .store(key, Arc::new(plan), prepare_ms, disk_hit);
+        Ok((entry, false))
     }
 }
 
@@ -491,13 +474,10 @@ fn worker_loop(shared: &PoolShared) {
         };
         // One scratch per (worker, job): buffers are pre-sized to the job's
         // plan and reused across every chunk this worker claims from it.
-        let mut scratch = job.plan.plan().make_scratch();
+        let mut scratch = job.plan.make_scratch();
         while let Some(slot) = job.claim() {
             let (policy, chunk) = job.slot_work(slot);
-            let result = job
-                .plan
-                .plan()
-                .evaluate_chunk_with(policy, chunk, &mut scratch);
+            let result = job.plan.evaluate_chunk_with(policy, chunk, &mut scratch);
             job.record(slot, result);
         }
     }

@@ -15,9 +15,8 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 
 use drhw_prefetch::PolicyKind;
-use drhw_sim::{ChunkStats, SimError, SimulationReport};
+use drhw_sim::{ChunkStats, IterationPlan, SimError, SimulationReport};
 
-use crate::cache::JobPlan;
 use crate::error::EngineError;
 use crate::spec::JobSpec;
 
@@ -93,11 +92,9 @@ pub(crate) struct JobState {
     pub(crate) spec: JobSpec,
     pub(crate) workload: String,
     pub(crate) policies: Vec<PolicyKind>,
-    pub(crate) plan: JobPlan,
-    pub(crate) chunk_count: usize,
-    pub(crate) iterations: usize,
-    pub(crate) chunk_size: usize,
-    pub(crate) tiles: usize,
+    /// The cached plan with this job's run configuration stamped on; its
+    /// configuration and platform size the job's slots and seal its reports.
+    pub(crate) plan: IterationPlan,
     /// Whether this job's plan came out of the cache without preparation.
     pub(crate) cache_hit: bool,
     next_slot: AtomicUsize,
@@ -110,32 +107,22 @@ pub(crate) struct JobState {
 }
 
 impl JobState {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         id: JobId,
         spec: JobSpec,
         workload: String,
-        policies: Vec<PolicyKind>,
-        plan: JobPlan,
+        plan: IterationPlan,
         cache_hit: bool,
         progress: mpsc::Sender<ProgressEvent>,
     ) -> Self {
-        let config = plan.plan().config();
-        let chunk_count = plan.plan().chunk_count();
-        let iterations = config.iterations;
-        let chunk_size = config.chunk_size;
-        let tiles = plan.plan().platform().tile_count();
-        let slots = policies.len() * chunk_count;
+        let policies = spec.resolved_policies();
+        let slots = policies.len() * plan.chunk_count();
         JobState {
             id,
             spec,
             workload,
             policies,
             plan,
-            chunk_count,
-            iterations,
-            chunk_size,
-            tiles,
             cache_hit,
             next_slot: AtomicUsize::new(0),
             in_flight: AtomicUsize::new(0),
@@ -155,7 +142,7 @@ impl JobState {
     }
 
     pub(crate) fn total_slots(&self) -> usize {
-        self.policies.len() * self.chunk_count
+        self.policies.len() * self.plan.chunk_count()
     }
 
     /// Whether a worker could still claim a slot right now.
@@ -194,10 +181,8 @@ impl JobState {
 
     /// The (policy, chunk) pair a slot index denotes.
     pub(crate) fn slot_work(&self, slot: usize) -> (PolicyKind, usize) {
-        (
-            self.policies[slot / self.chunk_count],
-            slot % self.chunk_count,
-        )
+        let chunks = self.plan.chunk_count();
+        (self.policies[slot / chunks], slot % chunks)
     }
 
     /// Records a claimed slot's result, advances the ordered fold (emitting
@@ -232,18 +217,15 @@ impl JobState {
             let slot = fold.cursor;
             fold.cursor += 1;
             let (policy, chunk) = self.slot_work(slot);
-            let iterations_done = ((chunk + 1) * self.chunk_size).min(self.iterations);
-            let partial = fold
-                .running
-                .clone()
-                .finish(policy, self.tiles, iterations_done);
-            if chunk + 1 == self.chunk_count {
+            let iterations = self.plan.config().iterations;
+            let iterations_done = ((chunk + 1) * self.plan.config().chunk_size).min(iterations);
+            let tiles = self.plan.platform().tile_count();
+            let partial = fold.running.clone().finish(policy, tiles, iterations_done);
+            let chunks_per_policy = self.plan.chunk_count();
+            if chunk + 1 == chunks_per_policy {
                 // Policy complete: seal its report and restart the fold.
-                fold.reports.push(std::mem::take(&mut fold.running).finish(
-                    policy,
-                    self.tiles,
-                    self.iterations,
-                ));
+                fold.reports
+                    .push(std::mem::take(&mut fold.running).finish(policy, tiles, iterations));
             }
             if let Some(sender) = &fold.progress {
                 // A dropped receiver just means nobody is listening.
@@ -251,7 +233,7 @@ impl JobState {
                     job: self.id,
                     policy,
                     chunk,
-                    chunks_per_policy: self.chunk_count,
+                    chunks_per_policy,
                     iterations_done,
                     partial_stats: partial,
                 });

@@ -48,6 +48,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![forbid(unsafe_code)]
 
 mod cache;
 mod disk;

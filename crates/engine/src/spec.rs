@@ -20,6 +20,10 @@ use serde::{Deserialize, Serialize};
 use crate::error::EngineError;
 use crate::json::JsonValue;
 
+/// The most iterations one job may ask for, 1000× the paper's runs: a job's
+/// slot table and per-iteration buffers are sized from the count.
+const MAX_ITERATIONS: usize = 1_000_000;
+
 /// Optional run-time configuration overrides of a job.
 ///
 /// Only *run-time* knobs can be overridden per job. The design-time knobs
@@ -224,6 +228,12 @@ impl JobSpec {
             return Err(EngineError::InvalidSpec {
                 field: "iterations",
                 reason: "the simulation needs at least one iteration".to_string(),
+            });
+        }
+        if let Some(iterations) = self.iterations.filter(|&n| n > MAX_ITERATIONS) {
+            return Err(EngineError::InvalidSpec {
+                field: "iterations",
+                reason: format!("{iterations} is above the limit of {MAX_ITERATIONS} per job"),
             });
         }
         if self.overrides.chunk_size == Some(0) {
@@ -655,6 +665,11 @@ mod tests {
                 r#"{"workload":"m","iterations":0}"#,
                 "`iterations`",
                 "at least one",
+            ),
+            (
+                r#"{"workload":"multimedia","tiles":8,"iterations":18446744073709551615}"#,
+                "`iterations`",
+                "limit of 1000000",
             ),
             (
                 r#"{"workload":"m","task_inclusion_probability":1.5}"#,

@@ -45,6 +45,8 @@ fn install_signal_handlers() {
     extern "C" {
         fn signal(signum: i32, handler: usize) -> usize;
     }
+    // SAFETY: `signal` is declared with its C signature, and the handler
+    // only stores an atomic, which is async-signal-safe.
     unsafe {
         signal(2, on_signal as *const () as usize);
         signal(15, on_signal as *const () as usize);

@@ -37,6 +37,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![forbid(unsafe_code)]
 
 mod config;
 mod server;

@@ -22,6 +22,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![forbid(unsafe_code)]
 
 pub mod diff;
 pub mod reference;

@@ -69,13 +69,15 @@ use crate::reuse::TileContents;
 const NO_PRED: u32 = u32::MAX;
 
 /// One (graph, initial schedule, platform) triple prepared for repeated
-/// evaluation: every activation-independent artifact is computed once here,
-/// flattened into index-addressed arrays, and borrowed by the per-activation
-/// kernels.
+/// evaluation: every activation-independent artifact is computed once here
+/// and flattened into index-addressed arrays the per-activation kernels
+/// read. The schedule owns everything it needs — of the graph, its tables;
+/// of the platform, the reconfiguration latency — so it borrows neither.
 #[derive(Debug, Clone)]
-pub struct PreparedSchedule<'a, const W: usize = 1> {
-    graph: &'a SubtaskGraph,
-    platform: &'a Platform,
+pub struct PreparedSchedule<const W: usize = 1> {
+    /// The platform's reconfiguration latency, the one platform number the
+    /// timing loop and the window kernels read.
+    reconfig_latency: Time,
     schedule: InitialSchedule,
     analysis: GraphAnalysis,
     /// Combined (precedence + per-PE order) topological order, the traversal
@@ -126,7 +128,7 @@ pub struct PreparedSchedule<'a, const W: usize = 1> {
     drhw_count: usize,
 }
 
-impl<'a, const W: usize> PreparedSchedule<'a, W> {
+impl<const W: usize> PreparedSchedule<W> {
     /// Prepares a schedule at a mask width of `W` words.
     ///
     /// # Errors
@@ -135,9 +137,9 @@ impl<'a, const W: usize> PreparedSchedule<'a, W> {
     /// mask width ([`PrefetchError::ExceedsMaskWidth`]), or the schedule
     /// needs more tile slots than the platform has tiles.
     pub(crate) fn prepare(
-        graph: &'a SubtaskGraph,
+        graph: &SubtaskGraph,
         schedule: InitialSchedule,
-        platform: &'a Platform,
+        platform: &Platform,
     ) -> Result<Self, PrefetchError> {
         graph.validate()?;
         let n = graph.len();
@@ -221,8 +223,7 @@ impl<'a, const W: usize> PreparedSchedule<'a, W> {
                 .then(a.cmp(&b))
         });
         Ok(PreparedSchedule {
-            graph,
-            platform,
+            reconfig_latency: platform.reconfig_latency(),
             schedule,
             analysis,
             topo,
@@ -245,19 +246,14 @@ impl<'a, const W: usize> PreparedSchedule<'a, W> {
         })
     }
 
-    /// The graph being scheduled.
-    pub fn graph(&self) -> &'a SubtaskGraph {
-        self.graph
+    /// Number of subtasks in the graph.
+    pub fn subtask_count(&self) -> usize {
+        self.exec_times.len()
     }
 
     /// The prepared initial schedule.
     pub fn schedule(&self) -> &InitialSchedule {
         &self.schedule
-    }
-
-    /// The target platform.
-    pub fn platform(&self) -> &'a Platform {
-        self.platform
     }
 
     /// The precedence-only analysis (criticality weights).
@@ -339,7 +335,7 @@ impl<'a, const W: usize> PreparedSchedule<'a, W> {
     }
 }
 
-impl<'a> PreparedSchedule<'a> {
+impl PreparedSchedule {
     /// Prepares a schedule for repeated evaluation by the per-activation
     /// kernels, which track at most [`SlotMask::CAPACITY`] subtasks.
     ///
@@ -349,9 +345,9 @@ impl<'a> PreparedSchedule<'a> {
     /// [`SlotMask`] width ([`PrefetchError::ExceedsMaskWidth`]), or the
     /// schedule needs more tile slots than the platform has tiles.
     pub fn new(
-        graph: &'a SubtaskGraph,
+        graph: &SubtaskGraph,
         schedule: InitialSchedule,
-        platform: &'a Platform,
+        platform: &Platform,
     ) -> Result<Self, PrefetchError> {
         Self::prepare(graph, schedule, platform)
     }
@@ -407,7 +403,7 @@ impl<'a> PreparedSchedule<'a> {
     /// with the residency mask, a complete memo key for both kernels.
     pub fn window_loads(&self, window: InterTaskWindow) -> usize {
         window
-            .whole_loads(self.platform.reconfig_latency())
+            .whole_loads(self.reconfig_latency)
             .min(self.exec_times.len())
     }
 
@@ -675,7 +671,7 @@ impl<'a> PreparedSchedule<'a> {
         window: InterTaskWindow,
         scratch: &mut Scratch,
     ) -> Result<HybridSummary, PrefetchError> {
-        let latency = self.platform.reconfig_latency();
+        let latency = self.reconfig_latency;
         let critical = hybrid.critical();
         let resident = scratch.resident;
         let needs_base = self.needs_load_mask(resident);
@@ -989,7 +985,7 @@ pub(crate) fn validate_order<const W: usize>(
 /// dependency set, then a `max` fold over the CSR predecessor list).
 #[inline]
 fn ready_time<const W: usize>(
-    prepared: &PreparedSchedule<'_, W>,
+    prepared: &PreparedSchedule<W>,
     timed: SlotMask<W>,
     exec_finish: &[Time],
     earliest_exec: Time,
@@ -1005,7 +1001,7 @@ fn ready_time<const W: usize>(
 /// previous occupant is untimed.
 #[inline]
 fn tile_available<const W: usize>(
-    prepared: &PreparedSchedule<'_, W>,
+    prepared: &PreparedSchedule<W>,
     timed: SlotMask<W>,
     exec_finish: &[Time],
     idx: usize,
@@ -1033,7 +1029,7 @@ fn tile_available<const W: usize>(
 /// Returns [`PrefetchError::DeadlockedOrder`] when neither an execution nor
 /// a load can make progress (only a fixed order can do that).
 pub(crate) fn simulate_core<const W: usize>(
-    prepared: &PreparedSchedule<'_, W>,
+    prepared: &PreparedSchedule<W>,
     needs: SlotMask<W>,
     strategy: Strategy<'_>,
     earliest_exec: Time,
@@ -1041,7 +1037,7 @@ pub(crate) fn simulate_core<const W: usize>(
     timeline: &mut Timeline,
     mut order: Option<&mut Vec<SubtaskId>>,
 ) -> Result<ExecSummary, PrefetchError> {
-    let latency = prepared.platform.reconfig_latency();
+    let latency = prepared.reconfig_latency;
     let n = prepared.exec_times.len();
     let Timeline {
         exec_finish,
@@ -1521,9 +1517,8 @@ mod tests {
         let prepared = PreparedSchedule::new(&g, schedule, &platform).unwrap();
         assert_eq!(prepared.ideal_makespan(), ideal);
         assert_eq!(prepared.drhw_count(), 4);
-        assert_eq!(prepared.graph().len(), 4);
+        assert_eq!(prepared.subtask_count(), 4);
         assert_eq!(prepared.schedule().slot_count(), 3);
-        assert_eq!(prepared.platform().tile_count(), 3);
         assert_eq!(prepared.analysis().topological_order().len(), 4);
         // TileMapping parity: identity mapping for the Direct policy.
         let mut scratch = Scratch::new();

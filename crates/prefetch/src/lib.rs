@@ -60,6 +60,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![forbid(unsafe_code)]
 
 pub mod arena;
 mod branch_bound;

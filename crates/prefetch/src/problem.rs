@@ -66,12 +66,14 @@ pub(crate) type ProblemMask = SlotMask<PROBLEM_WORDS>;
 /// ```
 #[derive(Debug, Clone)]
 pub struct PrefetchProblem<'a> {
+    graph: &'a SubtaskGraph,
     /// The caller's schedule. The prepared schedule holds a copy; this
     /// reference is what [`schedule`](Self::schedule) returns, so a
     /// [`SearchCache`](crate::SearchCache) can tell problems over the same
     /// schedule apart from problems over another one by address.
     schedule: &'a InitialSchedule,
-    prepared: PreparedSchedule<'a, PROBLEM_WORDS>,
+    platform: &'a Platform,
+    prepared: PreparedSchedule<PROBLEM_WORDS>,
     needs: ProblemMask,
     earliest_exec_start: Time,
     earliest_port_start: Time,
@@ -115,7 +117,9 @@ impl<'a> PrefetchProblem<'a> {
     ) -> Result<Self, PrefetchError> {
         let prepared = PreparedSchedule::prepare(graph, schedule.clone(), platform)?;
         let mut problem = PrefetchProblem {
+            graph,
             schedule,
+            platform,
             prepared,
             needs: ProblemMask::EMPTY,
             earliest_exec_start: Time::ZERO,
@@ -159,7 +163,7 @@ impl<'a> PrefetchProblem<'a> {
 
     /// The subtask graph being scheduled.
     pub fn graph(&self) -> &'a SubtaskGraph {
-        self.prepared.graph()
+        self.graph
     }
 
     /// The reconfiguration-oblivious initial schedule.
@@ -169,7 +173,7 @@ impl<'a> PrefetchProblem<'a> {
 
     /// The target platform.
     pub fn platform(&self) -> &'a Platform {
-        self.prepared.platform()
+        self.platform
     }
 
     /// Precedence-only analysis (criticality weights, ALAP levels).

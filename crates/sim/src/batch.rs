@@ -14,7 +14,7 @@ use crate::plan::IterationPlan;
 use crate::stats::ChunkStats;
 use crate::SimulationReport;
 
-impl IterationPlan<'_> {
+impl IterationPlan {
     /// Runs every requested policy over every configured iteration and
     /// returns one report per policy, in the order given.
     ///

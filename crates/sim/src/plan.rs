@@ -71,10 +71,10 @@ impl ScenarioSearchArtifacts {
 /// the design-time artifacts of the offline policies, and the
 /// activation-independent on-demand baseline outcome.
 #[derive(Debug)]
-struct ScenarioArtifacts<'a> {
+struct ScenarioArtifacts {
     /// The prepared schedule, its configurations interned into the plan's
     /// dense dictionary.
-    prepared: PreparedSchedule<'a>,
+    prepared: PreparedSchedule,
     /// The distinct dense configurations the scenario's DRHW subtasks
     /// require (protected from eviction while the scenario is still queued
     /// in the iteration).
@@ -86,18 +86,21 @@ struct ScenarioArtifacts<'a> {
     on_demand: ExecSummary,
 }
 
-/// The shared, iteration-independent part of a plan: the TCM library and the
+/// The shared, iteration-independent part of a plan: the task set and
+/// platform it simulates (the plan's own copies), the TCM library and the
 /// per-scenario artifacts. Behind an [`Arc`] so re-parameterised plans
 /// ([`IterationPlan::with_config`]) share it instead of recomputing it —
 /// this is what the engine-layer plan cache amortises across jobs.
 #[derive(Debug)]
-struct PlanShared<'a> {
+struct PlanShared {
+    task_set: TaskSet,
+    platform: Platform,
     library: DesignTimeLibrary,
     /// Per task, in task-set order, the (scenario, slot in `artifacts`)
     /// pairs the plan prepared. Scanned once per activation per iteration to
     /// resolve the flat slot; the hot loop then indexes the vector directly.
     scenario_slots: Vec<Vec<(ScenarioId, usize)>>,
-    artifacts: Vec<ScenarioArtifacts<'a>>,
+    artifacts: Vec<ScenarioArtifacts>,
     /// What a scratch bound to this plan must hold. Its `configs` is the
     /// number of distinct configurations the plan's graphs require: the
     /// artifacts' dense configuration ids are `0..configs`.
@@ -115,21 +118,20 @@ static PLAN_TOKENS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64:
 /// A fully prepared simulation: design-time artifacts for every scenario of
 /// every task, ready to score any (policy, iteration) pair from any thread.
 ///
-/// The plan is immutable after construction and `Send + Sync`, so a single
-/// instance can back every worker of an engine job. The
-/// design-time artifacts live behind an [`Arc`], so
-/// [`with_config`](Self::with_config) can stamp out plans for new
-/// run-time parameters (seed, iteration count, replacement policy, …)
-/// without repeating any design-time work.
+/// The plan owns a copy of the task set and platform it was built from, so
+/// it borrows nothing and can outlive its inputs. It is immutable after
+/// construction and `Send + Sync`, so a single instance can back every
+/// worker of an engine job. The inputs and the design-time artifacts live
+/// behind an [`Arc`], so [`with_config`](Self::with_config) can stamp out
+/// plans for new run-time parameters (seed, iteration count, replacement
+/// policy, …) without repeating any design-time work.
 #[derive(Debug)]
-pub struct IterationPlan<'a> {
-    task_set: &'a TaskSet,
-    platform: &'a Platform,
+pub struct IterationPlan {
     config: SimulationConfig,
-    shared: Arc<PlanShared<'a>>,
+    shared: Arc<PlanShared>,
 }
 
-impl<'a> IterationPlan<'a> {
+impl IterationPlan {
     /// Prepares a plan: validates the configuration, builds the TCM
     /// design-time library, and precomputes the initial schedule plus the
     /// design-time and hybrid prefetch artifacts of every scenario.
@@ -139,8 +141,8 @@ impl<'a> IterationPlan<'a> {
     /// Returns an error if the configuration or any scenario graph is
     /// invalid, or if any design-time artifact cannot be computed.
     pub fn new(
-        task_set: &'a TaskSet,
-        platform: &'a Platform,
+        task_set: &TaskSet,
+        platform: &Platform,
         config: SimulationConfig,
     ) -> Result<Self, SimError> {
         Self::new_with_artifacts(task_set, platform, config, &BTreeMap::new())
@@ -164,8 +166,8 @@ impl<'a> IterationPlan<'a> {
     /// Returns an error if the configuration or any scenario graph is
     /// invalid, or if any design-time artifact cannot be computed.
     pub fn new_with_artifacts(
-        task_set: &'a TaskSet,
-        platform: &'a Platform,
+        task_set: &TaskSet,
+        platform: &Platform,
         config: SimulationConfig,
         precomputed: &BTreeMap<(TaskId, ScenarioId), ScenarioSearchArtifacts>,
     ) -> Result<Self, SimError> {
@@ -185,9 +187,8 @@ impl<'a> IterationPlan<'a> {
         // immutable (and trivially Send + Sync) afterwards. What IS worth
         // skipping are scenarios a correlated policy can never activate.
         let reachable = reachable_scenarios(&config, task_set);
-        let mut jobs: Vec<(TaskId, ScenarioId, &'a SubtaskGraph)> = Vec::new();
-        // Injected search artifacts, parallel to `jobs` (separate vector so
-        // the graph references keep the task set's lifetime).
+        let mut jobs: Vec<(TaskId, ScenarioId, &SubtaskGraph)> = Vec::new();
+        // Injected search artifacts, parallel to `jobs`.
         let mut hints: Vec<Option<&ScenarioSearchArtifacts>> = Vec::new();
         let mut scenario_slots = Vec::with_capacity(task_set.tasks().len());
         for task in task_set.tasks() {
@@ -222,7 +223,7 @@ impl<'a> IterationPlan<'a> {
         // is bit-identical to a sequential build no matter the thread count
         // or interleaving.
         let workers = config.resolved_threads().min(jobs.len().max(1));
-        let mut slots: Vec<Option<Result<ScenarioArtifacts<'a>, SimError>>> = Vec::new();
+        let mut slots: Vec<Option<Result<ScenarioArtifacts, SimError>>> = Vec::new();
         slots.resize_with(jobs.len(), || None);
         if workers <= 1 {
             // One kernel scratch for the whole sequential pass.
@@ -297,7 +298,7 @@ impl<'a> IterationPlan<'a> {
             }
         }
 
-        let artifacts: Vec<ScenarioArtifacts<'a>> = slots
+        let artifacts: Vec<ScenarioArtifacts> = slots
             .into_iter()
             .map(|slot| match slot {
                 Some(Ok(prepared)) => prepared,
@@ -309,7 +310,7 @@ impl<'a> IterationPlan<'a> {
         let scratch_shape = ScratchShape {
             subtasks: artifacts
                 .iter()
-                .map(|artifact| artifact.prepared.graph().len())
+                .map(|artifact| artifact.prepared.subtask_count())
                 .max()
                 .unwrap_or(0),
             slots: artifacts
@@ -322,10 +323,10 @@ impl<'a> IterationPlan<'a> {
             tasks: task_set.tasks().len(),
         };
         Ok(IterationPlan {
-            task_set,
-            platform,
             config,
             shared: Arc::new(PlanShared {
+                task_set: task_set.clone(),
+                platform: platform.clone(),
                 library,
                 scenario_slots,
                 artifacts,
@@ -349,7 +350,7 @@ impl<'a> IterationPlan<'a> {
     ///
     /// Returns [`SimError::IncompatiblePlanConfig`] when a design-time knob
     /// differs, or a validation error when `config` is invalid on its own.
-    pub fn with_config(&self, config: SimulationConfig) -> Result<IterationPlan<'a>, SimError> {
+    pub fn with_config(&self, config: SimulationConfig) -> Result<IterationPlan, SimError> {
         config.validate()?;
         if config.point_selection != self.config.point_selection {
             return Err(SimError::IncompatiblePlanConfig {
@@ -362,8 +363,6 @@ impl<'a> IterationPlan<'a> {
             });
         }
         Ok(IterationPlan {
-            task_set: self.task_set,
-            platform: self.platform,
             config,
             shared: Arc::clone(&self.shared),
         })
@@ -376,12 +375,12 @@ impl<'a> IterationPlan<'a> {
 
     /// The platform the plan simulates.
     pub fn platform(&self) -> &Platform {
-        self.platform
+        &self.shared.platform
     }
 
     /// The task set the plan simulates.
-    pub fn task_set(&self) -> &'a TaskSet {
-        self.task_set
+    pub fn task_set(&self) -> &TaskSet {
+        &self.shared.task_set
     }
 
     /// The TCM design-time library built for the task set.
@@ -395,7 +394,7 @@ impl<'a> IterationPlan<'a> {
     /// [`new_with_artifacts`](Self::new_with_artifacts).
     pub fn search_artifacts(&self) -> Vec<((TaskId, ScenarioId), ScenarioSearchArtifacts)> {
         let mut extracted: Vec<_> = self
-            .task_set
+            .task_set()
             .tasks()
             .iter()
             .zip(&self.shared.scenario_slots)
@@ -439,7 +438,7 @@ impl<'a> IterationPlan<'a> {
     pub fn activations(&self, index: usize) -> Vec<(TaskId, ScenarioId)> {
         let mut buffer = Vec::new();
         self.pick_activations_into(index, &mut buffer);
-        let tasks = self.task_set.tasks();
+        let tasks = self.task_set().tasks();
         buffer
             .into_iter()
             .map(|(task_index, scenario)| (tasks[task_index].id(), scenario))
@@ -467,7 +466,7 @@ impl<'a> IterationPlan<'a> {
             self.shared
                 .artifacts
                 .iter()
-                .map(|artifact| artifact.prepared.graph().len()),
+                .map(|artifact| artifact.prepared.subtask_count()),
         );
     }
 
@@ -598,7 +597,7 @@ impl<'a> IterationPlan<'a> {
         scratch: &mut SimScratch,
     ) -> Result<IterationOutcome, SimError> {
         self.pick_activations_into(index, &mut scratch.activations);
-        let tasks = self.task_set.tasks();
+        let tasks = self.task_set().tasks();
 
         // Resolve every activation's artifact slot up front — one short scan
         // of the task's prepared scenarios per activation, after which the
@@ -653,6 +652,7 @@ impl<'a> IterationPlan<'a> {
         scratch: &mut SimScratch,
     ) -> Result<IterationOutcome, SimError> {
         let mut outcome = IterationOutcome::default();
+        let energy_per_load = self.platform().reconfig_energy_mj();
         for position in 0..scratch.activations.len() {
             let slot = scratch.activation_artifacts[position];
             let artifacts = &self.shared.artifacts[slot];
@@ -754,7 +754,7 @@ impl<'a> IterationPlan<'a> {
             outcome.loads_cancelled += cancelled;
             outcome.drhw_subtasks_executed += prepared.drhw_count();
             outcome.reused_subtasks += reused;
-            outcome.reconfiguration_energy_mj += loads as f64 * self.platform.reconfig_energy_mj();
+            outcome.reconfiguration_energy_mj += loads as f64 * energy_per_load;
 
             if policy.exploits_reuse() {
                 scratch.now += ideal + penalty;
@@ -770,7 +770,7 @@ impl<'a> IterationPlan<'a> {
     /// `out` has capacity for the task count.
     fn pick_activations_into(&self, index: usize, out: &mut Vec<(usize, ScenarioId)>) {
         let mut rng = StdRng::seed_from_u64(self.iteration_seed(index));
-        let tasks = self.task_set.tasks();
+        let tasks = self.task_set().tasks();
         out.clear();
         // Placeholder scenario ids until the selection below; the RNG call
         // sequence (inclusion draws, fallback draw, shuffle, scenario draws)
@@ -842,15 +842,15 @@ fn reachable_scenarios(
 /// the graph, both searches are skipped and the stored artifacts are used
 /// verbatim. Pure function of its inputs — the plan builder calls it
 /// from worker threads and folds results back in deterministic order.
-fn prepare_scenario<'a>(
+fn prepare_scenario(
     library: &DesignTimeLibrary,
     config: &SimulationConfig,
-    platform: &'a Platform,
-    (task, scenario, graph): (TaskId, ScenarioId, &'a SubtaskGraph),
+    platform: &Platform,
+    (task, scenario, graph): (TaskId, ScenarioId, &SubtaskGraph),
     precomputed: Option<&ScenarioSearchArtifacts>,
     dictionary: &[ConfigId],
     build_scratch: &mut drhw_prefetch::Scratch,
-) -> Result<ScenarioArtifacts<'a>, SimError> {
+) -> Result<ScenarioArtifacts, SimError> {
     let schedule = build_schedule(library, config, platform, task, scenario, graph)?;
     let (design_time, hybrid) = match precomputed.filter(|artifacts| artifacts.fits(graph)) {
         Some(artifacts) => (artifacts.design_time.clone(), artifacts.hybrid.clone()),
@@ -1005,8 +1005,24 @@ pub(crate) mod tests {
 
     #[test]
     fn plan_is_send_and_sync() {
-        fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<IterationPlan<'_>>();
+        fn assert_send_sync<T: Send + Sync + 'static>() {}
+        assert_send_sync::<IterationPlan>();
+    }
+
+    #[test]
+    fn a_plan_outlives_the_inputs_it_was_built_from() {
+        let plan = {
+            let set = two_task_set();
+            let platform = Platform::virtex_like(6).unwrap();
+            IterationPlan::new(&set, &platform, SimulationConfig::quick()).unwrap()
+        };
+        let set = two_task_set();
+        let platform = Platform::virtex_like(6).unwrap();
+        let fresh = IterationPlan::new(&set, &platform, SimulationConfig::quick()).unwrap();
+        assert_eq!(
+            plan.run(&PolicyKind::ALL).unwrap(),
+            fresh.run(&PolicyKind::ALL).unwrap()
+        );
     }
 
     #[test]
@@ -1270,22 +1286,26 @@ pub(crate) mod tests {
             let plan = IterationPlan::new(&set, &platform, config).unwrap();
             let scratch = plan.make_scratch();
             assert_eq!(scratch.memo.len(), plan.shared.artifacts.len());
-            for (artifacts, memo) in plan.shared.artifacts.iter().zip(&scratch.memo) {
-                let graph = artifacts.prepared.graph();
-                let n = graph.len();
-                let label = format!("{} ({n} subtasks)", graph.name());
-                // Every list memo of both workloads fits in 2^n entries.
-                assert!(memo.list.is_key_indexed(), "{label}");
-                let windowed = memo.inter.is_key_indexed();
-                assert_eq!(memo.hybrid.is_key_indexed(), windowed, "{label}");
-                assert_eq!(windowed, (n + 1) << n <= 256, "{label}");
-                match graph.name() {
-                    "parallel-jpeg" | "pattern-recognition" => assert!(!windowed, "{label}"),
-                    "jpeg-decoder" | "mpeg-encoder-i" | "mpeg-encoder-p" | "mpeg-encoder-b" => {
-                        assert!(windowed, "{label}")
+            let tasks = plan.task_set().tasks();
+            for (task, slots) in tasks.iter().zip(&plan.shared.scenario_slots) {
+                for &(scenario, slot) in slots {
+                    let graph = task.scenario(scenario).unwrap().graph();
+                    let memo = &scratch.memo[slot];
+                    let n = graph.len();
+                    let label = format!("{} ({n} subtasks)", graph.name());
+                    // Every list memo of both workloads fits in 2^n entries.
+                    assert!(memo.list.is_key_indexed(), "{label}");
+                    let windowed = memo.inter.is_key_indexed();
+                    assert_eq!(memo.hybrid.is_key_indexed(), windowed, "{label}");
+                    assert_eq!(windowed, (n + 1) << n <= 256, "{label}");
+                    match graph.name() {
+                        "parallel-jpeg" | "pattern-recognition" => assert!(!windowed, "{label}"),
+                        "jpeg-decoder" | "mpeg-encoder-i" | "mpeg-encoder-p" | "mpeg-encoder-b" => {
+                            assert!(windowed, "{label}")
+                        }
+                        // Pocket GL: key-indexed throughout.
+                        _ => assert!(windowed && n <= 2, "{label}"),
                     }
-                    // Pocket GL: key-indexed throughout.
-                    _ => assert!(windowed && n <= 2, "{label}"),
                 }
             }
         }

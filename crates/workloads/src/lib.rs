@@ -34,6 +34,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![forbid(unsafe_code)]
 
 pub mod fuzz;
 pub mod multimedia;

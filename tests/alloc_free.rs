@@ -66,7 +66,7 @@ fn allocation_events() -> usize {
 
 /// Counts the allocation events of one warm `IterationPlan::run` over all
 /// five policies.
-fn plan_run_allocations(plan: &IterationPlan<'_>) -> usize {
+fn plan_run_allocations(plan: &IterationPlan) -> usize {
     // Warm run outside the measurement: lets lazy process-wide state (e.g.
     // environment lookups) settle.
     plan.run(&PolicyKind::ALL).expect("simulation runs");

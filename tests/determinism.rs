@@ -163,7 +163,7 @@ fn a_scratch_reused_across_plans_matches_a_fresh_one() {
         (&PocketGlWorkload, &pocket_gl, &platforms[2]),
         (&PocketGlWorkload, &pocket_gl, &platforms[3]),
     ];
-    let plans: Vec<(String, IterationPlan<'_>)> = cases
+    let plans: Vec<(String, IterationPlan)> = cases
         .iter()
         .map(|&(workload, set, platform)| {
             let config = workload_config(workload, 64, seed);

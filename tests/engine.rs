@@ -228,10 +228,12 @@ fn unknown_workloads_and_bad_specs_fail_with_named_errors() {
     assert!(matches!(err, EngineError::Workload(_)));
     assert!(err.to_string().contains("warp-drive"));
 
-    let err = engine
-        .run(JobSpec::new("multimedia").with_iterations(0))
-        .unwrap_err();
-    assert!(err.to_string().contains("`iterations`"), "{err}");
+    for iterations in [0, usize::MAX] {
+        let err = engine
+            .run(JobSpec::new("multimedia").with_iterations(iterations))
+            .unwrap_err();
+        assert!(err.to_string().contains("`iterations`"), "{err}");
+    }
 
     // Parameterised names resolve on demand, exactly like the registry.
     let reports = engine
