@@ -13,10 +13,8 @@
 //! * [`replacement_ablation`] / [`cs_scheduler_ablation`] — ablations of the
 //!   design choices called out in DESIGN.md.
 
-use std::collections::BTreeMap;
-
 use drhw_engine::{Engine, EngineError, JobSpec};
-use drhw_model::{Platform, SubtaskGraph, TaskId, Time};
+use drhw_model::{Platform, SubtaskGraph, Time};
 use drhw_prefetch::{
     BranchBoundScheduler, CriticalSetAnalysis, ListScheduler, OnDemandScheduler, PolicyKind,
     PrefetchProblem, PrefetchScheduler, ReplacementPolicy,
@@ -26,7 +24,7 @@ use drhw_workloads::multimedia::{
     fully_parallel_schedule, jpeg_decoder_graph, mpeg_encoder_graph, parallel_jpeg_graph,
     pattern_recognition_graph, MpegFrame,
 };
-use drhw_workloads::{PocketGlWorkload, Workload};
+use drhw_workloads::Workload;
 
 /// One row of Table 1.
 #[derive(Debug, Clone, PartialEq)]
@@ -297,14 +295,6 @@ pub fn figure7_headline(
     tiles: usize,
 ) -> Result<(SimulationReport, SimulationReport), EngineError> {
     baseline_pair(engine, "pocket_gl", iterations, seed, tiles)
-}
-
-/// Converts the Pocket GL inter-task scenarios into the correlated scenario
-/// maps the simulator expects.
-pub fn correlated_combinations() -> Vec<BTreeMap<TaskId, drhw_model::ScenarioId>> {
-    PocketGlWorkload
-        .correlated_scenarios()
-        .expect("Pocket GL defines its 20 inter-task scenarios")
 }
 
 /// One row of the replacement-policy ablation: the hybrid policy simulated

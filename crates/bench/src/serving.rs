@@ -111,13 +111,6 @@ impl SwarmOutcome {
         }
     }
 
-    /// The `p`-th percentile (0–100, nearest-rank within the histogram's
-    /// ≤ 3.125 % bucket error) of the per-job latencies; 0 when no job
-    /// completed.
-    pub fn latency_percentile_ms(&self, p: f64) -> f64 {
-        self.latency.percentile_ms(p)
-    }
-
     /// Median per-job latency in milliseconds.
     pub fn p50_ms(&self) -> f64 {
         self.latency.p50_ms()

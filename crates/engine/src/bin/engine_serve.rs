@@ -2,7 +2,7 @@
 //!
 //! Reads one request JSON object per stdin line and writes
 //! result/progress/error JSON lines to stdout (protocol:
-//! [`drhw_engine::serve`]). A session's output is byte-for-byte
+//! [`drhw_engine::serve`](mod@drhw_engine::serve)). A session's output is byte-for-byte
 //! reproducible, which is how CI diffs it against the two golden
 //! transcripts (v1 and v2).
 //!

@@ -71,9 +71,11 @@ impl Default for EngineBuilder {
 pub const DEFAULT_CACHE_CAPACITY: usize = 8;
 
 impl EngineBuilder {
-    /// Worker threads of the pool. `0` (default) resolves like
-    /// [`SimulationConfig::resolved_threads`]: the `DRHW_SIM_THREADS`
-    /// environment variable, else the available hardware parallelism.
+    /// Worker threads of the pool. `0` (default) falls back to the
+    /// [`default_config`](Self::default_config)'s
+    /// [`threads`](SimulationConfig::threads), then to the
+    /// `DRHW_SIM_THREADS` environment variable, then to the available
+    /// hardware parallelism.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
@@ -129,17 +131,13 @@ impl EngineBuilder {
 
     /// Spawns the worker pool and returns the engine.
     pub fn build(self) -> Engine {
-        let threads = if self.threads > 0 {
-            self.threads
-        } else {
-            self.default_config.resolved_threads()
-        };
+        let threads = pool_size(self.threads, self.default_config.threads);
         let shared = Arc::new(PoolShared {
             queue: Mutex::new(VecDeque::new()),
             available: Condvar::new(),
             shutdown: AtomicBool::new(false),
         });
-        let workers = (0..threads.max(1))
+        let workers = (0..threads)
             .map(|_| {
                 let shared = Arc::clone(&shared);
                 std::thread::spawn(move || worker_loop(&shared))
@@ -148,7 +146,7 @@ impl EngineBuilder {
         Engine {
             shared,
             workers,
-            threads: threads.max(1),
+            threads,
             cache: Mutex::new(PlanCache::new(self.cache_capacity)),
             disk: self.cache_dir.map(DiskPlanCache::new),
             default_config: self.default_config,
@@ -156,6 +154,28 @@ impl EngineBuilder {
             next_job: AtomicU64::new(1),
         }
     }
+}
+
+/// The worker-pool size: the first non-zero of the builder's count, the
+/// default configuration's `threads` and the `DRHW_SIM_THREADS` environment
+/// variable, else the available hardware parallelism. Always at least one.
+fn pool_size(builder_threads: usize, config_threads: usize) -> usize {
+    if builder_threads > 0 {
+        return builder_threads;
+    }
+    if config_threads > 0 {
+        return config_threads;
+    }
+    if let Some(n) = std::env::var("DRHW_SIM_THREADS")
+        .ok()
+        .and_then(|v| v.trim().parse::<usize>().ok())
+        .filter(|&n| n > 0)
+    {
+        return n;
+    }
+    std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1)
 }
 
 /// The session-oriented job engine — the public entry point of the
@@ -413,8 +433,9 @@ impl Drop for Engine {
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
-        // With the pool gone nothing will execute the remaining queue;
-        // resolve every unfinished job as cancelled so waiters never hang.
+        // With the pool gone nothing will execute the remaining queue, and
+        // nothing is in flight; cancelling resolves every unfinished job so
+        // waiters never hang.
         let queue = std::mem::take(
             &mut *self
                 .shared
@@ -424,7 +445,6 @@ impl Drop for Engine {
         );
         for job in queue {
             job.cancel();
-            job.try_finalize();
         }
     }
 }
@@ -440,9 +460,9 @@ impl std::fmt::Debug for Engine {
 }
 
 /// The worker loop: pick the oldest job with claimable work, drain its
-/// slots, then move on. Exhausted, failed and cancelled jobs are popped and
-/// nudged toward finalisation (recording the last in-flight slot finalises
-/// too, whichever happens last).
+/// slots, then move on. Exhausted, failed and cancelled jobs are popped; the
+/// job itself resolves on the record or cancel that leaves it stopped with
+/// nothing in flight.
 fn worker_loop(shared: &PoolShared) {
     loop {
         let job = {
@@ -460,8 +480,7 @@ fn worker_loop(shared: &PoolShared) {
                         picked = Some(Arc::clone(front));
                         break;
                     }
-                    let finished = queue.pop_front().expect("front exists");
-                    finished.try_finalize();
+                    queue.pop_front();
                 }
                 if let Some(job) = picked {
                     break job;
@@ -480,5 +499,19 @@ fn worker_loop(shared: &PoolShared) {
             let result = job.plan.evaluate_chunk_with(policy, chunk, &mut scratch);
             job.record(slot, result);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn explicit_thread_count_wins_over_auto_detection() {
+        assert_eq!(pool_size(3, 0), 3);
+        assert_eq!(pool_size(3, 5), 3);
+        assert_eq!(pool_size(0, 5), 5);
+        // Auto detection always lands on at least one thread.
+        assert!(pool_size(0, 0) >= 1);
     }
 }

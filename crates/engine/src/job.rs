@@ -2,17 +2,18 @@
 //!
 //! A job is `policies × chunks` independent slots (exactly the work
 //! decomposition of [`drhw_sim::IterationPlan::run`]). Workers claim slots
-//! from an atomic counter and record [`ChunkStats`] results; a fold cursor
+//! in increasing order and record [`ChunkStats`] results; a fold cursor
 //! advances strictly in (policy, chunk) order, which is what makes the final
 //! reports — and the [`ProgressEvent`] stream — bit-identical regardless of
 //! worker count, claim interleaving or how many other jobs share the pool.
+//! Everything that changes while the job runs sits behind one mutex, so a
+//! claim, a record or a cancel is one critical section.
 //!
-//! Cancellation is cooperative: [`JobHandle::cancel`] flips a flag checked
-//! before every claim, so a cancelled job stops within one chunk of work per
+//! Cancellation is cooperative: [`JobHandle::cancel`] sets a flag checked
+//! by every claim, so a cancelled job stops within one chunk of work per
 //! worker and resolves to [`EngineError::Cancelled`].
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 
 use drhw_prefetch::PolicyKind;
 use drhw_sim::{ChunkStats, IterationPlan, SimError, SimulationReport};
@@ -70,8 +71,16 @@ pub struct ProgressEvent {
 /// What a finished job resolves to.
 pub type JobResult = Result<Vec<SimulationReport>, EngineError>;
 
-/// The ordered fold of chunk results, guarded by one mutex.
-struct FoldState {
+/// Everything about a job that changes while it runs, guarded by one mutex.
+struct JobInner {
+    /// Next slot to claim; every slot below it has been handed out.
+    next_slot: usize,
+    /// Claimed slots whose result is not recorded yet.
+    in_flight: usize,
+    /// Set by [`JobState::cancel`].
+    cancelled: bool,
+    /// Set when a slot records an error.
+    failed: bool,
     /// One slot per (policy, chunk), in (policy, chunk) order.
     slots: Vec<Option<Result<ChunkStats, SimError>>>,
     /// Next slot to fold; everything before it has been merged.
@@ -80,10 +89,18 @@ struct FoldState {
     running: ChunkStats,
     /// Finished per-policy reports, in policy order.
     reports: Vec<SimulationReport>,
-    /// Progress sink; dropped (closing the receiver) at finalisation.
+    /// Progress sink; dropped (closing the receiver) when the job resolves.
     progress: Option<mpsc::Sender<ProgressEvent>>,
-    /// Whether the job has been finalised.
-    finalized: bool,
+    /// The job's result, once it resolved.
+    outcome: Option<JobResult>,
+}
+
+impl JobInner {
+    /// Whether no further slot will be claimed: the job was cancelled, a
+    /// slot failed, or every slot has been handed out.
+    fn stopped(&self) -> bool {
+        self.cancelled || self.failed || self.next_slot == self.slots.len()
+    }
 }
 
 /// Shared state of one submitted job.
@@ -97,12 +114,8 @@ pub(crate) struct JobState {
     pub(crate) plan: IterationPlan,
     /// Whether this job's plan came out of the cache without preparation.
     pub(crate) cache_hit: bool,
-    next_slot: AtomicUsize,
-    in_flight: AtomicUsize,
-    cancelled: AtomicBool,
-    failed: AtomicBool,
-    fold: Mutex<FoldState>,
-    outcome: Mutex<Option<JobResult>>,
+    inner: Mutex<JobInner>,
+    /// Signalled once, when the job resolves.
     done: Condvar,
 }
 
@@ -124,59 +137,43 @@ impl JobState {
             policies,
             plan,
             cache_hit,
-            next_slot: AtomicUsize::new(0),
-            in_flight: AtomicUsize::new(0),
-            cancelled: AtomicBool::new(false),
-            failed: AtomicBool::new(false),
-            fold: Mutex::new(FoldState {
+            inner: Mutex::new(JobInner {
+                next_slot: 0,
+                in_flight: 0,
+                cancelled: false,
+                failed: false,
                 slots: std::iter::repeat_with(|| None).take(slots).collect(),
                 cursor: 0,
                 running: ChunkStats::default(),
                 reports: Vec::new(),
                 progress: Some(progress),
-                finalized: false,
+                outcome: None,
             }),
-            outcome: Mutex::new(None),
             done: Condvar::new(),
         }
     }
 
-    pub(crate) fn total_slots(&self) -> usize {
-        self.policies.len() * self.plan.chunk_count()
+    fn lock(&self) -> MutexGuard<'_, JobInner> {
+        self.inner.lock().expect("job lock is never poisoned")
     }
 
     /// Whether a worker could still claim a slot right now.
     pub(crate) fn claimable(&self) -> bool {
-        !self.cancelled.load(Ordering::SeqCst)
-            && !self.failed.load(Ordering::SeqCst)
-            && self.next_slot.load(Ordering::SeqCst) < self.total_slots()
+        !self.lock().stopped()
     }
 
     /// Claims the next slot, or `None` when the job stopped accepting work
     /// (exhausted, failed or cancelled). A successful claim **must** be
     /// followed by [`record`](Self::record).
     pub(crate) fn claim(&self) -> Option<usize> {
-        // Count the attempt as in-flight *before* taking a slot so no
-        // observer can see a claimed-but-unaccounted slot (the finalisation
-        // condition relies on `in_flight == 0` implying every claimed slot
-        // has been recorded).
-        self.in_flight.fetch_add(1, Ordering::SeqCst);
-        if self.cancelled.load(Ordering::SeqCst) || self.failed.load(Ordering::SeqCst) {
-            self.abandon_claim();
+        let mut inner = self.lock();
+        if inner.stopped() {
             return None;
         }
-        let slot = self.next_slot.fetch_add(1, Ordering::SeqCst);
-        if slot >= self.total_slots() {
-            self.abandon_claim();
-            return None;
-        }
+        let slot = inner.next_slot;
+        inner.next_slot += 1;
+        inner.in_flight += 1;
         Some(slot)
-    }
-
-    fn abandon_claim(&self) {
-        if self.in_flight.fetch_sub(1, Ordering::SeqCst) == 1 {
-            self.try_finalize();
-        }
     }
 
     /// The (policy, chunk) pair a slot index denotes.
@@ -186,30 +183,25 @@ impl JobState {
     }
 
     /// Records a claimed slot's result, advances the ordered fold (emitting
-    /// progress events) and finalises the job when it was the last
+    /// progress events) and resolves the job when it was the last
     /// outstanding slot.
     pub(crate) fn record(&self, slot: usize, result: Result<ChunkStats, SimError>) {
-        {
-            let mut fold = self.fold.lock().expect("job fold lock is never poisoned");
-            if result.is_err() {
-                self.failed.store(true, Ordering::SeqCst);
-            }
-            fold.slots[slot] = Some(result);
-            self.advance_fold(&mut fold);
-        }
-        if self.in_flight.fetch_sub(1, Ordering::SeqCst) == 1 {
-            self.try_finalize();
-        }
+        let mut inner = self.lock();
+        inner.failed |= result.is_err();
+        inner.slots[slot] = Some(result);
+        inner.in_flight -= 1;
+        self.advance_fold(&mut inner);
+        self.resolve_if_settled(&mut inner);
     }
 
     /// Folds every contiguously-available `Ok` slot past the cursor, in
     /// (policy, chunk) order — the exact fold `IterationPlan::run` performs,
     /// so the final reports are bit-identical to its.
-    fn advance_fold(&self, fold: &mut FoldState) {
+    fn advance_fold(&self, fold: &mut JobInner) {
         while fold.cursor < fold.slots.len() {
             let Some(Ok(stats)) = &fold.slots[fold.cursor] else {
                 // A hole (chunk still running) or an error: the fold stops
-                // here. Errors are resolved at finalisation so the *first*
+                // here. Errors are resolved with the job so the *first*
                 // error in slot order wins deterministically.
                 break;
             };
@@ -244,37 +236,23 @@ impl JobState {
     /// Requests cooperative cancellation. Claimed chunks finish; no further
     /// chunk starts.
     pub(crate) fn cancel(&self) {
-        self.cancelled.store(true, Ordering::SeqCst);
-        if self.in_flight.load(Ordering::SeqCst) == 0 {
-            self.try_finalize();
-        }
+        let mut inner = self.lock();
+        inner.cancelled = true;
+        self.resolve_if_settled(&mut inner);
     }
 
-    /// Finalises the job if every claimed slot has been recorded and no more
-    /// will be claimed. Idempotent; callable from any thread.
-    pub(crate) fn try_finalize(&self) {
-        let mut fold = self.fold.lock().expect("job fold lock is never poisoned");
-        if fold.finalized {
+    /// Resolves the job once it has stopped with nothing in flight: to the
+    /// first error in slot order, else to the reports if every slot folded,
+    /// else to [`EngineError::Cancelled`]. Does nothing before that, or
+    /// after the job resolved.
+    fn resolve_if_settled(&self, inner: &mut JobInner) {
+        if inner.outcome.is_some() || inner.in_flight > 0 || !inner.stopped() {
             return;
         }
-        // Read the stop flags and the slot counter BEFORE `in_flight`. A
-        // claim raises `in_flight` before it checks the flags and takes a
-        // slot, so a zero read after them proves every claim they count has
-        // been recorded. Read the other way round, a claim of the last slot
-        // can land between the two reads, and a live job resolves as
-        // cancelled while that slot is still running.
-        let total = self.total_slots();
-        let claimed = self.next_slot.load(Ordering::SeqCst).min(total);
-        let stopped = self.cancelled.load(Ordering::SeqCst)
-            || self.failed.load(Ordering::SeqCst)
-            || claimed >= total;
-        if !stopped || self.in_flight.load(Ordering::SeqCst) != 0 {
-            return;
-        }
-        // Workers claim slots in increasing order with no gaps and record
-        // every claim, so with in_flight == 0 the filled slots are exactly
-        // 0..claimed and the first error in slot order is deterministic.
-        let first_error = fold.slots[..claimed]
+        // Slots are claimed in increasing order with no gaps and every claim
+        // is recorded, so with nothing in flight the filled slots are exactly
+        // 0..next_slot and the first error in slot order is deterministic.
+        let first_error = inner.slots[..inner.next_slot]
             .iter()
             .flatten()
             .find_map(|r| r.as_ref().err())
@@ -284,46 +262,32 @@ impl JobState {
                 workload: self.workload.clone(),
                 source: error,
             })
-        } else if fold.cursor == total {
-            Ok(fold.reports.clone())
+        } else if inner.cursor == inner.slots.len() {
+            Ok(inner.reports.clone())
         } else {
-            debug_assert!(self.cancelled.load(Ordering::SeqCst));
+            debug_assert!(inner.cancelled);
             Err(EngineError::Cancelled { job: self.id })
         };
-        fold.finalized = true;
+        inner.outcome = Some(result);
         // Close the progress stream so receivers observe the end.
-        fold.progress = None;
-        drop(fold);
-        *self
-            .outcome
-            .lock()
-            .expect("job outcome lock is never poisoned") = Some(result);
+        inner.progress = None;
         self.done.notify_all();
     }
 
     /// Blocks until the job resolves and returns (a clone of) its result.
     pub(crate) fn wait(&self) -> JobResult {
-        let mut outcome = self
-            .outcome
-            .lock()
-            .expect("job outcome lock is never poisoned");
+        let mut inner = self.lock();
         loop {
-            if let Some(result) = outcome.as_ref() {
+            if let Some(result) = &inner.outcome {
                 return result.clone();
             }
-            outcome = self
-                .done
-                .wait(outcome)
-                .expect("job outcome lock is never poisoned");
+            inner = self.done.wait(inner).expect("job lock is never poisoned");
         }
     }
 
     /// The result if the job already resolved.
     pub(crate) fn poll(&self) -> Option<JobResult> {
-        self.outcome
-            .lock()
-            .expect("job outcome lock is never poisoned")
-            .clone()
+        self.lock().outcome.clone()
     }
 }
 
@@ -392,5 +356,90 @@ impl std::fmt::Debug for JobHandle {
             .field("workload", &self.state.workload)
             .field("resolved", &self.state.poll().is_some())
             .finish()
+    }
+}
+
+// The claim/record/cancel interleavings, forced from one thread: no worker,
+// no sleep, so each order below runs exactly as written on every run.
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use drhw_model::Platform;
+    use drhw_sim::SimulationConfig;
+    use drhw_workloads::WorkloadRegistry;
+
+    const POLICY: PolicyKind = PolicyKind::Hybrid;
+
+    /// A one-policy job over three chunks of four iterations, and the
+    /// receiving end of its progress stream.
+    fn three_chunk_job() -> (JobState, mpsc::Receiver<ProgressEvent>) {
+        let workload = WorkloadRegistry::with_builtins()
+            .resolve("multimedia")
+            .unwrap();
+        let platform = Platform::virtex_like(8).unwrap();
+        let config = SimulationConfig::quick()
+            .with_iterations(12)
+            .with_chunk_size(4);
+        let plan = IterationPlan::new(&workload.task_set(), &platform, config).unwrap();
+        assert_eq!(plan.chunk_count(), 3);
+        let spec = JobSpec::new("multimedia").with_policies([POLICY]);
+        let (sender, receiver) = mpsc::channel();
+        let job = JobState::new(
+            JobId::new(7),
+            spec,
+            "multimedia".to_string(),
+            plan,
+            false,
+            sender,
+        );
+        (job, receiver)
+    }
+
+    fn chunk(job: &JobState, slot: usize) -> Result<ChunkStats, SimError> {
+        let (policy, chunk) = job.slot_work(slot);
+        job.plan
+            .evaluate_chunk_with(policy, chunk, &mut job.plan.make_scratch())
+    }
+
+    #[test]
+    fn slots_claimed_before_a_cancel_still_fold_in_order() {
+        let (job, progress) = three_chunk_job();
+        let slots: Vec<usize> = (0..3).map(|_| job.claim().unwrap()).collect();
+        assert_eq!(slots, [0, 1, 2]);
+        job.cancel();
+        assert!(job.poll().is_none(), "three slots are still in flight");
+        for &slot in slots.iter().rev() {
+            job.record(slot, chunk(&job, slot));
+        }
+        assert_eq!(job.wait(), Ok(job.plan.run(&[POLICY]).unwrap()));
+        let chunks: Vec<usize> = progress.iter().map(|event| event.chunk).collect();
+        assert_eq!(chunks, [0, 1, 2], "the stream closes after the last chunk");
+    }
+
+    #[test]
+    fn a_cancelled_job_resolves_only_once_its_claimed_slot_is_recorded() {
+        let (job, _progress) = three_chunk_job();
+        let slot = job.claim().unwrap();
+        job.cancel();
+        assert_eq!(job.claim(), None);
+        assert!(job.poll().is_none(), "slot {slot} is still in flight");
+        job.record(slot, chunk(&job, slot));
+        assert_eq!(job.wait(), Err(EngineError::Cancelled { job: job.id }));
+    }
+
+    #[test]
+    fn a_failed_slot_stops_claims_and_resolves_to_its_error() {
+        let (job, _progress) = three_chunk_job();
+        assert_eq!((job.claim(), job.claim()), (Some(0), Some(1)));
+        job.record(0, chunk(&job, 0));
+        job.record(1, Err(SimError::NoIterations));
+        assert_eq!(job.claim(), None);
+        assert_eq!(
+            job.wait(),
+            Err(EngineError::Sim {
+                workload: "multimedia".to_string(),
+                source: SimError::NoIterations,
+            })
+        );
     }
 }

@@ -8,7 +8,8 @@
 //! Where the simulation core hand-wires `TaskSet` → `IterationPlan` →
 //! `IterationPlan::run` per run, on one thread, an [`Engine`] is built once
 //! and serves many jobs on its worker pool — the workspace's only parallel
-//! executor:
+//! executor (a plan that misses the cache is prepared on the submitting
+//! thread):
 //!
 //! * **Plan caching** — prepared [`IterationPlan`](drhw_sim::IterationPlan)
 //!   artifacts are cached under (workload, tiles, point-selection) keys, so

@@ -224,6 +224,14 @@ impl JobSpec {
                 reason: "the platform needs at least one tile".to_string(),
             });
         }
+        for (index, policy) in self.policies.iter().enumerate() {
+            if self.policies[..index].contains(policy) {
+                return Err(EngineError::InvalidSpec {
+                    field: "policies",
+                    reason: format!("policy {policy} appears twice"),
+                });
+            }
+        }
         if self.iterations == Some(0) {
             return Err(EngineError::InvalidSpec {
                 field: "iterations",
@@ -650,6 +658,11 @@ mod tests {
                 r#"{"workload":"m","policies":["turbo"]}"#,
                 "`policies`",
                 "turbo",
+            ),
+            (
+                r#"{"workload":"m","policies":["hybrid","run-time","hybrid"]}"#,
+                "`policies`",
+                "policy hybrid appears twice",
             ),
             (
                 r#"{"workload":"m","replacement":"fifo"}"#,

@@ -1,6 +1,6 @@
 //! The sweep orchestrator: thousands of parameter sets per session.
 //!
-//! Where [`serve`](crate::serve) executes one [`JobSpec`](crate::JobSpec)
+//! Where [`serve`](mod@crate::serve) executes one [`JobSpec`](crate::JobSpec)
 //! per request line, this module executes a whole *experiment*: an
 //! [`ExperimentSpec`] declares per-field value axes (workloads × tiles ×
 //! policies × iterations × seeds × overrides), [`ExperimentSpec::expand`]
@@ -11,9 +11,9 @@
 //!
 //! Sessions are **resumable**: each completed set appends one result line
 //! keyed by its [`ParamSetId`], and a restarted runner skips everything
-//! already on disk (see [`runner`] for the exact guarantees). When the last
-//! set completes, [`summary`] aggregates the log into per-axis medians and
-//! the best/worst policy per workload.
+//! already on disk (see the `runner` module for the exact guarantees). When
+//! the last set completes, the `summary` module aggregates the log into
+//! per-axis medians and the best/worst policy per workload.
 
 mod experiment;
 mod runner;

@@ -1,6 +1,6 @@
 //! `engine_net` — the TCP serving front-end.
 //!
-//! Boots a shared [`Engine`](drhw_engine::Engine), binds a listener and
+//! Boots a shared [`Engine`], binds a listener and
 //! serves JSON-lines sessions until it drains: on SIGTERM/SIGINT or the
 //! wire `{"cmd":"shutdown"}` command it stops accepting, refuses late
 //! connections with a structured reason, finishes every accepted job,

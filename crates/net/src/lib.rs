@@ -3,7 +3,7 @@
 //! The concurrent TCP serving tier of the DRHW workspace: one listener,
 //! many simultaneous connections, every connection a *session* speaking the
 //! same JSON-lines protocol as the stdin/stdout `engine_serve` front-end
-//! ([`drhw_engine::serve`]), all multiplexed onto one shared
+//! ([`drhw_engine::serve`](mod@drhw_engine::serve)), all multiplexed onto one shared
 //! [`Engine`](drhw_engine::Engine).
 //!
 //! What the tier adds on top of the single-client protocol:

@@ -2,7 +2,7 @@
 //!
 //! A differential oracle for the DRHW prefetch workspace, in two halves:
 //!
-//! * [`reference`] — a slow-but-obviously-correct **reference simulator**: a
+//! * [`reference`](mod@reference) — a slow-but-obviously-correct **reference simulator**: a
 //!   straight-line, event-driven re-implementation of execution and
 //!   reconfiguration-overhead accounting that shares **only `drhw-model`
 //!   types** with the fast path (no `IterationPlan`, no precomputed

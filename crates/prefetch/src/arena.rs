@@ -1,7 +1,7 @@
 //! The timing engine and the allocation-free per-activation kernels.
 //!
 //! Every prefetch policy in this crate — on-demand loading, the run-time
-//! list scheduler of ref [7], the branch & bound optimum and the stored
+//! list scheduler of ref \[7\], the branch & bound optimum and the stored
 //! hybrid schedules — boils down to choosing the order in which the single
 //! reconfiguration port performs the needed loads. `simulate_core` is the
 //! one implementation of the platform rules that times such an order (or an

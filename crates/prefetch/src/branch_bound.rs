@@ -64,12 +64,12 @@ use crate::scheduler::PrefetchScheduler;
 /// when a relaxation (remaining loads assumed free) already matches or exceeds
 /// the best complete schedule found so far, so the incumbent produced by the
 /// list scheduler makes the search terminate quickly on the graph sizes of the
-/// paper's benchmarks. See the [module docs](self) for the memoization,
-/// dominance and warm-start accelerations layered on top.
+/// paper's benchmarks. [`SearchCache`] and
+/// [`schedule_with_stats`](Self::schedule_with_stats) describe the
+/// memoization, dominance and warm-start accelerations layered on top.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BranchBoundScheduler {
     exhaustive_limit: usize,
-    node_limit: u64,
 }
 
 impl BranchBoundScheduler {
@@ -77,15 +77,14 @@ impl BranchBoundScheduler {
     /// larger problems fall back to the list scheduler, mirroring the paper.
     pub const DEFAULT_EXHAUSTIVE_LIMIT: usize = 12;
 
-    /// Default cap on explored search nodes (a safety valve, far above what
-    /// the benchmark graphs need).
+    /// Cap on explored search nodes (a safety valve, far above what the
+    /// benchmark graphs need).
     pub const DEFAULT_NODE_LIMIT: u64 = 2_000_000;
 
     /// Creates a scheduler with the default limits.
     pub fn new() -> Self {
         BranchBoundScheduler {
             exhaustive_limit: Self::DEFAULT_EXHAUSTIVE_LIMIT,
-            node_limit: Self::DEFAULT_NODE_LIMIT,
         }
     }
 
@@ -93,13 +92,6 @@ impl BranchBoundScheduler {
     #[must_use]
     pub fn with_exhaustive_limit(mut self, loads: usize) -> Self {
         self.exhaustive_limit = loads;
-        self
-    }
-
-    /// Returns a copy with a different search-node cap.
-    #[must_use]
-    pub fn with_node_limit(mut self, nodes: u64) -> Self {
-        self.node_limit = nodes;
         self
     }
 
@@ -150,7 +142,6 @@ impl BranchBoundScheduler {
             cache,
             best: incumbent,
             stats: SearchStats::default(),
-            node_limit: self.node_limit,
             cacheable,
             full_set,
             warm_bound: None,
@@ -209,7 +200,6 @@ impl BranchBoundScheduler {
             problem,
             best: incumbent,
             nodes: 0,
-            node_limit: self.node_limit,
             timeline: Timeline::default(),
         };
         let mut prefix = Vec::with_capacity(loads.len());
@@ -408,7 +398,6 @@ struct AssistedSearch<'c, 'p, 'a> {
     cache: &'c mut SearchCache,
     best: ExecutionResult,
     stats: SearchStats,
-    node_limit: u64,
     cacheable: bool,
     full_set: SlotMask,
     warm_bound: Option<Time>,
@@ -460,7 +449,9 @@ impl AssistedSearch<'_, '_, '_> {
         set: SlotMask,
         remaining: &[SubtaskId],
     ) -> Result<(), PrefetchError> {
-        if self.best.penalty().is_zero() || self.stats.nodes >= self.node_limit {
+        if self.best.penalty().is_zero()
+            || self.stats.nodes >= BranchBoundScheduler::DEFAULT_NODE_LIMIT
+        {
             return Ok(());
         }
         self.stats.nodes += 1;
@@ -652,7 +643,6 @@ struct NaiveSearch<'p, 'a> {
     problem: &'p PrefetchProblem<'a>,
     best: ExecutionResult,
     nodes: u64,
-    node_limit: u64,
     timeline: Timeline,
 }
 
@@ -662,7 +652,7 @@ impl NaiveSearch<'_, '_> {
         prefix: &mut Vec<SubtaskId>,
         remaining: &[SubtaskId],
     ) -> Result<(), PrefetchError> {
-        if self.best.penalty().is_zero() || self.nodes >= self.node_limit {
+        if self.best.penalty().is_zero() || self.nodes >= BranchBoundScheduler::DEFAULT_NODE_LIMIT {
             return Ok(());
         }
         self.nodes += 1;

@@ -10,7 +10,7 @@ pub enum PolicyKind {
     /// An optimal prefetch schedule computed at design time only; reuse is
     /// impossible because residency is unknown offline.
     DesignTimeOnly,
-    /// The run-time list-scheduling heuristic of ref [7] combined with the
+    /// The run-time list-scheduling heuristic of ref \[7\] combined with the
     /// reuse and replacement modules.
     RunTime,
     /// The run-time heuristic plus the inter-task optimization of §6.

@@ -20,7 +20,7 @@ use crate::reuse::{TileContents, TileMapping};
 pub enum ReplacementPolicy {
     /// Match slots to tiles already holding their first configuration, then
     /// fill the remaining slots with the least-recently-used tiles (the
-    /// behaviour of ref [6]; default).
+    /// behaviour of ref \[6\]; default).
     #[default]
     ReuseAware,
     /// Ignore contents entirely and always evict the least-recently-used
@@ -74,7 +74,7 @@ pub fn assign_tiles(
 /// resident configuration appears in `protected` (the configurations the tasks
 /// scheduled next will want). The run-time scheduler knows the upcoming task
 /// sequence, so the replacement module can use it to maximise reuse — this is
-/// the behaviour of the replacement module of ref [6].
+/// the behaviour of the replacement module of ref \[6\].
 ///
 /// # Errors
 ///

@@ -15,7 +15,7 @@ use crate::problem::{ExecutionResult, PrefetchProblem};
 /// * [`OnDemandScheduler`](crate::OnDemandScheduler) — no prefetch at all, the
 ///   "without prefetch" baseline of the paper;
 /// * [`ListScheduler`](crate::ListScheduler) — the run-time heuristic of the
-///   authors' earlier work (ref [7]), `N·log N`, near-optimal;
+///   authors' earlier work (ref \[7\]), `N·log N`, near-optimal;
 /// * [`BranchBoundScheduler`](crate::BranchBoundScheduler) — exact branch &
 ///   bound used inside the design-time phase for small graphs.
 ///

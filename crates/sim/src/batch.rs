@@ -60,76 +60,6 @@ mod tests {
     use std::collections::BTreeMap;
 
     #[test]
-    fn parallel_plan_build_matches_a_sequential_build() {
-        // Plan preparation itself fans out over workers; the resulting plans
-        // must be indistinguishable from a single-threaded build.
-        let set = two_task_set();
-        let platform = Platform::virtex_like(4).unwrap();
-        let config = SimulationConfig::quick().with_iterations(16);
-        let sequential =
-            IterationPlan::new(&set, &platform, config.clone().with_threads(1)).unwrap();
-        let parallel = IterationPlan::new(&set, &platform, config.with_threads(4)).unwrap();
-        assert_eq!(
-            sequential.run(&PolicyKind::ALL).unwrap(),
-            parallel.run(&PolicyKind::ALL).unwrap()
-        );
-    }
-
-    #[test]
-    fn thread_count_does_not_change_the_reports() {
-        // `threads` sizes the plan-build workers (and the engine's default
-        // pool); no worker count may change a report.
-        let set = two_task_set();
-        let platform = Platform::virtex_like(4).unwrap();
-        let config = SimulationConfig::quick()
-            .with_iterations(40)
-            .with_chunk_size(8);
-        let sequential = IterationPlan::new(&set, &platform, config.clone().with_threads(1))
-            .unwrap()
-            .run(&PolicyKind::ALL)
-            .unwrap();
-        for threads in [2, 3, 7] {
-            let parallel =
-                IterationPlan::new(&set, &platform, config.clone().with_threads(threads))
-                    .unwrap()
-                    .run(&PolicyKind::ALL)
-                    .unwrap();
-            assert_eq!(sequential, parallel, "{threads} threads");
-        }
-    }
-
-    #[test]
-    fn default_threads_agree_with_a_single_worker() {
-        let set = two_task_set();
-        let platform = Platform::virtex_like(8).unwrap();
-        let run = |config: SimulationConfig| {
-            IterationPlan::new(&set, &platform, config)
-                .unwrap()
-                .run(&[PolicyKind::Hybrid])
-                .unwrap()
-        };
-        assert_eq!(
-            run(SimulationConfig::quick()),
-            run(SimulationConfig::quick().with_threads(1))
-        );
-    }
-
-    #[test]
-    fn oversubscribed_batch_still_runs() {
-        let set = two_task_set();
-        let platform = Platform::virtex_like(4).unwrap();
-        // 64 plan-build workers for two (task, scenario) pairs, and 5
-        // iterations that fit in a single chunk.
-        let config = SimulationConfig::quick()
-            .with_iterations(5)
-            .with_threads(64);
-        let plan = IterationPlan::new(&set, &platform, config).unwrap();
-        let reports = plan.run(&[PolicyKind::Hybrid]).unwrap();
-        assert_eq!(reports.len(), 1);
-        assert_eq!(reports[0].iterations(), 5);
-    }
-
-    #[test]
     fn reports_cover_the_requested_policies_in_order() {
         let set = two_task_set();
         let platform = Platform::virtex_like(4).unwrap();

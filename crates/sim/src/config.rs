@@ -55,11 +55,12 @@ pub struct SimulationConfig {
     pub point_selection: PointSelection,
     /// How scenarios are selected.
     pub scenario_policy: ScenarioPolicy,
-    /// Number of worker threads that build the plan (and, in `drhw-engine`,
-    /// the default size of the worker pool). `0` (the default) resolves to
-    /// the `DRHW_SIM_THREADS` environment variable if set, and to the
-    /// machine's available parallelism otherwise. The thread count never
-    /// changes the results: reports are bit-identical for any value.
+    /// Default size of a `drhw-engine` worker pool built with this
+    /// configuration; the simulation itself never reads it. `0` (the
+    /// default) leaves the choice to the engine: the `DRHW_SIM_THREADS`
+    /// environment variable if set, else the machine's available
+    /// parallelism. The thread count never changes the results: reports are
+    /// bit-identical for any value.
     pub threads: usize,
     /// Number of consecutive iterations evaluated as one unit of parallel
     /// work. Tile contents and the inter-task idle window persist across the
@@ -125,25 +126,6 @@ impl SimulationConfig {
         Ok(())
     }
 
-    /// The worker-thread count actually used:
-    /// [`threads`](Self::threads) if non-zero, else the `DRHW_SIM_THREADS`
-    /// environment variable, else the available hardware parallelism.
-    pub fn resolved_threads(&self) -> usize {
-        if self.threads > 0 {
-            return self.threads;
-        }
-        if let Some(n) = std::env::var("DRHW_SIM_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-        {
-            return n;
-        }
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    }
-
     /// Returns a copy with a different iteration count.
     #[must_use]
     pub fn with_iterations(mut self, iterations: usize) -> Self {
@@ -179,7 +161,7 @@ impl SimulationConfig {
         self
     }
 
-    /// Returns a copy with an explicit worker-thread count (`0` = auto).
+    /// Returns a copy with an explicit engine worker-pool size (`0` = auto).
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
@@ -208,18 +190,6 @@ mod tests {
         assert_eq!(c.threads, 0);
         assert_eq!(c.chunk_size, DEFAULT_CHUNK_SIZE);
         assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn explicit_thread_count_wins_over_auto_detection() {
-        assert_eq!(
-            SimulationConfig::default()
-                .with_threads(3)
-                .resolved_threads(),
-            3
-        );
-        // Auto detection always lands on at least one thread.
-        assert!(SimulationConfig::default().resolved_threads() >= 1);
     }
 
     #[test]

@@ -20,13 +20,14 @@
 //! (policy, chunk) order on the calling thread and folds the per-chunk
 //! statistics back in that order.
 //!
-//! This crate is the simulation *core*. Parallel execution lives in the
-//! `drhw-engine` crate, whose `Engine` submits jobs by workload name, fans
-//! their (policy, chunk) units out over a worker pool
-//! ([`SimulationConfig::threads`], or the `DRHW_SIM_THREADS` environment
-//! variable) and adds plan caching across runs, streaming progress and
-//! cancellation — with reports **bit-identical** to [`IterationPlan::run`]
-//! for every worker count.
+//! This crate is the simulation *core* and starts no threads: plan
+//! preparation and [`IterationPlan::run`] both run on the calling thread.
+//! Parallel execution lives in the `drhw-engine` crate, whose `Engine`
+//! submits jobs by workload name, fans their (policy, chunk) units out over
+//! a worker pool (sized by [`SimulationConfig::threads`], or the
+//! `DRHW_SIM_THREADS` environment variable) and adds plan caching across
+//! runs, streaming progress and cancellation — with reports
+//! **bit-identical** to [`IterationPlan::run`] for every worker count.
 //!
 //! ```
 //! use drhw_model::{ConfigId, Platform, Subtask, SubtaskGraph, Task, TaskId, TaskSet, Time};

@@ -18,8 +18,7 @@
 //! on the thread count.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use drhw_model::{
     splitmix64, ConfigId, InitialSchedule, Platform, ScenarioId, SubtaskGraph, Task, TaskId,
@@ -188,8 +187,6 @@ impl IterationPlan {
         // skipping are scenarios a correlated policy can never activate.
         let reachable = reachable_scenarios(&config, task_set);
         let mut jobs: Vec<(TaskId, ScenarioId, &SubtaskGraph)> = Vec::new();
-        // Injected search artifacts, parallel to `jobs`.
-        let mut hints: Vec<Option<&ScenarioSearchArtifacts>> = Vec::new();
         let mut scenario_slots = Vec::with_capacity(task_set.tasks().len());
         for task in task_set.tasks() {
             let mut slots = Vec::new();
@@ -201,7 +198,6 @@ impl IterationPlan {
                 }
                 slots.push((scenario.id(), jobs.len()));
                 jobs.push((task.id(), scenario.id(), scenario.graph()));
-                hints.push(precomputed.get(&(task.id(), scenario.id())));
             }
             scenario_slots.push(slots);
         }
@@ -217,96 +213,23 @@ impl IterationPlan {
         dictionary.sort_unstable();
         dictionary.dedup();
 
-        // Per-(task, scenario) preparation is independent, and the design-time
-        // searches dominate a cold build — fan it out over a scoped-thread
-        // claim pool, and fold the artifacts back in job order so the plan
-        // is bit-identical to a sequential build no matter the thread count
-        // or interleaving.
-        let workers = config.resolved_threads().min(jobs.len().max(1));
-        let mut slots: Vec<Option<Result<ScenarioArtifacts, SimError>>> = Vec::new();
-        slots.resize_with(jobs.len(), || None);
-        if workers <= 1 {
-            // One kernel scratch for the whole sequential pass.
-            let mut build_scratch = drhw_prefetch::Scratch::new();
-            for ((slot, &job), &hint) in slots.iter_mut().zip(&jobs).zip(&hints) {
-                let outcome = prepare_scenario(
+        // One kernel scratch serves every pair; the first error in job order
+        // stops the build.
+        let mut build_scratch = drhw_prefetch::Scratch::new();
+        let artifacts = jobs
+            .iter()
+            .map(|&job| {
+                prepare_scenario(
                     &library,
                     &config,
                     platform,
                     job,
-                    hint,
+                    precomputed,
                     &dictionary,
                     &mut build_scratch,
-                );
-                let stop = outcome.is_err();
-                *slot = Some(outcome);
-                // Fail fast; the scan below reports the error from its slot.
-                if stop {
-                    break;
-                }
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            let failed = AtomicBool::new(false);
-            let results = Mutex::new(&mut slots);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| {
-                        // One scratch per worker, reused across every pair the
-                        // worker claims.
-                        let mut build_scratch = drhw_prefetch::Scratch::new();
-                        loop {
-                            // Check the failure flag BEFORE claiming: once a
-                            // job is claimed it is always evaluated and its
-                            // slot written, so the filled slots always form a
-                            // prefix of the job order and every error lands
-                            // in it.
-                            if failed.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            let job = next.fetch_add(1, Ordering::Relaxed);
-                            if job >= jobs.len() {
-                                break;
-                            }
-                            let outcome = prepare_scenario(
-                                &library,
-                                &config,
-                                platform,
-                                jobs[job],
-                                hints[job],
-                                &dictionary,
-                                &mut build_scratch,
-                            );
-                            if outcome.is_err() {
-                                failed.store(true, Ordering::Relaxed);
-                            }
-                            results.lock().expect("plan workers never panic")[job] = Some(outcome);
-                        }
-                    });
-                }
-            });
-        }
-
-        // Report the first error in job order — deterministic regardless of
-        // which worker hit it first.
-        for slot in slots.iter_mut() {
-            if matches!(slot.as_ref(), Some(Err(_))) {
-                let Some(Err(e)) = slot.take() else {
-                    unreachable!("just matched an error in this slot")
-                };
-                return Err(e);
-            }
-        }
-
-        let artifacts: Vec<ScenarioArtifacts> = slots
-            .into_iter()
-            .map(|slot| match slot {
-                Some(Ok(prepared)) => prepared,
-                _ => {
-                    unreachable!("workers only leave holes after an error, and errors return above")
-                }
+                )
             })
-            .collect();
+            .collect::<Result<Vec<ScenarioArtifacts>, SimError>>()?;
         let scratch_shape = ScratchShape {
             subtasks: artifacts
                 .iter()
@@ -832,27 +755,27 @@ fn reachable_scenarios(
     }
 }
 
-/// Builds the initial schedule of one scenario according to the configured
-/// point-selection strategy.
 /// Prepares every per-(task, scenario) artifact: the initial schedule, the
 /// design-time and hybrid prefetch artifacts (sharing one search cache, so
 /// the critical-set loop replays the design-time search's prefix
 /// evaluations), the prepared hot-path schedule and the activation-independent
-/// on-demand baseline. When `precomputed` carries search artifacts that fit
-/// the graph, both searches are skipped and the stored artifacts are used
-/// verbatim. Pure function of its inputs — the plan builder calls it
-/// from worker threads and folds results back in deterministic order.
+/// on-demand baseline. When `precomputed` carries search artifacts for the
+/// pair that fit the graph, both searches are skipped and the stored
+/// artifacts are used verbatim.
 fn prepare_scenario(
     library: &DesignTimeLibrary,
     config: &SimulationConfig,
     platform: &Platform,
     (task, scenario, graph): (TaskId, ScenarioId, &SubtaskGraph),
-    precomputed: Option<&ScenarioSearchArtifacts>,
+    precomputed: &BTreeMap<(TaskId, ScenarioId), ScenarioSearchArtifacts>,
     dictionary: &[ConfigId],
     build_scratch: &mut drhw_prefetch::Scratch,
 ) -> Result<ScenarioArtifacts, SimError> {
     let schedule = build_schedule(library, config, platform, task, scenario, graph)?;
-    let (design_time, hybrid) = match precomputed.filter(|artifacts| artifacts.fits(graph)) {
+    let restored = precomputed
+        .get(&(task, scenario))
+        .filter(|artifacts| artifacts.fits(graph));
+    let (design_time, hybrid) = match restored {
         Some(artifacts) => (artifacts.design_time.clone(), artifacts.hybrid.clone()),
         None => {
             let mut search_cache = drhw_prefetch::SearchCache::new();
@@ -882,6 +805,8 @@ fn prepare_scenario(
     })
 }
 
+/// Builds the initial schedule of one scenario according to the configured
+/// point-selection strategy.
 fn build_schedule(
     library: &DesignTimeLibrary,
     config: &SimulationConfig,

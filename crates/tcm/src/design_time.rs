@@ -34,18 +34,6 @@ impl DesignTimeScheduler {
         }
     }
 
-    /// Returns a copy using the given energy model.
-    #[must_use]
-    pub fn with_energy_model(mut self, energy: EnergyModel) -> Self {
-        self.energy = energy;
-        self
-    }
-
-    /// The energy model used to annotate Pareto points.
-    pub fn energy_model(&self) -> &EnergyModel {
-        &self.energy
-    }
-
     /// List-schedules `graph` onto exactly `slots` DRHW tile slots (plus one
     /// ISP for software subtasks), neglecting reconfiguration latency.
     ///

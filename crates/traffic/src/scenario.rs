@@ -391,7 +391,7 @@ impl TrafficScenario {
     ///
     /// # Errors
     ///
-    /// Returns [`TrafficError::Scenario`] (or a wrapped [`EngineError`] for
+    /// Returns [`TrafficError::Scenario`] (or a wrapped [`EngineError`](drhw_engine::EngineError) for
     /// malformed JSON / field-set violations).
     pub fn from_json_text(text: &str) -> Result<Self, TrafficError> {
         let value = drhw_engine::json::parse(text)

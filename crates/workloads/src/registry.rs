@@ -372,6 +372,12 @@ pub fn parameterised_families() -> Vec<FamilyInfo> {
     ]
 }
 
+/// The largest task or subtask count a `random-<tasks>x<subtasks>` name may
+/// ask for: 256 subtasks is the widest graph any scheduler here accepts, and
+/// the cap keeps [`random_task_set`]'s per-task configuration ranges
+/// disjoint.
+const MAX_RANDOM_COUNT: usize = 256;
+
 fn parse_random_shape(name: &str, shape: &str) -> Result<(usize, usize), WorkloadError> {
     let malformed = |reason: String| WorkloadError::MalformedRandom {
         name: name.to_string(),
@@ -388,6 +394,11 @@ fn parse_random_shape(name: &str, shape: &str) -> Result<(usize, usize), Workloa
             .map_err(|_| malformed(format!("{what} count {raw:?} is not an integer")))?;
         if value == 0 {
             return Err(malformed(format!("{what} count must be at least 1")));
+        }
+        if value > MAX_RANDOM_COUNT {
+            return Err(malformed(format!(
+                "{what} count {value} is above the limit of {MAX_RANDOM_COUNT}"
+            )));
         }
         Ok(value)
     };
@@ -518,6 +529,14 @@ mod tests {
             ("random-0x5", "task count must be at least 1"),
             ("random-3x0", "subtask count must be at least 1"),
             ("random-3x5x7", "not an integer"),
+            (
+                "random-99999999999x1",
+                "task count 99999999999 is above the limit of 256",
+            ),
+            (
+                "random-1x257",
+                "subtask count 257 is above the limit of 256",
+            ),
         ] {
             let err = resolve_err(&registry, name);
             match &err {

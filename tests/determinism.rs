@@ -127,8 +127,8 @@ fn engine_matches_the_sequential_run_for_any_worker_count() {
 
 #[test]
 fn batch_reports_match_across_independently_built_plans() {
-    // Two builds of the same plan — one on the default plan-build worker
-    // count, one on three workers — run to the same reports.
+    // Two independent builds of the same plan run to the same reports. The
+    // second carries a pool size of three, which only an engine reads.
     let set = multimedia_task_set();
     let platform = Platform::virtex_like(9).unwrap();
     let config = SimulationConfig::default().with_iterations(40).with_seed(7);

@@ -235,6 +235,21 @@ fn unknown_workloads_and_bad_specs_fail_with_named_errors() {
         assert!(err.to_string().contains("`iterations`"), "{err}");
     }
 
+    // Repeated policies are refused: a long list of them would size the
+    // job's slot table past memory.
+    let err = engine
+        .run(JobSpec::new("multimedia").with_policies([PolicyKind::Hybrid, PolicyKind::Hybrid]))
+        .unwrap_err();
+    assert!(err.to_string().contains("`policies`"), "{err}");
+    assert!(err.to_string().contains("appears twice"), "{err}");
+
+    // A random shape past the cap is refused before any graph is generated.
+    let err = engine
+        .run(JobSpec::new("random-99999999999x1").with_iterations(1))
+        .unwrap_err();
+    assert!(matches!(err, EngineError::Workload(_)), "{err}");
+    assert!(err.to_string().contains("above the limit of 256"), "{err}");
+
     // Parameterised names resolve on demand, exactly like the registry.
     let reports = engine
         .run(
