@@ -13,12 +13,17 @@
 //! `kernel_make_scratch` times the per-(worker, job) set-up in front of
 //! those kernels: binding a fresh `SimScratch` to a Pocket GL plan and to a
 //! multimedia plan, memo tables included.
+//!
+//! `kernel_chunk_pass` times the pass that strings them together: one
+//! 32-iteration chunk of the three figure policies, scored together on
+//! multimedia@8 and on Pocket GL@10, each through its one warm scratch.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use drhw_bench::experiments::workload_config;
 use drhw_model::{Platform, Time};
 use drhw_prefetch::{
-    HybridPrefetch, InterTaskWindow, PreparedSchedule, ReplacementPolicy, Scratch, TileContents,
+    HybridPrefetch, InterTaskWindow, PolicyKind, PreparedSchedule, ReplacementPolicy, Scratch,
+    TileContents,
 };
 use drhw_sim::{IterationPlan, SimulationConfig};
 use drhw_workloads::multimedia::{
@@ -159,5 +164,34 @@ fn bench_make_scratch(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_kernels, bench_make_scratch);
+fn bench_chunk_pass(c: &mut Criterion) {
+    let seed = SimulationConfig::default().seed;
+    let plans: Vec<IterationPlan> = [
+        (&MultimediaWorkload as &dyn Workload, 8),
+        (&PocketGlWorkload, 10),
+    ]
+    .into_iter()
+    .map(|(workload, tiles)| {
+        let platform = Platform::virtex_like(tiles).expect("non-empty platform");
+        let config = workload_config(workload, 32, seed).with_chunk_size(32);
+        IterationPlan::new(&workload.task_set(), &platform, config).expect("figure plans build")
+    })
+    .collect();
+    let mut scratches: Vec<_> = plans.iter().map(IterationPlan::make_scratch).collect();
+    c.bench_function("kernel_chunk_pass", |b| {
+        b.iter(|| {
+            let mut activations = 0;
+            for (plan, scratch) in plans.iter().zip(&mut scratches) {
+                for stats in
+                    plan.evaluate_chunk_policies_with(&PolicyKind::FIGURE_POLICIES, 0, scratch)
+                {
+                    activations += stats.expect("chunk evaluates").activations();
+                }
+            }
+            activations
+        })
+    });
+}
+
+criterion_group!(benches, bench_kernels, bench_make_scratch, bench_chunk_pass);
 criterion_main!(benches);

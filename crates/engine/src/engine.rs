@@ -2,11 +2,12 @@
 //!
 //! [`Engine`] owns a [`WorkloadRegistry`], an LRU cache of prepared
 //! [`IterationPlan`](drhw_sim::IterationPlan) artifacts and a fixed worker
-//! pool. Jobs ([`JobSpec`]) are submitted and executed as `policies ×
-//! chunks` slots claimed by the pool; results are folded in deterministic
-//! (policy, chunk) order, so a job's reports are **bit-identical** to the
-//! sequential `IterationPlan::run` — regardless of cache hits, worker count
-//! or how many jobs run interleaved.
+//! pool. Jobs ([`JobSpec`]) are submitted and executed as chunks claimed by
+//! the pool, each evaluated for every requested policy in one pass; the
+//! per-policy results are folded in deterministic (policy, chunk) order, so
+//! a job's reports are **bit-identical** to the sequential
+//! `IterationPlan::run` — regardless of cache hits, worker count or how
+//! many jobs run interleaved.
 
 use std::collections::VecDeque;
 use std::path::PathBuf;
@@ -270,7 +271,11 @@ impl Engine {
     ///
     /// Returns submission errors and the job's execution error, if any.
     pub fn run(&self, spec: JobSpec) -> Result<Vec<SimulationReport>, EngineError> {
-        self.submit(spec)?.wait()
+        let mut handle = self.submit(spec)?;
+        // Nobody reads this job's progress: closing the stream stops the
+        // fold from building events.
+        drop(handle.progress());
+        handle.wait()
     }
 
     /// Measures the simulated per-iteration service time of every policy a
@@ -460,7 +465,7 @@ impl std::fmt::Debug for Engine {
 }
 
 /// The worker loop: pick the oldest job with claimable work, drain its
-/// slots, then move on. Exhausted, failed and cancelled jobs are popped; the
+/// chunks, then move on. Exhausted, failed and cancelled jobs are popped; the
 /// job itself resolves on the record or cancel that leaves it stopped with
 /// nothing in flight.
 fn worker_loop(shared: &PoolShared) {
@@ -494,10 +499,13 @@ fn worker_loop(shared: &PoolShared) {
         // One scratch per (worker, job): buffers are pre-sized to the job's
         // plan and reused across every chunk this worker claims from it.
         let mut scratch = job.plan.make_scratch();
-        while let Some(slot) = job.claim() {
-            let (policy, chunk) = job.slot_work(slot);
-            let result = job.plan.evaluate_chunk_with(policy, chunk, &mut scratch);
-            job.record(slot, result);
+        while let Some(claim) = job.claim() {
+            let results = job.plan.evaluate_chunk_policies_with(
+                &job.policies[..claim.policies],
+                claim.chunk,
+                &mut scratch,
+            );
+            job.record(claim, results);
         }
     }
 }

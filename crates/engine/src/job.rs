@@ -1,13 +1,20 @@
 //! Job state: the unit of work the engine's worker pool executes.
 //!
-//! A job is `policies × chunks` independent slots (exactly the work
-//! decomposition of [`drhw_sim::IterationPlan::run`]). Workers claim slots
-//! in increasing order and record [`ChunkStats`] results; a fold cursor
-//! advances strictly in (policy, chunk) order, which is what makes the final
-//! reports — and the [`ProgressEvent`] stream — bit-identical regardless of
-//! worker count, claim interleaving or how many other jobs share the pool.
-//! Everything that changes while the job runs sits behind one mutex, so a
-//! claim, a record or a cancel is one critical section.
+//! A job is a run of chunks, each evaluated for every requested policy in
+//! one pass ([`IterationPlan::evaluate_chunk_policies_with`], the work
+//! decomposition of [`drhw_sim::IterationPlan::run`]). Workers claim chunks
+//! in increasing order and record one [`ChunkStats`] result per policy into
+//! a table of `policies × chunks` slots; a fold cursor advances strictly in
+//! (policy, chunk) order, which is what makes the final reports — and the
+//! [`ProgressEvent`] stream — bit-identical regardless of worker count,
+//! claim interleaving or how many other jobs share the pool. Everything
+//! that changes while the job runs sits behind one mutex, so a claim, a
+//! record or a cancel is one critical section.
+//!
+//! A failed policy ends its own run: later claims carry only the policies
+//! ahead of the earliest failed one, whose chunks may still hold an earlier
+//! error in (policy, chunk) order, so the job resolves to the same first
+//! error at any worker count.
 //!
 //! Cancellation is cooperative: [`JobHandle::cancel`] sets a flag checked
 //! by every claim, so a cancelled job stops within one chunk of work per
@@ -71,16 +78,29 @@ pub struct ProgressEvent {
 /// What a finished job resolves to.
 pub type JobResult = Result<Vec<SimulationReport>, EngineError>;
 
+/// One claimed unit of work: a chunk, for the first `policies` requested
+/// policies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Claim {
+    /// The chunk to evaluate.
+    pub(crate) chunk: usize,
+    /// How many of the job's policies, from the first, to evaluate.
+    pub(crate) policies: usize,
+}
+
 /// Everything about a job that changes while it runs, guarded by one mutex.
 struct JobInner {
-    /// Next slot to claim; every slot below it has been handed out.
-    next_slot: usize,
-    /// Claimed slots whose result is not recorded yet.
+    /// Next chunk to claim; every chunk below it has been handed out.
+    next_chunk: usize,
+    /// Chunks per policy.
+    chunks: usize,
+    /// Policies a claim carries: those ahead of the earliest one that
+    /// recorded an error (all of them while none has).
+    live: usize,
+    /// Claimed chunks whose results are not recorded yet.
     in_flight: usize,
     /// Set by [`JobState::cancel`].
     cancelled: bool,
-    /// Set when a slot records an error.
-    failed: bool,
     /// One slot per (policy, chunk), in (policy, chunk) order.
     slots: Vec<Option<Result<ChunkStats, SimError>>>,
     /// Next slot to fold; everything before it has been merged.
@@ -89,17 +109,18 @@ struct JobInner {
     running: ChunkStats,
     /// Finished per-policy reports, in policy order.
     reports: Vec<SimulationReport>,
-    /// Progress sink; dropped (closing the receiver) when the job resolves.
+    /// Progress sink; dropped (closing the receiver) when the job resolves,
+    /// or as soon as a send finds the receiver gone.
     progress: Option<mpsc::Sender<ProgressEvent>>,
     /// The job's result, once it resolved.
     outcome: Option<JobResult>,
 }
 
 impl JobInner {
-    /// Whether no further slot will be claimed: the job was cancelled, a
-    /// slot failed, or every slot has been handed out.
+    /// Whether no further chunk will be claimed: the job was cancelled, the
+    /// first policy failed, or every chunk has been handed out.
     fn stopped(&self) -> bool {
-        self.cancelled || self.failed || self.next_slot == self.slots.len()
+        self.cancelled || self.live == 0 || self.next_chunk == self.chunks
     }
 }
 
@@ -129,7 +150,7 @@ impl JobState {
         progress: mpsc::Sender<ProgressEvent>,
     ) -> Self {
         let policies = spec.resolved_policies();
-        let slots = policies.len() * plan.chunk_count();
+        let (live, chunks) = (policies.len(), plan.chunk_count());
         JobState {
             id,
             spec,
@@ -138,11 +159,14 @@ impl JobState {
             plan,
             cache_hit,
             inner: Mutex::new(JobInner {
-                next_slot: 0,
+                next_chunk: 0,
+                chunks,
+                live,
                 in_flight: 0,
                 cancelled: false,
-                failed: false,
-                slots: std::iter::repeat_with(|| None).take(slots).collect(),
+                slots: std::iter::repeat_with(|| None)
+                    .take(live * chunks)
+                    .collect(),
                 cursor: 0,
                 running: ChunkStats::default(),
                 reports: Vec::new(),
@@ -157,38 +181,52 @@ impl JobState {
         self.inner.lock().expect("job lock is never poisoned")
     }
 
-    /// Whether a worker could still claim a slot right now.
+    /// Whether a worker could still claim a chunk right now.
     pub(crate) fn claimable(&self) -> bool {
         !self.lock().stopped()
     }
 
-    /// Claims the next slot, or `None` when the job stopped accepting work
-    /// (exhausted, failed or cancelled). A successful claim **must** be
-    /// followed by [`record`](Self::record).
-    pub(crate) fn claim(&self) -> Option<usize> {
+    /// Claims the next chunk for the policies still running, or `None`
+    /// when the job stopped accepting work (exhausted, failed or
+    /// cancelled). A successful claim **must** be followed by
+    /// [`record`](Self::record).
+    pub(crate) fn claim(&self) -> Option<Claim> {
         let mut inner = self.lock();
         if inner.stopped() {
             return None;
         }
-        let slot = inner.next_slot;
-        inner.next_slot += 1;
+        let claim = Claim {
+            chunk: inner.next_chunk,
+            policies: inner.live,
+        };
+        inner.next_chunk += 1;
         inner.in_flight += 1;
-        Some(slot)
+        Some(claim)
     }
 
     /// The (policy, chunk) pair a slot index denotes.
-    pub(crate) fn slot_work(&self, slot: usize) -> (PolicyKind, usize) {
+    fn slot_work(&self, slot: usize) -> (PolicyKind, usize) {
         let chunks = self.plan.chunk_count();
         (self.policies[slot / chunks], slot % chunks)
     }
 
-    /// Records a claimed slot's result, advances the ordered fold (emitting
+    /// Records a claimed chunk's results — one per policy the claim
+    /// carried, in policy order — advances the ordered fold (emitting
     /// progress events) and resolves the job when it was the last
-    /// outstanding slot.
-    pub(crate) fn record(&self, slot: usize, result: Result<ChunkStats, SimError>) {
+    /// outstanding claim.
+    pub(crate) fn record(
+        &self,
+        claim: Claim,
+        results: impl IntoIterator<Item = Result<ChunkStats, SimError>>,
+    ) {
         let mut inner = self.lock();
-        inner.failed |= result.is_err();
-        inner.slots[slot] = Some(result);
+        let chunks = inner.chunks;
+        for (policy, result) in results.into_iter().enumerate() {
+            if result.is_err() {
+                inner.live = inner.live.min(policy);
+            }
+            inner.slots[policy * chunks + claim.chunk] = Some(result);
+        }
         inner.in_flight -= 1;
         self.advance_fold(&mut inner);
         self.resolve_if_settled(&mut inner);
@@ -212,23 +250,27 @@ impl JobState {
             let iterations = self.plan.config().iterations;
             let iterations_done = ((chunk + 1) * self.plan.config().chunk_size).min(iterations);
             let tiles = self.plan.platform().tile_count();
-            let partial = fold.running.clone().finish(policy, tiles, iterations_done);
             let chunks_per_policy = self.plan.chunk_count();
+            // Sealing a partial report costs a clone: only build the event
+            // while someone may read it.
+            let event = fold.progress.as_ref().map(|_| ProgressEvent {
+                job: self.id,
+                policy,
+                chunk,
+                chunks_per_policy,
+                iterations_done,
+                partial_stats: fold.running.clone().finish(policy, tiles, iterations_done),
+            });
             if chunk + 1 == chunks_per_policy {
                 // Policy complete: seal its report and restart the fold.
                 fold.reports
                     .push(std::mem::take(&mut fold.running).finish(policy, tiles, iterations));
             }
-            if let Some(sender) = &fold.progress {
-                // A dropped receiver just means nobody is listening.
-                let _ = sender.send(ProgressEvent {
-                    job: self.id,
-                    policy,
-                    chunk,
-                    chunks_per_policy,
-                    iterations_done,
-                    partial_stats: partial,
-                });
+            if let (Some(sender), Some(event)) = (&fold.progress, event) {
+                if sender.send(event).is_err() {
+                    // The receiver is gone: nobody will read another event.
+                    fold.progress = None;
+                }
             }
         }
     }
@@ -242,17 +284,20 @@ impl JobState {
     }
 
     /// Resolves the job once it has stopped with nothing in flight: to the
-    /// first error in slot order, else to the reports if every slot folded,
-    /// else to [`EngineError::Cancelled`]. Does nothing before that, or
-    /// after the job resolved.
+    /// first error in (policy, chunk) order, else to the reports if every
+    /// slot folded, else to [`EngineError::Cancelled`]. Does nothing before
+    /// that, or after the job resolved.
     fn resolve_if_settled(&self, inner: &mut JobInner) {
         if inner.outcome.is_some() || inner.in_flight > 0 || !inner.stopped() {
             return;
         }
-        // Slots are claimed in increasing order with no gaps and every claim
-        // is recorded, so with nothing in flight the filled slots are exactly
-        // 0..next_slot and the first error in slot order is deterministic.
-        let first_error = inner.slots[..inner.next_slot]
+        // Chunks are claimed in increasing order and every claim is
+        // recorded. A policy drops out of claims only once it failed, and
+        // every chunk claimed before that carried it, so with nothing in
+        // flight the first error in slot order is the first one the
+        // sequential run meets.
+        let first_error = inner
+            .slots
             .iter()
             .flatten()
             .find_map(|r| r.as_ref().err())
@@ -343,7 +388,9 @@ impl JobHandle {
 
     /// Takes the job's progress stream: one [`ProgressEvent`] per folded
     /// chunk, in deterministic (policy, chunk) order. The channel closes
-    /// when the job resolves. Returns `None` on second call.
+    /// when the job resolves. Returns `None` on second call. Events are
+    /// built only while a receiver exists, so a caller that does not want
+    /// them should take the stream and drop it.
     pub fn progress(&mut self) -> Option<mpsc::Receiver<ProgressEvent>> {
         self.progress.take()
     }
@@ -370,9 +417,9 @@ mod tests {
 
     const POLICY: PolicyKind = PolicyKind::Hybrid;
 
-    /// A one-policy job over three chunks of four iterations, and the
+    /// A job of `policies` over three chunks of four iterations, and the
     /// receiving end of its progress stream.
-    fn three_chunk_job() -> (JobState, mpsc::Receiver<ProgressEvent>) {
+    fn three_chunk_job(policies: &[PolicyKind]) -> (JobState, mpsc::Receiver<ProgressEvent>) {
         let workload = WorkloadRegistry::with_builtins()
             .resolve("multimedia")
             .unwrap();
@@ -382,7 +429,7 @@ mod tests {
             .with_chunk_size(4);
         let plan = IterationPlan::new(&workload.task_set(), &platform, config).unwrap();
         assert_eq!(plan.chunk_count(), 3);
-        let spec = JobSpec::new("multimedia").with_policies([POLICY]);
+        let spec = JobSpec::new("multimedia").with_policies(policies);
         let (sender, receiver) = mpsc::channel();
         let job = JobState::new(
             JobId::new(7),
@@ -395,21 +442,28 @@ mod tests {
         (job, receiver)
     }
 
-    fn chunk(job: &JobState, slot: usize) -> Result<ChunkStats, SimError> {
-        let (policy, chunk) = job.slot_work(slot);
+    /// What a worker records for `claim`.
+    fn evaluate(job: &JobState, claim: Claim) -> Vec<Result<ChunkStats, SimError>> {
+        let mut scratch = job.plan.make_scratch();
         job.plan
-            .evaluate_chunk_with(policy, chunk, &mut job.plan.make_scratch())
+            .evaluate_chunk_policies_with(
+                &job.policies[..claim.policies],
+                claim.chunk,
+                &mut scratch,
+            )
+            .collect()
     }
 
     #[test]
     fn slots_claimed_before_a_cancel_still_fold_in_order() {
-        let (job, progress) = three_chunk_job();
-        let slots: Vec<usize> = (0..3).map(|_| job.claim().unwrap()).collect();
-        assert_eq!(slots, [0, 1, 2]);
+        let (job, progress) = three_chunk_job(&[POLICY]);
+        let claims: Vec<Claim> = (0..3).map(|_| job.claim().unwrap()).collect();
+        let chunks: Vec<usize> = claims.iter().map(|claim| claim.chunk).collect();
+        assert_eq!(chunks, [0, 1, 2]);
         job.cancel();
-        assert!(job.poll().is_none(), "three slots are still in flight");
-        for &slot in slots.iter().rev() {
-            job.record(slot, chunk(&job, slot));
+        assert!(job.poll().is_none(), "three chunks are still in flight");
+        for &claim in claims.iter().rev() {
+            job.record(claim, evaluate(&job, claim));
         }
         assert_eq!(job.wait(), Ok(job.plan.run(&[POLICY]).unwrap()));
         let chunks: Vec<usize> = progress.iter().map(|event| event.chunk).collect();
@@ -418,21 +472,25 @@ mod tests {
 
     #[test]
     fn a_cancelled_job_resolves_only_once_its_claimed_slot_is_recorded() {
-        let (job, _progress) = three_chunk_job();
-        let slot = job.claim().unwrap();
+        let (job, _progress) = three_chunk_job(&[POLICY]);
+        let claim = job.claim().unwrap();
         job.cancel();
         assert_eq!(job.claim(), None);
-        assert!(job.poll().is_none(), "slot {slot} is still in flight");
-        job.record(slot, chunk(&job, slot));
+        assert!(
+            job.poll().is_none(),
+            "chunk {} is still in flight",
+            claim.chunk
+        );
+        job.record(claim, evaluate(&job, claim));
         assert_eq!(job.wait(), Err(EngineError::Cancelled { job: job.id }));
     }
 
     #[test]
     fn a_failed_slot_stops_claims_and_resolves_to_its_error() {
-        let (job, _progress) = three_chunk_job();
-        assert_eq!((job.claim(), job.claim()), (Some(0), Some(1)));
-        job.record(0, chunk(&job, 0));
-        job.record(1, Err(SimError::NoIterations));
+        let (job, _progress) = three_chunk_job(&[POLICY]);
+        let (first, second) = (job.claim().unwrap(), job.claim().unwrap());
+        job.record(first, evaluate(&job, first));
+        job.record(second, [Err(SimError::NoIterations)]);
         assert_eq!(job.claim(), None);
         assert_eq!(
             job.wait(),
@@ -441,5 +499,62 @@ mod tests {
                 source: SimError::NoIterations,
             })
         );
+    }
+
+    #[test]
+    fn the_first_error_in_policy_order_wins_over_an_earlier_chunk() {
+        // Policy 1 fails in chunk 0, policy 0 in chunk 2: (policy 0,
+        // chunk 2) comes first in (policy, chunk) order, so policy 0 must
+        // keep running after policy 1 failed, and alone.
+        let (job, _progress) = three_chunk_job(&[PolicyKind::RunTime, POLICY]);
+        let policy_error = |chunk| {
+            SimError::Prefetch(drhw_prefetch::PrefetchError::NotEnoughTiles {
+                required: chunk,
+                available: 0,
+            })
+        };
+        let claim = job.claim().unwrap();
+        assert_eq!(
+            claim,
+            Claim {
+                chunk: 0,
+                policies: 2
+            }
+        );
+        job.record(claim, [Ok(ChunkStats::default()), Err(policy_error(0))]);
+        for chunk in 1..3 {
+            let claim = job.claim().unwrap();
+            assert_eq!(claim, Claim { chunk, policies: 1 });
+            let result = if chunk == 2 {
+                Err(policy_error(2))
+            } else {
+                Ok(ChunkStats::default())
+            };
+            job.record(claim, [result]);
+        }
+        assert_eq!(job.claim(), None);
+        assert_eq!(
+            job.wait(),
+            Err(EngineError::Sim {
+                workload: "multimedia".to_string(),
+                source: policy_error(2),
+            })
+        );
+    }
+
+    #[test]
+    fn a_dropped_progress_receiver_stops_the_events() {
+        let (job, progress) = three_chunk_job(&[POLICY]);
+        drop(progress);
+        let claim = job.claim().unwrap();
+        job.record(claim, evaluate(&job, claim));
+        assert!(
+            job.lock().progress.is_none(),
+            "the first failed send closes the stream"
+        );
+        while let Some(claim) = job.claim() {
+            job.record(claim, evaluate(&job, claim));
+        }
+        assert_eq!(job.wait(), Ok(job.plan.run(&[POLICY]).unwrap()));
     }
 }

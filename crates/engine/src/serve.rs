@@ -465,14 +465,14 @@ pub fn execute(
         Ok(handle) => handle,
         Err(e) => return Ok(Err(e.to_string())),
     };
-    let receiver = handle.progress();
-    if request.progress {
-        if let Some(receiver) = receiver {
-            // The channel closes when the job resolves, so this drains the
-            // complete, deterministically-ordered event stream.
-            for event in receiver.iter() {
-                writeln!(output, "{}", progress_json(&event, id).to_json())?;
-            }
+    // Without `progress`, the stream is dropped here, so the job's fold
+    // stops building events nobody reads.
+    let receiver = handle.progress().filter(|_| request.progress);
+    if let Some(receiver) = receiver {
+        // The channel closes when the job resolves, so this drains the
+        // complete, deterministically-ordered event stream.
+        for event in receiver.iter() {
+            writeln!(output, "{}", progress_json(&event, id).to_json())?;
         }
     }
     match handle.wait() {

@@ -328,7 +328,12 @@ pub fn run_sweep(
             if next_submit - resumed >= budget {
                 break;
             }
-            let handle = engine.submit(expansion.sets[next_submit].spec.clone());
+            let mut handle = engine.submit(expansion.sets[next_submit].spec.clone());
+            if let Ok(handle) = &mut handle {
+                // Nobody reads a set's progress: closing the stream stops
+                // the fold from building events.
+                drop(handle.progress());
+            }
             pending.push_back((next_submit, handle));
             next_submit += 1;
         }

@@ -2,10 +2,12 @@
 //!
 //! [`IterationPlan::run`] scores every requested policy over every
 //! configured iteration on the calling thread: the synchronous single-plan
-//! entry point for tests, benches and tools. Parallel execution lives in
-//! one place, the `drhw-engine` worker pool, which claims the same
-//! (policy, chunk) units and folds them in the same order — so both paths
-//! produce bit-identical reports.
+//! entry point for tests, benches and tools. It evaluates one chunk at a
+//! time for all the policies at once, in the one multi-policy pass of
+//! [`IterationPlan::evaluate_chunk_policies_with`]. Parallel execution
+//! lives in one place, the `drhw-engine` worker pool, which claims the same
+//! chunks and folds the per-policy results in the same (policy, chunk)
+//! order — so both paths produce bit-identical reports.
 
 use drhw_prefetch::PolicyKind;
 
@@ -18,9 +20,10 @@ impl IterationPlan {
     /// Runs every requested policy over every configured iteration and
     /// returns one report per policy, in the order given.
     ///
-    /// One scratch serves the whole pass; chunks are evaluated in
-    /// (policy, chunk) order with
-    /// [`evaluate_chunk_with`](Self::evaluate_chunk_with) and folded with
+    /// One scratch serves the whole pass; each chunk is evaluated for all
+    /// the policies at once with
+    /// [`evaluate_chunk_policies_with`](Self::evaluate_chunk_policies_with),
+    /// and each policy's chunks are folded in chunk order with
     /// [`ChunkStats::merge`] and [`ChunkStats::finish`] — the fold the
     /// engine's worker pool performs, so an engine job over the same plan
     /// reports the same numbers bit for bit. Apart from the scratch and the
@@ -31,19 +34,36 @@ impl IterationPlan {
     /// Returns the first error in (policy, chunk) order.
     pub fn run(&self, policies: &[PolicyKind]) -> Result<Vec<SimulationReport>, SimError> {
         let mut scratch = self.make_scratch();
-        let mut reports = Vec::with_capacity(policies.len());
-        for &policy in policies {
-            let mut total = ChunkStats::default();
-            for chunk in 0..self.chunk_count() {
-                total.merge(&self.evaluate_chunk_with(policy, chunk, &mut scratch)?);
+        let mut totals = vec![ChunkStats::default(); policies.len()];
+        // Only the policies ahead of the earliest failed one still matter:
+        // a later policy's error cannot come first in (policy, chunk) order.
+        let mut live = policies.len();
+        let mut first_error = None;
+        for chunk in 0..self.chunk_count() {
+            let results = self.evaluate_chunk_policies_with(&policies[..live], chunk, &mut scratch);
+            for (position, result) in results.enumerate() {
+                match result {
+                    Ok(stats) => totals[position].merge(&stats),
+                    Err(error) => {
+                        first_error = Some(error);
+                        live = position;
+                        break;
+                    }
+                }
             }
-            reports.push(total.finish(
-                policy,
-                self.platform().tile_count(),
-                self.config().iterations,
-            ));
+            if live == 0 {
+                break;
+            }
         }
-        Ok(reports)
+        if let Some(error) = first_error {
+            return Err(error);
+        }
+        let tiles = self.platform().tile_count();
+        Ok(totals
+            .into_iter()
+            .zip(policies)
+            .map(|(total, &policy)| total.finish(policy, tiles, self.config().iterations))
+            .collect())
     }
 }
 

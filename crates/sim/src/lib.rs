@@ -16,14 +16,14 @@
 //! The plan can score any (policy, iteration) pair independently thanks to
 //! per-iteration seeds. Work splits into fixed chunks of consecutive
 //! iterations ([`SimulationConfig::chunk_size`]) whose boundaries depend
-//! only on the configuration; [`IterationPlan::run`] evaluates them in
-//! (policy, chunk) order on the calling thread and folds the per-chunk
-//! statistics back in that order.
+//! only on the configuration; [`IterationPlan::run`] evaluates each chunk
+//! for all the requested policies in one pass on the calling thread and
+//! folds each policy's per-chunk statistics back in (policy, chunk) order.
 //!
 //! This crate is the simulation *core* and starts no threads: plan
 //! preparation and [`IterationPlan::run`] both run on the calling thread.
 //! Parallel execution lives in the `drhw-engine` crate, whose `Engine`
-//! submits jobs by workload name, fans their (policy, chunk) units out over
+//! submits jobs by workload name, fans their chunks out over
 //! a worker pool (sized by [`SimulationConfig::threads`], or the
 //! `DRHW_SIM_THREADS` environment variable) and adds plan caching across
 //! runs, streaming progress and cancellation — with reports

@@ -16,13 +16,22 @@
 //! iterations of one *chunk* ([`SimulationConfig::chunk_size`]) and reset at
 //! chunk boundaries; the boundaries depend only on the configuration, never
 //! on the thread count.
+//!
+//! Every entry point runs the same pass over a slice of policies
+//! ([`IterationPlan::evaluate_chunk_policies_with`]; the one-policy entry
+//! points pass one). It draws and resolves each iteration's activations
+//! once and runs the tile replacement once per activation for all the
+//! reuse-exploiting policies, keeping only the inter-task window, the memo
+//! lookup and the sums per policy. Those policies share one tile state when
+//! every prepared scenario has a positive ideal makespan, and keep one each
+//! otherwise (see [`SimScratch`] for why that is exact).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use drhw_model::{
     splitmix64, ConfigId, InitialSchedule, Platform, ScenarioId, SubtaskGraph, Task, TaskId,
-    TaskSet, GOLDEN_GAMMA,
+    TaskSet, Time, GOLDEN_GAMMA,
 };
 use drhw_prefetch::{
     DesignTimePrefetch, ExecSummary, HybridPrefetch, InterTaskWindow, PolicyKind, PreparedSchedule,
@@ -35,7 +44,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::config::{PointSelection, ScenarioPolicy, SimulationConfig};
 use crate::error::SimError;
-use crate::scratch::{ScratchShape, SimScratch};
+use crate::scratch::{KernelMemo, Lane, ScratchShape, SimScratch};
 use crate::stats::{ChunkStats, IterationOutcome};
 
 /// The design-time *search* artifacts of one (task, scenario) pair — the
@@ -85,6 +94,19 @@ struct ScenarioArtifacts {
     on_demand: ExecSummary,
 }
 
+impl ScenarioArtifacts {
+    /// What a cached-artifact policy (no prefetch, design-time prefetch)
+    /// scores for one activation of the scenario: its precomputed summary,
+    /// whatever the tile state.
+    fn cached_score(&self, policy: PolicyKind) -> Scored {
+        if policy == PolicyKind::NoPrefetch {
+            (self.on_demand.penalty, self.on_demand.loads, 0)
+        } else {
+            (self.design_time.penalty(), self.design_time.load_count(), 0)
+        }
+    }
+}
+
 /// The shared, iteration-independent part of a plan: the task set and
 /// platform it simulates (the plan's own copies), the TCM library and the
 /// per-scenario artifacts. Behind an [`Arc`] so re-parameterised plans
@@ -104,6 +126,9 @@ struct PlanShared {
     /// number of distinct configurations the plan's graphs require: the
     /// artifacts' dense configuration ids are `0..configs`.
     scratch_shape: ScratchShape,
+    /// Whether every prepared scenario has a positive ideal makespan, which
+    /// lets the reuse-exploiting policies of a pass share one tile state.
+    shares_tiles: bool,
     /// Process-unique identity of this artifact set, used to bind scratch
     /// kernel-memo tables to the plan they were warmed on (see
     /// [`SimScratch`]). Plans stamped out by `with_config` share it.
@@ -245,6 +270,9 @@ impl IterationPlan {
             configs: dictionary.len(),
             tasks: task_set.tasks().len(),
         };
+        let shares_tiles = artifacts
+            .iter()
+            .all(|artifact| artifact.prepared.ideal_makespan() > Time::ZERO);
         Ok(IterationPlan {
             config,
             shared: Arc::new(PlanShared {
@@ -254,6 +282,7 @@ impl IterationPlan {
                 scenario_slots,
                 artifacts,
                 scratch_shape,
+                shares_tiles,
                 token: PLAN_TOKENS.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
             }),
         })
@@ -425,13 +454,15 @@ impl IterationPlan {
                 iterations: self.config.iterations,
             });
         }
-        self.bind(scratch);
-        let chunk_start = index - index % self.config.chunk_size;
-        scratch.reset_chunk();
-        for warm in chunk_start..index {
-            self.run_iteration(policy, warm, scratch)?;
+        self.start_chunk(&[policy], scratch);
+        for replayed in index - index % self.config.chunk_size..=index {
+            self.run_iteration(replayed, scratch);
         }
-        self.run_iteration(policy, index, scratch)
+        let lane = &mut scratch.lanes[0];
+        match lane.error.take() {
+            Some(error) => Err(error),
+            None => Ok(lane.outcome.clone()),
+        }
     }
 
     /// Scores every configured iteration of one policy in a single
@@ -467,21 +498,24 @@ impl IterationPlan {
         policy: PolicyKind,
         scratch: &mut SimScratch,
     ) -> Result<Vec<IterationOutcome>, SimError> {
-        self.bind(scratch);
         let mut outcomes = Vec::with_capacity(self.config.iterations);
         for index in 0..self.config.iterations {
             if index % self.config.chunk_size == 0 {
-                scratch.reset_chunk();
+                self.start_chunk(&[policy], scratch);
             }
-            outcomes.push(self.run_iteration(policy, index, scratch)?);
+            self.run_iteration(index, scratch);
+            let lane = &mut scratch.lanes[0];
+            if let Some(error) = lane.error.take() {
+                return Err(error);
+            }
+            outcomes.push(lane.outcome.clone());
         }
         Ok(outcomes)
     }
 
-    /// Evaluates every iteration of one chunk in order and returns their
-    /// summed statistics. This is the unit of work [`run`](Self::run) folds
-    /// in order and the `drhw-engine` job executor schedules onto threads;
-    /// workers pass their own long-lived scratch.
+    /// Evaluates every iteration of one chunk for one policy and returns
+    /// their summed statistics: the one-policy case of
+    /// [`evaluate_chunk_policies_with`](Self::evaluate_chunk_policies_with).
     ///
     /// Folding the returned [`ChunkStats`] in (policy, chunk) order with
     /// [`ChunkStats::merge`] and finishing with [`ChunkStats::finish`]
@@ -498,33 +532,68 @@ impl IterationPlan {
         chunk: usize,
         scratch: &mut SimScratch,
     ) -> Result<ChunkStats, SimError> {
-        self.bind(scratch);
-        let start = chunk * self.config.chunk_size;
-        let end = (start + self.config.chunk_size).min(self.config.iterations);
-        scratch.reset_chunk();
-        let mut stats = ChunkStats::default();
-        for index in start..end {
-            let outcome = self.run_iteration(policy, index, scratch)?;
-            stats.absorb(&outcome);
-        }
-        Ok(stats)
+        self.evaluate_chunk_policies_with(&[policy], chunk, scratch)
+            .next()
+            .expect("one lane per policy")
     }
 
-    /// Simulates one iteration on top of the chunk state carried in
-    /// `scratch`. The steady-state loop body: no heap allocation happens in
-    /// here (enforced by the `alloc_free` integration test).
-    fn run_iteration(
+    /// Evaluates every iteration of one chunk for every policy in
+    /// `policies` in one pass, and yields one result per policy, in the
+    /// order given: the policy's summed statistics, or its first scheduling
+    /// error in iteration order within the chunk. An error ends only its
+    /// own policy's chunk.
+    ///
+    /// The pass draws and resolves each iteration's activations once and
+    /// runs the tile replacement once per activation for all the
+    /// reuse-exploiting policies (see [`SimScratch`] for when they share
+    /// one tile state); only the inter-task window, the memoised timing
+    /// kernels and the sums are kept per policy. Each result equals what a
+    /// one-policy pass gives — this is the unit of work [`run`](Self::run)
+    /// and the `drhw-engine` job executor schedule, with workers passing
+    /// their own long-lived scratch.
+    pub fn evaluate_chunk_policies_with<'s>(
         &self,
-        policy: PolicyKind,
-        index: usize,
-        scratch: &mut SimScratch,
-    ) -> Result<IterationOutcome, SimError> {
+        policies: &[PolicyKind],
+        chunk: usize,
+        scratch: &'s mut SimScratch,
+    ) -> impl ExactSizeIterator<Item = Result<ChunkStats, SimError>> + 's {
+        let start = chunk * self.config.chunk_size;
+        let end = (start + self.config.chunk_size).min(self.config.iterations);
+        self.start_chunk(policies, scratch);
+        for index in start..end {
+            self.run_iteration(index, scratch);
+            for lane in &mut scratch.lanes {
+                if lane.error.is_none() {
+                    lane.stats.absorb(&lane.outcome);
+                }
+            }
+        }
+        scratch.lanes.iter_mut().map(Lane::take_result)
+    }
+
+    /// Binds `scratch` to this plan and starts a chunk's pass over
+    /// `policies`, whose reuse-exploiting lanes share one tile state when
+    /// the plan allows it (see [`SimScratch`]).
+    fn start_chunk(&self, policies: &[PolicyKind], scratch: &mut SimScratch) {
+        self.bind(scratch);
+        scratch.start_chunk(policies, self.shared.shares_tiles);
+    }
+
+    /// Simulates iteration `index` for every running lane of the pass,
+    /// on top of the chunk state carried in `scratch`, leaving each lane's
+    /// outcome in `Lane::outcome` or its error in `Lane::error`. The one
+    /// iteration implementation and the steady-state loop body: no heap
+    /// allocation happens in here (enforced by the `alloc_free` integration
+    /// test).
+    fn run_iteration(&self, index: usize, scratch: &mut SimScratch) {
+        if scratch.lanes.iter().all(|lane| lane.error.is_some()) {
+            return;
+        }
         self.pick_activations_into(index, &mut scratch.activations);
-        let tasks = self.task_set().tasks();
 
         // Resolve every activation's artifact slot up front — one short scan
         // of the task's prepared scenarios per activation, after which the
-        // loop below only indexes the flat artifact vector. A correlated
+        // loops below only index the flat artifact vector. A correlated
         // scenario policy can name a scenario the task does not define;
         // report it as the scheduling error it is rather than panicking
         // inside a worker thread.
@@ -533,159 +602,129 @@ impl IterationPlan {
             let slot = self.shared.scenario_slots[task_index]
                 .iter()
                 .find(|&&(scenario, _)| scenario == scenario_id)
-                .map(|&(_, slot)| slot)
-                .ok_or(drhw_tcm::TcmError::UnknownScenario {
-                    task: tasks[task_index].id(),
+                .map(|&(_, slot)| slot);
+            let Some(slot) = slot else {
+                let error = SimError::from(drhw_tcm::TcmError::UnknownScenario {
+                    task: self.task_set().tasks()[task_index].id(),
                     scenario: scenario_id,
-                })?;
+                });
+                for lane in scratch.lanes.iter_mut().filter(|lane| lane.error.is_none()) {
+                    lane.error = Some(error.clone());
+                }
+                return;
+            };
             scratch.activation_artifacts.push(slot);
         }
+        for lane in &mut scratch.lanes {
+            lane.outcome = IterationOutcome::default();
+        }
+        self.run_reuse_lanes(scratch);
+        self.run_cached_lanes(scratch);
+    }
 
+    /// Runs the resolved activations of an iteration for the
+    /// reuse-exploiting lanes: the replacement / reuse / contents pipeline
+    /// once per activation and tile state, then the window, memo lookup and
+    /// sums of every lane that reads the state.
+    fn run_reuse_lanes(&self, scratch: &mut SimScratch) {
+        let SimScratch {
+            prefetch,
+            tiles,
+            tile_states,
+            lanes,
+            activation_artifacts,
+            memo,
+            ..
+        } = scratch;
+        if !lanes
+            .iter()
+            .any(|lane| lane.tiles.is_some() && lane.error.is_none())
+        {
+            return;
+        }
         // The run-time scheduler knows which tasks follow in this iteration,
         // and the reuse-aware replacement avoids evicting the configurations
         // they are about to need. Every queued activation protects its
-        // configurations once here and releases them just before its own
-        // assignment, so each assignment sees exactly the configurations of
-        // the activations after it. Only the reuse-aware rule reads them.
-        let protect =
-            policy.exploits_reuse() && self.config.replacement == ReplacementPolicy::ReuseAware;
+        // configurations once here and releases them just before its
+        // assignments, so each assignment sees exactly the configurations of
+        // the activations after it, and the table is back at zero when the
+        // iteration ends. Only the reuse-aware rule reads them.
+        let protect = self.config.replacement == ReplacementPolicy::ReuseAware;
         if protect {
-            for &slot in &scratch.activation_artifacts {
-                scratch
-                    .prefetch
-                    .protect(&self.shared.artifacts[slot].required_configs);
+            for &slot in activation_artifacts.iter() {
+                prefetch.protect(&self.shared.artifacts[slot].required_configs);
             }
         }
-        let outcome = self.run_activations(policy, protect, scratch);
-        if outcome.is_err() && protect {
-            // An error leaves the rest of the queue protected; the next
-            // iteration must start from an all-zero table.
-            scratch.prefetch.clear_protection();
-        }
-        outcome
-    }
-
-    /// Runs the activations resolved by [`run_iteration`](Self::run_iteration)
-    /// in order, releasing each one's protection (when `protect` is set)
-    /// just before its tile assignment.
-    fn run_activations(
-        &self,
-        policy: PolicyKind,
-        protect: bool,
-        scratch: &mut SimScratch,
-    ) -> Result<IterationOutcome, SimError> {
-        let mut outcome = IterationOutcome::default();
         let energy_per_load = self.platform().reconfig_energy_mj();
-        for position in 0..scratch.activations.len() {
-            let slot = scratch.activation_artifacts[position];
+        for &slot in activation_artifacts.iter() {
             let artifacts = &self.shared.artifacts[slot];
             let prepared = &artifacts.prepared;
-            let ideal = prepared.ideal_makespan();
-
-            let (penalty, loads, cancelled, reused) = if !policy.exploits_reuse() {
-                // Cached-artifact policies score against precomputed
-                // summaries that do not read the tile state, the inter-task
-                // window or the clock, so the whole replacement / reuse /
-                // contents pipeline is skipped for them.
-                match policy {
-                    PolicyKind::NoPrefetch => {
-                        (artifacts.on_demand.penalty, artifacts.on_demand.loads, 0, 0)
+            let memo = &mut memo[slot];
+            if protect {
+                prefetch.unprotect(&artifacts.required_configs);
+            }
+            for (state_index, state) in tiles[..*tile_states].iter_mut().enumerate() {
+                if !lanes.iter().any(|lane| lane.reads(state_index)) {
+                    continue;
+                }
+                let assigned =
+                    prepared.assign_tiles_into(&state.contents, self.config.replacement, prefetch);
+                if let Err(error) = assigned {
+                    let error = SimError::from(error);
+                    for lane in lanes.iter_mut().filter(|lane| lane.reads(state_index)) {
+                        lane.error = Some(error.clone());
                     }
-                    _ => {
-                        let artifact = &artifacts.design_time;
-                        (artifact.penalty(), artifact.load_count(), 0, 0)
+                    continue;
+                }
+                let reused = prepared.mark_reusable(&state.contents, prefetch);
+                let mut elapsed = prepared.ideal_makespan();
+                for lane in lanes.iter_mut().filter(|lane| lane.reads(state_index)) {
+                    match score(lane.policy, artifacts, memo, &mut lane.window, prefetch) {
+                        Ok(scored) => {
+                            if !state.shared {
+                                elapsed += scored.0;
+                            }
+                            add_activation(
+                                &mut lane.outcome,
+                                prepared,
+                                scored,
+                                reused,
+                                energy_per_load,
+                            );
+                        }
+                        Err(error) => lane.error = Some(error),
                     }
                 }
-            } else {
-                if protect {
-                    scratch.prefetch.unprotect(&artifacts.required_configs);
-                }
-                prepared.assign_tiles_into(
-                    &scratch.contents,
-                    self.config.replacement,
-                    &mut scratch.prefetch,
-                )?;
-                let reused = prepared.mark_reusable(&scratch.contents, &mut scratch.prefetch);
-
-                // The evaluation kernels are pure in the residency mask (plus,
-                // for the windowed policies, the number of whole loads the
-                // inter-task window holds) for a prepared schedule, so their
-                // summaries are served from the per-artifact memo when the
-                // same state recurs — the steady-state common case within a
-                // chunk. Hits are copies of previously computed summaries:
-                // bit-identical by definition, which the differential oracle
-                // corpus double-checks.
-                let resident = scratch.prefetch.resident();
-                let (penalty, loads, cancelled) = match policy {
-                    PolicyKind::NoPrefetch | PolicyKind::DesignTimeOnly => {
-                        unreachable!("cached-artifact policies take the fast path above")
-                    }
-                    PolicyKind::RunTime => {
-                        let summary = match scratch.memo[slot].list.get(resident) {
-                            Some(hit) => hit,
-                            None => {
-                                let summary = prepared.evaluate_list(&mut scratch.prefetch)?;
-                                scratch.memo[slot].list.put(resident, summary);
-                                summary
-                            }
-                        };
-                        (summary.penalty, summary.loads, 0)
-                    }
-                    PolicyKind::RunTimeInterTask => {
-                        let key = (resident, prepared.window_loads(scratch.window));
-                        let (summary, preloaded) = match scratch.memo[slot].inter.get(key) {
-                            Some(hit) => hit,
-                            None => {
-                                let computed = prepared
-                                    .evaluate_inter_task(scratch.window, &mut scratch.prefetch)?;
-                                scratch.memo[slot].inter.put(key, computed);
-                                computed
-                            }
-                        };
-                        scratch.window = InterTaskWindow::new(summary.trailing_port_idle);
-                        (summary.penalty, summary.loads + preloaded, 0)
-                    }
-                    PolicyKind::Hybrid => {
-                        let key = (resident, prepared.window_loads(scratch.window));
-                        let summary = match scratch.memo[slot].hybrid.get(key) {
-                            Some(hit) => hit,
-                            None => {
-                                let summary = prepared.evaluate_hybrid(
-                                    &artifacts.hybrid,
-                                    scratch.window,
-                                    &mut scratch.prefetch,
-                                )?;
-                                scratch.memo[slot].hybrid.put(key, summary);
-                                summary
-                            }
-                        };
-                        scratch.window = InterTaskWindow::new(summary.trailing_port_idle);
-                        (
-                            summary.penalty,
-                            summary.loads_performed + summary.preloaded,
-                            summary.cancelled,
-                        )
-                    }
-                };
-                (penalty, loads, cancelled, reused)
-            };
-
-            outcome.activations += 1;
-            outcome.ideal += ideal;
-            outcome.penalty += penalty;
-            outcome.loads_performed += loads;
-            outcome.loads_cancelled += cancelled;
-            outcome.drhw_subtasks_executed += prepared.drhw_count();
-            outcome.reused_subtasks += reused;
-            outcome.reconfiguration_energy_mj += loads as f64 * energy_per_load;
-
-            if policy.exploits_reuse() {
-                scratch.now += ideal + penalty;
-                prepared.apply_to_contents(&mut scratch.contents, &scratch.prefetch, scratch.now);
+                state.now += elapsed;
+                prepared.apply_to_contents(&mut state.contents, prefetch, state.now);
             }
         }
+    }
 
-        Ok(outcome)
+    /// Runs the resolved activations of an iteration for the
+    /// cached-artifact lanes, one lane at a time: their precomputed
+    /// summaries read no tile state, window or clock.
+    fn run_cached_lanes(&self, scratch: &mut SimScratch) {
+        let energy_per_load = self.platform().reconfig_energy_mj();
+        for lane in scratch
+            .lanes
+            .iter_mut()
+            .filter(|lane| lane.tiles.is_none() && lane.error.is_none())
+        {
+            let mut outcome = IterationOutcome::default();
+            for &slot in &scratch.activation_artifacts {
+                let artifacts = &self.shared.artifacts[slot];
+                let scored = artifacts.cached_score(lane.policy);
+                add_activation(
+                    &mut outcome,
+                    &artifacts.prepared,
+                    scored,
+                    0,
+                    energy_per_load,
+                );
+            }
+            lane.outcome = outcome;
+        }
     }
 
     /// Chooses which tasks run in iteration `index` and in which scenarios,
@@ -727,6 +766,96 @@ impl IterationPlan {
             }
         }
     }
+}
+
+/// What one activation of one policy scored: (penalty, loads performed,
+/// loads cancelled).
+type Scored = (Time, usize, usize);
+
+/// Scores one activation of a reuse-exploiting `policy` on a scenario's
+/// artifacts. It reads the residency mask `prefetch` holds and, for the
+/// windowed policies, `window`, which they then replace with the task's
+/// trailing port idle time.
+///
+/// The evaluation kernels are pure in the residency mask (plus, for the
+/// windowed policies, the number of whole loads the inter-task window holds)
+/// for a prepared schedule, so their summaries are served from the
+/// scenario's memo when the same state recurs — the steady-state common
+/// case within a chunk. Hits are copies of previously computed summaries:
+/// bit-identical by definition, which the differential oracle corpus
+/// double-checks.
+fn score(
+    policy: PolicyKind,
+    artifacts: &ScenarioArtifacts,
+    memo: &mut KernelMemo,
+    window: &mut InterTaskWindow,
+    prefetch: &mut drhw_prefetch::Scratch,
+) -> Result<Scored, SimError> {
+    let prepared = &artifacts.prepared;
+    let resident = prefetch.resident();
+    Ok(match policy {
+        PolicyKind::NoPrefetch | PolicyKind::DesignTimeOnly => artifacts.cached_score(policy),
+        PolicyKind::RunTime => {
+            let summary = match memo.list.get(resident) {
+                Some(hit) => hit,
+                None => {
+                    let summary = prepared.evaluate_list(prefetch)?;
+                    memo.list.put(resident, summary);
+                    summary
+                }
+            };
+            (summary.penalty, summary.loads, 0)
+        }
+        PolicyKind::RunTimeInterTask => {
+            let key = (resident, prepared.window_loads(*window));
+            let (summary, preloaded) = match memo.inter.get(key) {
+                Some(hit) => hit,
+                None => {
+                    let computed = prepared.evaluate_inter_task(*window, prefetch)?;
+                    memo.inter.put(key, computed);
+                    computed
+                }
+            };
+            *window = InterTaskWindow::new(summary.trailing_port_idle);
+            (summary.penalty, summary.loads + preloaded, 0)
+        }
+        PolicyKind::Hybrid => {
+            let key = (resident, prepared.window_loads(*window));
+            let summary = match memo.hybrid.get(key) {
+                Some(hit) => hit,
+                None => {
+                    let summary = prepared.evaluate_hybrid(&artifacts.hybrid, *window, prefetch)?;
+                    memo.hybrid.put(key, summary);
+                    summary
+                }
+            };
+            *window = InterTaskWindow::new(summary.trailing_port_idle);
+            (
+                summary.penalty,
+                summary.loads_performed + summary.preloaded,
+                summary.cancelled,
+            )
+        }
+    })
+}
+
+/// Adds one scored activation of `prepared`, which reused `reused`
+/// subtasks, to an iteration's outcome.
+fn add_activation(
+    outcome: &mut IterationOutcome,
+    prepared: &PreparedSchedule,
+    (penalty, loads, cancelled): Scored,
+    reused: usize,
+    energy_per_load: f64,
+) {
+    outcome.activations += 1;
+    outcome.ideal += prepared.ideal_makespan();
+    outcome.penalty += penalty;
+    outcome.loads_performed += loads;
+    outcome.loads_cancelled += cancelled;
+    outcome.drhw_subtasks_executed += prepared.drhw_count();
+    outcome.reused_subtasks += reused;
+    outcome.reconfiguration_energy_mj += loads as f64 * energy_per_load;
 }
 
 /// The (task, scenario) pairs the configured scenario policy can ever
@@ -1060,6 +1189,25 @@ pub(crate) mod tests {
         );
         assert!((0..plan.shared.scratch_shape.configs)
             .all(|config| !scratch.prefetch.is_protected(ConfigId::new(config))));
+
+        // In a pass over several policies the error ends only the hybrid
+        // heuristic's chunk; the others score as they do alone.
+        let chunk = index / plan.config().chunk_size;
+        let policies = [
+            PolicyKind::RunTime,
+            PolicyKind::Hybrid,
+            PolicyKind::NoPrefetch,
+        ];
+        let results: Vec<_> = plan
+            .evaluate_chunk_policies_with(&policies, chunk, &mut scratch)
+            .collect();
+        assert_eq!(results[1], Err(err));
+        for position in [0, 2] {
+            assert_eq!(
+                results[position],
+                plan.evaluate_chunk_with(policies[position], chunk, &mut scratch)
+            );
+        }
     }
 
     #[test]

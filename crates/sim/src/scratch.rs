@@ -2,12 +2,14 @@
 //!
 //! [`SimScratch`] bundles everything one worker mutates while evaluating
 //! iterations: the prefetch-kernel buffers ([`drhw_prefetch::Scratch`]), the
-//! chunk-scoped platform state (tile contents, inter-task window, simulated
-//! clock), the per-iteration activation/protection buffers and one kernel
-//! memo per prepared scenario. One instance per worker thread; binding it to
-//! a plan sizes every buffer for that plan, so a warm evaluation loop
-//! performs **zero heap allocations** — an invariant enforced by the
-//! `alloc_free` integration test with a counting global allocator.
+//! chunk-scoped tile states (tile contents and their stamp clock), one lane
+//! per requested policy (inter-task window, iteration outcome, chunk sums,
+//! first error), the per-iteration activation/protection buffers and one
+//! kernel memo per prepared scenario. One instance per worker thread;
+//! binding it to a plan sizes every buffer for that plan, so a warm
+//! evaluation loop performs **zero heap allocations** — an invariant
+//! enforced by the `alloc_free` integration test with a counting global
+//! allocator.
 //!
 //! # Ownership and reset rules
 //!
@@ -18,8 +20,8 @@
 //!   different plan rebinds the whole scratch — tile contents for the new
 //!   platform, buffers for the new maxima, memo tables at the new sizes —
 //!   so a scratch made by one plan's `make_scratch` can serve any other.
-//! * Chunk-scoped state (`contents`, `window`, `now`) is reset in place by
-//!   [`reset_chunk`](SimScratch::reset_chunk) at every chunk boundary —
+//! * Chunk-scoped state (tile states, lanes) is reset in place by
+//!   [`start_chunk`](SimScratch::start_chunk) at every chunk boundary —
 //!   bit-identical to constructing fresh state, without the allocation.
 //! * Kernel buffers are cleared and refilled by the kernels themselves; their
 //!   contents are meaningless between calls.
@@ -35,7 +37,12 @@
 //! fingerprint of the key.
 
 use drhw_model::{mix64, ScenarioId, Time, GOLDEN_GAMMA};
-use drhw_prefetch::{ExecSummary, HybridSummary, InterTaskWindow, Scratch, SlotMask, TileContents};
+use drhw_prefetch::{
+    ExecSummary, HybridSummary, InterTaskWindow, PolicyKind, Scratch, SlotMask, TileContents,
+};
+
+use crate::error::SimError;
+use crate::stats::{ChunkStats, IterationOutcome};
 
 /// Entries of a hashed memo table, and the largest key space a key-indexed
 /// table covers (a power of two — the fingerprint is masked down to an
@@ -158,8 +165,8 @@ impl<K: MemoKey, V: Copy> MemoSet<K, V> {
 /// [`PreparedSchedule::window_loads`](drhw_prefetch::PreparedSchedule::window_loads))
 /// once the schedule is prepared, so their summaries can be replayed from
 /// here instead of re-running the timing loop — the replacement/reuse/
-/// contents pipeline still runs every activation because it feeds the
-/// evolving tile state.
+/// contents pipeline still runs every activation, once per tile state,
+/// because it feeds the evolving tile contents.
 #[derive(Debug, Clone)]
 pub(crate) struct KernelMemo {
     /// `evaluate_list` keyed by residency mask.
@@ -198,6 +205,54 @@ pub(crate) struct ScratchShape {
     pub(crate) tasks: usize,
 }
 
+/// One tile state of a pass: what every physical tile holds and the clock
+/// its last-use stamps come from (chunk-scoped; see [`SimScratch`] for the
+/// two clocks).
+#[derive(Debug)]
+pub(crate) struct TileState {
+    pub(crate) contents: TileContents,
+    pub(crate) now: Time,
+    /// Whether several lanes read this state (its clock then leaves the
+    /// penalties out).
+    pub(crate) shared: bool,
+}
+
+/// One requested policy inside a pass: the tile state it reads, its
+/// inter-task window, the outcome of the current iteration, the chunk's
+/// running sums and the first error it hit. A lane with an error is dead
+/// for the rest of the chunk; the others go on.
+#[derive(Debug)]
+pub(crate) struct Lane {
+    pub(crate) policy: PolicyKind,
+    /// The tile state the lane reads; `None` for the cached-artifact
+    /// policies, which read none.
+    pub(crate) tiles: Option<usize>,
+    /// Trailing port idle window of the previous task (chunk-scoped).
+    pub(crate) window: InterTaskWindow,
+    /// What the current iteration contributed so far.
+    pub(crate) outcome: IterationOutcome,
+    /// The chunk's iterations folded so far.
+    pub(crate) stats: ChunkStats,
+    /// The first error, which ends the lane's chunk.
+    pub(crate) error: Option<SimError>,
+}
+
+impl Lane {
+    /// Whether the lane is still running and reads tile state `state`.
+    #[inline]
+    pub(crate) fn reads(&self, state: usize) -> bool {
+        self.tiles == Some(state) && self.error.is_none()
+    }
+
+    /// Takes the lane's chunk result: its first error, else its sums.
+    pub(crate) fn take_result(&mut self) -> Result<ChunkStats, SimError> {
+        match self.error.take() {
+            Some(error) => Err(error),
+            None => Ok(std::mem::take(&mut self.stats)),
+        }
+    }
+}
+
 /// The mutable per-worker state threaded through
 /// [`IterationPlan::evaluate_with`](crate::IterationPlan::evaluate_with),
 /// [`IterationPlan::run`](crate::IterationPlan::run) and the engine's pool
@@ -205,16 +260,32 @@ pub(crate) struct ScratchShape {
 ///
 /// Create one via [`IterationPlan::make_scratch`](crate::IterationPlan::make_scratch),
 /// which binds it to the plan and so pre-sizes every buffer.
+///
+/// # Tile states
+///
+/// A pass keeps one tile state — tile contents plus the clock their
+/// last-use stamps come from — per reuse-exploiting policy, or one shared
+/// by all of them. Eviction reads only the *order* of the stamps. A state
+/// read by one policy keeps that policy's simulated clock, which each
+/// activation advances by its ideal makespan plus its penalty; a shared
+/// state advances by the ideal makespan alone, so its stamps depend on no
+/// policy. When every prepared scenario of the plan has a positive ideal
+/// makespan, both clocks rise with every activation and stamp each tile
+/// with the position of the activation that last touched it, so the
+/// policies evict alike and share one state exactly. Otherwise each keeps
+/// its own.
 #[derive(Debug)]
 pub struct SimScratch {
     /// Buffers of the per-activation prefetch kernels.
     pub(crate) prefetch: Scratch,
-    /// What every physical tile currently holds (chunk-scoped).
-    pub(crate) contents: TileContents,
-    /// Trailing port idle window of the previous task (chunk-scoped).
-    pub(crate) window: InterTaskWindow,
-    /// Simulated clock (chunk-scoped).
-    pub(crate) now: Time,
+    /// The tile states of the current pass (chunk-scoped); the first
+    /// `tile_states` are in use. Kept across passes so a warm pass never
+    /// allocates them again.
+    pub(crate) tiles: Vec<TileState>,
+    /// How many of `tiles` the current pass uses.
+    pub(crate) tile_states: usize,
+    /// One lane per policy of the current pass, in request order.
+    pub(crate) lanes: Vec<Lane>,
     /// The iteration's activations as (task index, scenario) pairs.
     pub(crate) activations: Vec<(usize, ScenarioId)>,
     /// The artifact index of each activation (parallel to `activations`),
@@ -235,9 +306,9 @@ impl SimScratch {
     pub(crate) fn unbound() -> Self {
         SimScratch {
             prefetch: Scratch::new(),
-            contents: TileContents::new(0),
-            window: InterTaskWindow::empty(),
-            now: Time::ZERO,
+            tiles: Vec::new(),
+            tile_states: 0,
+            lanes: Vec::new(),
             activations: Vec::new(),
             activation_artifacts: Vec::new(),
             memo: Vec::new(),
@@ -248,14 +319,14 @@ impl SimScratch {
     /// Binds the scratch to the plan identified by `token`, whose buffer
     /// maxima are `shape` and whose artifacts have `graph_sizes` subtasks
     /// each. Bound to another plan (or to none), the whole scratch is
-    /// rebound: tile contents for the plan's platform, kernel buffers
-    /// reserved for its maxima, and fresh memo tables at its artifacts'
-    /// sizes — so a scratch made by one plan's `make_scratch` never
-    /// simulates another plan's platform or replays its summaries. Plans
-    /// stamped out by [`with_config`](crate::IterationPlan::with_config)
-    /// share design-time artifacts and therefore the token, so
-    /// re-parameterised runs keep their warm memos. One word compare on the
-    /// steady path.
+    /// rebound: one tile state for the plan's platform, lanes for every
+    /// policy, kernel buffers reserved for its maxima, and fresh memo tables
+    /// at its artifacts' sizes — so a scratch made by one plan's
+    /// `make_scratch` never simulates another plan's platform or replays its
+    /// summaries. Plans stamped out by
+    /// [`with_config`](crate::IterationPlan::with_config) share design-time
+    /// artifacts and therefore the token, so re-parameterised runs keep
+    /// their warm memos. One word compare on the steady path.
     pub(crate) fn bind_plan(
         &mut self,
         token: u64,
@@ -267,9 +338,17 @@ impl SimScratch {
         }
         self.prefetch
             .reserve(shape.subtasks, shape.slots, shape.tiles, shape.configs);
-        if self.contents.tile_count() != shape.tiles {
-            self.contents = TileContents::new(shape.tiles);
+        if self.tiles.first().map(|state| state.contents.tile_count()) != Some(shape.tiles) {
+            self.tiles.clear();
+            self.tiles.push(TileState {
+                contents: TileContents::new(shape.tiles),
+                now: Time::ZERO,
+                shared: false,
+            });
         }
+        self.tile_states = 0;
+        self.lanes.clear();
+        self.lanes.reserve(PolicyKind::ALL.len());
         self.activations.clear();
         self.activations.reserve(shape.tasks);
         self.activation_artifacts.clear();
@@ -279,13 +358,48 @@ impl SimScratch {
         self.plan_token = token;
     }
 
-    /// Resets the chunk-scoped state to the cold start every chunk begins
-    /// from: empty tiles, no inter-task window, clock at zero. In-place and
-    /// bit-identical to fresh construction.
-    pub(crate) fn reset_chunk(&mut self) {
-        self.contents.reset();
-        self.window = InterTaskWindow::empty();
-        self.now = Time::ZERO;
+    /// Sets up a pass over `policies` from the cold start every chunk
+    /// begins at: one lane per policy with an empty window and zero sums,
+    /// and empty tiles with the clock at zero. The reuse-exploiting lanes
+    /// read one shared tile state when there are several of them and
+    /// `share` holds, else one tile state each. In place: after the first
+    /// pass with as many tile states, nothing is allocated.
+    pub(crate) fn start_chunk(&mut self, policies: &[PolicyKind], share: bool) {
+        let reusing = policies.iter().filter(|p| p.exploits_reuse()).count();
+        let shared = share && reusing > 1;
+        self.lanes.clear();
+        let mut next_state = 0;
+        for &policy in policies {
+            let tiles = policy.exploits_reuse().then(|| {
+                let state = next_state;
+                if !shared {
+                    next_state += 1;
+                }
+                state
+            });
+            self.lanes.push(Lane {
+                policy,
+                tiles,
+                window: InterTaskWindow::empty(),
+                outcome: IterationOutcome::default(),
+                stats: ChunkStats::default(),
+                error: None,
+            });
+        }
+        self.tile_states = if shared { 1 } else { reusing };
+        let tile_count = self.tiles[0].contents.tile_count();
+        while self.tiles.len() < self.tile_states {
+            self.tiles.push(TileState {
+                contents: TileContents::new(tile_count),
+                now: Time::ZERO,
+                shared: false,
+            });
+        }
+        for state in &mut self.tiles[..self.tile_states] {
+            state.contents.reset();
+            state.now = Time::ZERO;
+            state.shared = shared;
+        }
     }
 }
 

@@ -84,9 +84,12 @@ impl IterationOutcome {
 /// Running statistics of part of a simulation run — the unit the parallel
 /// engines fold.
 ///
-/// Produced by
+/// Produced per policy by
+/// [`IterationPlan::evaluate_chunk_policies_with`](crate::IterationPlan::evaluate_chunk_policies_with),
+/// one per requested policy of a chunk, and by its one-policy case
 /// [`IterationPlan::evaluate_chunk_with`](crate::IterationPlan::evaluate_chunk_with);
-/// merging the chunks of a run **in chunk order** and calling
+/// both give a policy the same statistics. Merging one policy's chunks of a
+/// run **in chunk order** and calling
 /// [`finish`](Self::finish) reproduces the aggregate [`SimulationReport`]
 /// bit for bit (the ordering matters only for the floating-point energy
 /// sum; every other field is an integer). This is the contract both

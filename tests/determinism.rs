@@ -1,11 +1,12 @@
 //! Determinism guarantees: the same seed reproduces the same workload and the
-//! same reports, and policy comparisons are paired (every policy sees exactly
-//! the same activation sequence).
+//! same reports, policy comparisons are paired (every policy sees exactly
+//! the same activation sequence), and scoring several policies in one pass
+//! gives each the numbers it gets alone.
 
 use drhw_bench::experiments::workload_config;
 use drhw_engine::{Engine, JobSpec};
-use drhw_model::Platform;
-use drhw_prefetch::PolicyKind;
+use drhw_model::{ConfigId, Platform, Subtask, SubtaskGraph, Task, TaskId, TaskSet, Time};
+use drhw_prefetch::{PolicyKind, ReplacementPolicy};
 use drhw_sim::{IterationPlan, SimulationConfig};
 use drhw_workloads::multimedia::multimedia_task_set;
 use drhw_workloads::pocket_gl::pocket_gl_task_set;
@@ -209,4 +210,159 @@ fn different_seeds_produce_different_workloads() {
     let a = plan_a.run(&[PolicyKind::NoPrefetch]).unwrap();
     let b = plan_b.run(&[PolicyKind::NoPrefetch]).unwrap();
     assert_ne!(a, b);
+}
+
+/// The policy sets the multi-policy pass is checked on: all five, the
+/// figures' three, and all five in reverse order.
+fn policy_sets() -> [Vec<PolicyKind>; 3] {
+    let mut reversed = PolicyKind::ALL.to_vec();
+    reversed.reverse();
+    [
+        PolicyKind::ALL.to_vec(),
+        PolicyKind::FIGURE_POLICIES.to_vec(),
+        reversed,
+    ]
+}
+
+/// Asserts that, chunk by chunk, one pass over each policy set yields for
+/// every policy exactly the result a one-policy pass gives it.
+fn assert_shared_pass_matches_one_policy_passes(label: &str, plan: &IterationPlan) {
+    let mut scratch = plan.make_scratch();
+    for chunk in 0..plan.chunk_count() {
+        let alone: Vec<_> = PolicyKind::ALL
+            .into_iter()
+            .map(|policy| plan.evaluate_chunk_with(policy, chunk, &mut scratch))
+            .collect();
+        for set in policy_sets() {
+            let shared: Vec<_> = plan
+                .evaluate_chunk_policies_with(&set, chunk, &mut scratch)
+                .collect();
+            assert_eq!(shared.len(), set.len());
+            for (policy, result) in set.iter().zip(&shared) {
+                let index = PolicyKind::ALL.iter().position(|p| p == policy).unwrap();
+                assert_eq!(
+                    result, &alone[index],
+                    "{label}, chunk {chunk}, {policy} within {set:?}"
+                );
+            }
+        }
+    }
+}
+
+const REPLACEMENTS: [ReplacementPolicy; 3] = [
+    ReplacementPolicy::ReuseAware,
+    ReplacementPolicy::LeastRecentlyUsed,
+    ReplacementPolicy::Direct,
+];
+
+#[test]
+fn the_shared_pass_matches_one_policy_passes_on_the_figure_plans() {
+    // The fifteen Fig. 6/7 plans under every replacement rule, over two
+    // chunks each.
+    let registry = WorkloadRegistry::with_builtins();
+    for name in ["multimedia", "pocket_gl"] {
+        let workload = registry.resolve(name).unwrap();
+        let set = workload.task_set();
+        for tiles in workload.tile_sweep() {
+            let platform = Platform::virtex_like(tiles).unwrap();
+            let config = workload_config(workload.as_ref(), 48, 2005).with_chunk_size(24);
+            let base = IterationPlan::new(&set, &platform, config.clone()).unwrap();
+            for replacement in REPLACEMENTS {
+                let mut config = config.clone();
+                config.replacement = replacement;
+                let plan = base.with_config(config).unwrap();
+                assert_shared_pass_matches_one_policy_passes(
+                    &format!("{name}@{tiles} {replacement}"),
+                    &plan,
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn the_shared_pass_matches_one_policy_passes_on_fuzz_plans() {
+    let registry = WorkloadRegistry::with_builtins();
+    for (case, family) in ["chain", "fork", "diamond", "layered", "heavy", "mix"]
+        .into_iter()
+        .enumerate()
+    {
+        for seed in [3u64, 11] {
+            let workload = registry.resolve(&format!("fuzz-{family}-{seed}")).unwrap();
+            let set = workload.task_set();
+            let tiles = workload.tile_sweep().next().unwrap();
+            let platform = Platform::virtex_like(tiles).unwrap();
+            let mut config = workload_config(workload.as_ref(), 20, seed).with_chunk_size(10);
+            config.replacement = REPLACEMENTS[(case + seed as usize) % REPLACEMENTS.len()];
+            let plan = IterationPlan::new(&set, &platform, config).unwrap();
+            assert_shared_pass_matches_one_policy_passes(workload.name(), &plan);
+        }
+    }
+}
+
+#[test]
+fn a_repeated_policy_gets_its_own_report_each_time() {
+    let set = multimedia_task_set();
+    let platform = Platform::virtex_like(9).unwrap();
+    let config = SimulationConfig::default().with_iterations(40).with_seed(5);
+    let plan = IterationPlan::new(&set, &platform, config).unwrap();
+    let requested = [
+        PolicyKind::Hybrid,
+        PolicyKind::RunTime,
+        PolicyKind::Hybrid,
+        PolicyKind::NoPrefetch,
+        PolicyKind::Hybrid,
+    ];
+    let together = plan.run(&requested).unwrap();
+    for (policy, report) in requested.iter().zip(&together) {
+        assert_eq!(report, &plan.run(&[*policy]).unwrap()[0], "{policy}");
+    }
+}
+
+/// Two tasks of three subtasks each, every subtask taking 0 ms, over six
+/// configurations: on four tiles the tasks keep evicting each other, and
+/// every ideal makespan is zero.
+fn zero_time_task_set() -> TaskSet {
+    let tasks = (0..2)
+        .map(|task| {
+            let mut graph = SubtaskGraph::new(format!("zero-{task}"));
+            let ids: Vec<_> = (0..3)
+                .map(|i| {
+                    graph.add_subtask(Subtask::new(
+                        format!("z{task}{i}"),
+                        Time::ZERO,
+                        ConfigId::new(task * 3 + i),
+                    ))
+                })
+                .collect();
+            graph.add_dependency(ids[0], ids[1]).unwrap();
+            graph.add_dependency(ids[0], ids[2]).unwrap();
+            Task::single_scenario(TaskId::new(task), format!("zero-{task}"), graph).unwrap()
+        })
+        .collect();
+    TaskSet::new("zero-time", tasks).unwrap()
+}
+
+#[test]
+fn the_shared_pass_matches_one_policy_passes_when_subtasks_take_no_time() {
+    // Activations with a zero ideal makespan do not advance a shared
+    // state's clock, so its stamps would stop ordering the tiles the way
+    // each policy's own clock does: such plans must keep one tile state
+    // per policy.
+    let set = zero_time_task_set();
+    let platform = Platform::virtex_like(4).unwrap();
+    for replacement in REPLACEMENTS {
+        for seed in [1u64, 2, 3] {
+            let mut config = SimulationConfig::default()
+                .with_iterations(40)
+                .with_chunk_size(20)
+                .with_seed(seed);
+            config.replacement = replacement;
+            let plan = IterationPlan::new(&set, &platform, config).unwrap();
+            assert_shared_pass_matches_one_policy_passes(
+                &format!("zero-time {replacement} seed {seed}"),
+                &plan,
+            );
+        }
+    }
 }
