@@ -12,11 +12,18 @@
 //!
 //! `kernel_make_scratch` times the per-(worker, job) set-up in front of
 //! those kernels: binding a fresh `SimScratch` to a Pocket GL plan and to a
-//! multimedia plan, memo tables included.
+//! multimedia plan. Each scratch hands its memo set back to its plan's pool
+//! when it drops, so after the warm-up call this is the warm set-up, which
+//! builds no memo table.
 //!
 //! `kernel_chunk_pass` times the pass that strings them together: one
 //! 32-iteration chunk of the three figure policies, scored together on
 //! multimedia@8 and on Pocket GL@10, each through its one warm scratch.
+//!
+//! `kernel_warm_plan_job` times a pool worker's unit of work on a cached
+//! plan: a fresh `make_scratch` plus every chunk of a figure job (the three
+//! figure policies over 1000 iterations) on multimedia@8 and on Pocket
+//! GL@10, whose memo pools are warm from an earlier job.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use drhw_bench::experiments::workload_config;
@@ -193,5 +200,45 @@ fn bench_chunk_pass(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_kernels, bench_make_scratch, bench_chunk_pass);
+fn bench_warm_plan_job(c: &mut Criterion) {
+    let seed = SimulationConfig::default().seed;
+    let plans: Vec<IterationPlan> = [
+        (&MultimediaWorkload as &dyn Workload, 8),
+        (&PocketGlWorkload, 10),
+    ]
+    .into_iter()
+    .map(|(workload, tiles)| {
+        let platform = Platform::virtex_like(tiles).expect("non-empty platform");
+        let config = workload_config(workload, 1000, seed);
+        IterationPlan::new(&workload.task_set(), &platform, config).expect("figure plans build")
+    })
+    .collect();
+    let job = |plan: &IterationPlan| {
+        let mut scratch = plan.make_scratch();
+        let mut activations = 0;
+        for chunk in 0..plan.chunk_count() {
+            for stats in
+                plan.evaluate_chunk_policies_with(&PolicyKind::FIGURE_POLICIES, chunk, &mut scratch)
+            {
+                activations += stats.expect("chunk evaluates").activations();
+            }
+        }
+        activations
+    };
+    // An earlier job on each plan leaves its memo set in the plan's pool.
+    for plan in &plans {
+        job(plan);
+    }
+    c.bench_function("kernel_warm_plan_job", |b| {
+        b.iter(|| plans.iter().map(job).sum::<usize>())
+    });
+}
+
+criterion_group!(
+    benches,
+    bench_kernels,
+    bench_make_scratch,
+    bench_chunk_pass,
+    bench_warm_plan_job
+);
 criterion_main!(benches);

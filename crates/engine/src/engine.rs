@@ -9,7 +9,9 @@
 //! `IterationPlan::run` — regardless of cache hits, worker count or how
 //! many jobs run interleaved.
 
+use std::any::Any;
 use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -17,13 +19,15 @@ use std::thread::JoinHandle;
 
 use drhw_model::{Platform, Time};
 use drhw_prefetch::PolicyKind;
-use drhw_sim::{ChunkStats, IterationPlan, SimError, SimulationConfig, SimulationReport};
+use drhw_sim::{
+    ChunkStats, IterationPlan, SimError, SimScratch, SimulationConfig, SimulationReport,
+};
 use drhw_workloads::{Workload, WorkloadRegistry};
 
 use crate::cache::{CacheStats, PlanCache, PlanKey};
 use crate::disk::DiskPlanCache;
 use crate::error::EngineError;
-use crate::job::{JobHandle, JobId, JobState};
+use crate::job::{Claim, JobHandle, JobId, JobState};
 use crate::spec::JobSpec;
 
 /// What the worker pool shares: the job queue and its wakeup.
@@ -496,23 +500,118 @@ fn worker_loop(shared: &PoolShared) {
                     .expect("engine queue lock is never poisoned");
             }
         };
-        // One scratch per (worker, job): buffers are pre-sized to the job's
-        // plan and reused across every chunk this worker claims from it.
-        let mut scratch = job.plan.make_scratch();
-        while let Some(claim) = job.claim() {
-            let results = job.plan.evaluate_chunk_policies_with(
-                &job.policies[..claim.policies],
-                claim.chunk,
-                &mut scratch,
-            );
-            job.record(claim, results);
+        work_on(&job, evaluate_claim);
+    }
+}
+
+/// Claims `job`'s chunks until none is left and scores each claim with
+/// `evaluate` through one scratch per (worker, job): its buffers are
+/// pre-sized to the job's plan, and its memo set comes from the plan's pool,
+/// warm with what earlier jobs computed, and goes back there.
+///
+/// A claim whose evaluation panics records [`SimError::ChunkPanicked`] for
+/// every policy it carried, so the job still resolves and the worker goes
+/// on. The scratch the panic left is dropped and the next claim gets a new
+/// one; its memo set may go back to the pool, because a memo entry is
+/// written only after its kernel returned.
+fn work_on(job: &JobState, evaluate: impl Fn(&JobState, Claim, &mut SimScratch)) {
+    let mut scratch = job.plan.make_scratch();
+    while let Some(claim) = job.claim() {
+        let evaluated = panic::catch_unwind(AssertUnwindSafe(|| {
+            evaluate(job, claim, &mut scratch);
+        }));
+        if let Err(payload) = evaluated {
+            let error = SimError::ChunkPanicked {
+                chunk: claim.chunk,
+                message: panic_message(payload.as_ref()),
+            };
+            job.record(claim, (0..claim.policies).map(|_| Err(error.clone())));
+            drop(scratch);
+            scratch = job.plan.make_scratch();
         }
+    }
+}
+
+/// Scores one claim of `job` in one pass over its policies and records the
+/// results: what a pool worker does with each claim.
+fn evaluate_claim(job: &JobState, claim: Claim, scratch: &mut SimScratch) {
+    let results = job.plan.evaluate_chunk_policies_with(
+        &job.policies[..claim.policies],
+        claim.chunk,
+        scratch,
+    );
+    job.record(claim, results);
+}
+
+/// The message of a panic: what `panic!` was given, when that is a string.
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    match payload.downcast_ref::<&str>() {
+        Some(message) => (*message).to_string(),
+        None => payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_else(|| "a panic without a message".to_string()),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A job of `policies` on `plan`.
+    fn job_on(plan: IterationPlan, policies: &[PolicyKind]) -> JobState {
+        JobState::new(
+            JobId::new(1),
+            JobSpec::new("multimedia").with_policies(policies),
+            "multimedia".to_string(),
+            plan,
+            false,
+            mpsc::channel().0,
+        )
+    }
+
+    #[test]
+    fn a_panicking_chunk_resolves_its_job_and_the_worker_goes_on() {
+        let workload = WorkloadRegistry::with_builtins()
+            .resolve("multimedia")
+            .unwrap();
+        let platform = Platform::virtex_like(8).unwrap();
+        let config = SimulationConfig::quick()
+            .with_iterations(12)
+            .with_chunk_size(4);
+        let plan = IterationPlan::new(&workload.task_set(), &platform, config).unwrap();
+        let policies = [PolicyKind::RunTime, PolicyKind::Hybrid];
+        let job = job_on(plan.with_config(plan.config().clone()).unwrap(), &policies);
+        work_on(&job, |job, claim, scratch| {
+            if claim.chunk == 1 {
+                panic!("chunk {} exploded", claim.chunk);
+            }
+            evaluate_claim(job, claim, scratch);
+        });
+        assert_eq!(
+            job.wait(),
+            Err(EngineError::Sim {
+                workload: "multimedia".to_string(),
+                source: SimError::ChunkPanicked {
+                    chunk: 1,
+                    message: "chunk 1 exploded".to_string(),
+                },
+            })
+        );
+        // The same worker then runs the next job on the plan to its usual
+        // reports, with the memo sets the panicking job handed back.
+        let expected = plan.run(&policies).unwrap();
+        let next = job_on(plan, &policies);
+        work_on(&next, evaluate_claim);
+        assert_eq!(next.wait(), Ok(expected));
+    }
+
+    #[test]
+    fn panic_messages_survive_both_payload_kinds() {
+        assert_eq!(panic_message(&"static"), "static");
+        assert_eq!(panic_message(&"owned".to_string()), "owned");
+        assert_eq!(panic_message(&7_u32), "a panic without a message");
+    }
 
     #[test]
     fn explicit_thread_count_wins_over_auto_detection() {

@@ -3,13 +3,16 @@
 //! A job is a run of chunks, each evaluated for every requested policy in
 //! one pass ([`IterationPlan::evaluate_chunk_policies_with`], the work
 //! decomposition of [`drhw_sim::IterationPlan::run`]). Workers claim chunks
-//! in increasing order and record one [`ChunkStats`] result per policy into
-//! a table of `policies × chunks` slots; a fold cursor advances strictly in
-//! (policy, chunk) order, which is what makes the final reports — and the
-//! [`ProgressEvent`] stream — bit-identical regardless of worker count,
-//! claim interleaving or how many other jobs share the pool. Everything
-//! that changes while the job runs sits behind one mutex, so a claim, a
-//! record or a cancel is one critical section.
+//! in increasing order and record one [`ChunkStats`] result per policy; the
+//! fold takes chunks strictly in chunk order and merges each policy's
+//! result into that policy's running sum, which is what makes the final
+//! reports bit-identical regardless of worker count, claim interleaving or
+//! how many other jobs share the pool. The job keeps only the results the
+//! fold cannot use yet: chunks recorded ahead of an earlier one still in
+//! flight, and, while a progress receiver exists, the later policies'
+//! chunks, because the [`ProgressEvent`] stream runs in (policy, chunk)
+//! order. Everything that changes while the job runs sits behind one
+//! mutex, so a claim, a record or a cancel is one critical section.
 //!
 //! A failed policy ends its own run: later claims carry only the policies
 //! ahead of the earliest failed one, whose chunks may still hold an earlier
@@ -20,6 +23,7 @@
 //! by every claim, so a cancelled job stops within one chunk of work per
 //! worker and resolves to [`EngineError::Cancelled`].
 
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 
 use drhw_prefetch::PolicyKind;
@@ -88,6 +92,21 @@ pub(crate) struct Claim {
     pub(crate) policies: usize,
 }
 
+/// One policy's side of the fold.
+#[derive(Default)]
+struct PolicyFold {
+    /// How many of the policy's chunks, from the first, are merged.
+    merged: usize,
+    /// Their sum, in chunk order.
+    running: ChunkStats,
+    /// The policy's next chunks, in order, taken by the fold but not merged
+    /// yet because an earlier policy's progress events are still due.
+    held: VecDeque<ChunkStats>,
+}
+
+/// A chunk's results, one per policy the claim carried, in policy order.
+type ChunkResults = Vec<Result<ChunkStats, SimError>>;
+
 /// Everything about a job that changes while it runs, guarded by one mutex.
 struct JobInner {
     /// Next chunk to claim; every chunk below it has been handed out.
@@ -101,14 +120,17 @@ struct JobInner {
     in_flight: usize,
     /// Set by [`JobState::cancel`].
     cancelled: bool,
-    /// One slot per (policy, chunk), in (policy, chunk) order.
-    slots: Vec<Option<Result<ChunkStats, SimError>>>,
-    /// Next slot to fold; everything before it has been merged.
-    cursor: usize,
-    /// Running fold of the policy the cursor is inside.
-    running: ChunkStats,
-    /// Finished per-policy reports, in policy order.
-    reports: Vec<SimulationReport>,
+    /// Chunks the fold has taken; every chunk below it was recorded.
+    folded: usize,
+    /// Results recorded ahead of the fold, by chunk.
+    early: BTreeMap<usize, ChunkResults>,
+    /// Policies the fold still takes results of: those ahead of the
+    /// earliest policy whose error it met.
+    folding: usize,
+    /// The first error in (policy, chunk) order the fold met.
+    first_error: Option<SimError>,
+    /// One fold per policy, in policy order.
+    folds: Vec<PolicyFold>,
     /// Progress sink; dropped (closing the receiver) when the job resolves,
     /// or as soon as a send finds the receiver gone.
     progress: Option<mpsc::Sender<ProgressEvent>>,
@@ -131,7 +153,7 @@ pub(crate) struct JobState {
     pub(crate) workload: String,
     pub(crate) policies: Vec<PolicyKind>,
     /// The cached plan with this job's run configuration stamped on; its
-    /// configuration and platform size the job's slots and seal its reports.
+    /// configuration and platform size the job's fold and seal its reports.
     pub(crate) plan: IterationPlan,
     /// Whether this job's plan came out of the cache without preparation.
     pub(crate) cache_hit: bool,
@@ -164,12 +186,13 @@ impl JobState {
                 live,
                 in_flight: 0,
                 cancelled: false,
-                slots: std::iter::repeat_with(|| None)
-                    .take(live * chunks)
+                folded: 0,
+                early: BTreeMap::new(),
+                folding: live,
+                first_error: None,
+                folds: std::iter::repeat_with(PolicyFold::default)
+                    .take(live)
                     .collect(),
-                cursor: 0,
-                running: ChunkStats::default(),
-                reports: Vec::new(),
                 progress: Some(progress),
                 outcome: None,
             }),
@@ -204,12 +227,6 @@ impl JobState {
         Some(claim)
     }
 
-    /// The (policy, chunk) pair a slot index denotes.
-    fn slot_work(&self, slot: usize) -> (PolicyKind, usize) {
-        let chunks = self.plan.chunk_count();
-        (self.policies[slot / chunks], slot % chunks)
-    }
-
     /// Records a claimed chunk's results — one per policy the claim
     /// carried, in policy order — advances the ordered fold (emitting
     /// progress events) and resolves the job when it was the last
@@ -219,58 +236,83 @@ impl JobState {
         claim: Claim,
         results: impl IntoIterator<Item = Result<ChunkStats, SimError>>,
     ) {
-        let mut inner = self.lock();
-        let chunks = inner.chunks;
-        for (policy, result) in results.into_iter().enumerate() {
-            if result.is_err() {
-                inner.live = inner.live.min(policy);
-            }
-            inner.slots[policy * chunks + claim.chunk] = Some(result);
+        let mut guard = self.lock();
+        let inner = &mut *guard;
+        let results: ChunkResults = results.into_iter().collect();
+        if let Some(policy) = results.iter().position(Result::is_err) {
+            inner.live = inner.live.min(policy);
         }
         inner.in_flight -= 1;
-        self.advance_fold(&mut inner);
-        self.resolve_if_settled(&mut inner);
+        if claim.chunk == inner.folded {
+            self.fold_chunk(inner, results);
+        } else {
+            inner.early.insert(claim.chunk, results);
+        }
+        while let Some(results) = inner.early.remove(&inner.folded) {
+            self.fold_chunk(inner, results);
+        }
+        self.resolve_if_settled(inner);
     }
 
-    /// Folds every contiguously-available `Ok` slot past the cursor, in
-    /// (policy, chunk) order — the exact fold `IterationPlan::run` performs,
-    /// so the final reports are bit-identical to its.
-    fn advance_fold(&self, fold: &mut JobInner) {
-        while fold.cursor < fold.slots.len() {
-            let Some(Ok(stats)) = &fold.slots[fold.cursor] else {
-                // A hole (chunk still running) or an error: the fold stops
-                // here. Errors are resolved with the job so the *first*
-                // error in slot order wins deterministically.
-                break;
-            };
-            fold.running.merge(stats);
-            let slot = fold.cursor;
-            fold.cursor += 1;
-            let (policy, chunk) = self.slot_work(slot);
-            let iterations = self.plan.config().iterations;
-            let iterations_done = ((chunk + 1) * self.plan.config().chunk_size).min(iterations);
-            let tiles = self.plan.platform().tile_count();
-            let chunks_per_policy = self.plan.chunk_count();
-            // Sealing a partial report costs a clone: only build the event
-            // while someone may read it.
-            let event = fold.progress.as_ref().map(|_| ProgressEvent {
-                job: self.id,
-                policy,
-                chunk,
-                chunks_per_policy,
-                iterations_done,
-                partial_stats: fold.running.clone().finish(policy, tiles, iterations_done),
-            });
-            if chunk + 1 == chunks_per_policy {
-                // Policy complete: seal its report and restart the fold.
-                fold.reports
-                    .push(std::mem::take(&mut fold.running).finish(policy, tiles, iterations));
+    /// Takes the next chunk's results into the fold: each policy still
+    /// folding queues its result, and the first error met ends the fold of
+    /// its policy and of every later one — their results from here on come
+    /// after it in (policy, chunk) order. Then merges what is due.
+    fn fold_chunk(&self, inner: &mut JobInner, results: ChunkResults) {
+        for (policy, result) in results.into_iter().enumerate().take(inner.folding) {
+            match result {
+                Ok(stats) => inner.folds[policy].held.push_back(stats),
+                Err(error) => {
+                    inner.folding = policy;
+                    inner.first_error = Some(error);
+                    for later in &mut inner.folds[policy + 1..] {
+                        later.held.clear();
+                    }
+                    break;
+                }
             }
-            if let (Some(sender), Some(event)) = (&fold.progress, event) {
+        }
+        inner.folded += 1;
+        self.merge_due(inner);
+    }
+
+    /// Merges every queued chunk whose turn has come, in (policy, chunk)
+    /// order — per policy the exact fold `IterationPlan::run` performs, so
+    /// the final reports are bit-identical to its — sending one progress
+    /// event per merged chunk while a receiver exists. With a receiver, a
+    /// policy's chunks wait until every earlier policy merged all of its
+    /// own; without one, each merges as soon as it is queued.
+    fn merge_due(&self, inner: &mut JobInner) {
+        let tiles = self.plan.platform().tile_count();
+        let (iterations, chunk_size) =
+            (self.plan.config().iterations, self.plan.config().chunk_size);
+        for (position, &policy) in self.policies.iter().enumerate() {
+            let fold = &mut inner.folds[position];
+            while let Some(stats) = fold.held.pop_front() {
+                fold.running.merge(&stats);
+                let chunk = fold.merged;
+                fold.merged += 1;
+                let Some(sender) = &inner.progress else {
+                    continue;
+                };
+                // Sealing a partial report costs a clone: only build the
+                // event while someone may read it.
+                let iterations_done = ((chunk + 1) * chunk_size).min(iterations);
+                let event = ProgressEvent {
+                    job: self.id,
+                    policy,
+                    chunk,
+                    chunks_per_policy: inner.chunks,
+                    iterations_done,
+                    partial_stats: fold.running.clone().finish(policy, tiles, iterations_done),
+                };
                 if sender.send(event).is_err() {
                     // The receiver is gone: nobody will read another event.
-                    fold.progress = None;
+                    inner.progress = None;
                 }
+            }
+            if inner.progress.is_some() && fold.merged < inner.chunks {
+                break;
             }
         }
     }
@@ -285,30 +327,33 @@ impl JobState {
 
     /// Resolves the job once it has stopped with nothing in flight: to the
     /// first error in (policy, chunk) order, else to the reports if every
-    /// slot folded, else to [`EngineError::Cancelled`]. Does nothing before
+    /// chunk folded, else to [`EngineError::Cancelled`]. Does nothing before
     /// that, or after the job resolved.
     fn resolve_if_settled(&self, inner: &mut JobInner) {
         if inner.outcome.is_some() || inner.in_flight > 0 || !inner.stopped() {
             return;
         }
         // Chunks are claimed in increasing order and every claim is
-        // recorded. A policy drops out of claims only once it failed, and
-        // every chunk claimed before that carried it, so with nothing in
-        // flight the first error in slot order is the first one the
-        // sequential run meets.
-        let first_error = inner
-            .slots
-            .iter()
-            .flatten()
-            .find_map(|r| r.as_ref().err())
-            .cloned();
-        let result: JobResult = if let Some(error) = first_error {
+        // recorded, so with nothing in flight the fold has taken every
+        // claimed chunk. A policy drops out of claims only once it failed,
+        // and every chunk claimed before that carried it, so the first error
+        // the fold met is the first one the sequential run meets.
+        let result: JobResult = if let Some(error) = inner.first_error.clone() {
             Err(EngineError::Sim {
                 workload: self.workload.clone(),
                 source: error,
             })
-        } else if inner.cursor == inner.slots.len() {
-            Ok(inner.reports.clone())
+        } else if inner.folded == inner.chunks {
+            let tiles = self.plan.platform().tile_count();
+            let iterations = self.plan.config().iterations;
+            Ok(inner
+                .folds
+                .iter_mut()
+                .zip(&self.policies)
+                .map(|(fold, &policy)| {
+                    std::mem::take(&mut fold.running).finish(policy, tiles, iterations)
+                })
+                .collect())
         } else {
             debug_assert!(inner.cancelled);
             Err(EngineError::Cancelled { job: self.id })
@@ -556,5 +601,47 @@ mod tests {
             job.record(claim, evaluate(&job, claim));
         }
         assert_eq!(job.wait(), Ok(job.plan.run(&[POLICY]).unwrap()));
+    }
+
+    /// How many results the job keeps: (chunks recorded ahead of the fold,
+    /// chunks held per policy).
+    fn kept(job: &JobState) -> (usize, Vec<usize>) {
+        let inner = job.lock();
+        let held = inner.folds.iter().map(|fold| fold.held.len()).collect();
+        (inner.early.len(), held)
+    }
+
+    #[test]
+    fn the_job_keeps_only_the_results_the_fold_cannot_use_yet() {
+        let policies = [PolicyKind::RunTime, POLICY];
+        // While a receiver exists, the second policy's chunks wait for the
+        // first policy's events; a chunk recorded early waits for its turn.
+        let (job, progress) = three_chunk_job(&policies);
+        let claims: Vec<Claim> = (0..3).map(|_| job.claim().unwrap()).collect();
+        job.record(claims[2], evaluate(&job, claims[2]));
+        assert_eq!(kept(&job), (1, vec![0, 0]));
+        job.record(claims[0], evaluate(&job, claims[0]));
+        assert_eq!(kept(&job), (1, vec![0, 1]));
+        job.record(claims[1], evaluate(&job, claims[1]));
+        assert_eq!(kept(&job), (0, vec![0, 0]));
+        assert_eq!(job.wait(), Ok(job.plan.run(&policies).unwrap()));
+        let order: Vec<_> = progress
+            .iter()
+            .map(|event| (event.policy, event.chunk))
+            .collect();
+        let expected: Vec<_> = policies
+            .iter()
+            .flat_map(|&policy| (0..3).map(move |chunk| (policy, chunk)))
+            .collect();
+        assert_eq!(order, expected);
+
+        // Without a receiver, every chunk the fold takes merges at once.
+        let (job, progress) = three_chunk_job(&policies);
+        drop(progress);
+        while let Some(claim) = job.claim() {
+            job.record(claim, evaluate(&job, claim));
+            assert_eq!(kept(&job), (0, vec![0, 0]));
+        }
+        assert_eq!(job.wait(), Ok(job.plan.run(&policies).unwrap()));
     }
 }

@@ -21,7 +21,8 @@ use crate::error::EngineError;
 use crate::json::JsonValue;
 
 /// The most iterations one job may ask for, 1000× the paper's runs: a job's
-/// slot table and per-iteration buffers are sized from the count.
+/// chunk count and the per-iteration outcomes of a service-time measurement
+/// grow with it.
 const MAX_ITERATIONS: usize = 1_000_000;
 
 /// Optional run-time configuration overrides of a job.

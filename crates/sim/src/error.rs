@@ -51,6 +51,14 @@ pub enum SimError {
         /// Maximum the simulation kernels support.
         capacity: usize,
     },
+    /// Evaluating a chunk panicked; the worker that ran it recovered and
+    /// recorded this error for every policy the chunk was evaluated for.
+    ChunkPanicked {
+        /// The chunk whose evaluation panicked.
+        chunk: usize,
+        /// The panic message.
+        message: String,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -102,6 +110,9 @@ impl fmt::Display for SimError {
                     "platform has {tiles} tiles but the simulation kernels track at most \
                      {capacity} slots; use the one-shot scheduler API for wider platforms"
                 )
+            }
+            SimError::ChunkPanicked { chunk, message } => {
+                write!(f, "evaluating chunk {chunk} panicked: {message}")
             }
         }
     }
@@ -161,6 +172,11 @@ mod tests {
         };
         assert!(e.to_string().contains("128 tiles"));
         assert!(e.to_string().contains("at most 64"));
+        let e = SimError::ChunkPanicked {
+            chunk: 3,
+            message: "boom".to_string(),
+        };
+        assert_eq!(e.to_string(), "evaluating chunk 3 panicked: boom");
     }
 
     #[test]

@@ -44,7 +44,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::config::{PointSelection, ScenarioPolicy, SimulationConfig};
 use crate::error::SimError;
-use crate::scratch::{KernelMemo, Lane, ScratchShape, SimScratch};
+use crate::scratch::{KernelMemo, Lane, MemoPool, ScratchShape, SimScratch};
 use crate::stats::{ChunkStats, IterationOutcome};
 
 /// The design-time *search* artifacts of one (task, scenario) pair — the
@@ -129,15 +129,11 @@ struct PlanShared {
     /// Whether every prepared scenario has a positive ideal makespan, which
     /// lets the reuse-exploiting policies of a pass share one tile state.
     shares_tiles: bool,
-    /// Process-unique identity of this artifact set, used to bind scratch
-    /// kernel-memo tables to the plan they were warmed on (see
-    /// [`SimScratch`]). Plans stamped out by `with_config` share it.
-    token: u64,
+    /// The kernel memo sets no scratch holds (see [`SimScratch`]). Plans
+    /// stamped out by `with_config` share it, and its identity is what a
+    /// scratch checks to tell whether it is bound to this plan.
+    memos: Arc<MemoPool>,
 }
-
-/// Source of [`PlanShared::token`] values. Starts at 1 so 0 can mean "never
-/// bound" on the scratch side.
-static PLAN_TOKENS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
 
 /// A fully prepared simulation: design-time artifacts for every scenario of
 /// every task, ready to score any (policy, iteration) pair from any thread.
@@ -283,7 +279,7 @@ impl IterationPlan {
                 artifacts,
                 scratch_shape,
                 shares_tiles,
-                token: PLAN_TOKENS.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
+                memos: Arc::default(),
             }),
         })
     }
@@ -399,10 +395,15 @@ impl IterationPlan {
 
     /// Creates a [`SimScratch`] bound to this plan: tile contents for its
     /// platform, buffers pre-sized for its largest graph, widest schedule
-    /// and configuration dictionary, and one memo per prepared scenario
-    /// sized to the keys that scenario can produce. Evaluation through it
-    /// never touches the allocator — not even on the first iteration. Any
-    /// plan can evaluate through the scratch; another plan rebinds it first.
+    /// and configuration dictionary, and a memo set of the plan's — one memo
+    /// per prepared scenario, sized to the keys that scenario can produce.
+    /// The set comes from the plan's memo pool, warm with what earlier
+    /// scratches of the plan (or of any plan stamped out by
+    /// [`with_config`](Self::with_config)) computed; only when the pool is
+    /// empty are the tables built cold. Dropping the scratch hands the set
+    /// back. Evaluation through it never touches the allocator — not even
+    /// on the first iteration. Any plan can evaluate through the scratch;
+    /// another plan rebinds it first.
     pub fn make_scratch(&self) -> SimScratch {
         let mut scratch = SimScratch::unbound();
         self.bind(&mut scratch);
@@ -413,7 +414,7 @@ impl IterationPlan {
     /// when it already is.
     fn bind(&self, scratch: &mut SimScratch) {
         scratch.bind_plan(
-            self.shared.token,
+            &self.shared.memos,
             &self.shared.scratch_shape,
             self.shared
                 .artifacts
@@ -1382,6 +1383,81 @@ pub(crate) mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn the_memo_pool_holds_one_set_per_scratch_bound_at_once() {
+        let set = two_task_set();
+        let platform = Platform::virtex_like(6).unwrap();
+        let plan = IterationPlan::new(&set, &platform, SimulationConfig::quick()).unwrap();
+        let pool = &plan.shared.memos;
+        assert_eq!(pool.idle_sets(), 0, "a new plan starts with a cold pool");
+
+        let mut scratch = plan.make_scratch();
+        plan.run(&PolicyKind::ALL).unwrap();
+        assert_eq!(pool.idle_sets(), 1, "the run's scratch handed its set back");
+        plan.evaluate_chunk_with(PolicyKind::Hybrid, 0, &mut scratch)
+            .unwrap();
+        let warmed = scratch.memo.as_ptr();
+        drop(scratch);
+        assert_eq!(pool.idle_sets(), 2, "two scratches were bound at once");
+
+        // The sets go back and come out again in stack order; a warm scratch
+        // builds no tables.
+        let (a, b) = (plan.make_scratch(), plan.make_scratch());
+        assert_eq!(a.memo.as_ptr(), warmed);
+        assert_ne!(b.memo.as_ptr(), warmed);
+        assert_eq!(pool.idle_sets(), 0);
+        drop((a, b));
+        assert_eq!(pool.idle_sets(), 2);
+
+        // A plan stamped out by with_config draws from the same pool.
+        let derived = plan
+            .with_config(SimulationConfig::quick().with_seed(99))
+            .unwrap();
+        let scratch = derived.make_scratch();
+        assert_eq!(pool.idle_sets(), 1);
+        drop(scratch);
+        assert_eq!(pool.idle_sets(), 2);
+    }
+
+    #[test]
+    fn a_scratch_crossing_plans_returns_each_set_to_its_own_plan() {
+        let set = two_task_set();
+        let config = SimulationConfig::quick().with_chunk_size(5);
+        let [a, b, fresh_b] = [4, 6, 6].map(|tiles| {
+            let platform = Platform::virtex_like(tiles).unwrap();
+            IterationPlan::new(&set, &platform, config.clone()).unwrap()
+        });
+        let mut scratch = a.make_scratch();
+        a.run(&PolicyKind::ALL).unwrap();
+        a.evaluate_chunk_with(PolicyKind::Hybrid, 0, &mut scratch)
+            .unwrap();
+        let a_set = scratch.memo.as_ptr();
+        for chunk in 0..b.chunk_count() {
+            assert_eq!(
+                b.evaluate_chunk_policies_with(&PolicyKind::ALL, chunk, &mut scratch)
+                    .collect::<Vec<_>>(),
+                fresh_b
+                    .evaluate_chunk_policies_with(
+                        &PolicyKind::ALL,
+                        chunk,
+                        &mut fresh_b.make_scratch()
+                    )
+                    .collect::<Vec<_>>(),
+                "chunk {chunk}"
+            );
+        }
+        assert_ne!(scratch.memo.as_ptr(), a_set, "B never reads A's set");
+        assert_eq!(a.shared.memos.idle_sets(), 2, "A got its set back");
+        assert_eq!(b.shared.memos.idle_sets(), 0, "B's set is out");
+        // Coming back, the scratch takes one of A's sets and returns B's.
+        a.evaluate_chunk_with(PolicyKind::RunTime, 0, &mut scratch)
+            .unwrap();
+        assert_eq!(a.shared.memos.idle_sets(), 1);
+        assert_eq!(b.shared.memos.idle_sets(), 1);
+        drop(scratch);
+        assert_eq!(a.shared.memos.idle_sets(), 2);
     }
 
     #[test]

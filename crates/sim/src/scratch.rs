@@ -4,10 +4,10 @@
 //! iterations: the prefetch-kernel buffers ([`drhw_prefetch::Scratch`]), the
 //! chunk-scoped tile states (tile contents and their stamp clock), one lane
 //! per requested policy (inter-task window, iteration outcome, chunk sums,
-//! first error), the per-iteration activation/protection buffers and one
-//! kernel memo per prepared scenario. One instance per worker thread;
-//! binding it to a plan sizes every buffer for that plan, so a warm
-//! evaluation loop performs **zero heap allocations** — an invariant
+//! first error), the per-iteration activation/protection buffers and the
+//! bound plan's kernel memos, one per prepared scenario. One instance per
+//! worker thread; binding it to a plan sizes every buffer for that plan, so
+//! a warm evaluation loop performs **zero heap allocations** — an invariant
 //! enforced by the `alloc_free` integration test with a counting global
 //! allocator.
 //!
@@ -15,11 +15,19 @@
 //!
 //! * The *plan* is immutable and shared; the *scratch* is exclusively owned
 //!   by one worker and never crosses threads.
+//! * The kernel memos live with the plan. Its shared artifacts own a
+//!   [`MemoPool`] of memo sets (one memo per prepared scenario) that no
+//!   scratch holds. Binding a scratch takes a set from the pool, and builds
+//!   a cold one only when the pool is empty; rebinding or dropping the
+//!   scratch hands it back. A memo entry is a pure function of the plan's
+//!   artifacts, so every job on a cached plan starts with what earlier jobs
+//!   computed, and the pool holds at most as many sets as scratches were
+//!   bound to the plan at once.
 //! * A scratch is bound to one plan at a time. Every evaluate entry point
 //!   binds it first ([`bind_plan`](SimScratch::bind_plan)); binding to a
 //!   different plan rebinds the whole scratch — tile contents for the new
-//!   platform, buffers for the new maxima, memo tables at the new sizes —
-//!   so a scratch made by one plan's `make_scratch` can serve any other.
+//!   platform, buffers for the new maxima, the new plan's memo set — so a
+//!   scratch made by one plan's `make_scratch` can serve any other.
 //! * Chunk-scoped state (tile states, lanes) is reset in place by
 //!   [`start_chunk`](SimScratch::start_chunk) at every chunk boundary —
 //!   bit-identical to constructing fresh state, without the allocation.
@@ -35,6 +43,8 @@
 //! index: no two keys share an entry, so nothing is ever evicted. Larger key
 //! spaces get a [`MEMO_SLOTS`]-entry table indexed by a SplitMix64
 //! fingerprint of the key.
+
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use drhw_model::{mix64, ScenarioId, Time, GOLDEN_GAMMA};
 use drhw_prefetch::{
@@ -190,6 +200,30 @@ impl KernelMemo {
     }
 }
 
+/// The memo sets of one plan that no scratch holds: one [`KernelMemo`] per
+/// prepared scenario, in artifact order. The plan's shared artifacts own the
+/// pool, and a bound scratch holds it too, so the scratch can hand its set
+/// back after the plan is gone; the sets are freed with the last of them.
+#[derive(Debug, Default)]
+pub(crate) struct MemoPool {
+    idle: Mutex<Vec<Vec<KernelMemo>>>,
+}
+
+impl MemoPool {
+    /// The idle sets. Every update under the lock is one push or pop, which
+    /// leaves the list valid, so a poisoned lock is still safe to use — and
+    /// a dropping scratch must not panic.
+    fn idle(&self) -> MutexGuard<'_, Vec<Vec<KernelMemo>>> {
+        self.idle.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// How many sets the pool holds.
+    #[cfg(test)]
+    pub(crate) fn idle_sets(&self) -> usize {
+        self.idle().len()
+    }
+}
+
 /// The buffer maxima a plan needs of a scratch, computed once per plan.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ScratchShape {
@@ -292,12 +326,14 @@ pub struct SimScratch {
     /// resolved once per iteration so the hot loop never touches the
     /// artifact map.
     pub(crate) activation_artifacts: Vec<usize>,
-    /// One kernel memo per plan artifact, indexed by artifact slot. Memo
-    /// entries are pure-function results, so they survive chunk resets; they
-    /// are only discarded when the scratch is bound to a different plan.
+    /// The bound plan's memo set, one kernel memo per plan artifact, indexed
+    /// by artifact slot. Memo entries are pure-function results, so they
+    /// survive chunk resets and outlive the scratch: the set goes back to
+    /// `pool` when the scratch is rebound or dropped.
     pub(crate) memo: Vec<KernelMemo>,
-    /// Identity token of the plan the scratch is bound to (0 = unbound).
-    plan_token: u64,
+    /// The memo pool of the plan the scratch is bound to (`None` while
+    /// unbound); its identity is the plan's.
+    pool: Option<Arc<MemoPool>>,
 }
 
 impl SimScratch {
@@ -312,30 +348,37 @@ impl SimScratch {
             activations: Vec::new(),
             activation_artifacts: Vec::new(),
             memo: Vec::new(),
-            plan_token: 0,
+            pool: None,
         }
     }
 
-    /// Binds the scratch to the plan identified by `token`, whose buffer
+    /// Binds the scratch to the plan whose memo pool is `pool`, whose buffer
     /// maxima are `shape` and whose artifacts have `graph_sizes` subtasks
     /// each. Bound to another plan (or to none), the whole scratch is
     /// rebound: one tile state for the plan's platform, lanes for every
-    /// policy, kernel buffers reserved for its maxima, and fresh memo tables
-    /// at its artifacts' sizes — so a scratch made by one plan's
-    /// `make_scratch` never simulates another plan's platform or replays its
-    /// summaries. Plans stamped out by
-    /// [`with_config`](crate::IterationPlan::with_config) share design-time
-    /// artifacts and therefore the token, so re-parameterised runs keep
-    /// their warm memos. One word compare on the steady path.
+    /// policy, kernel buffers reserved for its maxima, and a memo set of
+    /// the plan's — taken from its pool, or built cold at its artifacts'
+    /// sizes when the pool is empty — after the old plan's set went back to
+    /// the old pool. So a scratch made by one plan's `make_scratch` never
+    /// simulates another plan's platform or replays its summaries. Plans
+    /// stamped out by [`with_config`](crate::IterationPlan::with_config)
+    /// share design-time artifacts and therefore the pool, so
+    /// re-parameterised runs keep their warm memos. One pointer compare on
+    /// the steady path.
     pub(crate) fn bind_plan(
         &mut self,
-        token: u64,
+        pool: &Arc<MemoPool>,
         shape: &ScratchShape,
         graph_sizes: impl Iterator<Item = usize>,
     ) {
-        if self.plan_token == token {
+        if self
+            .pool
+            .as_ref()
+            .is_some_and(|bound| Arc::ptr_eq(bound, pool))
+        {
             return;
         }
+        self.release_memo();
         self.prefetch
             .reserve(shape.subtasks, shape.slots, shape.tiles, shape.configs);
         if self.tiles.first().map(|state| state.contents.tile_count()) != Some(shape.tiles) {
@@ -353,9 +396,19 @@ impl SimScratch {
         self.activations.reserve(shape.tasks);
         self.activation_artifacts.clear();
         self.activation_artifacts.reserve(shape.tasks);
-        self.memo.clear();
-        self.memo.extend(graph_sizes.map(KernelMemo::for_subtasks));
-        self.plan_token = token;
+        // Pop in a statement of its own: the lock is released before a cold
+        // build, which other scratches binding the plan need not wait for.
+        let warm = pool.idle().pop();
+        self.memo = warm.unwrap_or_else(|| graph_sizes.map(KernelMemo::for_subtasks).collect());
+        self.pool = Some(Arc::clone(pool));
+    }
+
+    /// Hands the memo set back to the pool of the plan the scratch is bound
+    /// to, leaving it unbound.
+    fn release_memo(&mut self) {
+        if let Some(pool) = self.pool.take() {
+            pool.idle().push(std::mem::take(&mut self.memo));
+        }
     }
 
     /// Sets up a pass over `policies` from the cold start every chunk
@@ -400,6 +453,14 @@ impl SimScratch {
             state.now = Time::ZERO;
             state.shared = shared;
         }
+    }
+}
+
+impl Drop for SimScratch {
+    /// Hands the memo set back to the bound plan's pool, so the next
+    /// scratch bound to the plan starts warm.
+    fn drop(&mut self) {
+        self.release_memo();
     }
 }
 

@@ -156,3 +156,37 @@ fn warm_iteration_loop_performs_zero_heap_allocations() {
         "a plan run should only pay a small constant setup cost, got {small_allocs}"
     );
 }
+
+#[test]
+fn make_scratch_on_a_warm_memo_pool_builds_no_memo_table() {
+    // A plan's first scratch builds its memo set cold: three tables per
+    // prepared scenario and the vector holding them, on top of the
+    // scratch's own buffers. Dropping the scratch hands the set back to the
+    // plan's pool, and the next `make_scratch` takes it: it allocates the
+    // buffers alone.
+    for (workload, tiles) in [
+        (&MultimediaWorkload as &dyn Workload, 8),
+        (&PocketGlWorkload, 10),
+    ] {
+        let set = workload.task_set();
+        let platform = Platform::virtex_like(tiles).expect("tile count is positive");
+        let plan = IterationPlan::new(&set, &platform, workload_config(workload, 32, 7))
+            .expect("plan builds");
+        let prepared = plan.search_artifacts().len();
+        let before = allocation_events();
+        let cold = plan.make_scratch();
+        let cold_events = allocation_events() - before;
+        drop(cold);
+        let before = allocation_events();
+        let warm = plan.make_scratch();
+        let warm_events = allocation_events() - before;
+        drop(warm);
+        assert_eq!(
+            cold_events - warm_events,
+            3 * prepared + 1,
+            "{}@{tiles}: a cold scratch makes {cold_events} allocations, a warm one \
+             {warm_events}, for {prepared} prepared scenarios",
+            workload.name()
+        );
+    }
+}

@@ -144,13 +144,18 @@ fn batch_reports_match_across_independently_built_plans() {
 #[test]
 fn a_scratch_reused_across_plans_matches_a_fresh_one() {
     // A scratch made by one plan must simulate whichever plan evaluates
-    // through it: that plan's platform, buffer sizes and memo tables —
-    // across tile counts and across workloads — and again the first plan's
-    // once it comes back.
+    // through it: that plan's platform, buffer sizes and memo set — across
+    // tile counts and across workloads — and again the first plan's once it
+    // comes back. Every crossing hands the scratch's memo set back to the
+    // pool of the plan it came from, so the plans' pools grow warm while
+    // the scratch wanders; each answer must still be the one a freshly
+    // built plan, with a cold pool, gives. Multimedia on four tiles runs
+    // other schedules than on eight, so a summary replayed from one plan in
+    // the other shows.
     let seed = SimulationConfig::default().seed;
     let multimedia = MultimediaWorkload.task_set();
     let pocket_gl = PocketGlWorkload.task_set();
-    let platforms: Vec<Platform> = [8, 16, 5, 10]
+    let platforms: Vec<Platform> = [8, 16, 5, 10, 4]
         .into_iter()
         .map(|tiles| Platform::virtex_like(tiles).unwrap())
         .collect();
@@ -163,31 +168,105 @@ fn a_scratch_reused_across_plans_matches_a_fresh_one() {
         (&MultimediaWorkload, &multimedia, &platforms[1]),
         (&PocketGlWorkload, &pocket_gl, &platforms[2]),
         (&PocketGlWorkload, &pocket_gl, &platforms[3]),
+        (&MultimediaWorkload, &multimedia, &platforms[4]),
     ];
-    let plans: Vec<(String, IterationPlan)> = cases
+    let build = |(workload, set, platform): (&dyn Workload, &TaskSet, &Platform)| {
+        IterationPlan::new(set, platform, workload_config(workload, 64, seed)).unwrap()
+    };
+    let fresh: Vec<Vec<_>> = cases
         .iter()
-        .map(|&(workload, set, platform)| {
-            let config = workload_config(workload, 64, seed);
-            let label = format!("{}@{}", workload.name(), platform.tile_count());
-            (label, IterationPlan::new(set, platform, config).unwrap())
+        .map(|&case| {
+            PolicyKind::ALL
+                .map(|policy| build(case).evaluate_run(policy))
+                .to_vec()
         })
         .collect();
-    for (first_label, first) in &plans {
-        for (other_label, other) in &plans {
-            if first_label == other_label {
+    let plans: Vec<(String, IterationPlan)> = cases
+        .iter()
+        .map(|&case| {
+            let label = format!("{}@{}", case.0.name(), case.2.tile_count());
+            (label, build(case))
+        })
+        .collect();
+    for (first_index, (first_label, first)) in plans.iter().enumerate() {
+        for (other_index, (other_label, other)) in plans.iter().enumerate() {
+            if first_index == other_index {
                 continue;
             }
             let mut scratch = first.make_scratch();
-            for (label, plan) in [(other_label, other), (first_label, first)] {
-                for policy in PolicyKind::ALL {
+            for (index, label, plan) in [
+                (other_index, other_label, other),
+                (first_index, first_label, first),
+            ] {
+                for (policy, expected) in PolicyKind::ALL.into_iter().zip(&fresh[index]) {
                     assert_eq!(
-                        plan.evaluate_run_with(policy, &mut scratch),
-                        plan.evaluate_run(policy),
+                        &plan.evaluate_run_with(policy, &mut scratch),
+                        expected,
                         "{label} through a scratch made by {first_label}, {policy}"
+                    );
+                    assert_eq!(
+                        &plan.evaluate_run(policy),
+                        expected,
+                        "{label} on its warm pool, {policy}"
                     );
                 }
             }
         }
+    }
+}
+
+#[test]
+fn engine_jobs_on_warm_plans_match_runs_on_fresh_plans() {
+    // The fifteen Fig. 6/7 plans, all submitted at once so that jobs on
+    // different plans interleave on the pool: first on cold plans (empty
+    // memo pools), then with another seed on the cached plans, whose pools
+    // hold the memo sets of the first round. Every report must equal
+    // `IterationPlan::run` on a freshly built plan.
+    let registry = WorkloadRegistry::with_builtins();
+    let mut rounds: [Vec<(JobSpec, _)>; 2] = Default::default();
+    for name in ["multimedia", "pocket_gl"] {
+        let workload = registry.resolve(name).unwrap();
+        let set = workload.task_set();
+        for tiles in workload.tile_sweep() {
+            let platform = Platform::virtex_like(tiles).unwrap();
+            for (round, seed) in rounds.iter_mut().zip([2005, 7]) {
+                let config = workload_config(workload.as_ref(), 40, seed).with_chunk_size(8);
+                let fresh = IterationPlan::new(&set, &platform, config)
+                    .unwrap()
+                    .run(&PolicyKind::ALL)
+                    .unwrap();
+                let spec = JobSpec::new(name)
+                    .with_tiles(tiles)
+                    .with_iterations(40)
+                    .with_chunk_size(8)
+                    .with_seed(seed);
+                round.push((spec, fresh));
+            }
+        }
+    }
+    assert_eq!(rounds[0].len(), 15);
+    for threads in [1, 2, 4] {
+        let engine = Engine::builder()
+            .threads(threads)
+            .cache_capacity(16)
+            .build();
+        for (round, jobs) in rounds.iter().enumerate() {
+            let handles: Vec<_> = jobs
+                .iter()
+                .map(|(spec, _)| engine.submit(spec.clone()).unwrap())
+                .collect();
+            for (handle, (spec, fresh)) in handles.iter().zip(jobs) {
+                assert_eq!(
+                    &handle.wait().unwrap(),
+                    fresh,
+                    "{threads} workers, round {round}, {}@{:?}",
+                    spec.workload,
+                    spec.tiles
+                );
+            }
+        }
+        let stats = engine.cache_stats();
+        assert_eq!((stats.misses, stats.hits), (15, 15), "{threads} workers");
     }
 }
 
