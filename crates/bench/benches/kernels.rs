@@ -27,46 +27,19 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use drhw_bench::experiments::workload_config;
+use drhw_bench::stages::{probe_fixture, ProbeFixture};
 use drhw_model::{Platform, Time};
-use drhw_prefetch::{
-    HybridPrefetch, InterTaskWindow, PolicyKind, PreparedSchedule, ReplacementPolicy, Scratch,
-    TileContents,
-};
+use drhw_prefetch::{InterTaskWindow, PolicyKind, ReplacementPolicy, Scratch, TileContents};
 use drhw_sim::{IterationPlan, SimulationConfig};
-use drhw_workloads::multimedia::{
-    fully_parallel_schedule, jpeg_decoder_graph, mpeg_encoder_graph, parallel_jpeg_graph,
-    pattern_recognition_graph, MpegFrame,
-};
 use drhw_workloads::{MultimediaWorkload, PocketGlWorkload, Workload};
 
 fn bench_kernels(c: &mut Criterion) {
-    let platform = Platform::virtex_like(16).expect("non-empty platform");
-    let graphs = [
-        pattern_recognition_graph(),
-        jpeg_decoder_graph(),
-        parallel_jpeg_graph(),
-        mpeg_encoder_graph(MpegFrame::P),
-    ];
-    let schedules: Vec<_> = graphs
-        .iter()
-        .map(|g| fully_parallel_schedule(g).expect("benchmark graphs are well-formed"))
-        .collect();
-    let prepared: Vec<_> = graphs
-        .iter()
-        .zip(&schedules)
-        .map(|(graph, schedule)| {
-            PreparedSchedule::new(graph, schedule.clone(), &platform)
-                .expect("benchmark graphs fit the platform")
-        })
-        .collect();
-    let hybrids: Vec<_> = graphs
-        .iter()
-        .zip(&schedules)
-        .map(|(graph, schedule)| {
-            HybridPrefetch::compute(graph, schedule, &platform)
-                .expect("benchmark graphs schedule cleanly")
-        })
-        .collect::<Vec<_>>();
+    let ProbeFixture {
+        platform,
+        prepared,
+        hybrids,
+        ..
+    } = probe_fixture();
     let mut scratch = Scratch::new();
 
     c.bench_function("kernel_executor", |b| {

@@ -34,87 +34,9 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use drhw_bench::serving::{
-    run_open_loop, run_swarm, OpenLoopConfig, OpenLoopOutcome, SwarmConfig, SwarmOutcome,
-};
+use drhw_bench::cli::env_usize;
+use drhw_bench::serving::{run_open_loop, run_swarm, OpenLoopConfig, SwarmConfig};
 use drhw_net::{Server, ServerConfig};
-
-fn env_usize(name: &str, default: usize) -> Result<usize, String> {
-    match std::env::var(name) {
-        Err(_) => Ok(default),
-        Ok(raw) => raw
-            .trim()
-            .parse()
-            .map_err(|_| format!("{name}: expected an unsigned integer, got {raw:?}")),
-    }
-}
-
-fn number(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.4}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn summary_json(config: &SwarmConfig, outcome: &SwarmOutcome) -> String {
-    format!(
-        concat!(
-            "{{\"type\":\"loadgen\",\"clients\":{},\"jobs_per_client\":{},",
-            "\"clients_connected\":{},\"clients_failed\":{},",
-            "\"jobs_completed\":{},\"jobs_errored\":{},\"rejections_seen\":{},",
-            "\"elapsed_ms\":{},\"jobs_per_sec\":{},",
-            "\"p50_ms\":{},\"p99_ms\":{},\"p999_ms\":{},\"utilization\":{}}}"
-        ),
-        config.clients,
-        config.jobs_per_client,
-        outcome.clients_connected,
-        outcome.clients_failed,
-        outcome.jobs_completed,
-        outcome.jobs_errored,
-        outcome.rejections_seen,
-        number(outcome.elapsed_ms),
-        number(outcome.jobs_per_sec()),
-        number(outcome.p50_ms()),
-        number(outcome.p99_ms()),
-        number(outcome.p999_ms()),
-        number(outcome.utilization()),
-    )
-}
-
-fn open_loop_summary_json(config: &OpenLoopConfig, outcome: &OpenLoopOutcome) -> String {
-    format!(
-        concat!(
-            "{{\"type\":\"loadgen_open_loop\",\"rate_per_sec\":{},\"jobs\":{},\"seed\":{},",
-            "\"jobs_offered\":{},\"jobs_completed\":{},\"jobs_errored\":{},\"jobs_dropped\":{},",
-            "\"retries\":{{\"client\":{},\"server\":{},\"connection\":{}}},",
-            "\"drops\":{{\"client\":{},\"server\":{},\"connection\":{}}},",
-            "\"planned_ms\":{},\"elapsed_ms\":{},",
-            "\"offered_per_sec\":{},\"achieved_per_sec\":{},",
-            "\"p50_ms\":{},\"p99_ms\":{},\"p999_ms\":{}}}"
-        ),
-        number(config.rate_per_sec),
-        config.jobs,
-        config.seed,
-        outcome.jobs_offered,
-        outcome.jobs_completed,
-        outcome.jobs_errored,
-        outcome.jobs_dropped,
-        outcome.retries.client,
-        outcome.retries.server,
-        outcome.retries.connection,
-        outcome.drops.client,
-        outcome.drops.server,
-        outcome.drops.connection,
-        number(outcome.planned_ms),
-        number(outcome.elapsed_ms),
-        number(outcome.offered_per_sec()),
-        number(outcome.achieved_per_sec()),
-        number(outcome.p50_ms()),
-        number(outcome.p99_ms()),
-        number(outcome.p999_ms()),
-    )
-}
 
 fn fail_config(message: &str) -> ! {
     eprintln!("loadgen: {message}");
@@ -245,7 +167,7 @@ fn run_open_loop_mode(rate: f64) {
         outcome.p999_ms(),
     );
     shutdown_server(local_server);
-    write_summary(&open_loop_summary_json(&config, &outcome), summary_path);
+    write_summary(&outcome.summary_json(&config).to_json(), summary_path);
 
     if outcome.jobs_errored > 0 {
         eprintln!(
@@ -310,7 +232,7 @@ fn main() {
         outcome.utilization() * 100.0
     );
     shutdown_server(local_server);
-    write_summary(&summary_json(&config, &outcome), summary_path);
+    write_summary(&outcome.summary_json(&config).to_json(), summary_path);
 
     let expected = (clients * jobs) as u64;
     if outcome.clients_failed > 0 || outcome.jobs_completed != expected {

@@ -38,8 +38,10 @@
 //!
 //! Environment knobs:
 //!
-//! * `PERF_GATE_RUNS` — repeated measurement runs (default 5)
-//! * `PERF_GATE_ITERATIONS` — simulated iterations per run (default 2000)
+//! * `PERF_GATE_RUNS` — repeated measurement runs (a positive integer,
+//!   default 5)
+//! * `PERF_GATE_ITERATIONS` — simulated iterations per run (a positive
+//!   integer, default 2000)
 //! * `PERF_BASELINE_PATH` — baseline location (default `BENCH_baseline.json`)
 //! * `BENCH_RESULTS_PATH` — schema-v8 results output (default `BENCH_results.json`)
 //! * `PERF_DELTA_PATH` — delta table output (default `PERF_delta.txt`)
@@ -56,10 +58,13 @@
 //! never gated (it measures the runner).
 //!
 //! Exit status: `0` pass (or baseline written), `1` regression, `2` missing
-//! or invalid baseline, `3` output file not writable.
+//! or invalid baseline, or a malformed or zero `PERF_GATE_RUNS` /
+//! `PERF_GATE_ITERATIONS` (checked before any measurement), `3` output file
+//! not writable.
 
 use std::time::Instant;
 
+use drhw_bench::cli::env_usize;
 use drhw_bench::experiments::policy_overhead_reports;
 use drhw_bench::gate::{
     evaluate_gate, load_baseline, render_baseline_json, Measured, DEFAULT_TOLERANCE,
@@ -97,12 +102,16 @@ const PINNED_TRAFFIC_SCENARIO: &str = r#"{
     "policies": ["no-prefetch", "hybrid"]
 }"#;
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
+/// A positive count from the environment, `default` when unset; exits 2
+/// naming the variable when the value is malformed or zero.
+fn env_count(name: &str, default: usize) -> usize {
+    let message = match env_usize(name, default) {
+        Ok(count) if count > 0 => return count,
+        Ok(_) => format!("{name}: expected a positive integer, got 0"),
+        Err(message) => message,
+    };
+    eprintln!("error: {message}");
+    std::process::exit(2);
 }
 
 fn env_path(name: &str, default: &str) -> String {
@@ -121,8 +130,8 @@ fn median(samples: &mut [f64]) -> f64 {
 
 fn main() {
     let write_baseline = std::env::args().any(|a| a == "--write-baseline");
-    let runs = env_usize("PERF_GATE_RUNS", 5);
-    let iterations = env_usize("PERF_GATE_ITERATIONS", 2000);
+    let runs = env_count("PERF_GATE_RUNS", 5);
+    let iterations = env_count("PERF_GATE_ITERATIONS", 2000);
     let baseline_path = env_path("PERF_BASELINE_PATH", "BENCH_baseline.json");
     let results_path = env_path("BENCH_RESULTS_PATH", "BENCH_results.json");
     let delta_path = env_path("PERF_DELTA_PATH", "PERF_delta.txt");

@@ -35,3 +35,41 @@ pub fn iterations_arg(default: usize) -> usize {
         },
     }
 }
+
+/// Reads an unsigned-integer environment knob: `default` when `name` is
+/// unset, an error naming the variable when its value is not an unsigned
+/// integer — a typo in a knob must not silently run the default.
+///
+/// # Errors
+///
+/// Returns the message to print when the value does not parse.
+pub fn env_usize(name: &str, default: usize) -> Result<usize, String> {
+    parse_usize(name, std::env::var(name).ok().as_deref(), default)
+}
+
+fn parse_usize(name: &str, raw: Option<&str>, default: usize) -> Result<usize, String> {
+    match raw {
+        None => Ok(default),
+        Some(raw) => raw
+            .trim()
+            .parse()
+            .map_err(|_| format!("{name}: expected an unsigned integer, got {raw:?}")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn knob_values_parse_strictly() {
+        assert_eq!(parse_usize("KNOB", None, 5), Ok(5));
+        assert_eq!(parse_usize("KNOB", Some(" 12 "), 5), Ok(12));
+        assert_eq!(parse_usize("KNOB", Some("0"), 5), Ok(0));
+        for bad in ["", "abc", "-1", "2.5", "1e3"] {
+            let err = parse_usize("KNOB", Some(bad), 5).unwrap_err();
+            assert!(err.starts_with("KNOB:"), "{err}");
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+        }
+    }
+}

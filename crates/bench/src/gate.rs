@@ -9,27 +9,13 @@
 //! baseline values, so loosening one for a legitimately noisy metric is an
 //! explicit, reviewable change.
 //!
-//! The baseline file is written in the same two-space-indent style as
-//! `BENCH_results.json` and read back with the engine's JSON codec
-//! ([`drhw_engine::json`]), so any valid JSON layout of it parses:
+//! `perf_gate --write-baseline` writes the baseline file as one line of
+//! compact JSON, like `BENCH_results.json`, and the gate reads it back with
+//! the engine's JSON codec ([`drhw_engine::json`]), so any valid JSON
+//! layout of it parses — an indented, hand-edited file as well:
 //!
 //! ```json
-//! {
-//!   "schema_version": 8,
-//!   "default_tolerance": 0.5000,
-//!   "tolerance": {
-//!     "wall_clock_ms.cross_policy": 1.0000
-//!   },
-//!   "iterations_per_sec": {
-//!     "hybrid": 123456.0000
-//!   },
-//!   "kernel_ns": {
-//!     "executor": 850.0000
-//!   },
-//!   "wall_clock_ms": {
-//!     "cross_policy": 42.0000
-//!   }
-//! }
+//! {"schema_version":8,"default_tolerance":0.5,"tolerance":{"wall_clock_ms.cross_policy":1.0},"iterations_per_sec":{"hybrid":123456.0},"kernel_ns":{"executor":850.0},"wall_clock_ms":{"cross_policy":42.0}}
 //! ```
 //!
 //! Refreshing the baseline is `cargo run --release --bin perf_gate --
@@ -40,7 +26,7 @@ use std::fmt;
 
 use drhw_engine::json::{self, JsonError, JsonValue};
 
-use crate::report::SCHEMA_VERSION;
+use crate::report::{object, SCHEMA_VERSION};
 
 /// Tolerance applied when a metric has no per-metric override.
 pub const DEFAULT_TOLERANCE: f64 = 0.5;
@@ -257,54 +243,35 @@ pub fn load_baseline(path: &str) -> Result<Baseline, GateError> {
 /// Renders measured metrics as a committable baseline file, with the given
 /// default tolerance. Metrics matched by [`TOLERANCE_OVERRIDES`] get a
 /// concrete `tolerance` entry; anything else needing a wider band is added
-/// by hand.
+/// by hand. The file is one line of compact JSON from [`drhw_engine::json`]
+/// plus a newline, values at full precision.
 pub fn render_baseline_json(measured: &[Measured], default_tolerance: f64) -> String {
-    let mut sections: BTreeMap<&str, Vec<(&str, f64)>> = BTreeMap::new();
-    let mut top_level: Vec<(&str, f64)> = Vec::new();
-    let mut overrides: Vec<(&str, f64)> = Vec::new();
+    let mut doc = vec![
+        ("schema_version", JsonValue::UInt(u64::from(SCHEMA_VERSION))),
+        ("default_tolerance", JsonValue::Float(default_tolerance)),
+    ];
+    let mut sections: BTreeMap<&str, Vec<(&str, JsonValue)>> = BTreeMap::new();
+    let mut overrides = Vec::new();
     for m in measured {
         // Dotted names become "section": { "key": … } objects; undotted names
         // stay top-level scalars — both round-trip through parse_baseline to
         // exactly the original metric name.
+        let value = JsonValue::Float(m.value);
         match m.name.split_once('.') {
-            Some((section, key)) => sections.entry(section).or_default().push((key, m.value)),
-            None => top_level.push((m.name.as_str(), m.value)),
+            Some((section, key)) => sections.entry(section).or_default().push((key, value)),
+            None => doc.push((&m.name, value)),
         }
         if let Some(tolerance) = tolerance_override_for(&m.name) {
-            overrides.push((m.name.as_str(), tolerance));
+            overrides.push((m.name.as_str(), JsonValue::Float(tolerance)));
         }
     }
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"schema_version\": {SCHEMA_VERSION},\n"));
-    out.push_str(&format!(
-        "  \"default_tolerance\": {default_tolerance:.4},\n"
-    ));
-    for (key, value) in top_level {
-        out.push_str(&format!("  \"{key}\": {value:.4},\n"));
-    }
-    let section_count = sections.len();
-    // The tolerance block's comma depends on whether any section follows —
-    // a trailing comma before the closing brace is not JSON.
-    let comma = if section_count > 0 { "," } else { "" };
-    out.push_str("  \"tolerance\": {\n");
-    let n = overrides.len();
-    for (j, (name, tolerance)) in overrides.into_iter().enumerate() {
-        let comma = if j + 1 < n { "," } else { "" };
-        out.push_str(&format!("    \"{name}\": {tolerance:.4}{comma}\n"));
-    }
-    out.push_str(&format!("  }}{comma}\n"));
-    for (i, (section, entries)) in sections.into_iter().enumerate() {
-        out.push_str(&format!("  \"{section}\": {{\n"));
-        let n = entries.len();
-        for (j, (key, value)) in entries.into_iter().enumerate() {
-            let comma = if j + 1 < n { "," } else { "" };
-            out.push_str(&format!("    \"{key}\": {value:.4}{comma}\n"));
-        }
-        let comma = if i + 1 < section_count { "," } else { "" };
-        out.push_str(&format!("  }}{comma}\n"));
-    }
-    out.push_str("}\n");
-    out
+    doc.push(("tolerance", object(overrides)));
+    doc.extend(
+        sections
+            .into_iter()
+            .map(|(name, entries)| (name, object(entries))),
+    );
+    format!("{}\n", object(doc).to_json())
 }
 
 /// How one metric fared against the baseline.

@@ -1,6 +1,8 @@
-//! Plain-text rendering of experiment results (the rows/series the paper
-//! reports), shared by the experiment binaries.
+//! Rendering of experiment results, shared by the experiment binaries: the
+//! plain-text rows/series the paper reports and the machine-readable
+//! `BENCH_results.json`.
 
+use drhw_engine::json::JsonValue;
 use drhw_prefetch::PolicyKind;
 use drhw_sim::SimulationReport;
 
@@ -211,7 +213,7 @@ impl RunTiming {
 
 /// Renders the cross-policy simulation reports plus the run's wall-clock
 /// timings as the machine-readable JSON written to `BENCH_results.json`
-/// (schema v7): simulation parameters, one `policy → overhead_percent` (and
+/// (schema v8): simulation parameters, one `policy → overhead_percent` (and
 /// `policy → reuse_percent`) entry per policy, the threads used,
 /// per-experiment `wall_clock_ms`, the sequential-versus-parallel speedup
 /// measurement, the per-stage `stage_ms` block, the per-policy
@@ -223,135 +225,110 @@ impl RunTiming {
 /// p999/utilization — new in v8), and the open-loop traffic scenario's
 /// `traffic` block (offered vs achieved throughput, sojourn p50/p99/p999,
 /// utilization, event rate — new in v8).
-/// Hand-rolled because no JSON backend is available offline; the output is
-/// plain ASCII and the policy names, experiment labels and stage names
-/// contain no characters needing escapes.
+///
+/// The document is one line of compact JSON from [`drhw_engine::json`]
+/// plus a newline: numbers at full (shortest round-trip) precision, an
+/// absent or non-finite measurement as `null`, and an absent block as an
+/// all-zero object so the key set stays stable.
 pub fn render_results_json(reports: &[SimulationReport], timing: &RunTiming) -> String {
-    fn number(v: f64) -> String {
-        // JSON has no NaN/Infinity; an absent measurement becomes null.
-        if v.is_finite() {
-            format!("{v:.4}")
-        } else {
-            "null".to_string()
-        }
-    }
-    let mut out = String::from("{\n");
+    use JsonValue::{Float, UInt};
+    let by_policy = |value: fn(&SimulationReport) -> f64| {
+        let entries = reports
+            .iter()
+            .map(|r| (r.policy().to_string(), Float(value(r))));
+        JsonValue::Object(entries.collect())
+    };
+    let measurements = |pairs: &[(String, f64)]| {
+        JsonValue::Object(pairs.iter().map(|(k, v)| (k.clone(), Float(*v))).collect())
+    };
+    let optional = |value: Option<f64>| value.map_or(JsonValue::Null, Float);
+    let mut doc = Vec::new();
     if let Some(first) = reports.first() {
-        out.push_str(&format!("  \"iterations\": {},\n", first.iterations()));
-        out.push_str(&format!("  \"tiles\": {},\n", first.tile_count()));
+        doc.push(("iterations", UInt(first.iterations() as u64)));
+        doc.push(("tiles", UInt(first.tile_count() as u64)));
     }
-    for (key, value) in [
+    let cache = timing.plan_cache.unwrap_or_default();
+    let serving = timing.serving.unwrap_or_default();
+    let traffic = timing.traffic.unwrap_or_default();
+    doc.extend([
         (
             "policy_overhead_percent",
-            SimulationReport::overhead_percent as fn(&_) -> f64,
+            by_policy(SimulationReport::overhead_percent),
         ),
         (
             "policy_reuse_percent",
-            SimulationReport::reuse_percent as fn(&_) -> f64,
+            by_policy(SimulationReport::reuse_percent),
         ),
-    ] {
-        out.push_str(&format!("  \"{key}\": {{\n"));
-        for (i, report) in reports.iter().enumerate() {
-            let comma = if i + 1 < reports.len() { "," } else { "" };
-            out.push_str(&format!(
-                "    \"{}\": {}{comma}\n",
-                report.policy(),
-                number(value(report))
-            ));
-        }
-        out.push_str("  },\n");
-    }
-    out.push_str(&format!("  \"threads\": {},\n", timing.threads));
-    out.push_str("  \"wall_clock_ms\": {\n");
-    for (i, (label, ms)) in timing.experiments.iter().enumerate() {
-        let comma = if i + 1 < timing.experiments.len() {
-            ","
-        } else {
-            ""
-        };
-        out.push_str(&format!("    \"{label}\": {}{comma}\n", number(*ms)));
-    }
-    out.push_str("  },\n");
-    out.push_str("  \"speedup\": {\n");
-    let seq = timing.sequential_ms.map_or("null".to_string(), number);
-    let par = timing.parallel_ms.map_or("null".to_string(), number);
-    let ratio = timing.speedup().map_or("null".to_string(), number);
-    out.push_str(&format!("    \"sequential_ms\": {seq},\n"));
-    out.push_str(&format!("    \"parallel_ms\": {par},\n"));
-    out.push_str(&format!("    \"sequential_over_parallel\": {ratio}\n"));
-    out.push_str("  },\n");
-    for (key, pairs) in [
-        ("stage_ms", &timing.stage_ms),
+        ("threads", UInt(timing.threads as u64)),
+        ("wall_clock_ms", measurements(&timing.experiments)),
+        (
+            "speedup",
+            object([
+                ("sequential_ms", optional(timing.sequential_ms)),
+                ("parallel_ms", optional(timing.parallel_ms)),
+                ("sequential_over_parallel", optional(timing.speedup())),
+            ]),
+        ),
+        ("stage_ms", measurements(&timing.stage_ms)),
         (
             "policy_iterations_per_sec",
-            &timing.policy_iterations_per_sec,
+            measurements(&timing.policy_iterations_per_sec),
         ),
-        ("kernel_ns", &timing.kernel_ns),
-    ] {
-        out.push_str(&format!("  \"{key}\": {{\n"));
-        for (i, (label, value)) in pairs.iter().enumerate() {
-            let comma = if i + 1 < pairs.len() { "," } else { "" };
-            out.push_str(&format!("    \"{label}\": {}{comma}\n", number(*value)));
-        }
-        out.push_str("  },\n");
-    }
-    let cache = timing.plan_cache.unwrap_or_default();
-    out.push_str("  \"plan_cache\": {\n");
-    out.push_str(&format!("    \"hits\": {},\n", cache.hits));
-    out.push_str(&format!("    \"misses\": {},\n", cache.misses));
-    out.push_str(&format!("    \"disk_hits\": {},\n", cache.disk_hits));
-    out.push_str(&format!(
-        "    \"amortized_prepare_ms\": {}\n",
-        number(cache.amortized_prepare_ms)
-    ));
-    out.push_str("  },\n");
-    let serving = timing.serving.unwrap_or_default();
-    out.push_str("  \"serving\": {\n");
-    out.push_str(&format!("    \"clients\": {},\n", serving.clients));
-    out.push_str(&format!("    \"jobs\": {},\n", serving.jobs));
-    out.push_str(&format!(
-        "    \"jobs_per_sec\": {},\n",
-        number(serving.jobs_per_sec)
-    ));
-    out.push_str(&format!("    \"p50_ms\": {},\n", number(serving.p50_ms)));
-    out.push_str(&format!("    \"p99_ms\": {},\n", number(serving.p99_ms)));
-    out.push_str(&format!("    \"p999_ms\": {},\n", number(serving.p999_ms)));
-    out.push_str(&format!(
-        "    \"utilization\": {}\n",
-        number(serving.utilization)
-    ));
-    out.push_str("  },\n");
-    let traffic = timing.traffic.unwrap_or_default();
-    out.push_str("  \"traffic\": {\n");
-    out.push_str(&format!("    \"cells\": {},\n", traffic.cells));
-    out.push_str(&format!("    \"jobs\": {},\n", traffic.jobs));
-    out.push_str(&format!(
-        "    \"offered_per_sec\": {},\n",
-        number(traffic.offered_per_sec)
-    ));
-    out.push_str(&format!(
-        "    \"achieved_per_sec\": {},\n",
-        number(traffic.achieved_per_sec)
-    ));
-    out.push_str(&format!("    \"p50_ms\": {},\n", number(traffic.p50_ms)));
-    out.push_str(&format!("    \"p99_ms\": {},\n", number(traffic.p99_ms)));
-    out.push_str(&format!("    \"p999_ms\": {},\n", number(traffic.p999_ms)));
-    out.push_str(&format!(
-        "    \"utilization\": {},\n",
-        number(traffic.utilization)
-    ));
-    out.push_str(&format!(
-        "    \"events_per_sec\": {}\n",
-        number(traffic.events_per_sec)
-    ));
-    out.push_str("  },\n");
-    out.push_str(&format!("  \"schema_version\": {SCHEMA_VERSION}\n}}\n"));
-    out
+        ("kernel_ns", measurements(&timing.kernel_ns)),
+        (
+            "plan_cache",
+            object([
+                ("hits", UInt(cache.hits)),
+                ("misses", UInt(cache.misses)),
+                ("disk_hits", UInt(cache.disk_hits)),
+                ("amortized_prepare_ms", Float(cache.amortized_prepare_ms)),
+            ]),
+        ),
+        (
+            "serving",
+            object([
+                ("clients", UInt(serving.clients)),
+                ("jobs", UInt(serving.jobs)),
+                ("jobs_per_sec", Float(serving.jobs_per_sec)),
+                ("p50_ms", Float(serving.p50_ms)),
+                ("p99_ms", Float(serving.p99_ms)),
+                ("p999_ms", Float(serving.p999_ms)),
+                ("utilization", Float(serving.utilization)),
+            ]),
+        ),
+        (
+            "traffic",
+            object([
+                ("cells", UInt(traffic.cells)),
+                ("jobs", UInt(traffic.jobs)),
+                ("offered_per_sec", Float(traffic.offered_per_sec)),
+                ("achieved_per_sec", Float(traffic.achieved_per_sec)),
+                ("p50_ms", Float(traffic.p50_ms)),
+                ("p99_ms", Float(traffic.p99_ms)),
+                ("p999_ms", Float(traffic.p999_ms)),
+                ("utilization", Float(traffic.utilization)),
+                ("events_per_sec", Float(traffic.events_per_sec)),
+            ]),
+        ),
+        ("schema_version", UInt(u64::from(SCHEMA_VERSION))),
+    ]);
+    format!("{}\n", object(doc).to_json())
+}
+
+/// A JSON object with the given entries, in order.
+pub(crate) fn object<'a>(entries: impl IntoIterator<Item = (&'a str, JsonValue)>) -> JsonValue {
+    JsonValue::Object(
+        entries
+            .into_iter()
+            .map(|(key, value)| (key.to_string(), value))
+            .collect(),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use drhw_engine::json::{self, JsonValue::Float};
     use drhw_model::Time;
 
     #[test]
@@ -466,47 +443,47 @@ mod tests {
             }),
         };
         let json = render_results_json(&reports, &timing);
-        assert!(json.starts_with("{\n"));
+        assert_eq!(json.lines().count(), 1, "one line of compact JSON");
         assert!(json.ends_with("}\n"));
-        assert!(json.contains("\"policy_overhead_percent\""));
-        assert!(json.contains("\"policy_reuse_percent\""));
-        for policy in PolicyKind::ALL {
-            assert!(json.contains(&format!("\"{policy}\":")), "missing {policy}");
+        let doc = json::parse(json.trim_end()).expect("the results file is valid JSON");
+        let (maps, rest): (Vec<_>, Vec<_>) = doc
+            .entries()
+            .expect("the results file is an object")
+            .iter()
+            .cloned()
+            .partition(|(key, _)| key.ends_with("_percent"));
+        let policies: Vec<String> = PolicyKind::ALL.iter().map(ToString::to_string).collect();
+        let map_keys: Vec<&str> = maps.iter().map(|(key, _)| key.as_str()).collect();
+        assert_eq!(
+            map_keys,
+            ["policy_overhead_percent", "policy_reuse_percent"]
+        );
+        for (key, map) in &maps {
+            let map = map.entries().expect("a policy map is an object");
+            let names: Vec<String> = map.iter().map(|(name, _)| name.clone()).collect();
+            assert_eq!(names, policies, "{key} covers every policy in run order");
+            assert!(map.iter().all(|(_, v)| matches!(v, Float(_))), "{key}");
         }
-        assert!(json.contains("\"threads\": 2"));
-        assert!(json.contains("\"fig6\": 1234.5000"));
-        assert!(json.contains("\"wall_clock_ms\""));
-        assert!(json.contains("\"sequential_over_parallel\": 2.0000"));
-        assert!(json.contains("\"stage_ms\""));
-        assert!(json.contains("\"list_scheduler\": 1.5000"));
-        assert!(json.contains("\"policy_iterations_per_sec\""));
-        assert!(json.contains("\"hybrid\": 512.0000"));
-        assert!(json.contains("\"kernel_ns\""));
-        assert!(json.contains("\"executor\": 850.2500"));
-        assert!(json.contains("\"timing_loop\": 410.0000"));
-        assert!(json.contains("\"plan_cache\""));
-        assert!(json.contains("\"hits\": 3"));
-        assert!(json.contains("\"misses\": 2"));
-        assert!(json.contains("\"disk_hits\": 1"));
-        assert!(json.contains("\"amortized_prepare_ms\": 1.2500"));
-        assert!(json.contains("\"serving\""));
-        assert!(json.contains("\"clients\": 64"));
-        assert!(json.contains("\"jobs\": 128"));
-        assert!(json.contains("\"jobs_per_sec\": 321.5000"));
-        assert!(json.contains("\"p50_ms\": 12.2500"));
-        assert!(json.contains("\"p99_ms\": 48.5000"));
-        assert!(json.contains("\"p999_ms\": 91.7500"));
-        assert!(json.contains("\"utilization\": 0.5625"));
-        assert!(json.contains("\"traffic\""));
-        assert!(json.contains("\"cells\": 6"));
-        assert!(json.contains("\"offered_per_sec\": 30.0000"));
-        assert!(json.contains("\"achieved_per_sec\": 29.5000"));
-        assert!(json.contains("\"events_per_sec\": 250000.0000"));
-        assert!(json.ends_with("\"schema_version\": 8\n}\n"));
-        // No trailing comma before a closing brace, and balanced braces.
-        assert!(!json.contains(",\n  }"));
-        assert!(!json.contains(",\n    }"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        let golden = json::parse(
+            r#"{"iterations": 2, "tiles": 8, "threads": 2,
+                "wall_clock_ms": {"fig6": 1234.5, "fig7": 987.0},
+                "speedup": {"sequential_ms": 2000.0, "parallel_ms": 1000.0,
+                            "sequential_over_parallel": 2.0},
+                "stage_ms": {"list_scheduler": 1.5, "pareto": 2.5},
+                "policy_iterations_per_sec": {"hybrid": 512.0},
+                "kernel_ns": {"executor": 850.25, "timing_loop": 410.0},
+                "plan_cache": {"hits": 3, "misses": 2, "disk_hits": 1,
+                               "amortized_prepare_ms": 1.25},
+                "serving": {"clients": 64, "jobs": 128, "jobs_per_sec": 321.5, "p50_ms": 12.25,
+                            "p99_ms": 48.5, "p999_ms": 91.75, "utilization": 0.5625},
+                "traffic": {"cells": 6, "jobs": 900, "offered_per_sec": 30.0,
+                            "achieved_per_sec": 29.5, "p50_ms": 310.0, "p99_ms": 1200.5,
+                            "p999_ms": 1500.25, "utilization": 0.875,
+                            "events_per_sec": 250000.0},
+                "schema_version": 8}"#,
+        )
+        .unwrap();
+        assert_eq!(JsonValue::Object(rest), golden);
     }
 
     #[test]
@@ -519,27 +496,25 @@ mod tests {
         };
         assert_eq!(timing.speedup(), None);
         let json = render_results_json(&[], &timing);
-        assert!(json.contains("\"sequential_ms\": 10.0000"));
-        assert!(json.contains("\"parallel_ms\": null"));
-        assert!(json.contains("\"sequential_over_parallel\": null"));
-        // Empty stage/throughput/kernel blocks stay in the key set as empty
-        // objects.
-        assert!(json.contains("\"stage_ms\": {\n  }"));
-        assert!(json.contains("\"policy_iterations_per_sec\": {\n  }"));
-        assert!(json.contains("\"kernel_ns\": {\n  }"));
-        // A run without an engine still renders the plan_cache key set.
-        assert!(json.contains("\"plan_cache\""));
-        assert!(json.contains("\"hits\": 0"));
-        assert!(json.contains("\"amortized_prepare_ms\": 0.0000"));
-        // A run without a serving swarm still renders the serving key set.
-        assert!(json.contains("\"serving\""));
-        assert!(json.contains("\"clients\": 0"));
-        assert!(json.contains("\"jobs_per_sec\": 0.0000"));
-        // And likewise the traffic key set.
-        assert!(json.contains("\"traffic\""));
-        assert!(json.contains("\"cells\": 0"));
-        assert!(json.contains("\"offered_per_sec\": 0.0000"));
-        assert!(json.contains("\"events_per_sec\": 0.0000"));
+        // Absent measurements render as null, and empty or absent blocks stay
+        // in the key set as empty or all-zero objects.
+        let golden = json::parse(
+            r#"{"policy_overhead_percent": {}, "policy_reuse_percent": {}, "threads": 1,
+                "wall_clock_ms": {},
+                "speedup": {"sequential_ms": 10.0, "parallel_ms": null,
+                            "sequential_over_parallel": null},
+                "stage_ms": {}, "policy_iterations_per_sec": {}, "kernel_ns": {},
+                "plan_cache": {"hits": 0, "misses": 0, "disk_hits": 0,
+                               "amortized_prepare_ms": 0.0},
+                "serving": {"clients": 0, "jobs": 0, "jobs_per_sec": 0.0, "p50_ms": 0.0,
+                            "p99_ms": 0.0, "p999_ms": 0.0, "utilization": 0.0},
+                "traffic": {"cells": 0, "jobs": 0, "offered_per_sec": 0.0,
+                            "achieved_per_sec": 0.0, "p50_ms": 0.0, "p99_ms": 0.0,
+                            "p999_ms": 0.0, "utilization": 0.0, "events_per_sec": 0.0},
+                "schema_version": 8}"#,
+        )
+        .unwrap();
+        assert_eq!(json::parse(json.trim_end()), Ok(golden));
     }
 
     #[test]

@@ -38,6 +38,8 @@ use std::time::{Duration, Instant};
 use drhw_engine::json::{parse, JsonValue};
 use drhw_traffic::{Histogram, SplitMix64};
 
+use crate::report::object;
+
 /// How one swarm run is shaped.
 #[derive(Debug, Clone)]
 pub struct SwarmConfig {
@@ -48,19 +50,30 @@ pub struct SwarmConfig {
     /// Jobs each client submits sequentially.
     pub jobs_per_client: usize,
     /// The job line template (a JSON object, no `id` field; the swarm
-    /// splices a unique `id` per job).
+    /// puts a unique `id` in front of its fields per job).
     pub spec_json: String,
-    /// How long a client waits for a response line before giving up on the
-    /// job (counted as an error).
-    pub read_timeout: Duration,
-    /// Connect attempts per client before it counts as failed — under
-    /// thousands of simultaneous connects the listener backlog overflows
-    /// transiently and a retry is expected, not an error.
-    pub connect_attempts: usize,
-    /// Submissions attempted per job before a persistently `rejected` job
-    /// counts as an error.
-    pub submit_attempts: usize,
 }
+
+/// How long a client waits for a response line before giving up on the job
+/// (counted as an error).
+const READ_TIMEOUT: Duration = Duration::from_secs(120);
+
+/// Connect attempts per swarm client before it counts as failed — under
+/// thousands of simultaneous connects the listener backlog overflows
+/// transiently and a retry is expected, not an error.
+const SWARM_CONNECT_ATTEMPTS: usize = 200;
+
+/// Submissions attempted per swarm job before a persistently `rejected` job
+/// counts as an error.
+const SWARM_SUBMIT_ATTEMPTS: usize = 50;
+
+/// Connect attempts per open-loop submission before the job counts as an
+/// error.
+const OPEN_LOOP_CONNECT_ATTEMPTS: usize = 20;
+
+/// Submissions attempted per open-loop job before a persistently rejected
+/// job counts as **dropped** (not errored — the server refused it).
+const OPEN_LOOP_SUBMIT_ATTEMPTS: usize = 8;
 
 impl Default for SwarmConfig {
     fn default() -> Self {
@@ -71,9 +84,6 @@ impl Default for SwarmConfig {
             spec_json:
                 r#"{"workload":"multimedia","tiles":4,"iterations":2,"policies":["no-prefetch"]}"#
                     .to_string(),
-            read_timeout: Duration::from_secs(120),
-            connect_attempts: 200,
-            submit_attempts: 50,
         }
     }
 }
@@ -138,6 +148,28 @@ impl SwarmOutcome {
             0.0
         }
     }
+
+    /// The `{"type":"loadgen",…}` summary line `loadgen` prints last: the
+    /// swarm's shape from `config`, then what the swarm observed.
+    pub fn summary_json(&self, config: &SwarmConfig) -> JsonValue {
+        use JsonValue::{Float, UInt};
+        object([
+            ("type", JsonValue::String("loadgen".into())),
+            ("clients", UInt(config.clients as u64)),
+            ("jobs_per_client", UInt(config.jobs_per_client as u64)),
+            ("clients_connected", UInt(self.clients_connected as u64)),
+            ("clients_failed", UInt(self.clients_failed as u64)),
+            ("jobs_completed", UInt(self.jobs_completed)),
+            ("jobs_errored", UInt(self.jobs_errored)),
+            ("rejections_seen", UInt(self.rejections_seen)),
+            ("elapsed_ms", Float(self.elapsed_ms)),
+            ("jobs_per_sec", Float(self.jobs_per_sec())),
+            ("p50_ms", Float(self.p50_ms())),
+            ("p99_ms", Float(self.p99_ms())),
+            ("p999_ms", Float(self.p999_ms())),
+            ("utilization", Float(self.utilization())),
+        ])
+    }
 }
 
 #[derive(Default)]
@@ -201,12 +233,25 @@ enum JobOutcome {
     Errored,
 }
 
-/// Splices `"id":<id>` into the front of the spec template. The template is
-/// validated to be a non-empty JSON object by [`run_swarm`] before any
-/// client uses it.
+/// Checks a job-line template: a JSON object with at least one field and
+/// no `id`, which the load generator assigns per job. Returns its fields.
+fn job_template(spec_json: &str) -> Result<Vec<(String, JsonValue)>, String> {
+    match parse(spec_json).map_err(|e| format!("spec_json does not parse: {e}"))? {
+        JsonValue::Object(fields) if fields.iter().any(|(key, _)| key == "id") => {
+            Err("spec_json must not carry an id (the load generator assigns them)".into())
+        }
+        JsonValue::Object(fields) if !fields.is_empty() => Ok(fields),
+        _ => Err("spec_json must be a JSON object with fields".into()),
+    }
+}
+
+/// The request line of job `id`: `"id"` first, then the template's fields.
+/// [`run_swarm`] and [`run_open_loop`] check the template with
+/// [`job_template`] before any job is sent.
 fn job_line(spec_json: &str, id: u64) -> String {
-    let rest = spec_json.trim().strip_prefix('{').unwrap_or(spec_json);
-    format!("{{\"id\":{id},{rest}\n")
+    let fields = job_template(spec_json).expect("the template is checked before the run");
+    let line = std::iter::once(("id".to_string(), JsonValue::UInt(id))).chain(fields);
+    format!("{}\n", JsonValue::Object(line.collect()).to_json())
 }
 
 fn submit_once(
@@ -246,7 +291,7 @@ fn submit_once(
 fn run_client(config: &SwarmConfig, index: usize, armed: &Barrier, fire: &Barrier) -> ClientReport {
     let mut report = ClientReport::default();
     let mut stream = None;
-    for attempt in 0..config.connect_attempts {
+    for attempt in 0..SWARM_CONNECT_ATTEMPTS {
         match TcpStream::connect(&config.addr) {
             Ok(s) => {
                 stream = Some(s);
@@ -263,7 +308,7 @@ fn run_client(config: &SwarmConfig, index: usize, armed: &Barrier, fire: &Barrie
         report.errored = config.jobs_per_client as u64;
         return report;
     };
-    if stream.set_read_timeout(Some(config.read_timeout)).is_err() {
+    if stream.set_read_timeout(Some(READ_TIMEOUT)).is_err() {
         report.errored = config.jobs_per_client as u64;
         return report;
     }
@@ -278,7 +323,7 @@ fn run_client(config: &SwarmConfig, index: usize, armed: &Barrier, fire: &Barrie
         let line = job_line(&config.spec_json, id);
         let started = Instant::now();
         let mut outcome = JobOutcome::Errored;
-        for attempt in 0..config.submit_attempts {
+        for attempt in 0..SWARM_SUBMIT_ATTEMPTS {
             outcome = submit_once(&mut stream, &mut reader, &line, id);
             match outcome {
                 JobOutcome::Rejected(_) => {
@@ -317,15 +362,7 @@ pub fn run_swarm(config: &SwarmConfig) -> Result<SwarmOutcome, String> {
     if config.clients == 0 || config.jobs_per_client == 0 {
         return Err("swarm config: clients and jobs_per_client must be positive".into());
     }
-    let template = parse(&config.spec_json)
-        .map_err(|e| format!("swarm config: spec_json does not parse: {e}"))?;
-    match template {
-        JsonValue::Object(ref entries) if !entries.is_empty() => {}
-        _ => return Err("swarm config: spec_json must be a JSON object with fields".into()),
-    }
-    if template.get("id").is_some() {
-        return Err("swarm config: spec_json must not carry an id (the swarm assigns them)".into());
-    }
+    job_template(&config.spec_json).map_err(|e| format!("swarm config: {e}"))?;
 
     let armed = Arc::new(Barrier::new(config.clients + 1));
     let fire = Arc::new(Barrier::new(config.clients + 1));
@@ -390,13 +427,6 @@ pub struct OpenLoopConfig {
     pub seed: u64,
     /// The job line template (a JSON object, no `id` field).
     pub spec_json: String,
-    /// Per-response read timeout before a job counts as an error.
-    pub read_timeout: Duration,
-    /// Connect attempts per submission before the job counts as an error.
-    pub connect_attempts: usize,
-    /// Submissions attempted per job before a persistently rejected job
-    /// counts as **dropped** (not errored — the server refused it).
-    pub submit_attempts: usize,
 }
 
 impl Default for OpenLoopConfig {
@@ -407,9 +437,6 @@ impl Default for OpenLoopConfig {
             jobs: 200,
             seed: 2005,
             spec_json: SwarmConfig::default().spec_json,
-            read_timeout: Duration::from_secs(120),
-            connect_attempts: 20,
-            submit_attempts: 8,
         }
     }
 }
@@ -471,6 +498,39 @@ impl OpenLoopOutcome {
     pub fn p999_ms(&self) -> f64 {
         self.latency.p999_ms()
     }
+
+    /// The `{"type":"loadgen_open_loop",…}` summary line `loadgen
+    /// --open-loop` prints last: the run's shape from `config`, then what
+    /// it observed, with retries and drops per admission scope.
+    pub fn summary_json(&self, config: &OpenLoopConfig) -> JsonValue {
+        use JsonValue::{Float, UInt};
+        let scopes = |counts: ScopeCounts| {
+            object([
+                ("client", UInt(counts.client)),
+                ("server", UInt(counts.server)),
+                ("connection", UInt(counts.connection)),
+            ])
+        };
+        object([
+            ("type", JsonValue::String("loadgen_open_loop".into())),
+            ("rate_per_sec", Float(config.rate_per_sec)),
+            ("jobs", UInt(config.jobs as u64)),
+            ("seed", UInt(config.seed)),
+            ("jobs_offered", UInt(self.jobs_offered)),
+            ("jobs_completed", UInt(self.jobs_completed)),
+            ("jobs_errored", UInt(self.jobs_errored)),
+            ("jobs_dropped", UInt(self.jobs_dropped)),
+            ("retries", scopes(self.retries)),
+            ("drops", scopes(self.drops)),
+            ("planned_ms", Float(self.planned_ms)),
+            ("elapsed_ms", Float(self.elapsed_ms)),
+            ("offered_per_sec", Float(self.offered_per_sec())),
+            ("achieved_per_sec", Float(self.achieved_per_sec())),
+            ("p50_ms", Float(self.p50_ms())),
+            ("p99_ms", Float(self.p99_ms())),
+            ("p999_ms", Float(self.p999_ms())),
+        ])
+    }
 }
 
 enum OpenJobResult {
@@ -492,9 +552,9 @@ fn run_open_job(config: &OpenLoopConfig, id: u64, scheduled: Instant) -> OpenJob
     let line = job_line(&config.spec_json, id);
     let mut retries = ScopeCounts::default();
     let mut last_scope = SeenScope::Server;
-    for attempt in 0..config.submit_attempts.max(1) {
+    for attempt in 0..OPEN_LOOP_SUBMIT_ATTEMPTS {
         let mut stream = None;
-        for connect_try in 0..config.connect_attempts.max(1) {
+        for connect_try in 0..OPEN_LOOP_CONNECT_ATTEMPTS {
             match TcpStream::connect(&config.addr) {
                 Ok(s) => {
                     stream = Some(s);
@@ -509,7 +569,7 @@ fn run_open_job(config: &OpenLoopConfig, id: u64, scheduled: Instant) -> OpenJob
                 retries,
             };
         };
-        if stream.set_read_timeout(Some(config.read_timeout)).is_err() {
+        if stream.set_read_timeout(Some(READ_TIMEOUT)).is_err() {
             return OpenJobReport {
                 result: OpenJobResult::Errored,
                 retries,
@@ -531,7 +591,7 @@ fn run_open_job(config: &OpenLoopConfig, id: u64, scheduled: Instant) -> OpenJob
             }
             JobOutcome::Rejected(scope) => {
                 last_scope = scope;
-                if attempt + 1 < config.submit_attempts.max(1) {
+                if attempt + 1 < OPEN_LOOP_SUBMIT_ATTEMPTS {
                     retries.bump(scope);
                     thread::sleep(Duration::from_millis(2 << (attempt as u64).min(5)));
                 }
@@ -570,17 +630,7 @@ pub fn run_open_loop(config: &OpenLoopConfig) -> Result<OpenLoopOutcome, String>
     if !(config.rate_per_sec > 0.0 && config.rate_per_sec.is_finite()) {
         return Err("open-loop config: rate_per_sec must be positive and finite".into());
     }
-    let template = parse(&config.spec_json)
-        .map_err(|e| format!("open-loop config: spec_json does not parse: {e}"))?;
-    match template {
-        JsonValue::Object(ref entries) if !entries.is_empty() => {}
-        _ => return Err("open-loop config: spec_json must be a JSON object with fields".into()),
-    }
-    if template.get("id").is_some() {
-        return Err(
-            "open-loop config: spec_json must not carry an id (the loop assigns them)".into(),
-        );
-    }
+    job_template(&config.spec_json).map_err(|e| format!("open-loop config: {e}"))?;
 
     // The whole schedule is drawn up front: absolute offsets from the run
     // start, first arrival at t=0 so `planned_ms` spans exactly the gaps.
@@ -660,6 +710,18 @@ mod tests {
         );
         let value = parse(line.trim_end()).expect("spliced line is valid JSON");
         assert_eq!(value.get("id").unwrap().as_u64(), Some(42));
+    }
+
+    #[test]
+    fn a_multi_line_template_still_sends_one_line() {
+        let template = r#"{
+            "workload": "multimedia",
+            "tiles": 4
+        }"#;
+        assert_eq!(
+            job_line(template, 7),
+            r#"{"id":7,"workload":"multimedia","tiles":4}"#.to_string() + "\n"
+        );
     }
 
     #[test]

@@ -22,7 +22,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use drhw_model::{ConfigId, Platform};
+use drhw_model::{ConfigId, InitialSchedule, Platform, SubtaskGraph};
 use drhw_prefetch::{
     BranchBoundScheduler, CriticalSetAnalysis, HybridPrefetch, InterTaskWindow, PrefetchProblem,
     PrefetchScheduler, PreparedSchedule, ReplacementPolicy, Scratch, TileContents,
@@ -121,16 +121,31 @@ fn ms(since: Instant) -> f64 {
     since.elapsed().as_secs_f64() * 1e3
 }
 
-/// Measures each hot kernel over the multimedia benchmark graphs, running
-/// every kernel `rounds` times per graph and reporting the **mean
-/// nanoseconds per call** (total elapsed over calls), so the number is
-/// directly comparable across machines regardless of `rounds`.
+/// What every kernel and stage probe runs on: a 16-tile platform, the four
+/// multimedia benchmark graphs, their fully parallel initial schedules, and
+/// each graph's prepared schedule and hybrid prefetch plan.
+pub struct ProbeFixture {
+    /// The 16-tile platform.
+    pub platform: Platform,
+    /// Pattern recognition, JPEG decoder, parallel JPEG and the MPEG
+    /// encoder's P frame.
+    pub graphs: [SubtaskGraph; 4],
+    /// Each graph's fully parallel initial schedule.
+    pub schedules: Vec<InitialSchedule>,
+    /// Each graph's prepared schedule — the arena kernels' input.
+    pub prepared: Vec<PreparedSchedule>,
+    /// Each graph's hybrid prefetch plan.
+    pub hybrids: Vec<HybridPrefetch>,
+}
+
+/// Builds the [`ProbeFixture`]. Every probe calls it outside its timed
+/// regions.
 ///
 /// # Panics
 ///
 /// Panics if the multimedia benchmark graphs fail to prepare — they are
 /// static and well-formed, so that indicates a broken build.
-pub fn measure_kernel_timings(rounds: usize) -> KernelTimings {
+pub fn probe_fixture() -> ProbeFixture {
     let platform = Platform::virtex_like(16).expect("non-empty platform");
     let graphs = [
         pattern_recognition_graph(),
@@ -142,7 +157,7 @@ pub fn measure_kernel_timings(rounds: usize) -> KernelTimings {
         .iter()
         .map(|g| fully_parallel_schedule(g).expect("benchmark graphs are well-formed"))
         .collect();
-    let prepared: Vec<_> = graphs
+    let prepared = graphs
         .iter()
         .zip(&schedules)
         .map(|(graph, schedule)| {
@@ -150,7 +165,7 @@ pub fn measure_kernel_timings(rounds: usize) -> KernelTimings {
                 .expect("benchmark graphs fit the platform")
         })
         .collect();
-    let hybrids: Vec<_> = graphs
+    let hybrids = graphs
         .iter()
         .zip(&schedules)
         .map(|(graph, schedule)| {
@@ -158,6 +173,31 @@ pub fn measure_kernel_timings(rounds: usize) -> KernelTimings {
                 .expect("benchmark graphs schedule cleanly")
         })
         .collect();
+    ProbeFixture {
+        platform,
+        graphs,
+        schedules,
+        prepared,
+        hybrids,
+    }
+}
+
+/// Measures each hot kernel over the multimedia benchmark graphs, running
+/// every kernel `rounds` times per graph and reporting the **mean
+/// nanoseconds per call** (total elapsed over calls), so the number is
+/// directly comparable across machines regardless of `rounds`.
+///
+/// # Panics
+///
+/// Panics if the multimedia benchmark graphs fail to prepare — they are
+/// static and well-formed, so that indicates a broken build.
+pub fn measure_kernel_timings(rounds: usize) -> KernelTimings {
+    let ProbeFixture {
+        platform,
+        prepared,
+        hybrids,
+        ..
+    } = probe_fixture();
     let mut scratch = Scratch::new();
     let calls = (rounds * prepared.len()) as f64;
     let ns = |since: Instant| since.elapsed().as_secs_f64() * 1e9 / calls;
@@ -248,17 +288,13 @@ pub fn measure_kernel_timings(rounds: usize) -> KernelTimings {
 /// Panics if the multimedia benchmark graphs fail to schedule — they are
 /// static and well-formed, so that indicates a broken build.
 pub fn measure_stage_timings(rounds: usize) -> StageTimings {
-    let platform = Platform::virtex_like(16).expect("non-empty platform");
-    let graphs = [
-        pattern_recognition_graph(),
-        jpeg_decoder_graph(),
-        parallel_jpeg_graph(),
-        mpeg_encoder_graph(MpegFrame::P),
-    ];
-    let schedules: Vec<_> = graphs
-        .iter()
-        .map(|g| fully_parallel_schedule(g).expect("benchmark graphs are well-formed"))
-        .collect();
+    let ProbeFixture {
+        platform,
+        graphs,
+        schedules,
+        prepared,
+        ..
+    } = probe_fixture();
     let mut timings = StageTimings::default();
 
     // Stage: Pareto pruning — the TCM design-time library over the full set.
@@ -303,14 +339,6 @@ pub fn measure_stage_timings(rounds: usize) -> StageTimings {
 
     // The run-time stages go through the arena kernels — the code the
     // simulation engine actually runs per iteration.
-    let prepared: Vec<_> = graphs
-        .iter()
-        .zip(&schedules)
-        .map(|(graph, schedule)| {
-            PreparedSchedule::new(graph, schedule.clone(), &platform)
-                .expect("benchmark graphs fit the platform")
-        })
-        .collect();
     let mut scratch = Scratch::new();
 
     // Stage: list scheduler — cold-start run-time scheduling of every graph.

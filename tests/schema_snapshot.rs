@@ -1,44 +1,26 @@
-//! Golden snapshot of the `BENCH_results.json` schema (version 8) and of
-//! the `engine_serve` and traffic wire schemas (`JobSpec` requests, result
-//! objects, `traffic_event` streams).
+//! Golden snapshot of the `BENCH_results.json` schema (version 8), of
+//! `loadgen`'s summary lines and of the `engine_serve` and traffic wire
+//! schemas (`JobSpec` requests, result objects, `traffic_event` streams).
 //!
-//! `render_results_json` and the serve protocol are hand-rolled (no JSON
-//! backend offline), so refactors can silently drop or rename keys that
-//! downstream consumers — CI artifact scrapers, the `perf_gate` baseline,
-//! the EXPERIMENTS.md examples, serving clients — depend on. These tests
-//! pin the exact key sets, nesting and value *types*; changing a schema
-//! intentionally means bumping its version marker and updating this
-//! snapshot in the same commit.
+//! Every one of these documents is built as a `drhw_engine::json` value in
+//! a fixed key order, so a refactor can still silently drop, rename or
+//! reorder keys that downstream consumers — CI artifact scrapers, the
+//! `perf_gate` baseline, the EXPERIMENTS.md examples, serving clients —
+//! depend on. These tests parse each document back and pin the exact key
+//! order, nesting and value *types*; changing a schema intentionally means
+//! bumping its version marker and updating this snapshot in the same commit.
 
 use drhw_bench::experiments::policy_overhead_reports;
 use drhw_bench::report::{
     render_results_json, PlanCacheBlock, RunTiming, ServingBlock, TrafficBlock,
 };
+use drhw_bench::serving::{
+    OpenLoopConfig, OpenLoopOutcome, ScopeCounts, SwarmConfig, SwarmOutcome,
+};
 use drhw_bench::stages::{KERNEL_NAMES, STAGE_NAMES};
-use drhw_engine::{json, JobSpec};
+use drhw_engine::json::{self, JsonValue};
+use drhw_engine::JobSpec;
 use drhw_prefetch::PolicyKind;
-
-/// Parses the flat `indent → key → raw value` triples of the hand-rolled
-/// JSON (two-space indentation per nesting level, one key per line).
-fn keys_with_indent(json: &str) -> Vec<(usize, String, String)> {
-    json.lines()
-        .filter_map(|line| {
-            let trimmed = line.trim_start();
-            let indent = line.len() - trimmed.len();
-            let rest = trimmed.strip_prefix('"')?;
-            let (key, after) = rest.split_once("\": ")?;
-            Some((
-                indent,
-                key.to_string(),
-                after.trim_end_matches(',').to_string(),
-            ))
-        })
-        .collect()
-}
-
-fn is_number(raw: &str) -> bool {
-    raw.parse::<f64>().is_ok()
-}
 
 /// The exact top-level key order of schema v8.
 const TOP_LEVEL_V8: [&str; 14] = [
@@ -57,6 +39,27 @@ const TOP_LEVEL_V8: [&str; 14] = [
     "traffic",
     "schema_version",
 ];
+
+/// Parses a rendered results file: one line of compact JSON plus its
+/// trailing newline.
+fn parse_results(text: &str) -> JsonValue {
+    assert!(text.ends_with("}\n"), "{text:?}");
+    assert_eq!(text.lines().count(), 1, "one line of compact JSON");
+    json::parse(text.trim_end()).expect("BENCH_results.json is valid JSON")
+}
+
+/// Asserts that `doc` holds every top-level entry of the `golden` document
+/// exactly: the same nested key order, value types and values.
+fn assert_blocks(doc: &JsonValue, golden: &str) {
+    let golden = json::parse(golden).expect("the golden document parses");
+    for (key, expected) in golden.entries().expect("the golden is an object") {
+        assert_eq!(
+            doc.get(key),
+            Some(expected),
+            "{key} changed — bump schema_version and update this snapshot"
+        );
+    }
+}
 
 #[test]
 fn bench_results_schema_v8_golden_snapshot() {
@@ -112,247 +115,144 @@ fn bench_results_schema_v8_golden_snapshot() {
             events_per_sec: 250000.0,
         }),
     };
-    let json = render_results_json(&reports, &timing);
-    let entries = keys_with_indent(&json);
+    let doc = parse_results(&render_results_json(&reports, &timing));
 
-    // Top level: the exact schema v6 key set, in order.
-    let top: Vec<&str> = entries
-        .iter()
-        .filter(|(indent, _, _)| *indent == 2)
-        .map(|(_, key, _)| key.as_str())
-        .collect();
+    // Top level: the exact schema v8 key set, in order.
     assert_eq!(
-        top, TOP_LEVEL_V8,
+        object_keys(&doc),
+        TOP_LEVEL_V8,
         "schema v8 top-level keys changed — bump schema_version and update this snapshot"
     );
 
-    // Scalar top-level values are numbers; containers are objects.
-    for (_, key, raw) in entries.iter().filter(|(indent, _, _)| *indent == 2) {
-        match key.as_str() {
-            "policy_overhead_percent"
-            | "policy_reuse_percent"
-            | "wall_clock_ms"
-            | "speedup"
-            | "stage_ms"
-            | "policy_iterations_per_sec"
-            | "kernel_ns"
-            | "plan_cache"
-            | "serving"
-            | "traffic" => {
-                assert_eq!(raw, "{", "{key} must be an object");
-            }
-            "schema_version" => assert_eq!(raw, "8", "this snapshot pins schema v8"),
-            _ => assert!(is_number(raw), "{key} must be a number, got {raw:?}"),
+    // Both policy maps carry exactly the five policy names, in run order,
+    // each a number (the values come from the simulation).
+    for block in ["policy_overhead_percent", "policy_reuse_percent"] {
+        let map = doc.get(block).unwrap();
+        assert_eq!(object_keys(map), policies, "{block}");
+        for (policy, value) in map.entries().unwrap() {
+            assert!(matches!(value, JsonValue::Float(_)), "{block}.{policy}");
         }
     }
 
-    // The plan_cache block: exactly hits/misses/disk_hits/amortized_prepare_ms.
-    let cache_start = json
-        .find("\"plan_cache\": {")
-        .expect("plan_cache block present");
-    let cache_block = &json[cache_start
-        ..json[cache_start..]
-            .find('}')
-            .map(|end| cache_start + end)
-            .expect("plan_cache block closes")];
-    for key in ["hits", "misses", "disk_hits", "amortized_prepare_ms"] {
-        assert!(
-            cache_block.contains(&format!("\"{key}\":")),
-            "plan_cache block lost {key}"
-        );
-    }
-    assert!(cache_block.contains("\"hits\": 4"));
-    assert!(cache_block.contains("\"disk_hits\": 1"));
-    assert!(cache_block.contains("\"amortized_prepare_ms\": 0.5000"));
-
-    // The serving block (new in v7): exactly the swarm size, job count and
-    // latency/throughput summary the loadgen emits.
-    let serving_start = json.find("\"serving\": {").expect("serving block present");
-    let serving_block = &json[serving_start
-        ..json[serving_start..]
-            .find('}')
-            .map(|end| serving_start + end)
-            .expect("serving block closes")];
-    let serving_entries = keys_with_indent(serving_block);
-    let serving_keys: Vec<&str> = serving_entries
-        .iter()
-        .filter(|(indent, _, _)| *indent == 4)
-        .map(|(_, key, _)| key.as_str())
-        .collect();
-    assert_eq!(
-        serving_keys,
-        [
-            "clients",
-            "jobs",
-            "jobs_per_sec",
-            "p50_ms",
-            "p99_ms",
-            "p999_ms",
-            "utilization"
-        ],
-        "serving block keys changed — the loadgen summary and CI scrapers pin these"
+    // Every other block is pinned whole: counts are integers, measurements
+    // are numbers, and each block keeps its key order — the stage and kernel
+    // names, the plan_cache counters (disk_hits new in v6), the serving
+    // block the loadgen summary feeds (new in v7; p999_ms and utilization
+    // new in v8) and the open-loop traffic block (new in v8).
+    assert_blocks(
+        &doc,
+        r#"{"iterations": 2, "tiles": 8, "threads": 2,
+            "wall_clock_ms": {"table1": 10.0, "fig6": 20.0},
+            "speedup": {"sequential_ms": 100.0, "parallel_ms": 50.0,
+                        "sequential_over_parallel": 2.0},
+            "stage_ms": {"pareto": 0.5, "branch_bound": 1.5, "critical_set": 2.5,
+                         "list_scheduler": 3.5, "replacement_reuse": 4.5},
+            "policy_iterations_per_sec": {"no-prefetch": 1000.0,
+                "design-time-prefetch": 1000.0, "run-time": 1000.0,
+                "run-time+inter-task": 1000.0, "hybrid": 1000.0},
+            "kernel_ns": {"executor": 50.0, "replacement": 150.0, "reuse": 250.0,
+                          "hybrid": 350.0, "timing_loop": 450.0},
+            "plan_cache": {"hits": 4, "misses": 1, "disk_hits": 1,
+                           "amortized_prepare_ms": 0.5},
+            "serving": {"clients": 16, "jobs": 32, "jobs_per_sec": 123.5, "p50_ms": 1.5,
+                        "p99_ms": 9.0, "p999_ms": 12.25, "utilization": 0.75},
+            "traffic": {"cells": 4, "jobs": 800, "offered_per_sec": 24.0,
+                        "achieved_per_sec": 23.5, "p50_ms": 310.0, "p99_ms": 1200.5,
+                        "p999_ms": 1500.25, "utilization": 0.625,
+                        "events_per_sec": 250000.0},
+            "schema_version": 8}"#,
     );
-    assert!(serving_block.contains("\"clients\": 16"));
-    assert!(serving_block.contains("\"jobs\": 32"));
-    assert!(serving_block.contains("\"jobs_per_sec\": 123.5000"));
-    assert!(serving_block.contains("\"p50_ms\": 1.5000"));
-    assert!(serving_block.contains("\"p99_ms\": 9.0000"));
-    assert!(serving_block.contains("\"p999_ms\": 12.2500"));
-    assert!(serving_block.contains("\"utilization\": 0.7500"));
-
-    // The traffic block (new in v8): the pinned open-loop scenario's
-    // offered/achieved throughput, sojourn tail and utilization summary.
-    let traffic_start = json.find("\"traffic\": {").expect("traffic block present");
-    let traffic_block = &json[traffic_start
-        ..json[traffic_start..]
-            .find('}')
-            .map(|end| traffic_start + end)
-            .expect("traffic block closes")];
-    let traffic_entries = keys_with_indent(traffic_block);
-    let traffic_keys: Vec<&str> = traffic_entries
-        .iter()
-        .filter(|(indent, _, _)| *indent == 4)
-        .map(|(_, key, _)| key.as_str())
-        .collect();
-    assert_eq!(
-        traffic_keys,
-        [
-            "cells",
-            "jobs",
-            "offered_per_sec",
-            "achieved_per_sec",
-            "p50_ms",
-            "p99_ms",
-            "p999_ms",
-            "utilization",
-            "events_per_sec"
-        ],
-        "traffic block keys changed — the perf gate baseline and CI scrapers pin these"
-    );
-    assert!(traffic_block.contains("\"cells\": 4"));
-    assert!(traffic_block.contains("\"jobs\": 800"));
-    assert!(traffic_block.contains("\"offered_per_sec\": 24.0000"));
-    assert!(traffic_block.contains("\"achieved_per_sec\": 23.5000"));
-    assert!(traffic_block.contains("\"p999_ms\": 1500.2500"));
-    assert!(traffic_block.contains("\"utilization\": 0.6250"));
-    assert!(traffic_block.contains("\"events_per_sec\": 250000.0000"));
-
-    // Both policy maps carry exactly the five policy names, each numeric.
-    let nested: Vec<(&str, &str)> = entries
-        .iter()
-        .filter(|(indent, _, _)| *indent == 4)
-        .map(|(_, key, raw)| (key.as_str(), raw.as_str()))
-        .collect();
-    for policy in policies {
-        let occurrences = nested.iter().filter(|(key, _)| *key == policy).count();
-        // "hybrid" doubles as a kernel name, so it also shows up in the
-        // kernel_ns block.
-        let expected = if policy == "hybrid" { 4 } else { 3 };
-        assert_eq!(
-            occurrences, expected,
-            "{policy} must appear in both policy maps and the throughput map"
-        );
-    }
-    for (key, raw) in &nested {
-        assert!(
-            is_number(raw) || *raw == "null",
-            "nested key {key} must be numeric or null, got {raw:?}"
-        );
-    }
-
-    // The stage_ms block: exactly the five pipeline stages, every one numeric.
-    let stage_start = json
-        .find("\"stage_ms\": {")
-        .expect("stage_ms block present");
-    let stage_block = &json[stage_start
-        ..json[stage_start..]
-            .find('}')
-            .map(|end| stage_start + end)
-            .expect("stage_ms block closes")];
-    for stage in STAGE_NAMES {
-        assert!(
-            stage_block.contains(&format!("\"{stage}\":")),
-            "stage_ms block lost {stage}"
-        );
-    }
-    for stage in STAGE_NAMES {
-        let occurrences = nested.iter().filter(|(key, _)| *key == stage).count();
-        assert_eq!(occurrences, 1, "{stage} must appear exactly once");
-    }
-
-    // The kernel_ns block: exactly the five hot kernels, every one numeric.
-    let kernel_start = json
-        .find("\"kernel_ns\": {")
-        .expect("kernel_ns block present");
-    let kernel_block = &json[kernel_start
-        ..json[kernel_start..]
-            .find('}')
-            .map(|end| kernel_start + end)
-            .expect("kernel_ns block closes")];
-    let kernel_entries = keys_with_indent(kernel_block);
-    for kernel in KERNEL_NAMES {
-        let occurrences = kernel_entries
-            .iter()
-            .filter(|(_, key, _)| key == kernel)
-            .count();
-        assert_eq!(
-            occurrences, 1,
-            "{kernel} must appear exactly once in the kernel_ns block"
-        );
-    }
-    assert_eq!(
-        kernel_entries.len(),
-        KERNEL_NAMES.len() + 1, // the "kernel_ns" opener itself plus 5 kernels
-        "kernel_ns block must carry exactly the five hot kernels"
-    );
-
-    // The speedup block: exact key set, with the headline ratio present.
-    let speedup_start = json.find("\"speedup\": {").expect("speedup block present");
-    let speedup_block = &json[speedup_start
-        ..json[speedup_start..]
-            .find('}')
-            .map(|end| speedup_start + end)
-            .expect("speedup block closes")];
-    for key in ["sequential_ms", "parallel_ms", "sequential_over_parallel"] {
-        assert!(
-            speedup_block.contains(&format!("\"{key}\":")),
-            "speedup block lost {key}"
-        );
-    }
-    assert!(
-        speedup_block.contains("\"sequential_over_parallel\": 2.0000"),
-        "speedup ratio must be sequential/parallel"
-    );
-
-    // Per-experiment wall clocks survive verbatim.
-    assert!(json.contains("\"table1\": 10.0000"));
-    assert!(json.contains("\"fig6\": 20.0000"));
 }
 
 #[test]
 fn schema_snapshot_also_holds_for_absent_measurements() {
     // Null/empty measurements must stay in the key set, not vanish from it.
-    let json = render_results_json(&[], &RunTiming::default());
-    let entries = keys_with_indent(&json);
-    let top: Vec<&str> = entries
-        .iter()
-        .filter(|(indent, _, _)| *indent == 2)
-        .map(|(_, key, _)| key.as_str())
-        .collect();
+    let doc = parse_results(&render_results_json(&[], &RunTiming::default()));
     // Without reports the iteration/tile header is absent, but everything
     // else — including the speedup, stage, throughput and plan-cache blocks
     // — survives.
-    assert_eq!(top, &TOP_LEVEL_V8[2..]);
-    assert!(json.contains("\"sequential_over_parallel\": null"));
-    assert!(json.contains("\"stage_ms\": {\n  }"));
-    assert!(json.contains("\"policy_iterations_per_sec\": {\n  }"));
-    assert!(json.contains("\"kernel_ns\": {\n  }"));
-    assert!(json.contains("\"hits\": 0"));
-    assert!(json.contains("\"clients\": 0"));
-    assert!(json.contains("\"jobs_per_sec\": 0.0000"));
-    assert!(json.contains("\"cells\": 0"));
-    assert!(json.contains("\"events_per_sec\": 0.0000"));
-    assert!(json.ends_with("\"schema_version\": 8\n}\n"));
+    assert_eq!(object_keys(&doc), &TOP_LEVEL_V8[2..]);
+    assert_blocks(
+        &doc,
+        r#"{"policy_overhead_percent": {}, "policy_reuse_percent": {}, "threads": 0,
+            "wall_clock_ms": {},
+            "speedup": {"sequential_ms": null, "parallel_ms": null,
+                        "sequential_over_parallel": null},
+            "stage_ms": {}, "policy_iterations_per_sec": {}, "kernel_ns": {},
+            "plan_cache": {"hits": 0, "misses": 0, "disk_hits": 0,
+                           "amortized_prepare_ms": 0.0},
+            "serving": {"clients": 0, "jobs": 0, "jobs_per_sec": 0.0, "p50_ms": 0.0,
+                        "p99_ms": 0.0, "p999_ms": 0.0, "utilization": 0.0},
+            "traffic": {"cells": 0, "jobs": 0, "offered_per_sec": 0.0,
+                        "achieved_per_sec": 0.0, "p50_ms": 0.0, "p99_ms": 0.0,
+                        "p999_ms": 0.0, "utilization": 0.0, "events_per_sec": 0.0},
+            "schema_version": 8}"#,
+    );
+}
+
+/// Pins the last stdout line of both `loadgen` modes byte for byte — key
+/// order, the nested `retries` and `drops` objects, integer counts and
+/// float measurements. EXPERIMENTS.md documents these lines and the CI
+/// serving and traffic jobs check for their `type`.
+#[test]
+fn loadgen_summary_lines_are_pinned() {
+    let swarm = SwarmConfig {
+        clients: 3,
+        jobs_per_client: 2,
+        ..SwarmConfig::default()
+    };
+    let outcome = SwarmOutcome {
+        clients_connected: 3,
+        jobs_completed: 6,
+        rejections_seen: 1,
+        elapsed_ms: 500.0,
+        ..SwarmOutcome::default()
+    };
+    assert_eq!(
+        outcome.summary_json(&swarm).to_json(),
+        concat!(
+            r#"{"type":"loadgen","clients":3,"jobs_per_client":2,"clients_connected":3,"#,
+            r#""clients_failed":0,"jobs_completed":6,"jobs_errored":0,"rejections_seen":1,"#,
+            r#""elapsed_ms":500.0,"jobs_per_sec":12.0,"p50_ms":0.0,"p99_ms":0.0,"#,
+            r#""p999_ms":0.0,"utilization":0.0}"#
+        )
+    );
+
+    let open_loop = OpenLoopConfig {
+        rate_per_sec: 8.0,
+        jobs: 4,
+        seed: 7,
+        ..OpenLoopConfig::default()
+    };
+    let outcome = OpenLoopOutcome {
+        jobs_offered: 4,
+        jobs_completed: 2,
+        jobs_dropped: 2,
+        retries: ScopeCounts {
+            client: 1,
+            server: 2,
+            connection: 3,
+        },
+        drops: ScopeCounts {
+            client: 0,
+            server: 2,
+            connection: 0,
+        },
+        planned_ms: 500.0,
+        elapsed_ms: 250.0,
+        ..OpenLoopOutcome::default()
+    };
+    assert_eq!(
+        outcome.summary_json(&open_loop).to_json(),
+        concat!(
+            r#"{"type":"loadgen_open_loop","rate_per_sec":8.0,"jobs":4,"seed":7,"#,
+            r#""jobs_offered":4,"jobs_completed":2,"jobs_errored":0,"jobs_dropped":2,"#,
+            r#""retries":{"client":1,"server":2,"connection":3},"#,
+            r#""drops":{"client":0,"server":2,"connection":0},"#,
+            r#""planned_ms":500.0,"elapsed_ms":250.0,"offered_per_sec":8.0,"#,
+            r#""achieved_per_sec":8.0,"p50_ms":0.0,"p99_ms":0.0,"p999_ms":0.0}"#
+        )
+    );
 }
 
 /// The exact key order of a `JobSpec` with every field set, as put on the
@@ -433,7 +333,7 @@ const SWEEP_SUMMARY_KEYS: [&str; 7] = [
     "axes",
 ];
 
-fn object_keys(value: &json::JsonValue) -> Vec<&str> {
+fn object_keys(value: &JsonValue) -> Vec<&str> {
     value
         .entries()
         .expect("an object")
@@ -598,7 +498,7 @@ fn traffic_wire_schema_is_pinned() {
     write_event_start(&mut sink, 0, 0, 300, 0, 200).unwrap();
     write_event_completion(&mut sink, 0, 0, 900, 0, 600, 800).unwrap();
     let text = String::from_utf8(sink).unwrap();
-    let lines: Vec<json::JsonValue> = text.lines().map(|l| json::parse(l).unwrap()).collect();
+    let lines: Vec<JsonValue> = text.lines().map(|l| json::parse(l).unwrap()).collect();
     assert_eq!(
         object_keys(&lines[0]),
         [
