@@ -66,8 +66,7 @@ pub use engine::{Engine, EngineBuilder, ServiceMeasurement, DEFAULT_CACHE_CAPACI
 pub use error::EngineError;
 pub use job::{JobHandle, JobId, JobResult, ProgressEvent};
 pub use serve::{
-    command_reply, error_json, execute, parse_command, request_id, serve, spec_schema_json,
-    workloads_json, Command, Request, ServeSummary, ENVELOPE_V1_FIELDS, ENVELOPE_V2_FIELDS,
+    classify, respond, serve, Line, Request, ServeSummary, ENVELOPE_V1_FIELDS, ENVELOPE_V2_FIELDS,
     SHUTDOWN_DISABLED_MESSAGE,
 };
 pub use spec::{

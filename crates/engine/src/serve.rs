@@ -13,22 +13,25 @@
 //!   [`Request`]): the legacy v1 flat line, and the versioned v2 envelope
 //!   `{"v":2,"id":…,"priority":…,"spec":{…}}`.
 //! * **Command** — `{"cmd":"list_workloads"}` / `{"cmd":"describe_spec"}`
-//!   introspection lines (see [`Command`]), answered with one structured
-//!   reply line, identically over stdin and TCP.
+//!   introspection lines, answered with one structured reply line, and
+//!   `{"cmd":"shutdown"}`, which only the TCP tier may honour. Both front
+//!   ends sort every input line with [`classify`], so they accept, answer
+//!   and reject the same lines with the same bytes.
 //! * **`{"type":"progress",…}`** — one per folded chunk, in deterministic
 //!   (policy, chunk) order, carrying the partial overhead so far.
 //! * **`{"type":"result",…}`** — the job's reports (one per policy) plus
 //!   `"cache":"hit"|"miss"` telling whether the plan cache skipped the
 //!   design-time work.
-//! * **`{"type":"error",…}`** — a failed line, with the input line number
-//!   and a message naming the offending workload/policy/field.
+//! * **`{"type":"error",…}`** — a failed line, with the input line number,
+//!   a message naming the offending workload/policy/field, and the line's
+//!   `id` whenever the line parsed as JSON.
 //!
 //! Every response value is a pure function of the request line and its
 //! position in the session (cache hits depend on what ran before), so a
 //! whole session's output is byte-for-byte reproducible — which is how CI
 //! pins the protocol with a golden transcript.
 
-use std::io::{BufRead, Write};
+use std::io::{self, BufRead, Write};
 
 use drhw_sim::SimulationReport;
 
@@ -58,9 +61,9 @@ pub const ENVELOPE_V2_FIELDS: [&str; 5] = ["v", "id", "progress", "priority", "s
 /// One parsed request line: the job spec plus the protocol envelope fields.
 ///
 /// This is the session-level unit both serving front-ends share: the
-/// stdin/stdout [`serve`] loop and the TCP serving tier (`drhw-net`) parse
-/// lines into `Request`s and run them through [`execute`], which is what
-/// keeps their per-session transcripts byte-identical.
+/// stdin/stdout [`serve`] loop and the TCP serving tier (`drhw-net`) get
+/// `Request`s from [`classify`] and answer them with [`respond`], which is
+/// what keeps their per-session transcripts byte-identical.
 ///
 /// Two envelope versions are accepted, selected by the optional integer
 /// field `v` (default 1):
@@ -156,15 +159,67 @@ impl Request {
     }
 }
 
+/// What one non-blank input line asks of a front end, as sorted by
+/// [`classify`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum Line {
+    /// A job request, which [`respond`] runs on the engine.
+    Job(Request),
+    /// The structured reply of an introspection command
+    /// (`{"cmd":"list_workloads"}`, `{"cmd":"describe_spec"}`). Replies are
+    /// a pure function of the engine's registry, so both front ends answer
+    /// byte-identically.
+    Reply(JsonValue),
+    /// `{"cmd":"shutdown"}`. The TCP tier drains and closes when its
+    /// shutdown command is enabled; otherwise, and always on stdin (whose
+    /// shutdown is EOF), the line fails with [`SHUTDOWN_DISABLED_MESSAGE`].
+    Shutdown,
+    /// A line that is not a valid request or command: the message of its
+    /// `error` line, and the line's own `id` whenever it parsed as JSON.
+    Error {
+        /// The line's `id` field, echoed on the error line.
+        id: Option<JsonValue>,
+        /// What is wrong with the line.
+        message: String,
+    },
+}
+
+/// Sorts one input line, given without its `\n` (a trailing `\r` is
+/// dropped too): `None` for a blank line, else a job, an introspection
+/// reply, a shutdown command or an error. Both front ends call this, so
+/// they accept, answer and reject the same lines with the same messages.
+pub fn classify(engine: &Engine, line: &str) -> Option<Line> {
+    let line = line.strip_suffix('\r').unwrap_or(line);
+    if line.trim().is_empty() {
+        return None;
+    }
+    let value = match parse(line) {
+        Ok(value) => value,
+        Err(e) => {
+            return Some(Line::Error {
+                id: None,
+                message: e.to_string(),
+            })
+        }
+    };
+    let sorted = if value.get("cmd").is_some() {
+        parse_command(&value).map(|command| match command {
+            Command::ListWorkloads => Line::Reply(workloads_json(engine)),
+            Command::DescribeSpec => Line::Reply(spec_schema_json()),
+            Command::Shutdown => Line::Shutdown,
+        })
+    } else {
+        Request::from_value(&value).map(Line::Job)
+    };
+    Some(sorted.unwrap_or_else(|message| Line::Error {
+        id: value.get("id").cloned(),
+        message,
+    }))
+}
+
 /// A session-level command line: `{"cmd":"…"}` instead of a job spec.
-///
-/// Commands are part of the shared serve API — the stdin/stdout front-end
-/// and the TCP tier parse them with [`parse_command`] and answer the
-/// introspection commands identically (byte-for-byte) via
-/// [`command_reply`]. Only `shutdown` is front-end-specific: the TCP tier
-/// drains and closes, the stdin front-end rejects it (its shutdown is EOF).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Command {
+enum Command {
     /// `{"cmd":"list_workloads"}` — enumerate the engine's registry
     /// (built-ins plus the parameterised name families) as one structured
     /// reply, so sweep specs can be authored against a live server.
@@ -182,13 +237,9 @@ pub enum Command {
 pub const SHUTDOWN_DISABLED_MESSAGE: &str = "the shutdown command is disabled on this server";
 
 /// Parses a command line (an object with a `cmd` field) strictly; `Err`
-/// carries the protocol error message.
-///
-/// # Errors
-///
-/// Returns the message of the `error` response line: a non-string or
-/// unknown `cmd`, or extra fields on the command object.
-pub fn parse_command(value: &JsonValue) -> Result<Command, String> {
+/// carries the protocol error message: a non-string or unknown `cmd`, or
+/// extra fields on the command object.
+fn parse_command(value: &JsonValue) -> Result<Command, String> {
     if let Some(entries) = value.entries() {
         crate::spec::check_object_fields(entries, "command", &["cmd"], &[])
             .map_err(|e| e.to_string())?;
@@ -208,22 +259,10 @@ pub fn parse_command(value: &JsonValue) -> Result<Command, String> {
     }
 }
 
-/// The structured reply of an introspection command, or `None` for
-/// [`Command::Shutdown`] (whose handling is front-end-specific). Replies
-/// are a pure function of the engine's registry, so both front-ends answer
-/// byte-identically.
-pub fn command_reply(engine: &Engine, command: Command) -> Option<JsonValue> {
-    match command {
-        Command::ListWorkloads => Some(workloads_json(engine)),
-        Command::DescribeSpec => Some(spec_schema_json()),
-        Command::Shutdown => None,
-    }
-}
-
 /// The `{"type":"workloads",…}` reply of `list_workloads`: every registered
 /// workload (name, description, tile sweep, fixed knobs) plus the
 /// parameterised name families the registry resolves on demand.
-pub fn workloads_json(engine: &Engine) -> JsonValue {
+fn workloads_json(engine: &Engine) -> JsonValue {
     let registry = engine.registry();
     let workloads = registry
         .iter()
@@ -330,7 +369,7 @@ fn string_array(names: &[&str]) -> JsonValue {
 /// versions, the [`JobSpec`] and `ExperimentSpec` field tables (the same
 /// tables the strict parsers enforce), and every valid policy/override
 /// name — enough to author job and sweep specs against a live server.
-pub fn spec_schema_json() -> JsonValue {
+fn spec_schema_json() -> JsonValue {
     let policies: Vec<String> = drhw_prefetch::PolicyKind::ALL
         .iter()
         .map(|p| p.to_string())
@@ -365,17 +404,10 @@ pub fn spec_schema_json() -> JsonValue {
     ])
 }
 
-/// The echoed `id` of a request line, when the line parses far enough to
-/// have one — used to attribute `error` lines for requests that failed to
-/// parse as a [`Request`].
-pub fn request_id(line: &str) -> Option<JsonValue> {
-    parse(line).ok()?.get("id").cloned()
-}
-
 /// Renders the `error` response line for a failed request: `type`, the
 /// echoed `id` (when one was recoverable), the 1-based input `line` number
 /// and the `message`.
-pub fn error_json(id: Option<&JsonValue>, line_number: u64, message: &str) -> JsonValue {
+fn error_json(id: Option<&JsonValue>, line_number: u64, message: &str) -> JsonValue {
     let mut entries = vec![("type".to_string(), JsonValue::String("error".to_string()))];
     if let Some(id) = id {
         entries.push(("id".to_string(), id.clone()));
@@ -401,65 +433,73 @@ pub fn serve(
     engine: &Engine,
     input: impl BufRead,
     mut output: impl Write,
-) -> std::io::Result<ServeSummary> {
+) -> io::Result<ServeSummary> {
     let mut summary = ServeSummary::default();
-    for (index, line) in input.lines().enumerate() {
-        let line = line?;
-        if line.trim().is_empty() {
+    for (index, line) in input.split(b'\n').enumerate() {
+        // Decoded lossily, as over TCP: invalid UTF-8 fails its own line as
+        // invalid JSON, and the session goes on.
+        let Some(line) = classify(engine, &String::from_utf8_lossy(&line?)) else {
             continue;
-        }
-        let line_number = index + 1;
-        let outcome = match parse(&line) {
-            Err(e) => Err(e.to_string()),
-            Ok(value) if value.get("cmd").is_some() => match parse_command(&value) {
-                Ok(command) => match command_reply(engine, command) {
-                    Some(reply) => {
-                        writeln!(output, "{}", reply.to_json())?;
-                        Ok(())
-                    }
-                    // The stdin front-end's shutdown is EOF; reject the
-                    // command with the same message the TCP tier uses when
-                    // its shutdown command is disabled.
-                    None => Err(SHUTDOWN_DISABLED_MESSAGE.to_string()),
-                },
-                Err(error) => Err(error),
-            },
-            Ok(value) => match Request::from_value(&value) {
-                Ok(request) => execute(engine, &request, &mut output)?,
-                Err(error) => Err(error),
-            },
         };
-        match outcome {
-            Ok(()) => summary.completed += 1,
-            Err(error) => {
-                summary.failed += 1;
-                let id = request_id(&line);
-                writeln!(
-                    output,
-                    "{}",
-                    error_json(id.as_ref(), line_number as u64, &error).to_json()
-                )?;
-            }
+        let line_number = index as u64 + 1;
+        if respond(engine, line, line_number, |value| {
+            writeln!(output, "{}", value.to_json())
+        })? {
+            summary.completed += 1;
+        } else {
+            summary.failed += 1;
         }
     }
     output.flush()?;
     Ok(summary)
 }
 
-/// Executes one parsed request on `engine`, writing its progress (when
-/// requested) and `result` lines to `output`. A protocol-level failure —
-/// submission rejected, simulation error — is returned as `Err(message)`
-/// for the caller to render with [`error_json`] at the session's line
-/// numbering.
+/// Answers one classified line through `sink`: runs a job, handing on its
+/// progress (when requested) and `result` lines, hands on an introspection
+/// reply, or renders the `error` line of a failed one at `line_number`. A
+/// [`Line::Shutdown`] reaching this point is one the front end does not
+/// honour, and fails with [`SHUTDOWN_DISABLED_MESSAGE`]. Returns whether the
+/// line succeeded.
 ///
 /// # Errors
 ///
-/// Returns I/O errors from the writer.
-pub fn execute(
+/// Returns the first I/O error from `sink`.
+pub fn respond(
+    engine: &Engine,
+    line: Line,
+    line_number: u64,
+    mut sink: impl FnMut(&JsonValue) -> io::Result<()>,
+) -> io::Result<bool> {
+    let (id, message) = match line {
+        Line::Job(request) => match execute(engine, &request, &mut sink)? {
+            Ok(()) => return Ok(true),
+            Err(message) => (request.id, message),
+        },
+        Line::Reply(reply) => {
+            sink(&reply)?;
+            return Ok(true);
+        }
+        Line::Shutdown => (None, SHUTDOWN_DISABLED_MESSAGE.to_string()),
+        Line::Error { id, message } => (id, message),
+    };
+    sink(&error_json(id.as_ref(), line_number, &message))?;
+    Ok(false)
+}
+
+/// Executes one parsed request on `engine`, handing its progress (when
+/// requested) and `result` lines to `sink` one at a time. A protocol-level
+/// failure — submission rejected, simulation error — is returned as
+/// `Err(message)` for the caller to render with [`error_json`] at the
+/// session's line numbering.
+///
+/// # Errors
+///
+/// Returns the first I/O error from `sink`.
+fn execute(
     engine: &Engine,
     request: &Request,
-    output: &mut impl Write,
-) -> std::io::Result<Result<(), String>> {
+    mut sink: impl FnMut(&JsonValue) -> io::Result<()>,
+) -> io::Result<Result<(), String>> {
     let id = request.id.as_ref();
     let mut handle = match engine.submit(request.spec.clone()) {
         Ok(handle) => handle,
@@ -472,13 +512,12 @@ pub fn execute(
         // The channel closes when the job resolves, so this drains the
         // complete, deterministically-ordered event stream.
         for event in receiver.iter() {
-            writeln!(output, "{}", progress_json(&event, id).to_json())?;
+            sink(&progress_json(&event, id))?;
         }
     }
     match handle.wait() {
         Ok(reports) => {
-            let result = result_json(&handle, &reports, id);
-            writeln!(output, "{}", result.to_json())?;
+            sink(&result_json(&handle, &reports, id))?;
             Ok(Ok(()))
         }
         Err(e) => Ok(Err(e.to_string())),
@@ -698,11 +737,67 @@ mod tests {
         );
         let rendered = error_json(None, 1, "boom").to_json();
         assert_eq!(rendered, r#"{"type":"error","line":1,"message":"boom"}"#);
+    }
+
+    #[test]
+    fn classify_sorts_blank_lines_jobs_replies_and_shutdown() {
+        let engine = Engine::builder().threads(1).build();
+        assert_eq!(classify(&engine, ""), None);
+        assert_eq!(classify(&engine, " \t"), None);
+        let Some(Line::Job(request)) =
+            classify(&engine, r#"{"id":3,"workload":"multimedia","tiles":8}"#)
+        else {
+            panic!("a job line classifies as a job");
+        };
+        assert_eq!(request.spec.workload, "multimedia");
+        assert_eq!(request.id, Some(JsonValue::UInt(3)));
         assert_eq!(
-            request_id(r#"{"id":42,"workload":"nope"}"#),
-            Some(JsonValue::UInt(42))
+            classify(&engine, r#"{"cmd":"list_workloads"}"#),
+            Some(Line::Reply(workloads_json(&engine)))
         );
-        assert_eq!(request_id("garbage"), None);
+        assert_eq!(
+            classify(&engine, r#"{"cmd":"describe_spec"}"#),
+            Some(Line::Reply(spec_schema_json()))
+        );
+        assert_eq!(
+            classify(&engine, r#"{"cmd":"shutdown"}"#),
+            Some(Line::Shutdown)
+        );
+    }
+
+    #[test]
+    fn classify_echoes_the_id_of_any_line_that_parses_as_json() {
+        let engine = Engine::builder().threads(1).build();
+        let error = |line: &str| match classify(&engine, line) {
+            Some(Line::Error { id, message }) => (id, message),
+            other => panic!("{line} classified as {other:?}"),
+        };
+        let (id, message) = error(r#"{"cmd":"describe_spec","id":7}"#);
+        assert_eq!(id, Some(JsonValue::UInt(7)));
+        assert!(message.contains("`id`"), "{message}");
+        let (id, message) = error("not json");
+        assert_eq!(id, None);
+        assert!(message.contains("invalid JSON"), "{message}");
+    }
+
+    #[test]
+    fn invalid_utf8_fails_its_own_line_and_the_session_goes_on() {
+        let engine = Engine::builder().threads(1).build();
+        let input: &[u8] = b"\xff\xfe\r\n{\"cmd\":\"list_workloads\"}\r\n";
+        let mut out = Vec::new();
+        let summary = serve(&engine, input, &mut out).expect("in-memory I/O");
+        assert_eq!(
+            summary,
+            ServeSummary {
+                completed: 1,
+                failed: 1
+            }
+        );
+        let output = String::from_utf8(out).expect("output is UTF-8");
+        let lines: Vec<&str> = output.lines().collect();
+        assert!(lines[0].contains(r#""line":1"#), "{}", lines[0]);
+        assert!(lines[0].contains("invalid JSON"), "{}", lines[0]);
+        assert!(lines[1].contains(r#""type":"workloads""#), "{}", lines[1]);
     }
 
     #[test]

@@ -16,7 +16,6 @@
 //! | `DRHW_NET_PER_CLIENT_QUOTA` | 8             | in-flight jobs per session          |
 //! | `DRHW_NET_MAX_PENDING_JOBS` | 2048          | in-flight jobs server-wide          |
 //! | `DRHW_NET_MAX_LINE_BYTES`   | 1048576       | longest accepted request line       |
-//! | `DRHW_NET_POLL_MS`          | 20            | drain/accept poll interval          |
 //!
 //! Stdout carries exactly two JSON lines: `{"type":"listening","addr":…}`
 //! once the port is bound (how harnesses discover a port-0 bind) and
@@ -34,6 +33,10 @@ use drhw_engine::Engine;
 use drhw_net::{Server, ServerConfig, ServerStats};
 
 static SIGNALLED: AtomicBool = AtomicBool::new(false);
+
+/// How often the main thread looks at the flag the signal handler sets (a
+/// handler can do nothing else safely) and at a wire-initiated drain.
+const SIGNAL_POLL: Duration = Duration::from_millis(20);
 
 #[cfg(unix)]
 fn install_signal_handlers() {
@@ -73,10 +76,6 @@ fn config_from_env() -> Result<(ServerConfig, usize), String> {
         per_client_quota: env_usize("DRHW_NET_PER_CLIENT_QUOTA", defaults.per_client_quota)?,
         max_pending_jobs: env_usize("DRHW_NET_MAX_PENDING_JOBS", defaults.max_pending_jobs)?,
         max_line_bytes: env_usize("DRHW_NET_MAX_LINE_BYTES", defaults.max_line_bytes)?,
-        poll_interval: Duration::from_millis(env_usize(
-            "DRHW_NET_POLL_MS",
-            defaults.poll_interval.as_millis() as usize,
-        )? as u64),
         ..defaults
     };
     config.validate()?;
@@ -124,7 +123,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let poll = config.poll_interval;
     let mut builder = Engine::builder();
     if threads > 0 {
         builder = builder.threads(threads);
@@ -163,7 +161,7 @@ fn main() -> ExitCode {
             // Wire-initiated shutdown; fall through to join.
             break;
         }
-        thread::sleep(poll);
+        thread::sleep(SIGNAL_POLL);
     }
     let stats = server.join();
     println!("{}", status_line("stats", stats_entries(&stats)));

@@ -1,6 +1,5 @@
-//! Server configuration: the admission-control limits and timing knobs.
-
-use std::time::Duration;
+//! Server configuration: the bind address, the admission-control limits
+//! and the wire shutdown switch.
 
 /// Configuration of a [`Server`](crate::Server).
 ///
@@ -29,12 +28,6 @@ pub struct ServerConfig {
     pub max_line_bytes: usize,
     /// Whether the wire `{"cmd":"shutdown"}` command may initiate a drain.
     pub allow_shutdown_command: bool,
-    /// How often blocked reads and the accept loop wake to poll the drain
-    /// flag. Smaller is snappier shutdown, larger is fewer wakeups.
-    pub poll_interval: Duration,
-    /// Stack size of per-connection threads. Sessions are shallow (parse,
-    /// submit, render), so thousands of connections stay cheap.
-    pub session_stack_bytes: usize,
 }
 
 impl Default for ServerConfig {
@@ -46,8 +39,6 @@ impl Default for ServerConfig {
             max_pending_jobs: 2048,
             max_line_bytes: 1 << 20,
             allow_shutdown_command: true,
-            poll_interval: Duration::from_millis(20),
-            session_stack_bytes: 256 * 1024,
         }
     }
 }

@@ -2,23 +2,29 @@
 //! orchestrates graceful drain, and owns the counters behind
 //! [`ServerStats`].
 
+use std::collections::HashMap;
 use std::io::{self, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
+use std::time::Duration;
 
 use drhw_engine::Engine;
 
 use crate::config::ServerConfig;
-use crate::session;
-use crate::wire::refused_json;
+use crate::session::{self, SESSION_STACK_BYTES};
+use crate::wire::{line_bytes, refused_json};
 
 // The whole design hangs on sharing one Engine across session threads.
 const _: fn() = || {
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Engine>();
 };
+
+/// How long the accept loop backs off after a failed `accept` (descriptor
+/// exhaustion, an aborted handshake) before it tries again.
+const ACCEPT_RETRY: Duration = Duration::from_millis(20);
 
 /// Counters a server accumulates over its lifetime; returned by
 /// [`Server::join`] and sampled live by [`Server::stats`].
@@ -42,6 +48,7 @@ pub struct ServerStats {
     pub jobs_pending: usize,
 }
 
+#[derive(Default)]
 pub(crate) struct Stats {
     pub(crate) connections_served: AtomicU64,
     pub(crate) connections_refused: AtomicU64,
@@ -50,7 +57,42 @@ pub(crate) struct Stats {
     pub(crate) jobs_rejected: AtomicU64,
 }
 
+/// What the accept loop, the sessions and the handles coordinate through,
+/// behind one lock.
+#[derive(Default)]
+struct ServerState {
+    /// Set by the first [`Shared::begin_drain`]; never cleared.
+    draining: bool,
+    /// The client address of the connection that tells the accept loop the
+    /// drain is complete, once it is made.
+    wake_up: Option<SocketAddr>,
+    /// Jobs pending or executing across all sessions — the backpressure gauge.
+    pending: usize,
+    /// A handle on each live session's socket, by session number, so the
+    /// drain can shut its read half.
+    sessions: HashMap<u64, TcpStream>,
+    /// The number the next session gets.
+    next_session: u64,
+}
+
+/// State shared by the accept loop, every session, and every handle.
+pub(crate) struct Shared {
+    pub(crate) engine: Arc<Engine>,
+    pub(crate) config: ServerConfig,
+    /// The listener's address, which the drain's wake-up connection dials.
+    addr: SocketAddr,
+    state: Mutex<ServerState>,
+    pub(crate) stats: Stats,
+}
+
 impl Shared {
+    /// The server state. Poison is ignored: no update can leave it half
+    /// done, and [`begin_drain`](Self::begin_drain), which `Server::drop`
+    /// calls, must not panic.
+    fn state(&self) -> MutexGuard<'_, ServerState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn stats_snapshot(&self) -> ServerStats {
         ServerStats {
             connections_served: self.stats.connections_served.load(Ordering::Relaxed),
@@ -58,41 +100,46 @@ impl Shared {
             jobs_completed: self.stats.jobs_completed.load(Ordering::Relaxed),
             jobs_failed: self.stats.jobs_failed.load(Ordering::Relaxed),
             jobs_rejected: self.stats.jobs_rejected.load(Ordering::Relaxed),
-            jobs_pending: self.pending.load(Ordering::SeqCst),
+            jobs_pending: self.state().pending,
         }
     }
-}
 
-/// State shared by the accept loop, every session, and every handle.
-pub(crate) struct Shared {
-    pub(crate) engine: Arc<Engine>,
-    pub(crate) config: ServerConfig,
-    pub(crate) draining: AtomicBool,
-    /// The listener's address, which [`begin_drain`](Self::begin_drain)
-    /// connects to.
-    addr: SocketAddr,
-    /// The client address of the connection that woke the accept loop for
-    /// a drain, once it is made. Held while it is being made, so the loop
-    /// can tell it from a late client.
-    wake_up: Mutex<Option<SocketAddr>>,
-    /// Jobs pending or executing across all sessions — the backpressure gauge.
-    pending: AtomicUsize,
-    active: Mutex<usize>,
-    active_cond: Condvar,
-    pub(crate) stats: Stats,
-}
+    /// Whether a drain has begun.
+    pub(crate) fn is_draining(&self) -> bool {
+        self.state().draining
+    }
 
-impl Shared {
-    /// Flips the server into drain mode (idempotent). The first call wakes
-    /// the accept loop, blocked in `accept`, with one loopback connection
-    /// that is neither answered nor counted.
+    /// Flips the server into drain mode (idempotent). Every session's read
+    /// half is shut, so a reader blocked in `read` returns at once and
+    /// closes its session once its accepted jobs are answered.
     pub(crate) fn begin_drain(&self) {
-        // `Server::drop` calls this, so it must not panic; the address is
-        // valid whatever a panicking holder left.
-        let mut wake_up = self.wake_up.lock().unwrap_or_else(PoisonError::into_inner);
-        if self.draining.swap(true, Ordering::SeqCst) {
+        let mut state = self.state();
+        if state.draining {
             return;
         }
+        state.draining = true;
+        for session in state.sessions.values() {
+            let _ = session.shutdown(Shutdown::Read);
+        }
+        if state.sessions.is_empty() {
+            self.wake_accept_loop(&mut state);
+        }
+    }
+
+    /// Deregisters a finished session; the last one to close in a drain
+    /// wakes the accept loop.
+    fn session_finished(&self, key: u64) {
+        let mut state = self.state();
+        state.sessions.remove(&key);
+        if state.draining && state.sessions.is_empty() {
+            self.wake_accept_loop(&mut state);
+        }
+    }
+
+    /// Wakes the accept loop, blocked in `accept`, with one loopback
+    /// connection that is neither answered nor counted. The caller holds
+    /// the state, so the loop reads the address only once it is recorded.
+    fn wake_accept_loop(&self, state: &mut ServerState) {
         let mut target = self.addr;
         if target.ip().is_unspecified() {
             target.set_ip(match target {
@@ -101,57 +148,34 @@ impl Shared {
             });
         }
         if let Ok(stream) = TcpStream::connect(target) {
-            *wake_up = stream.local_addr().ok();
+            state.wake_up = stream.local_addr().ok();
         }
-    }
-
-    /// Whether `peer` is the connection [`begin_drain`](Self::begin_drain)
-    /// woke the accept loop with.
-    fn is_wake_up(&self, peer: SocketAddr) -> bool {
-        *self.wake_up.lock().unwrap_or_else(PoisonError::into_inner) == Some(peer)
     }
 
     /// Claims one unit of the server-wide pending bound, failing when the
     /// bound is already saturated.
     pub(crate) fn try_acquire_pending(&self) -> bool {
-        let max = self.config.max_pending_jobs;
-        let mut current = self.pending.load(Ordering::SeqCst);
-        loop {
-            if current >= max {
-                return false;
-            }
-            match self.pending.compare_exchange(
-                current,
-                current + 1,
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            ) {
-                Ok(_) => return true,
-                Err(observed) => current = observed,
-            }
+        let mut state = self.state();
+        if state.pending >= self.config.max_pending_jobs {
+            return false;
         }
+        state.pending += 1;
+        true
     }
 
     /// Returns one unit of the pending bound after a job's terminal line.
     pub(crate) fn release_pending(&self) {
-        self.pending.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    fn session_finished(&self) {
-        let mut active = self.active.lock().unwrap();
-        *active -= 1;
-        drop(active);
-        self.active_cond.notify_all();
+        self.state().pending -= 1;
     }
 }
 
-/// Decrements the active-session count even if a session thread panics, so
-/// drain never waits on a ghost.
-struct ActiveGuard(Arc<Shared>);
+/// Deregisters its session even if the session thread panics, so drain
+/// never waits on a ghost.
+struct SessionGuard(Arc<Shared>, u64);
 
-impl Drop for ActiveGuard {
+impl Drop for SessionGuard {
     fn drop(&mut self) {
-        self.0.session_finished();
+        self.0.session_finished(self.1);
     }
 }
 
@@ -175,7 +199,7 @@ impl ServerHandle {
     /// Whether a drain has been initiated (by this handle, another clone,
     /// the wire command, or a signal).
     pub fn is_draining(&self) -> bool {
-        self.shared.draining.load(Ordering::SeqCst)
+        self.shared.is_draining()
     }
 
     /// A live snapshot of the server's counters.
@@ -213,19 +237,9 @@ impl Server {
         let shared = Arc::new(Shared {
             engine,
             config,
-            draining: AtomicBool::new(false),
             addr,
-            wake_up: Mutex::new(None),
-            pending: AtomicUsize::new(0),
-            active: Mutex::new(0),
-            active_cond: Condvar::new(),
-            stats: Stats {
-                connections_served: AtomicU64::new(0),
-                connections_refused: AtomicU64::new(0),
-                jobs_completed: AtomicU64::new(0),
-                jobs_failed: AtomicU64::new(0),
-                jobs_rejected: AtomicU64::new(0),
-            },
+            state: Mutex::default(),
+            stats: Stats::default(),
         });
         let accept_thread = {
             let shared = Arc::clone(&shared);
@@ -277,90 +291,74 @@ impl Drop for Server {
     }
 }
 
-/// Blocks in `accept` until a drain begins; from then on it polls every
-/// `poll_interval`, so it notices the last session closing.
+/// Blocks in `accept` throughout. Once a drain has begun it refuses late
+/// connections, and it returns when it is woken while no session is left:
+/// the wake-up connection is made just then.
 fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
-    let mut polling = false;
     loop {
-        if !polling && shared.draining.load(Ordering::SeqCst) {
-            polling = listener.set_nonblocking(true).is_ok();
-        }
-        match listener.accept() {
-            Ok((stream, peer)) => {
-                if shared.draining.load(Ordering::SeqCst) {
-                    if !shared.is_wake_up(peer) {
-                        refuse(
-                            shared,
-                            stream,
-                            "draining",
-                            "server is draining and no longer accepts connections",
-                        );
-                    }
-                } else if !try_admit_connection(shared) {
-                    refuse(
-                        shared,
-                        stream,
-                        "connection-limit",
-                        &format!(
-                            "server is at its connection limit ({}); retry shortly",
-                            shared.config.max_connections
-                        ),
-                    );
-                } else {
-                    shared
-                        .stats
-                        .connections_served
-                        .fetch_add(1, Ordering::Relaxed);
-                    spawn_session(shared, stream, peer);
-                }
+        let Ok((stream, peer)) = listener.accept() else {
+            thread::sleep(ACCEPT_RETRY);
+            continue;
+        };
+        let mut state = shared.state();
+        if state.draining {
+            let drained = state.sessions.is_empty();
+            let wake_up = state.wake_up == Some(peer);
+            drop(state);
+            if !wake_up {
+                refuse(
+                    shared,
+                    stream,
+                    "draining",
+                    "server is draining and no longer accepts connections",
+                );
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                if drained(shared) {
-                    return;
-                }
-                thread::sleep(shared.config.poll_interval);
+            if drained {
+                return;
             }
-            Err(_) => {
-                // Transient accept errors (ECONNABORTED, EMFILE pressure):
-                // back off and keep serving.
-                if drained(shared) {
-                    return;
-                }
-                thread::sleep(shared.config.poll_interval);
-            }
-        }
-        if drained(shared) {
-            return;
+        } else if state.sessions.len() >= shared.config.max_connections {
+            drop(state);
+            refuse(
+                shared,
+                stream,
+                "connection-limit",
+                &format!(
+                    "server is at its connection limit ({}); retry shortly",
+                    shared.config.max_connections
+                ),
+            );
+        } else if let Ok(handle) = stream.try_clone() {
+            let key = state.next_session;
+            state.next_session += 1;
+            state.sessions.insert(key, handle);
+            drop(state);
+            shared
+                .stats
+                .connections_served
+                .fetch_add(1, Ordering::Relaxed);
+            spawn_session(shared, stream, peer, key);
+        } else {
+            // No descriptor left for the drain's handle: drop the connection.
+            shared
+                .stats
+                .connections_refused
+                .fetch_add(1, Ordering::Relaxed);
         }
     }
 }
 
-/// Drain is complete once it was requested and the last session closed.
-fn drained(shared: &Shared) -> bool {
-    shared.draining.load(Ordering::SeqCst) && *shared.active.lock().unwrap() == 0
-}
-
-fn try_admit_connection(shared: &Shared) -> bool {
-    let mut active = shared.active.lock().unwrap();
-    if *active >= shared.config.max_connections {
-        return false;
-    }
-    *active += 1;
-    true
-}
-
-fn spawn_session(shared: &Arc<Shared>, stream: TcpStream, peer: SocketAddr) {
+fn spawn_session(shared: &Arc<Shared>, stream: TcpStream, peer: SocketAddr, key: u64) {
     let session_shared = Arc::clone(shared);
     let spawned = thread::Builder::new()
         .name(format!("drhw-session-{peer}"))
-        .stack_size(shared.config.session_stack_bytes)
+        .stack_size(SESSION_STACK_BYTES)
         .spawn(move || {
-            let _guard = ActiveGuard(Arc::clone(&session_shared));
-            session::serve_connection(&session_shared, stream, peer);
+            let _guard = SessionGuard(Arc::clone(&session_shared), key);
+            let _ = session::serve_connection(&session_shared, stream, peer);
         });
     if spawned.is_err() {
         // Thread exhaustion: undo the admission and drop the connection.
-        shared.session_finished();
+        shared.session_finished(key);
         shared
             .stats
             .connections_refused
@@ -374,12 +372,7 @@ fn refuse(shared: &Shared, mut stream: TcpStream, reason: &str, message: &str) {
         .stats
         .connections_refused
         .fetch_add(1, Ordering::Relaxed);
-    let _ = stream.set_nonblocking(false);
-    let _ = stream.set_write_timeout(Some(shared.config.poll_interval));
-    let line = refused_json(reason, message).to_json();
-    let _ = stream.write_all(line.as_bytes());
-    let _ = stream.write_all(b"\n");
-    let _ = stream.flush();
+    let _ = stream.write_all(&line_bytes(&refused_json(reason, message)));
     let _ = stream.shutdown(Shutdown::Both);
 }
 
@@ -473,32 +466,23 @@ mod tests {
     }
 
     #[test]
-    fn a_client_is_answered_without_waiting_out_the_poll_interval() {
-        let config = ServerConfig {
-            poll_interval: Duration::from_secs(5),
-            ..ServerConfig::default()
-        };
-        let server = Server::start(test_engine(), config).expect("bind");
-        thread::sleep(Duration::from_millis(50));
+    fn the_drain_closes_an_idle_session_at_once() {
+        let server = Server::start(test_engine(), ServerConfig::default()).expect("bind");
+        let (_stream, mut reader) = connect(server.local_addr());
+        // The session is registered before the drain begins.
+        while server.stats().connections_served == 0 {
+            thread::sleep(Duration::from_millis(1));
+        }
         let started = Instant::now();
-        let (mut stream, mut reader) = connect(server.local_addr());
-        writeln!(
-            stream,
-            r#"{{"id":1,"workload":"multimedia","tiles":8,"iterations":1,"policies":["no-prefetch"]}}"#
-        )
-        .unwrap();
+        server.handle().shutdown();
         let mut line = String::new();
         reader.read_line(&mut line).unwrap();
-        let waited = started.elapsed();
-        assert!(line.contains(r#""type":"result""#), "{line}");
-        assert!(waited < Duration::from_secs(1), "answered after {waited:?}");
-        // Close the session before draining, so the drain need not wait a
-        // poll interval for it.
-        stream.shutdown(Shutdown::Write).unwrap();
+        assert!(line.contains(r#""reason":"draining""#), "{line}");
         line.clear();
         assert_eq!(reader.read_line(&mut line).unwrap(), 0, "{line}");
-        server.handle().shutdown();
         let stats = server.join();
+        let waited = started.elapsed();
+        assert!(waited < Duration::from_secs(1), "drained after {waited:?}");
         // The drain's wake-up connection is neither served nor refused.
         assert_eq!(stats.connections_served, 1);
         assert_eq!(stats.connections_refused, 0);

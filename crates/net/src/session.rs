@@ -2,52 +2,44 @@
 //! admits jobs, an executor thread that drains the session's priority queue
 //! through the shared [`Engine`](drhw_engine::Engine).
 //!
-//! Transcript ordering contract: parse errors travel *through* the queue as
-//! items at the default priority, so a session that never sets `priority`
-//! gets responses in exact submission order — byte-identical to the
-//! stdin/stdout `engine_serve` front-end. Only admission-control
-//! `rejected` lines and the shutdown acknowledgement are written
-//! immediately by the reader (that immediacy is their point).
+//! Transcript ordering contract: error lines and introspection replies
+//! travel *through* the queue as items at the default priority, so a
+//! session that never sets `priority` gets responses in exact submission
+//! order — byte-identical to the stdin/stdout `engine_serve` front-end.
+//! Only admission-control `rejected` lines, the shutdown acknowledgement
+//! and the drain notice are written immediately by the reader (that
+//! immediacy is their point).
 
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::BinaryHeap;
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 
-use drhw_engine::json::{parse, JsonValue};
-use drhw_engine::{
-    command_reply, error_json, execute, parse_command, Command, Request, SHUTDOWN_DISABLED_MESSAGE,
-};
+use drhw_engine::json::JsonValue;
+use drhw_engine::{classify, respond, Line};
 
 use crate::server::Shared;
-use crate::wire::{refused_json, rejected_json, shutdown_ack_json, RejectScope};
+use crate::wire::{line_bytes, refused_json, rejected_json, shutdown_ack_json, RejectScope};
 
-/// Extra queued parse-error items tolerated beyond the job quota before the
+/// Stack size of a session's reader and executor threads. Sessions are
+/// shallow (parse, submit, render), so thousands of connections stay cheap.
+pub(crate) const SESSION_STACK_BYTES: usize = 256 * 1024;
+
+/// Extra queued non-job items tolerated beyond the job quota before the
 /// reader stops queueing them and answers inline — bounds memory against a
-/// client flooding garbage without reading responses.
+/// client flooding garbage or commands without reading responses.
 const ERROR_QUEUE_SLACK: usize = 32;
-
-enum Payload {
-    Job(Request),
-    /// A pre-rendered introspection reply (`list_workloads`,
-    /// `describe_spec`). Replies travel through the queue at the default
-    /// priority so an all-default session stays in exact submission order —
-    /// the same transcript the stdin front-end produces.
-    Reply(JsonValue),
-    Error {
-        id: Option<JsonValue>,
-        message: String,
-    },
-}
 
 struct QueueEntry {
     priority: i64,
     seq: u64,
     line_no: u64,
-    payload: Payload,
+    /// A job, an introspection reply, an error, or a shutdown command this
+    /// server does not honour.
+    line: Line,
 }
 
 impl PartialEq for QueueEntry {
@@ -76,7 +68,7 @@ impl Ord for QueueEntry {
 #[derive(Default)]
 struct QueueState {
     heap: BinaryHeap<QueueEntry>,
-    /// Jobs in the heap (excludes queued error items).
+    /// Jobs in the heap (excludes queued non-job items).
     jobs_queued: usize,
     /// Jobs popped but not yet terminally answered.
     executing: usize,
@@ -89,16 +81,22 @@ struct SessionQueue {
     cond: Condvar,
 }
 
-/// Serves one accepted connection to completion. Runs on the per-session
-/// thread; spawns the session's executor thread internally. The caller's
-/// active-session accounting is handled by the guard it installed.
-pub(crate) fn serve_connection(shared: &Arc<Shared>, stream: TcpStream, peer: SocketAddr) {
-    let _ = run(shared, stream, peer);
+impl SessionQueue {
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        self.state
+            .lock()
+            .expect("session queue lock is never poisoned")
+    }
 }
 
-fn run(shared: &Arc<Shared>, stream: TcpStream, peer: SocketAddr) -> io::Result<()> {
-    stream.set_nonblocking(false)?;
-    stream.set_read_timeout(Some(shared.config.poll_interval))?;
+/// Serves one accepted connection to completion. Runs on the per-session
+/// thread; spawns the session's executor thread internally. The caller
+/// deregisters the session when this returns.
+pub(crate) fn serve_connection(
+    shared: &Arc<Shared>,
+    stream: TcpStream,
+    peer: SocketAddr,
+) -> io::Result<()> {
     let reader = stream.try_clone()?;
     let writer = Arc::new(Mutex::new(stream));
     let queue = Arc::new(SessionQueue::default());
@@ -109,72 +107,60 @@ fn run(shared: &Arc<Shared>, stream: TcpStream, peer: SocketAddr) -> io::Result<
         let writer = Arc::clone(&writer);
         thread::Builder::new()
             .name(format!("drhw-exec-{peer}"))
-            .stack_size(shared.config.session_stack_bytes)
+            .stack_size(SESSION_STACK_BYTES)
             .spawn(move || executor_loop(&shared, &queue, &writer))?
     };
 
     let outcome = reader_loop(shared, reader, &writer, &queue, &peer.to_string());
     {
-        let mut state = queue.state.lock().unwrap();
+        let mut state = queue.lock();
         state.reader_done = true;
         queue.cond.notify_all();
     }
     // Accepted jobs finish and get their terminal lines before the socket
     // closes — the drain contract.
     let _ = executor.join();
-    if let Ok(mut guard) = writer.lock() {
-        let _ = guard.flush();
+    if let Ok(guard) = writer.lock() {
         let _ = guard.shutdown(Shutdown::Both);
     }
     outcome
 }
 
-/// Writes one complete response line under the session's writer lock.
-fn write_line(writer: &Mutex<TcpStream>, line: &str) -> io::Result<()> {
-    let mut guard = writer.lock().unwrap();
-    guard.write_all(line.as_bytes())?;
-    guard.write_all(b"\n")
+/// Writes one complete response line with one `write_all` under the
+/// session's writer lock, so lines never interleave and the newline never
+/// waits in a TCP segment of its own.
+fn write_line(writer: &Mutex<TcpStream>, value: &JsonValue) -> io::Result<()> {
+    let line = line_bytes(value);
+    writer
+        .lock()
+        .expect("session writer lock is never poisoned")
+        .write_all(&line)
 }
 
-/// A [`Write`] adapter handed to [`drhw_engine::execute`]: buffers until a
-/// newline, then emits whole lines under the shared writer lock, so the
-/// reader's immediate `rejected` lines never split a result line.
-struct LineWriter {
-    sink: Arc<Mutex<TcpStream>>,
-    buf: Vec<u8>,
+/// Answers one line on the session's socket — exactly as the stdin
+/// front-end would — and counts it.
+fn answer(shared: &Shared, writer: &Mutex<TcpStream>, line: Line, line_no: u64) -> io::Result<()> {
+    let answered = respond(&shared.engine, line, line_no, |value| {
+        write_line(writer, value)
+    });
+    let counter = match answered {
+        Ok(true) => &shared.stats.jobs_completed,
+        _ => &shared.stats.jobs_failed,
+    };
+    counter.fetch_add(1, Ordering::Relaxed);
+    answered.map(drop)
 }
 
-impl Write for LineWriter {
-    fn write(&mut self, data: &[u8]) -> io::Result<usize> {
-        self.buf.extend_from_slice(data);
-        if let Some(pos) = self.buf.iter().rposition(|&b| b == b'\n') {
-            let mut guard = self.sink.lock().unwrap();
-            guard.write_all(&self.buf[..=pos])?;
-            self.buf.drain(..=pos);
-        }
-        Ok(data.len())
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        if !self.buf.is_empty() {
-            let mut guard = self.sink.lock().unwrap();
-            guard.write_all(&self.buf)?;
-            self.buf.clear();
-        }
-        Ok(())
-    }
-}
-
-fn executor_loop(shared: &Shared, queue: &SessionQueue, writer: &Arc<Mutex<TcpStream>>) {
-    // Once a write fails the client is gone: remaining queued jobs are
+fn executor_loop(shared: &Shared, queue: &SessionQueue, writer: &Mutex<TcpStream>) {
+    // Once a write fails the client is gone: remaining queued items are
     // drained without touching the engine so their admission permits free up.
     let mut dead = false;
     loop {
         let entry = {
-            let mut state = queue.state.lock().unwrap();
+            let mut state = queue.lock();
             loop {
                 if let Some(entry) = state.heap.pop() {
-                    if matches!(entry.payload, Payload::Job(_)) {
+                    if matches!(entry.line, Line::Job(_)) {
                         state.jobs_queued -= 1;
                         state.executing += 1;
                     }
@@ -183,67 +169,31 @@ fn executor_loop(shared: &Shared, queue: &SessionQueue, writer: &Arc<Mutex<TcpSt
                 if state.reader_done {
                     break None;
                 }
-                state = queue.cond.wait(state).unwrap();
+                state = queue
+                    .cond
+                    .wait(state)
+                    .expect("session queue lock is never poisoned");
             }
         };
         let Some(entry) = entry else { break };
-        match entry.payload {
-            Payload::Reply(reply) => {
-                shared.stats.jobs_completed.fetch_add(1, Ordering::Relaxed);
-                if !dead && write_line(writer, &reply.to_json()).is_err() {
-                    dead = true;
-                }
-            }
-            Payload::Error { id, message } => {
-                shared.stats.jobs_failed.fetch_add(1, Ordering::Relaxed);
-                if !dead {
-                    let line = error_json(id.as_ref(), entry.line_no, &message).to_json();
-                    if write_line(writer, &line).is_err() {
-                        dead = true;
-                    }
-                }
-            }
-            Payload::Job(request) => {
-                if dead {
-                    shared.stats.jobs_failed.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    let mut line_writer = LineWriter {
-                        sink: Arc::clone(writer),
-                        buf: Vec::new(),
-                    };
-                    match execute(&shared.engine, &request, &mut line_writer) {
-                        Err(_) => {
-                            dead = true;
-                            shared.stats.jobs_failed.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Ok(Ok(())) => {
-                            shared.stats.jobs_completed.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Ok(Err(message)) => {
-                            shared.stats.jobs_failed.fetch_add(1, Ordering::Relaxed);
-                            let line =
-                                error_json(request.id.as_ref(), entry.line_no, &message).to_json();
-                            if write_line(writer, &line).is_err() {
-                                dead = true;
-                            }
-                        }
-                    }
-                }
-                let mut state = queue.state.lock().unwrap();
-                state.executing -= 1;
-                drop(state);
-                shared.release_pending();
-                queue.cond.notify_all();
-            }
+        let is_job = matches!(entry.line, Line::Job(_));
+        if dead {
+            shared.stats.jobs_failed.fetch_add(1, Ordering::Relaxed);
+        } else if answer(shared, writer, entry.line, entry.line_no).is_err() {
+            dead = true;
+        }
+        if is_job {
+            queue.lock().executing -= 1;
+            shared.release_pending();
         }
     }
 }
 
 fn reader_loop(
-    shared: &Arc<Shared>,
+    shared: &Shared,
     mut stream: TcpStream,
-    writer: &Arc<Mutex<TcpStream>>,
-    queue: &Arc<SessionQueue>,
+    writer: &Mutex<TcpStream>,
+    queue: &SessionQueue,
     peer: &str,
 ) -> io::Result<()> {
     let mut buf: Vec<u8> = Vec::new();
@@ -251,7 +201,7 @@ fn reader_loop(
     let mut line_no: u64 = 0;
     let mut seq: u64 = 0;
     loop {
-        if shared.draining.load(Ordering::SeqCst) {
+        if shared.is_draining() {
             // Stop taking input; in-flight jobs still get their terminal
             // lines before the connection closes.
             let _ = write_line(
@@ -259,12 +209,14 @@ fn reader_loop(
                 &refused_json(
                     "draining",
                     "server is draining; closing after in-flight jobs complete",
-                )
-                .to_json(),
+                ),
             );
             return Ok(());
         }
         let read = match stream.read(&mut chunk) {
+            // The drain shuts every session's read half, so a blocked read
+            // returns here; the check above closes the session.
+            Ok(0) if shared.is_draining() => continue,
             Ok(0) => {
                 // EOF: a trailing unterminated line still counts, matching
                 // the stdin front-end's `lines()` behaviour.
@@ -276,24 +228,16 @@ fn reader_loop(
                 return Ok(());
             }
             Ok(n) => n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
-                ) =>
-            {
-                continue;
-            }
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
             Err(e) => return Err(e),
         };
         buf.extend_from_slice(&chunk[..read]);
         while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-            let line_bytes: Vec<u8> = buf.drain(..=pos).collect();
-            let line = String::from_utf8_lossy(&line_bytes[..pos]).into_owned();
+            let line = String::from_utf8_lossy(&buf[..pos]).into_owned();
+            buf.drain(..=pos);
             line_no += 1;
             if line.len() > shared.config.max_line_bytes {
-                enqueue_oversized_error(shared, queue, &mut seq, line_no);
-                return Ok(());
+                return queue_oversized_error(shared, writer, queue, &mut seq, line_no);
             }
             process_line(shared, writer, queue, peer, &line, line_no, &mut seq)?;
         }
@@ -301,26 +245,24 @@ fn reader_loop(
             // Mid-line overflow: the session cannot resynchronise, so the
             // error closes the connection (after queued jobs finish).
             line_no += 1;
-            enqueue_oversized_error(shared, queue, &mut seq, line_no);
-            return Ok(());
+            return queue_oversized_error(shared, writer, queue, &mut seq, line_no);
         }
     }
 }
 
-fn enqueue_oversized_error(shared: &Shared, queue: &SessionQueue, seq: &mut u64, line_no: u64) {
+fn queue_oversized_error(
+    shared: &Shared,
+    writer: &Mutex<TcpStream>,
+    queue: &SessionQueue,
+    seq: &mut u64,
+    line_no: u64,
+) -> io::Result<()> {
     let message = format!(
         "request line exceeds max_line_bytes ({}); closing connection",
         shared.config.max_line_bytes
     );
-    push_entry(
-        queue,
-        QueueEntry {
-            priority: 0,
-            seq: next_seq(seq),
-            line_no,
-            payload: Payload::Error { id: None, message },
-        },
-    );
+    let line = Line::Error { id: None, message };
+    queue_item(shared, writer, queue, line, line_no, seq)
 }
 
 fn next_seq(seq: &mut u64) -> u64 {
@@ -329,175 +271,80 @@ fn next_seq(seq: &mut u64) -> u64 {
     value
 }
 
-fn push_entry(queue: &SessionQueue, entry: QueueEntry) {
-    let mut state = queue.state.lock().unwrap();
-    if matches!(entry.payload, Payload::Job(_)) {
-        state.jobs_queued += 1;
-    }
-    state.heap.push(entry);
-    drop(state);
-    queue.cond.notify_all();
-}
-
-#[allow(clippy::too_many_arguments)]
 fn process_line(
-    shared: &Arc<Shared>,
-    writer: &Arc<Mutex<TcpStream>>,
-    queue: &Arc<SessionQueue>,
+    shared: &Shared,
+    writer: &Mutex<TcpStream>,
+    queue: &SessionQueue,
     peer: &str,
-    raw: &str,
+    line: &str,
     line_no: u64,
     seq: &mut u64,
 ) -> io::Result<()> {
-    let line = raw.strip_suffix('\r').unwrap_or(raw);
-    if line.trim().is_empty() {
-        return Ok(());
-    }
-    let value = match parse(line) {
-        Ok(value) => value,
-        Err(e) => {
-            queue_error(shared, writer, queue, None, line_no, e.to_string(), seq)?;
-            return Ok(());
+    let request = match classify(&shared.engine, line) {
+        None => return Ok(()),
+        Some(Line::Job(request)) => request,
+        Some(Line::Shutdown) if shared.config.allow_shutdown_command => {
+            // The next reader iteration observes the drain and closes.
+            shared.begin_drain();
+            return write_line(writer, &shutdown_ack_json());
         }
-    };
-    if value.get("cmd").is_some() {
-        return handle_command(shared, writer, queue, &value, line_no, seq);
-    }
-    let request = match Request::from_value(&value) {
-        Ok(request) => request,
-        Err(message) => {
-            let id = value.get("id").cloned();
-            queue_error(shared, writer, queue, id, line_no, message, seq)?;
-            return Ok(());
-        }
+        Some(other) => return queue_item(shared, writer, queue, other, line_no, seq),
     };
 
     // Admission control: per-client quota first, then the server-wide bound.
+    // The session's queue lock is held across both, so it is taken before
+    // the server's, never after.
     let quota = shared.config.per_client_quota;
-    let mut state = queue.state.lock().unwrap();
-    if state.jobs_queued + state.executing >= quota {
+    let mut state = queue.lock();
+    let refusal = if state.jobs_queued + state.executing >= quota {
+        Some((RejectScope::Client, quota))
+    } else if !shared.try_acquire_pending() {
+        Some((RejectScope::Server, shared.config.max_pending_jobs))
+    } else {
+        None
+    };
+    if let Some((scope, limit)) = refusal {
         drop(state);
         shared.stats.jobs_rejected.fetch_add(1, Ordering::Relaxed);
-        write_line(
-            writer,
-            &rejected_json(
-                RejectScope::Client,
-                request.id.as_ref(),
-                line_no,
-                peer,
-                quota,
-            )
-            .to_json(),
-        )?;
-        return Ok(());
-    }
-    if !shared.try_acquire_pending() {
-        drop(state);
-        shared.stats.jobs_rejected.fetch_add(1, Ordering::Relaxed);
-        write_line(
-            writer,
-            &rejected_json(
-                RejectScope::Server,
-                request.id.as_ref(),
-                line_no,
-                peer,
-                shared.config.max_pending_jobs,
-            )
-            .to_json(),
-        )?;
-        return Ok(());
+        let id = request.id.as_ref();
+        return write_line(writer, &rejected_json(scope, id, line_no, peer, limit));
     }
     state.jobs_queued += 1;
     state.heap.push(QueueEntry {
         priority: request.priority,
         seq: next_seq(seq),
         line_no,
-        payload: Payload::Job(request),
+        line: Line::Job(request),
     });
     drop(state);
     queue.cond.notify_all();
     Ok(())
 }
 
-fn queue_error(
-    shared: &Arc<Shared>,
-    writer: &Arc<Mutex<TcpStream>>,
+/// Queues a non-job line (reply, error, refused shutdown) at the default
+/// priority, so an all-default session is answered in submission order.
+fn queue_item(
+    shared: &Shared,
+    writer: &Mutex<TcpStream>,
     queue: &SessionQueue,
-    id: Option<JsonValue>,
+    line: Line,
     line_no: u64,
-    message: String,
     seq: &mut u64,
 ) -> io::Result<()> {
-    let over_bound = {
-        let state = queue.state.lock().unwrap();
-        state.heap.len() >= shared.config.per_client_quota + ERROR_QUEUE_SLACK
-    };
-    if over_bound {
-        // A garbage flood past the queue bound is answered inline (order be
+    let mut state = queue.lock();
+    if state.heap.len() >= shared.config.per_client_quota + ERROR_QUEUE_SLACK {
+        // A flood past the queue bound is answered inline (order be
         // damned) so queue memory stays bounded.
-        shared.stats.jobs_failed.fetch_add(1, Ordering::Relaxed);
-        write_line(
-            writer,
-            &error_json(id.as_ref(), line_no, &message).to_json(),
-        )?;
-        return Ok(());
+        drop(state);
+        return answer(shared, writer, line, line_no);
     }
-    push_entry(
-        queue,
-        QueueEntry {
-            priority: 0,
-            seq: next_seq(seq),
-            line_no,
-            payload: Payload::Error { id, message },
-        },
-    );
+    state.heap.push(QueueEntry {
+        priority: 0,
+        seq: next_seq(seq),
+        line_no,
+        line,
+    });
+    drop(state);
+    queue.cond.notify_all();
     Ok(())
-}
-
-/// Commands parse through the shared [`parse_command`] so both front-ends
-/// accept and reject the same lines with the same messages. Introspection
-/// replies come pre-rendered from [`command_reply`] — byte-identical to the
-/// stdin front-end's — and queue at the default priority; only `shutdown`
-/// is front-end-specific (acked immediately, then the drain flag closes
-/// the session).
-fn handle_command(
-    shared: &Arc<Shared>,
-    writer: &Arc<Mutex<TcpStream>>,
-    queue: &Arc<SessionQueue>,
-    value: &JsonValue,
-    line_no: u64,
-    seq: &mut u64,
-) -> io::Result<()> {
-    match parse_command(value) {
-        Ok(Command::Shutdown) if shared.config.allow_shutdown_command => {
-            shared.begin_drain();
-            write_line(writer, &shutdown_ack_json().to_json())?;
-            // The next reader iteration observes the drain flag and closes.
-            Ok(())
-        }
-        Ok(Command::Shutdown) => queue_error(
-            shared,
-            writer,
-            queue,
-            None,
-            line_no,
-            SHUTDOWN_DISABLED_MESSAGE.to_string(),
-            seq,
-        ),
-        Ok(command) => {
-            let reply =
-                command_reply(&shared.engine, command).expect("introspection commands reply");
-            push_entry(
-                queue,
-                QueueEntry {
-                    priority: 0,
-                    seq: next_seq(seq),
-                    line_no,
-                    payload: Payload::Reply(reply),
-                },
-            );
-            Ok(())
-        }
-        Err(message) => queue_error(shared, writer, queue, None, line_no, message, seq),
-    }
 }

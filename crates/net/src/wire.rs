@@ -94,6 +94,15 @@ pub fn refused_json(reason: &str, message: &str) -> JsonValue {
     ])
 }
 
+/// One response line as bytes: the compact JSON and its newline, for a
+/// single `write_all`, so the newline never waits in a TCP segment of its
+/// own.
+pub(crate) fn line_bytes(value: &JsonValue) -> Vec<u8> {
+    let mut line = value.to_json().into_bytes();
+    line.push(b'\n');
+    line
+}
+
 /// Renders the acknowledgement of an accepted wire shutdown command.
 pub fn shutdown_ack_json() -> JsonValue {
     JsonValue::Object(vec![

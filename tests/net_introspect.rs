@@ -1,12 +1,14 @@
 //! Front-end parity for the v2 request envelope and the introspection
 //! commands: `list_workloads` and `describe_spec` must be answered
-//! byte-identically over stdin/stdout and over TCP, and the shared
-//! shutdown-disabled message must cross the wire verbatim.
+//! byte-identically over stdin/stdout and over TCP, the shared
+//! shutdown-disabled message must cross the wire verbatim, error lines
+//! echo a line's `id` on both front ends, and a reply or error line
+//! crosses the wire without waiting on the client's delayed ACK.
 
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use drhw_engine::{serve, Engine, SHUTDOWN_DISABLED_MESSAGE};
 use drhw_net::{Server, ServerConfig};
@@ -114,4 +116,65 @@ fn a_disabled_shutdown_command_reports_the_shared_message_and_keeps_serving() {
     let stdin = stdin_session("{\"cmd\":\"shutdown\"}\n");
     assert_eq!(stdin.len(), 1, "{stdin:?}");
     assert!(stdin[0].contains(SHUTDOWN_DISABLED_MESSAGE), "{}", stdin[0]);
+}
+
+#[test]
+fn malformed_commands_echo_their_id_identically_on_both_front_ends() {
+    let input = "{\"cmd\":\"describe_spec\",\"id\":7}\n\
+                 {\"cmd\":\"shutdown\",\"id\":8}\n\
+                 {\"cmd\":5,\"id\":9}\n";
+    let stdin = stdin_session(input);
+    let tcp = tcp_session(ServerConfig::default(), input);
+    assert_eq!(stdin.len(), 3, "{stdin:?}");
+    for (line, id) in stdin.iter().zip(7..) {
+        assert!(line.contains("\"type\":\"error\""), "{line}");
+        assert!(line.contains(&format!("\"id\":{id},")), "{line}");
+    }
+    assert_eq!(stdin, tcp);
+}
+
+/// Times 20 sequential round trips of `line` on one connection whose
+/// client sends without delay; every answer must contain `reply_type`.
+fn time_round_trips(line: &str, reply_type: &str) -> Duration {
+    let server = Server::start(engine(), ServerConfig::default()).expect("server binds");
+    let stream = TcpStream::connect(server.local_addr()).expect("client connects");
+    stream.set_nodelay(true).expect("no delay");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(120)))
+        .expect("read timeout");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    let started = Instant::now();
+    for _ in 0..20 {
+        writer.write_all(line.as_bytes()).expect("submit");
+        let mut answer = String::new();
+        reader.read_line(&mut answer).expect("answer");
+        assert!(answer.contains(reply_type), "{answer}");
+    }
+    let elapsed = started.elapsed();
+    drop(writer);
+    drop(reader);
+    server.handle().shutdown();
+    server.join();
+    elapsed
+}
+
+#[test]
+fn error_lines_and_replies_are_answered_without_waiting_for_an_ack() {
+    // A line written in two parts holds its newline back until the client
+    // acknowledges the first part, which a delayed ACK puts off by tens of
+    // milliseconds per line.
+    for (line, reply_type) in [
+        (
+            "{\"id\":1,\"workload\":\"multimedia\",\"chunk_sizes\":16}\n",
+            "\"type\":\"error\"",
+        ),
+        ("{\"cmd\":\"list_workloads\"}\n", "\"type\":\"workloads\""),
+    ] {
+        let elapsed = time_round_trips(line, reply_type);
+        assert!(
+            elapsed < Duration::from_millis(400),
+            "20 round trips of {line:?} took {elapsed:?}"
+        );
+    }
 }
