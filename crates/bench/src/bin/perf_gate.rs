@@ -23,9 +23,14 @@
 //! of recomputing them (`plan_cache.disk_warm_submit_ms`). The restart pair
 //! runs on a heavier generated workload (`random-8x10`) whose cold submit is
 //! dominated by design-time preparation, and the gate *requires* the
-//! disk-warm restart to be at least 10x faster than the cold one. If either
-//! cache stops hitting, or the restart ratio collapses, a functional check
-//! fails before any tolerance band does. Of the design-time stages,
+//! disk-warm restart to be at least 10x faster than the cold one. A fourth
+//! measurement covers plans carried over to another tile count: after a
+//! cold Pocket GL submit at 5 tiles, the submits at 6–10 tiles derive their
+//! plans from it, and the gate requires their median
+//! (`plan_cache.sibling_submit_ms`) to be at least 5x faster than the cold
+//! submit. If either cache stops hitting, a plan stops being derived, or a
+//! ratio collapses, a functional check fails before any tolerance band
+//! does. Of the design-time stages,
 //! `stage_ms.branch_bound` and `stage_ms.critical_set` are gated so the
 //! memoized/pruned search cannot silently regress toward the naive one.
 //!
@@ -340,6 +345,52 @@ fn main() {
     let mut cache_block: PlanCacheBlock = cache.into();
     cache_block.disk_hits = disk_hits;
     timing.plan_cache = Some(cache_block);
+
+    // Sibling derivation: every Pocket GL graph fits 5 tiles, so after one
+    // cold submit at 5 tiles the engine carries that plan over to each
+    // other tile count of the Fig. 7 sweep instead of building it again.
+    // The gate requires the median derived submit (submission only; each
+    // job is waited for outside the clock) to be at least 5x faster than
+    // the cold one.
+    let sibling_engine = drhw_engine::Engine::builder().threads(1).build();
+    let timed_submit = |tiles: usize| {
+        let spec = drhw_engine::JobSpec::new("pocket_gl")
+            .with_tiles(tiles)
+            .with_iterations(10)
+            .with_seed(seed);
+        let started = Instant::now();
+        let handle = sibling_engine.submit(spec).expect("job submits");
+        let submit_ms = started.elapsed().as_secs_f64() * 1e3;
+        handle.wait().expect("simulation runs");
+        submit_ms
+    };
+    let cold_sibling_ms = timed_submit(5);
+    let mut sibling_samples: Vec<f64> = (6..=10).map(timed_submit).collect();
+    let derived = sibling_engine.cache_stats().derived;
+    if derived != sibling_samples.len() as u64 {
+        eprintln!(
+            "perf gate FAILED: sibling plans not derived — expected {} derived plan(s), got {derived}",
+            sibling_samples.len()
+        );
+        std::process::exit(1);
+    }
+    let sibling_ms = median(&mut sibling_samples);
+    if sibling_ms * 5.0 > cold_sibling_ms {
+        eprintln!(
+            "perf gate FAILED: a derived submit ({sibling_ms:.3} ms) must be at least 5x faster \
+             than the cold submit it derives from ({cold_sibling_ms:.3} ms)"
+        );
+        std::process::exit(1);
+    }
+    measured.push(Measured::lower_is_better(
+        "plan_cache.sibling_submit_ms",
+        sibling_ms,
+    ));
+    println!(
+        "  plan cache: cold submit {cold_sibling_ms:.3} ms vs derived submit {sibling_ms:.3} ms \
+         ({:.1}x, median of {derived} tile counts)",
+        cold_sibling_ms / sibling_ms
+    );
 
     // The serving tier under a pinned small swarm: an in-process drhw-net
     // server on a single-worker engine, hit by 32 concurrent clients over

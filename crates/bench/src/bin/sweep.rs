@@ -138,14 +138,16 @@ fn main() -> ExitCode {
             let _ = writeln!(
                 log,
                 "{} new set(s) in {:.1}s ({} resumed, {} error line(s)); plan cache: \
-                 {} hit(s), {} miss(es), {} restored from disk",
+                 {} hit(s), {} miss(es), {} restored from disk, {} derived from another \
+                 tile count",
                 outcome.completed,
                 started.elapsed().as_secs_f64(),
                 outcome.resumed,
                 outcome.errors,
                 stats.hits,
                 stats.misses,
-                stats.disk_hits
+                stats.disk_hits,
+                stats.derived
             );
             if outcome.finished {
                 ExitCode::SUCCESS

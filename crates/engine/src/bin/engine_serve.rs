@@ -59,8 +59,8 @@ fn main() {
     let stats = engine.cache_stats();
     eprintln!(
         "served {} job(s), {} error(s); plan cache: {} hit(s), {} miss(es), \
-         {} restored from disk",
-        summary.completed, summary.failed, stats.hits, stats.misses, stats.disk_hits
+         {} restored from disk, {} derived from another tile count",
+        summary.completed, summary.failed, stats.hits, stats.misses, stats.disk_hits, stats.derived
     );
     if summary.failed > 0 {
         std::process::exit(1);

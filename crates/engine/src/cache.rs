@@ -4,13 +4,22 @@
 //!
 //! Preparing an [`IterationPlan`] (TCM Pareto curves, branch & bound,
 //! critical sets, prepared schedules) dominates the cost of small jobs.
-//! Entries are keyed by everything the *artifacts* depend on — the workload
-//! name (which determines the task set and the scenario policy), the tile
-//! count (the platform) and the point-selection strategy — and deliberately
-//! **not** by seed, iteration count, chunk size or replacement policy: those
-//! are run-time knobs, stamped onto a shared plan per job via
+//! Entries are keyed by everything the *artifacts* can depend on — the
+//! workload name (which determines the task set and the scenario policy),
+//! the tile count (the platform) and the point-selection strategy — and
+//! deliberately **not** by seed, iteration count, chunk size or replacement
+//! policy: those are run-time knobs, stamped onto a shared plan per job via
 //! [`IterationPlan::with_config`]. A repeat job with a new seed is therefore
 //! a cache hit that skips all design-time work.
+//!
+//! The tile count matters only below the workload's width, the most DRHW
+//! subtasks of any of its graphs: on at least that many tiles every graph
+//! fits and the artifacts are the same on every tile count. So a miss first
+//! looks for a resident plan of the same workload and point selection that
+//! [`IterationPlan::with_platform`] can carry over to the new tile count
+//! ([`PlanCache::sibling`]); a plan derived that way shares the donor's
+//! artifacts and kernel memo pool, and still counts as a miss. The fifteen
+//! Fig. 6/7 points thus need two builds and two memo pools.
 //!
 //! A plan owns its task set and platform, so an entry is just an
 //! `Arc<IterationPlan>`; a job's plan shares the entry's artifacts and keeps
@@ -21,6 +30,7 @@ use std::sync::Arc;
 #[cfg(test)]
 use std::time::Instant;
 
+use drhw_model::Platform;
 use drhw_sim::IterationPlan;
 #[cfg(test)]
 use drhw_sim::SimError;
@@ -36,6 +46,17 @@ pub(crate) struct PlanKey {
     pub point_selection: u8,
 }
 
+/// Where the plan of a miss came from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Prepared {
+    /// Built from scratch.
+    Cold,
+    /// Built around search artifacts restored from the on-disk cache.
+    Restored,
+    /// Carried over from a resident plan of another tile count.
+    Derived,
+}
+
 /// Counters describing how the plan cache behaved so far.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CacheStats {
@@ -46,6 +67,10 @@ pub struct CacheStats {
     /// The subset of `misses` whose design-time search artifacts were
     /// restored from the on-disk plan cache instead of recomputed.
     pub disk_hits: u64,
+    /// The subset of `misses` whose plan was derived from a resident plan
+    /// of the same workload on another tile count, sharing its design-time
+    /// artifacts (see [`IterationPlan::with_platform`]).
+    pub derived: u64,
     /// Entries evicted because the cache was at capacity.
     pub evictions: u64,
     /// Total wall-clock milliseconds spent preparing plans (misses only).
@@ -82,6 +107,7 @@ pub(crate) struct PlanCache {
     hits: u64,
     misses: u64,
     disk_hits: u64,
+    derived: u64,
     evictions: u64,
     prepare_ms: f64,
 }
@@ -96,6 +122,7 @@ impl PlanCache {
             hits: 0,
             misses: 0,
             disk_hits: 0,
+            derived: 0,
             evictions: 0,
             prepare_ms: 0.0,
         }
@@ -113,22 +140,36 @@ impl PlanCache {
         Some(Arc::clone(&slot.entry))
     }
 
-    /// Records a freshly prepared plan: counts the miss and its preparation
-    /// wall clock (`disk_hit` notes when the preparation was a restore from
-    /// the on-disk cache rather than a cold build), inserts (evicting LRU
-    /// entries past capacity) and returns the entry to use. If another
-    /// submitter stored the same key while this plan was being prepared
-    /// off-lock, the already-resident entry wins so both jobs share one
-    /// allocation — plans for the same key are identical by construction.
+    /// The plan for `key` carried over to `platform` from a resident plan
+    /// of the same workload and point selection whose design-time artifacts
+    /// hold there too ([`IterationPlan::with_platform`]), if there is one.
+    /// Counts nothing and leaves recency alone: the caller
+    /// [`store`](Self::store)s the plan as a derived miss.
+    pub fn sibling(&self, key: &PlanKey, platform: &Platform) -> Option<IterationPlan> {
+        self.entries
+            .iter()
+            .filter(|(resident, _)| {
+                resident.workload == key.workload && resident.point_selection == key.point_selection
+            })
+            .find_map(|(_, slot)| slot.entry.with_platform(platform))
+    }
+
+    /// Records a freshly prepared plan: counts the miss, where the plan came
+    /// from and its preparation wall clock, inserts (evicting LRU entries
+    /// past capacity) and returns the entry to use. If another submitter
+    /// stored the same key while this plan was being prepared off-lock, the
+    /// already-resident entry wins so both jobs share one allocation —
+    /// plans for the same key are identical by construction.
     pub fn store(
         &mut self,
         key: PlanKey,
         entry: Arc<IterationPlan>,
         prepare_ms: f64,
-        disk_hit: bool,
+        prepared: Prepared,
     ) -> Arc<IterationPlan> {
         self.misses += 1;
-        self.disk_hits += u64::from(disk_hit);
+        self.disk_hits += u64::from(prepared == Prepared::Restored);
+        self.derived += u64::from(prepared == Prepared::Derived);
         self.prepare_ms += prepare_ms;
         if self.capacity == 0 {
             return entry;
@@ -177,7 +218,7 @@ impl PlanCache {
         let started = Instant::now();
         let entry = Arc::new(build()?);
         let prepare_ms = started.elapsed().as_secs_f64() * 1e3;
-        Ok(self.store(key, entry, prepare_ms, false))
+        Ok(self.store(key, entry, prepare_ms, Prepared::Cold))
     }
 
     /// Whether a key is currently resident (test helper).
@@ -192,6 +233,7 @@ impl PlanCache {
             hits: self.hits,
             misses: self.misses,
             disk_hits: self.disk_hits,
+            derived: self.derived,
             evictions: self.evictions,
             prepare_ms: self.prepare_ms,
             entries: self.entries.len(),
@@ -296,6 +338,29 @@ mod tests {
         assert_eq!(stats.entries, 2);
         assert!(stats.prepare_ms >= 0.0);
         assert!(stats.amortized_prepare_ms() <= stats.prepare_ms);
+    }
+
+    #[test]
+    fn a_sibling_has_the_same_workload_and_point_selection() {
+        let mut cache = PlanCache::new(4);
+        cache
+            .get_or_prepare(key("multimedia", 8), || Ok(prepare("multimedia", 8)))
+            .unwrap();
+        let before = cache.stats();
+        let twelve = Platform::virtex_like(12).unwrap();
+        let sibling = cache
+            .sibling(&key("multimedia", 12), &twelve)
+            .expect("multimedia fits 8 tiles and more");
+        assert_eq!(sibling.platform(), &twelve);
+        let fastest = PlanKey {
+            point_selection: 1,
+            ..key("multimedia", 12)
+        };
+        assert!(cache.sibling(&fastest, &twelve).is_none());
+        assert!(cache.sibling(&key("pocket_gl", 12), &twelve).is_none());
+        let four = Platform::virtex_like(4).unwrap();
+        assert!(cache.sibling(&key("multimedia", 4), &four).is_none());
+        assert_eq!(cache.stats(), before, "looking counts nothing");
     }
 
     #[test]

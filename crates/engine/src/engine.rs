@@ -24,8 +24,8 @@ use drhw_sim::{
 };
 use drhw_workloads::{Workload, WorkloadRegistry};
 
-use crate::cache::{CacheStats, PlanCache, PlanKey};
-use crate::disk::DiskPlanCache;
+use crate::cache::{CacheStats, PlanCache, PlanKey, Prepared};
+use crate::disk::{workload_fingerprint, DiskPlanCache};
 use crate::error::EngineError;
 use crate::job::{Claim, JobHandle, JobId, JobState};
 use crate::spec::JobSpec;
@@ -368,54 +368,67 @@ impl Engine {
     }
 
     /// Returns the cached prepared plan for `key` (and whether it was a
-    /// cache hit), preparing it on a miss — off-lock, restoring its search
-    /// artifacts from the on-disk cache when one is configured.
+    /// cache hit), preparing it on a miss: derived from a resident plan of
+    /// another tile count when its design-time artifacts hold on this one,
+    /// else built off-lock, restoring its search artifacts from the on-disk
+    /// cache when one is configured.
     fn cached_entry(
         &self,
         workload: &dyn Workload,
         key: PlanKey,
         config: &SimulationConfig,
     ) -> Result<(Arc<IterationPlan>, bool), SimError> {
+        let started = std::time::Instant::now();
+        let platform = Platform::virtex_like(key.tiles)?;
         // Fast path under the lock; the expensive preparation happens
         // UNLOCKED so a cold prepare never stalls other submitters (a rare
         // same-key race prepares twice and `store` keeps the first copy).
-        let cached = self
-            .cache
-            .lock()
-            .expect("engine cache lock is never poisoned")
-            .lookup(&key);
-        if let Some(entry) = cached {
-            return Ok((entry, true));
-        }
-        let started = std::time::Instant::now();
-        let platform = Platform::virtex_like(key.tiles)?;
-        let task_set = workload.task_set();
-        // With a cache directory configured, try to restore the expensive
-        // design-time search artifacts from disk; a missing, stale or corrupt
-        // entry degrades to a cold build whose artifacts are persisted for
-        // next time.
-        let disk = self.disk.as_ref().map(|disk| {
-            let fingerprint = crate::disk::workload_fingerprint(&task_set, &platform, config);
-            (disk, fingerprint)
-        });
-        let restored = disk.and_then(|(disk, fingerprint)| disk.load(&key, fingerprint));
-        let disk_hit = restored.is_some();
-        let plan = IterationPlan::new_with_artifacts(
-            &task_set,
-            &platform,
-            config.clone(),
-            &restored.unwrap_or_default(),
-        )?;
-        // Only a cold build writes: a restored entry is already on disk.
-        if let Some((disk, fingerprint)) = disk.filter(|_| !disk_hit) {
-            disk.store(&key, fingerprint, &plan);
+        let sibling = {
+            let mut cache = self
+                .cache
+                .lock()
+                .expect("engine cache lock is never poisoned");
+            if let Some(entry) = cache.lookup(&key) {
+                return Ok((entry, true));
+            }
+            cache.sibling(&key, &platform)
+        };
+        let (plan, prepared) = match sibling {
+            Some(plan) => (plan, Prepared::Derived),
+            None => {
+                let task_set = workload.task_set();
+                // With a cache directory configured, try to restore the
+                // expensive design-time search artifacts from disk; a
+                // missing, stale or corrupt entry degrades to a cold build.
+                let restored = self.disk.as_ref().and_then(|disk| {
+                    disk.load(&key, workload_fingerprint(&task_set, &platform, config))
+                });
+                let prepared = match restored {
+                    Some(_) => Prepared::Restored,
+                    None => Prepared::Cold,
+                };
+                let plan = IterationPlan::new_with_artifacts(
+                    &task_set,
+                    &platform,
+                    config.clone(),
+                    &restored.unwrap_or_default(),
+                )?;
+                (plan, prepared)
+            }
+        };
+        // What is not on disk yet is persisted for next time.
+        if prepared != Prepared::Restored {
+            if let Some(disk) = &self.disk {
+                let fingerprint = workload_fingerprint(plan.task_set(), &platform, config);
+                disk.store(&key, fingerprint, &plan);
+            }
         }
         let prepare_ms = started.elapsed().as_secs_f64() * 1e3;
         let entry = self
             .cache
             .lock()
             .expect("engine cache lock is never poisoned")
-            .store(key, Arc::new(plan), prepare_ms, disk_hit);
+            .store(key, Arc::new(plan), prepare_ms, prepared);
         Ok((entry, false))
     }
 }

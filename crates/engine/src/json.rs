@@ -203,20 +203,22 @@ impl std::error::Error for JsonError {}
 /// Returns a [`JsonError`] locating the first invalid byte.
 pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
     let mut parser = Parser {
-        bytes: input.as_bytes(),
+        text: input,
         pos: 0,
     };
     parser.skip_whitespace();
     let value = parser.value()?;
     parser.skip_whitespace();
-    if parser.pos != parser.bytes.len() {
+    if parser.pos != parser.text.len() {
         return Err(parser.error("trailing characters after the document"));
     }
     Ok(value)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
+    /// Always on a character boundary of `text`: the parser steps over
+    /// ASCII bytes and whole characters only.
     pos: usize,
 }
 
@@ -229,7 +231,12 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    /// The character at the current position.
+    fn peek_char(&self) -> Option<char> {
+        self.text[self.pos..].chars().next()
     }
 
     fn skip_whitespace(&mut self) {
@@ -256,13 +263,16 @@ impl<'a> Parser<'a> {
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
             Some(b'n') => self.literal("null", JsonValue::Null),
             Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(other) => Err(self.error(format!("unexpected character {:?}", other as char))),
+            Some(_) => Err(self.error(format!(
+                "unexpected character {:?}",
+                self.peek_char().expect("peek saw a byte")
+            ))),
             None => Err(self.error("unexpected end of input")),
         }
     }
 
     fn literal(&mut self, text: &str, value: JsonValue) -> Result<JsonValue, JsonError> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
+        if self.text[self.pos..].starts_with(text) {
             self.pos += text.len();
             Ok(value)
         } else {
@@ -344,9 +354,8 @@ impl<'a> Parser<'a> {
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .text
                                 .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
                                 .and_then(|h| u32::from_str_radix(h, 16).ok())
                                 .ok_or_else(|| self.error("invalid \\u escape"))?;
                             // Surrogate pairs are not needed by the protocol;
@@ -359,11 +368,8 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one full UTF-8 character from the input.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| self.error("invalid UTF-8 in string"))?;
-                    let c = s.chars().next().expect("peek saw a byte");
+                    // Consume one full character from the input.
+                    let c = self.peek_char().expect("peek saw a byte");
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -397,8 +403,7 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ASCII");
+        let text = &self.text[start..self.pos];
         if integral {
             if let Ok(v) = text.parse::<u64>() {
                 return Ok(JsonValue::UInt(v));
@@ -464,6 +469,26 @@ mod tests {
             let err = parse(bad).unwrap_err();
             assert!(!err.to_string().is_empty(), "{bad:?}");
         }
+    }
+
+    #[test]
+    fn errors_name_the_character_at_the_failing_offset() {
+        // U+FFFD is what an invalid UTF-8 byte becomes after lossy decoding;
+        // its first byte alone would read as 'ï'.
+        for (input, offset, named) in [("\u{FFFD}\u{FFFE}", 0, '\u{FFFD}'), ("[1, é]", 4, 'é')] {
+            let err = parse(input).unwrap_err();
+            assert_eq!(err.offset, offset, "{input:?}");
+            assert_eq!(
+                err.message,
+                format!("unexpected character {named:?}"),
+                "{input:?}"
+            );
+        }
+        // Inside strings every character is taken whole.
+        assert_eq!(
+            parse("\"é\u{FFFD}x\"").unwrap().as_str(),
+            Some("é\u{FFFD}x")
+        );
     }
 
     #[test]

@@ -428,30 +428,34 @@ fn error_json(id: Option<&JsonValue>, line_number: u64, message: &str) -> JsonVa
 ///
 /// Returns I/O errors from the reader or writer; protocol-level failures
 /// (bad JSON, unknown workloads, simulation errors) become `error` response
-/// lines instead.
+/// lines instead. `output` is flushed on an error too, so the answers of
+/// the lines before it are not lost.
 pub fn serve(
     engine: &Engine,
     input: impl BufRead,
     mut output: impl Write,
 ) -> io::Result<ServeSummary> {
     let mut summary = ServeSummary::default();
-    for (index, line) in input.split(b'\n').enumerate() {
-        // Decoded lossily, as over TCP: invalid UTF-8 fails its own line as
-        // invalid JSON, and the session goes on.
-        let Some(line) = classify(engine, &String::from_utf8_lossy(&line?)) else {
-            continue;
-        };
-        let line_number = index as u64 + 1;
-        if respond(engine, line, line_number, |value| {
-            writeln!(output, "{}", value.to_json())
-        })? {
-            summary.completed += 1;
-        } else {
-            summary.failed += 1;
+    let served = (|| {
+        for (index, line) in input.split(b'\n').enumerate() {
+            // Decoded lossily, as over TCP: invalid UTF-8 fails its own line
+            // as invalid JSON, and the session goes on.
+            let Some(line) = classify(engine, &String::from_utf8_lossy(&line?)) else {
+                continue;
+            };
+            let line_number = index as u64 + 1;
+            if respond(engine, line, line_number, |value| {
+                writeln!(output, "{}", value.to_json())
+            })? {
+                summary.completed += 1;
+            } else {
+                summary.failed += 1;
+            }
         }
-    }
-    output.flush()?;
-    Ok(summary)
+        Ok(())
+    })();
+    let flushed = output.flush();
+    served.and(flushed).map(|()| summary)
 }
 
 /// Answers one classified line through `sink`: runs a job, handing on its
@@ -798,6 +802,26 @@ mod tests {
         assert!(lines[0].contains(r#""line":1"#), "{}", lines[0]);
         assert!(lines[0].contains("invalid JSON"), "{}", lines[0]);
         assert!(lines[1].contains(r#""type":"workloads""#), "{}", lines[1]);
+    }
+
+    #[test]
+    fn a_read_error_still_flushes_the_answered_lines() {
+        /// A reader whose every read fails.
+        struct Broken;
+        impl io::Read for Broken {
+            fn read(&mut self, _: &mut [u8]) -> io::Result<usize> {
+                Err(io::Error::other("the pipe broke"))
+            }
+        }
+        let engine = Engine::builder().threads(1).build();
+        let first: &[u8] = b"{\"cmd\":\"list_workloads\"}\n";
+        let input = io::BufReader::new(io::Read::chain(first, Broken));
+        let mut output = io::BufWriter::new(Vec::new());
+        let err = serve(&engine, input, &mut output).unwrap_err();
+        assert_eq!(err.to_string(), "the pipe broke");
+        let written = std::str::from_utf8(output.get_ref()).expect("output is UTF-8");
+        assert!(written.starts_with(r#"{"type":"workloads""#), "{written}");
+        assert!(written.ends_with('\n'), "{written}");
     }
 
     #[test]

@@ -107,15 +107,16 @@ impl ScenarioArtifacts {
     }
 }
 
-/// The shared, iteration-independent part of a plan: the task set and
-/// platform it simulates (the plan's own copies), the TCM library and the
-/// per-scenario artifacts. Behind an [`Arc`] so re-parameterised plans
-/// ([`IterationPlan::with_config`]) share it instead of recomputing it —
-/// this is what the engine-layer plan cache amortises across jobs.
+/// The shared, iteration-independent part of a plan: the task set it
+/// simulates (the plan's own copy), the TCM library and the per-scenario
+/// artifacts — the design, free of the platform it runs on. Behind an
+/// [`Arc`] so re-parameterised plans ([`IterationPlan::with_config`]) and
+/// plans for other tile counts ([`IterationPlan::with_platform`]) share it
+/// instead of recomputing it — this is what the engine-layer plan cache
+/// amortises across jobs.
 #[derive(Debug)]
 struct PlanShared {
     task_set: TaskSet,
-    platform: Platform,
     library: DesignTimeLibrary,
     /// Per task, in task-set order, the (scenario, slot in `artifacts`)
     /// pairs the plan prepared. Scanned once per activation per iteration to
@@ -129,9 +130,15 @@ struct PlanShared {
     /// Whether every prepared scenario has a positive ideal makespan, which
     /// lets the reuse-exploiting policies of a pass share one tile state.
     shares_tiles: bool,
+    /// The most DRHW subtasks of any scenario graph of the task set,
+    /// reachable or not (the library covers every scenario). On at least
+    /// this many tiles every graph fits, so nothing above depends on the
+    /// tile count.
+    width: usize,
     /// The kernel memo sets no scratch holds (see [`SimScratch`]). Plans
-    /// stamped out by `with_config` share it, and its identity is what a
-    /// scratch checks to tell whether it is bound to this plan.
+    /// stamped out by `with_config` and `with_platform` share it, and its
+    /// identity is what a scratch checks to tell whether it is bound to
+    /// this design.
     memos: Arc<MemoPool>,
 }
 
@@ -141,13 +148,15 @@ struct PlanShared {
 /// The plan owns a copy of the task set and platform it was built from, so
 /// it borrows nothing and can outlive its inputs. It is immutable after
 /// construction and `Send + Sync`, so a single instance can back every
-/// worker of an engine job. The inputs and the design-time artifacts live
+/// worker of an engine job. The task set and the design-time artifacts live
 /// behind an [`Arc`], so [`with_config`](Self::with_config) can stamp out
 /// plans for new run-time parameters (seed, iteration count, replacement
-/// policy, …) without repeating any design-time work.
+/// policy, …) and [`with_platform`](Self::with_platform) plans for other
+/// tile counts the graphs fit, without repeating any design-time work.
 #[derive(Debug)]
 pub struct IterationPlan {
     config: SimulationConfig,
+    platform: Platform,
     shared: Arc<PlanShared>,
 }
 
@@ -262,23 +271,30 @@ impl IterationPlan {
                 .map(|artifact| artifact.prepared.schedule().slot_count())
                 .max()
                 .unwrap_or(0),
-            tiles: platform.tile_count(),
             configs: dictionary.len(),
             tasks: task_set.tasks().len(),
         };
         let shares_tiles = artifacts
             .iter()
             .all(|artifact| artifact.prepared.ideal_makespan() > Time::ZERO);
+        let width = task_set
+            .tasks()
+            .iter()
+            .flat_map(Task::scenarios)
+            .map(|scenario| scenario.graph().drhw_subtasks().len())
+            .max()
+            .unwrap_or(0);
         Ok(IterationPlan {
             config,
+            platform: platform.clone(),
             shared: Arc::new(PlanShared {
                 task_set: task_set.clone(),
-                platform: platform.clone(),
                 library,
                 scenario_slots,
                 artifacts,
                 scratch_shape,
                 shares_tiles,
+                width,
                 memos: Arc::default(),
             }),
         })
@@ -312,6 +328,37 @@ impl IterationPlan {
         }
         Ok(IterationPlan {
             config,
+            platform: self.platform.clone(),
+            shared: Arc::clone(&self.shared),
+        })
+    }
+
+    /// Stamps out the plan for another `platform`, sharing every design-time
+    /// artifact with `self` — the library, the per-scenario artifacts, the
+    /// configuration dictionary and the kernel memo pool — or `None` when
+    /// some artifact could differ there, and only a fresh
+    /// [`IterationPlan::new`] gives the right plan.
+    ///
+    /// The two platforms must differ in their tile count alone (the same
+    /// reconfiguration latency, ISP count and energy per load), and both
+    /// must have at least the plan's *width* of tiles — the most DRHW
+    /// subtasks of any scenario graph of the task set — because the
+    /// artifacts depend on the tile count only while some graph does not
+    /// fit. At or above the width every Pareto curve has one point per DRHW
+    /// subtask and every point fits, so each point selection picks the same
+    /// initial schedule, and the searches and prepared schedules read the
+    /// platform only through its latency.
+    pub fn with_platform(&self, platform: &Platform) -> Option<IterationPlan> {
+        let tiles = platform.tile_count();
+        let shares_design = self.platform.tile_count() >= self.shared.width
+            && tiles >= self.shared.width
+            && SlotMask::<1>::fits(tiles)
+            && platform
+                .resized(self.platform.tile_count())
+                .is_ok_and(|resized| resized == self.platform);
+        shares_design.then(|| IterationPlan {
+            config: self.config.clone(),
+            platform: platform.clone(),
             shared: Arc::clone(&self.shared),
         })
     }
@@ -323,7 +370,7 @@ impl IterationPlan {
 
     /// The platform the plan simulates.
     pub fn platform(&self) -> &Platform {
-        &self.shared.platform
+        &self.platform
     }
 
     /// The task set the plan simulates.
@@ -399,7 +446,8 @@ impl IterationPlan {
     /// per prepared scenario, sized to the keys that scenario can produce.
     /// The set comes from the plan's memo pool, warm with what earlier
     /// scratches of the plan (or of any plan stamped out by
-    /// [`with_config`](Self::with_config)) computed; only when the pool is
+    /// [`with_config`](Self::with_config) or
+    /// [`with_platform`](Self::with_platform)) computed; only when the pool is
     /// empty are the tables built cold. Dropping the scratch hands the set
     /// back. Evaluation through it never touches the allocator — not even
     /// on the first iteration. Any plan can evaluate through the scratch;
@@ -416,6 +464,7 @@ impl IterationPlan {
         scratch.bind_plan(
             &self.shared.memos,
             &self.shared.scratch_shape,
+            self.platform.tile_count(),
             self.shared
                 .artifacts
                 .iter()
@@ -1458,6 +1507,135 @@ pub(crate) mod tests {
         assert_eq!(b.shared.memos.idle_sets(), 1);
         drop(scratch);
         assert_eq!(a.shared.memos.idle_sets(), 2);
+    }
+
+    /// A quick configuration with `workload`'s own inclusion probability
+    /// and scenario policy.
+    fn workload_config(workload: &dyn drhw_workloads::Workload) -> SimulationConfig {
+        let mut config = SimulationConfig::quick();
+        config.task_inclusion_probability = workload.task_inclusion_probability();
+        if let Some(combos) = workload.correlated_scenarios() {
+            config = config.with_scenario_policy(ScenarioPolicy::Correlated(combos));
+        }
+        config
+    }
+
+    #[test]
+    fn a_plan_carried_to_another_tile_count_matches_a_fresh_build() {
+        use drhw_workloads::{MultimediaWorkload, PocketGlWorkload, Workload};
+        for workload in [&MultimediaWorkload as &dyn Workload, &PocketGlWorkload] {
+            let set = workload.task_set();
+            let sweep = workload.tile_sweep();
+            let lowest = Platform::virtex_like(*sweep.start()).unwrap();
+            for seed in [3, 2005] {
+                let config = workload_config(workload)
+                    .with_seed(seed)
+                    .with_iterations(40)
+                    .with_chunk_size(7);
+                let donor = IterationPlan::new(&set, &lowest, config.clone()).unwrap();
+                for tiles in sweep.clone() {
+                    let label = format!("{} on {tiles} tiles, seed {seed}", workload.name());
+                    let platform = Platform::virtex_like(tiles).unwrap();
+                    let derived = donor.with_platform(&platform).expect(&label);
+                    assert!(Arc::ptr_eq(&donor.shared, &derived.shared), "{label}");
+                    assert_eq!(derived.platform(), &platform, "{label}");
+                    let fresh = IterationPlan::new(&set, &platform, config.clone()).unwrap();
+                    assert_eq!(derived.library(), fresh.library(), "{label}");
+                    assert_eq!(
+                        derived.search_artifacts(),
+                        fresh.search_artifacts(),
+                        "{label}"
+                    );
+                    let (mut scratch, mut fresh_scratch) =
+                        (derived.make_scratch(), fresh.make_scratch());
+                    for chunk in 0..fresh.chunk_count() {
+                        assert_eq!(
+                            derived
+                                .evaluate_chunk_policies_with(&PolicyKind::ALL, chunk, &mut scratch)
+                                .collect::<Vec<_>>(),
+                            fresh
+                                .evaluate_chunk_policies_with(
+                                    &PolicyKind::ALL,
+                                    chunk,
+                                    &mut fresh_scratch
+                                )
+                                .collect::<Vec<_>>(),
+                            "{label}, chunk {chunk}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn with_platform_refuses_a_platform_the_design_may_not_hold_on() {
+        use drhw_workloads::{MultimediaWorkload, PocketGlWorkload, Workload};
+        let set = MultimediaWorkload.task_set();
+        let config = workload_config(&MultimediaWorkload);
+        let eight = Platform::virtex_like(8).unwrap();
+        let twelve = Platform::virtex_like(12).unwrap();
+        let plan = IterationPlan::new(&set, &eight, config.clone()).unwrap();
+        // Multimedia's widest graph has 8 DRHW subtasks.
+        assert!(plan.with_platform(&eight).is_some());
+        assert!(plan.with_platform(&twelve).is_some());
+        for refused in [
+            Platform::virtex_like(4).unwrap(),
+            Platform::virtex_like(7).unwrap(),
+            Platform::virtex_like(SlotMask::<1>::CAPACITY + 1).unwrap(),
+            Platform::new(12, Time::from_millis(5)).unwrap(),
+            twelve.clone().with_isps(1),
+            twelve.clone().with_reconfig_energy_mj(3.0),
+        ] {
+            assert!(plan.with_platform(&refused).is_none(), "{refused:?}");
+        }
+        // A donor built below the width holds schedules picked for fewer
+        // tiles, so it gives its design to no platform.
+        let narrow = IterationPlan::new(&set, &Platform::virtex_like(4).unwrap(), config).unwrap();
+        assert!(narrow.with_platform(&twelve).is_none());
+        assert!(narrow.with_platform(&eight).is_none());
+
+        // Pocket GL's widest graph has 2 DRHW subtasks.
+        let set = PocketGlWorkload.task_set();
+        let five = Platform::virtex_like(5).unwrap();
+        let plan = IterationPlan::new(&set, &five, workload_config(&PocketGlWorkload)).unwrap();
+        let [one, two] = [1, 2].map(|tiles| Platform::virtex_like(tiles).unwrap());
+        assert!(plan.with_platform(&two).is_some());
+        assert!(plan.with_platform(&one).is_none());
+    }
+
+    #[test]
+    fn a_scratch_follows_one_design_across_tile_counts() {
+        use drhw_workloads::{MultimediaWorkload, Workload};
+        let set = MultimediaWorkload.task_set();
+        let config = workload_config(&MultimediaWorkload).with_chunk_size(9);
+        let donor =
+            IterationPlan::new(&set, &Platform::virtex_like(12).unwrap(), config.clone()).unwrap();
+        let mut scratch = donor.make_scratch();
+        let memo = scratch.memo.as_ptr();
+        for tiles in [12, 8, 16, 9] {
+            let platform = Platform::virtex_like(tiles).unwrap();
+            let plan = donor.with_platform(&platform).unwrap();
+            let fresh = IterationPlan::new(&set, &platform, config.clone()).unwrap();
+            for chunk in 0..fresh.chunk_count() {
+                assert_eq!(
+                    plan.evaluate_chunk_policies_with(&PolicyKind::ALL, chunk, &mut scratch)
+                        .collect::<Vec<_>>(),
+                    fresh
+                        .evaluate_chunk_policies_with(
+                            &PolicyKind::ALL,
+                            chunk,
+                            &mut fresh.make_scratch()
+                        )
+                        .collect::<Vec<_>>(),
+                    "{tiles} tiles, chunk {chunk}"
+                );
+            }
+            assert_eq!(scratch.memo.as_ptr(), memo, "{tiles} tiles: same memo set");
+        }
+        assert_eq!(donor.shared.memos.idle_sets(), 0);
+        drop(scratch);
+        assert_eq!(donor.shared.memos.idle_sets(), 1, "the set went back");
     }
 
     #[test]

@@ -15,19 +15,24 @@
 //!
 //! * The *plan* is immutable and shared; the *scratch* is exclusively owned
 //!   by one worker and never crosses threads.
-//! * The kernel memos live with the plan. Its shared artifacts own a
-//!   [`MemoPool`] of memo sets (one memo per prepared scenario) that no
+//! * The kernel memos live with the plan's design. Its shared artifacts own
+//!   a [`MemoPool`] of memo sets (one memo per prepared scenario) that no
 //!   scratch holds. Binding a scratch takes a set from the pool, and builds
 //!   a cold one only when the pool is empty; rebinding or dropping the
 //!   scratch hands it back. A memo entry is a pure function of the plan's
 //!   artifacts, so every job on a cached plan starts with what earlier jobs
 //!   computed, and the pool holds at most as many sets as scratches were
-//!   bound to the plan at once.
+//!   bound to the design at once. Plans of one design on several tile
+//!   counts ([`with_platform`](crate::IterationPlan::with_platform)) share
+//!   one pool: the kernels read the tile state only through the residency
+//!   mask they are keyed on.
 //! * A scratch is bound to one plan at a time. Every evaluate entry point
 //!   binds it first ([`bind_plan`](SimScratch::bind_plan)); binding to a
-//!   different plan rebinds the whole scratch — tile contents for the new
-//!   platform, buffers for the new maxima, the new plan's memo set — so a
-//!   scratch made by one plan's `make_scratch` can serve any other.
+//!   different design rebinds the whole scratch — tile contents for the new
+//!   platform, buffers for the new maxima, the new plan's memo set — and
+//!   binding to the same design on another tile count rebuilds the tile
+//!   contents and buffers but keeps the memo set, so a scratch made by one
+//!   plan's `make_scratch` can serve any other.
 //! * Chunk-scoped state (tile states, lanes) is reset in place by
 //!   [`start_chunk`](SimScratch::start_chunk) at every chunk boundary —
 //!   bit-identical to constructing fresh state, without the allocation.
@@ -224,15 +229,14 @@ impl MemoPool {
     }
 }
 
-/// The buffer maxima a plan needs of a scratch, computed once per plan.
+/// The buffer maxima a plan's design needs of a scratch, computed once per
+/// design; the platform adds its tile count.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ScratchShape {
     /// Subtasks of the plan's largest graph.
     pub(crate) subtasks: usize,
     /// Slots of the plan's widest schedule.
     pub(crate) slots: usize,
-    /// Tiles of the platform.
-    pub(crate) tiles: usize,
     /// Size of the plan's dense configuration dictionary.
     pub(crate) configs: usize,
     /// Tasks per iteration at most.
@@ -332,7 +336,7 @@ pub struct SimScratch {
     /// `pool` when the scratch is rebound or dropped.
     pub(crate) memo: Vec<KernelMemo>,
     /// The memo pool of the plan the scratch is bound to (`None` while
-    /// unbound); its identity is the plan's.
+    /// unbound); its identity is the plan's design's.
     pool: Option<Arc<MemoPool>>,
 }
 
@@ -353,38 +357,42 @@ impl SimScratch {
     }
 
     /// Binds the scratch to the plan whose memo pool is `pool`, whose buffer
-    /// maxima are `shape` and whose artifacts have `graph_sizes` subtasks
-    /// each. Bound to another plan (or to none), the whole scratch is
-    /// rebound: one tile state for the plan's platform, lanes for every
-    /// policy, kernel buffers reserved for its maxima, and a memo set of
-    /// the plan's — taken from its pool, or built cold at its artifacts'
-    /// sizes when the pool is empty — after the old plan's set went back to
-    /// the old pool. So a scratch made by one plan's `make_scratch` never
-    /// simulates another plan's platform or replays its summaries. Plans
-    /// stamped out by [`with_config`](crate::IterationPlan::with_config)
-    /// share design-time artifacts and therefore the pool, so
-    /// re-parameterised runs keep their warm memos. One pointer compare on
-    /// the steady path.
+    /// maxima are `shape`, whose platform has `tiles` tiles and whose
+    /// artifacts have `graph_sizes` subtasks each. Bound to another design
+    /// (or to none), the whole scratch is rebound: one tile state for the
+    /// plan's platform, lanes for every policy, kernel buffers reserved for
+    /// its maxima, and a memo set of the plan's — taken from its pool, or
+    /// built cold at its artifacts' sizes when the pool is empty — after
+    /// the old plan's set went back to the old pool. So a scratch made by
+    /// one plan's `make_scratch` never simulates another plan's platform or
+    /// replays its summaries. Plans stamped out by
+    /// [`with_config`](crate::IterationPlan::with_config) and
+    /// [`with_platform`](crate::IterationPlan::with_platform) share
+    /// design-time artifacts and therefore the pool, so re-parameterised
+    /// runs keep their warm memos; bound to the same design on another tile
+    /// count, the scratch rebuilds its tile states and buffers and keeps its
+    /// memo set. A pointer and a tile-count compare on the steady path.
     pub(crate) fn bind_plan(
         &mut self,
         pool: &Arc<MemoPool>,
         shape: &ScratchShape,
+        tiles: usize,
         graph_sizes: impl Iterator<Item = usize>,
     ) {
-        if self
+        let same_design = self
             .pool
             .as_ref()
-            .is_some_and(|bound| Arc::ptr_eq(bound, pool))
-        {
+            .is_some_and(|bound| Arc::ptr_eq(bound, pool));
+        let same_tiles = self.tiles.first().map(|state| state.contents.tile_count()) == Some(tiles);
+        if same_design && same_tiles {
             return;
         }
-        self.release_memo();
         self.prefetch
-            .reserve(shape.subtasks, shape.slots, shape.tiles, shape.configs);
-        if self.tiles.first().map(|state| state.contents.tile_count()) != Some(shape.tiles) {
+            .reserve(shape.subtasks, shape.slots, tiles, shape.configs);
+        if !same_tiles {
             self.tiles.clear();
             self.tiles.push(TileState {
-                contents: TileContents::new(shape.tiles),
+                contents: TileContents::new(tiles),
                 now: Time::ZERO,
                 shared: false,
             });
@@ -396,11 +404,15 @@ impl SimScratch {
         self.activations.reserve(shape.tasks);
         self.activation_artifacts.clear();
         self.activation_artifacts.reserve(shape.tasks);
-        // Pop in a statement of its own: the lock is released before a cold
-        // build, which other scratches binding the plan need not wait for.
-        let warm = pool.idle().pop();
-        self.memo = warm.unwrap_or_else(|| graph_sizes.map(KernelMemo::for_subtasks).collect());
-        self.pool = Some(Arc::clone(pool));
+        if !same_design {
+            self.release_memo();
+            // Pop in a statement of its own: the lock is released before a
+            // cold build, which other scratches binding the plan need not
+            // wait for.
+            let warm = pool.idle().pop();
+            self.memo = warm.unwrap_or_else(|| graph_sizes.map(KernelMemo::for_subtasks).collect());
+            self.pool = Some(Arc::clone(pool));
+        }
     }
 
     /// Hands the memo set back to the pool of the plan the scratch is bound

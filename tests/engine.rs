@@ -222,6 +222,84 @@ fn eviction_at_capacity_keeps_results_correct() {
 }
 
 #[test]
+fn one_engine_preloading_every_figure_key_reports_like_fresh_ones() {
+    let registry = WorkloadRegistry::with_builtins();
+    let keys: Vec<(&str, usize)> = ["multimedia", "pocket_gl"]
+        .into_iter()
+        .flat_map(|name| {
+            let sweep = registry.resolve(name).expect("built in").tile_sweep();
+            sweep.map(move |tiles| (name, tiles))
+        })
+        .collect();
+    assert_eq!(keys.len(), 15, "the Fig. 6/7 points");
+    let preloaded = Engine::builder().threads(1).cache_capacity(15).build();
+    for &(workload, tiles) in &keys {
+        preloaded
+            .run(
+                JobSpec::new(workload)
+                    .with_tiles(tiles)
+                    .with_iterations(1)
+                    .with_policies([PolicyKind::Hybrid]),
+            )
+            .expect("preload runs");
+    }
+    // One build per workload, on the lowest tile count of its sweep; every
+    // other point is carried over from it.
+    let stats = preloaded.cache_stats();
+    assert_eq!((stats.misses, stats.derived, stats.hits), (15, 13, 0));
+    assert_eq!(stats.disk_hits, 0);
+
+    for &(workload, tiles) in &keys {
+        let fresh = Engine::builder().threads(1).build();
+        for spec in [
+            JobSpec::new(workload)
+                .with_tiles(tiles)
+                .with_iterations(60)
+                .with_seed(2005),
+            JobSpec::new(workload)
+                .with_tiles(tiles)
+                .with_iterations(45)
+                .with_chunk_size(8)
+                .with_seed(17)
+                .with_policies(PolicyKind::FIGURE_POLICIES),
+        ] {
+            assert_eq!(
+                preloaded.run(spec.clone()).expect("job runs"),
+                fresh.run(spec).expect("job runs"),
+                "{workload}@{tiles}t"
+            );
+        }
+    }
+    assert_eq!(preloaded.cache_stats().hits, 30);
+}
+
+#[test]
+fn a_derived_plan_is_persisted_and_a_restarted_engine_restores_it() {
+    let dir = std::env::temp_dir().join(format!("drhw-engine-derived-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let spec = |tiles| {
+        JobSpec::new("multimedia")
+            .with_tiles(tiles)
+            .with_iterations(30)
+            .with_seed(5)
+    };
+    let first = Engine::builder().threads(1).cache_dir(&dir).build();
+    first.run(spec(8)).expect("cold job runs");
+    let derived = first.run(spec(12)).expect("derived job runs");
+    let stats = first.cache_stats();
+    assert_eq!((stats.misses, stats.derived, stats.disk_hits), (2, 1, 0));
+
+    // A restarted engine has no plan to derive from: it restores the
+    // 12-tile entry the derived miss wrote.
+    let restarted = Engine::builder().threads(1).cache_dir(&dir).build();
+    let restored = restarted.run(spec(12)).expect("restored job runs");
+    let stats = restarted.cache_stats();
+    assert_eq!((stats.misses, stats.derived, stats.disk_hits), (1, 0, 1));
+    assert_eq!(restored, derived);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn unknown_workloads_and_bad_specs_fail_with_named_errors() {
     let engine = Engine::builder().build();
     let err = engine.run(JobSpec::new("warp-drive")).unwrap_err();
