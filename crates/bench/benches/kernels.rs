@@ -75,7 +75,7 @@ fn bench_kernels(c: &mut Criterion) {
         p.apply_to_contents(&mut warm, &scratch, Time::from_millis(1));
     }
     // Every graph's configurations protected, as if all were still queued,
-    // so the eviction keys read the protection table.
+    // so pass 2 reads the protection table.
     for p in &prepared {
         scratch.protect(&p.required_configs().collect::<Vec<_>>());
     }

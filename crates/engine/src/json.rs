@@ -353,9 +353,12 @@ impl<'a> Parser<'a> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
+                            // Exactly four hex digits: `from_str_radix` alone
+                            // would also take a sign, as in `\u+041`.
                             let hex = self
                                 .text
                                 .get(self.pos + 1..self.pos + 5)
+                                .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
                                 .and_then(|h| u32::from_str_radix(h, 16).ok())
                                 .ok_or_else(|| self.error("invalid \\u escape"))?;
                             // Surrogate pairs are not needed by the protocol;
@@ -452,6 +455,15 @@ mod tests {
         );
         // Escapes render back out as escapes.
         assert_eq!(value.to_json(), r#"{"a":"x\n\"yA","b":[1,2]}"#);
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(parse(r#""\u0041""#).unwrap().as_str(), Some("A"));
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u004""#, r#""\u004"#] {
+            let err = parse(bad).unwrap_err();
+            assert_eq!(err.message, "invalid \\u escape", "{bad}");
+        }
     }
 
     #[test]

@@ -40,12 +40,14 @@
 //! [`SlotMask::CAPACITY`] — while the one-shot façade prepares its
 //! schedules at four words.
 //!
-//! The replacement kernel applies the same idea to tiles: [`Scratch`] keeps
-//! one tile mask per configuration, so the reuse-aware rule finds the
-//! lowest free tile holding a slot's configuration with one `AND` and one
-//! trailing-zeros count instead of scanning the platform. Its tile masks
-//! are one word too, so it rejects tile contents wider than
-//! [`SlotMask::CAPACITY`] ([`PrefetchError::TooManyTiles`]).
+//! The replacement kernel applies the same idea to tiles: [`TileContents`]
+//! keeps one tile mask per configuration and its tiles grouped into
+//! last-use generations, so the reuse-aware rule finds the lowest free tile
+//! holding a slot's configuration with one `AND` and one trailing-zeros
+//! count, and both content-aware rules pick the tiles to evict by walking
+//! the generations oldest first instead of sorting the platform. Those
+//! tile masks are one word too, so the kernel rejects tile contents wider
+//! than [`SlotMask::CAPACITY`] ([`PrefetchError::TooManyTiles`]).
 //!
 //! The replacement, reuse, inter-task and hybrid kernels replicate the
 //! classic modules *exactly* (same traversal orders and tie-breaking
@@ -413,11 +415,20 @@ impl PreparedSchedule {
     /// with the protected set being the configurations whose
     /// [`Scratch::protect`] count is above zero.
     ///
-    /// The reuse-aware rule finds its tiles through one tile mask per
-    /// configuration, built from `contents` on entry and cleared on exit:
-    /// pass 1 picks a slot's tile with one `AND` and one trailing-zeros
-    /// count, and pass 2's "holds a wanted configuration" flag is one bit
-    /// test.
+    /// Both content-aware rules read the indexes `contents` keeps instead
+    /// of sorting tiles. The reuse-aware rule's pass 1 picks a slot's tile
+    /// from its configuration's tile mask with one `AND` and one
+    /// trailing-zeros count. Its pass 2 takes the free tiles class by
+    /// class — holding neither a wanted nor a protected configuration,
+    /// protected only, wanted only, both — and each class oldest
+    /// generation first, by ascending tile within a generation: exactly
+    /// the classic order of `(wanted, protected, last_used, tile)`. LRU is
+    /// the same walk over every tile, without classes.
+    ///
+    /// A slot's tile holds its first subtask's configuration exactly when
+    /// pass 1 matched it, so the reuse-aware rule also leaves the residency
+    /// mask [`mark_reusable`](Self::mark_reusable) would compute; the other
+    /// rules leave it as it was.
     ///
     /// # Errors
     ///
@@ -447,87 +458,78 @@ impl PreparedSchedule {
         }
         let Scratch {
             slot_to_tile,
-            tile_masks,
-            free_keys,
+            resident,
             protect_counts,
             ..
         } = scratch;
         slot_to_tile.clear();
+        let generations = contents.generations();
         match policy {
             ReplacementPolicy::Direct => {
                 slot_to_tile.extend((0..slots).map(TileId::new));
             }
             ReplacementPolicy::LeastRecentlyUsed => {
-                free_keys.clear();
-                free_keys
-                    .extend((0..tiles).map(|t| {
-                        eviction_key(false, false, contents.last_used(TileId::new(t)), t)
-                    }));
-                sort_smallest(free_keys, slots);
-                slot_to_tile.extend(free_keys[..slots].iter().map(|&key| key_tile(key)));
+                slot_to_tile.extend(
+                    oldest_first(generations, SlotMask::full(tiles))
+                        .take(slots)
+                        .map(TileId::new),
+                );
             }
             ReplacementPolicy::ReuseAware => {
-                for t in 0..tiles {
-                    if let Some(held) = contents.config_on(TileId::new(t)) {
-                        if held.index() >= tile_masks.len() {
-                            tile_masks.resize(held.index() + 1, SlotMask::EMPTY);
-                        }
-                        tile_masks[held.index()].insert(t);
-                    }
-                }
-                let holding = |config: ConfigId| {
-                    tile_masks
-                        .get(config.index())
-                        .copied()
-                        .unwrap_or(SlotMask::EMPTY)
-                };
                 slot_to_tile.resize(slots, UNASSIGNED);
+                resident.clear();
                 // Pass 1: give every slot a tile that already holds its first
                 // configuration (greedy, slot order, lowest matching tile).
                 let mut taken = SlotMask::EMPTY;
-                for (slot, desired) in self.desired_configs.iter().enumerate() {
-                    let Some(desired) = *desired else { continue };
-                    if let Some(tile) = holding(desired).difference(taken).iter().next() {
+                let mut open: SlotMask = SlotMask::full(slots);
+                for (slot, (first, desired)) in self
+                    .first_on_slot
+                    .iter()
+                    .zip(&self.desired_configs)
+                    .enumerate()
+                {
+                    let (Some(first), Some(desired)) = (first, desired) else {
+                        continue;
+                    };
+                    if let Some(tile) = contents.holding(*desired).difference(taken).iter().next() {
                         slot_to_tile[slot] = TileId::new(tile);
                         taken.insert(tile);
+                        open.remove(slot);
+                        resident.insert(first.index());
                     }
                 }
-                let unassigned = slots - taken.len();
-                if unassigned > 0 {
-                    // Pass 2: fill the rest with free tiles, evicting tiles
-                    // whose content nobody wants first, oldest first. One
-                    // packed key per free tile orders exactly like the
-                    // classic tuple, and only the `unassigned` smallest keys
-                    // are ever sorted.
+                if !open.is_empty() {
+                    // Pass 2: fill the open slots, in slot order, with free
+                    // tiles: first those whose content nobody wants, oldest
+                    // first.
+                    let free = SlotMask::full(tiles).difference(taken);
                     let wanted = self
                         .wanted_configs
                         .iter()
-                        .fold(SlotMask::EMPTY, |mask, &config| mask.union(holding(config)));
-                    free_keys.clear();
-                    free_keys.extend(SlotMask::full(tiles).difference(taken).iter().map(|t| {
-                        let tile = TileId::new(t);
-                        let holds_protected = contents.config_on(tile).is_some_and(|held| {
-                            protect_counts.get(held.index()).is_some_and(|&n| n > 0)
+                        .fold(SlotMask::EMPTY, |mask, &config| {
+                            mask.union(contents.holding(config))
                         });
-                        eviction_key(
-                            wanted.contains(t),
-                            holds_protected,
-                            contents.last_used(tile),
-                            t,
-                        )
-                    }));
-                    sort_smallest(free_keys, unassigned);
-                    let mut free_iter = free_keys.iter().map(|&key| key_tile(key));
-                    for tile in slot_to_tile.iter_mut().filter(|t| **t == UNASSIGNED) {
-                        *tile = free_iter
-                            .next()
-                            .expect("slot count was checked against tile count");
-                    }
-                }
-                // Leave every mask empty for the next call.
-                for t in 0..tiles {
-                    if let Some(held) = contents.config_on(TileId::new(t)) {
-                        tile_masks[held.index()].clear();
+                    let protected: SlotMask = free
+                        .iter()
+                        .filter(|&t| {
+                            contents.config_on(TileId::new(t)).is_some_and(|held| {
+                                protect_counts.get(held.index()).is_some_and(|&n| n > 0)
+                            })
+                        })
+                        .collect();
+                    let unwanted = free.difference(wanted);
+                    let wanted = free.intersection(wanted);
+                    let classes = [
+                        unwanted.difference(protected),
+                        unwanted.intersection(protected),
+                        wanted.difference(protected),
+                        wanted.intersection(protected),
+                    ];
+                    let chosen = classes
+                        .into_iter()
+                        .flat_map(|class| oldest_first(generations, class));
+                    for (slot, tile) in open.iter().zip(chosen) {
+                        slot_to_tile[slot] = TileId::new(tile);
                     }
                 }
             }
@@ -566,13 +568,14 @@ impl PreparedSchedule {
     /// every slot's tile ends up holding the configuration of the last DRHW
     /// subtask executed on it, stamped `now`. Replicates
     /// [`apply_schedule_to_contents`](crate::apply_schedule_to_contents)
-    /// against `scratch.slot_to_tile`.
+    /// against `scratch.slot_to_tile`, recording the loads as one batch.
     pub fn apply_to_contents(&self, contents: &mut TileContents, scratch: &Scratch, now: Time) {
-        for (slot, &tile) in scratch.slot_to_tile.iter().enumerate() {
-            if let Some(config) = self.last_config_on_slot[slot] {
-                contents.record_load(tile, config, now);
-            }
-        }
+        let loads = scratch
+            .slot_to_tile
+            .iter()
+            .zip(&self.last_config_on_slot)
+            .filter_map(|(&tile, config)| Some((tile, (*config)?)));
+        contents.record_loads(loads, now);
     }
 
     /// Scores the on-demand (no-prefetch) policy with nothing resident.
@@ -788,14 +791,15 @@ pub struct HybridSummary {
 /// [`SlotMask`] words, not here; only the buffers that genuinely need heap
 /// backing remain — the load-order lists, the flat finish/load timestamp
 /// tables (valid only under the timing loop's internal masks), the
-/// replacement kernel's per-configuration tile masks and eviction keys, and
-/// the per-configuration protection counts the caller maintains between
-/// activations.
+/// slot-to-tile mapping and the per-configuration protection counts the
+/// caller maintains between activations. The replacement kernel's indexes
+/// live with the tile state ([`TileContents`]), not here.
 #[derive(Debug, Default)]
 pub struct Scratch {
     /// Residency mask consumed by the evaluation kernels (one bit per
-    /// subtask). Fill via [`PreparedSchedule::mark_reusable`] or
-    /// [`PreparedSchedule::clear_residency`].
+    /// subtask). Fill via [`PreparedSchedule::mark_reusable`],
+    /// [`PreparedSchedule::clear_residency`] or a reuse-aware
+    /// [`PreparedSchedule::assign_tiles_into`].
     pub(crate) resident: SlotMask,
     /// Weight-ordered load list / hybrid initialization loads.
     order_a: Vec<SubtaskId>,
@@ -805,12 +809,6 @@ pub struct Scratch {
     timeline: Timeline,
     /// The slot-to-tile mapping the replacement kernel produces.
     pub(crate) slot_to_tile: Vec<TileId>,
-    /// The tiles holding each configuration, indexed by configuration id.
-    /// The reuse-aware mapping fills the masks from the tile contents on
-    /// entry and empties them again before it returns.
-    tile_masks: Vec<SlotMask>,
-    /// Packed eviction keys of the free tiles (see [`eviction_key`]).
-    free_keys: Vec<u128>,
     /// Per-configuration protection counts, indexed by configuration id: a
     /// configuration is protected from eviction while its count is above
     /// zero (see [`protect`](Scratch::protect)).
@@ -826,19 +824,15 @@ impl Scratch {
     }
 
     /// Pre-sizes every buffer for graphs of up to `subtasks` subtasks,
-    /// schedules of up to `slots` slots, platforms of up to `tiles` tiles and
-    /// configuration ids below `configs` (the size of an
+    /// schedules of up to `slots` slots and configuration ids below
+    /// `configs` (the size of an
     /// [interned](PreparedSchedule::intern_configs) dictionary).
-    pub fn reserve(&mut self, subtasks: usize, slots: usize, tiles: usize, configs: usize) {
+    pub fn reserve(&mut self, subtasks: usize, slots: usize, configs: usize) {
         self.order_a.reserve(subtasks);
         self.order_b.reserve(subtasks);
         self.timeline.exec_finish.reserve(subtasks);
         self.timeline.loaded_at.reserve(subtasks);
-        self.slot_to_tile.reserve(slots.max(tiles));
-        self.free_keys.reserve(tiles);
-        if self.tile_masks.len() < configs {
-            self.tile_masks.resize(configs, SlotMask::EMPTY);
-        }
+        self.slot_to_tile.reserve(slots);
         if self.protect_counts.len() < configs {
             self.protect_counts.resize(configs, 0);
         }
@@ -902,35 +896,17 @@ impl Scratch {
 /// looks for a slot's tile.
 const UNASSIGNED: TileId = TileId::new(usize::MAX);
 
-/// Bits of an eviction key below the last-use stamp: the tile index.
-const KEY_TILE_BITS: u32 = 62;
-
-/// Packs the classic eviction tuple `(holds_wanted, holds_protected,
-/// last_used, tile)` into one integer whose order is the tuple order: the
-/// two flags in the top bits, the last-use stamp in µs below them, the tile
-/// index in the low [`KEY_TILE_BITS`] bits. Keys are distinct per tile, so
-/// any sort of them is deterministic.
-#[inline]
-fn eviction_key(holds_wanted: bool, holds_protected: bool, last_used: Time, tile: usize) -> u128 {
-    (u128::from(holds_wanted) << 127)
-        | (u128::from(holds_protected) << 126)
-        | (u128::from(last_used.as_micros()) << KEY_TILE_BITS)
-        | tile as u128
-}
-
-/// The tile index an [`eviction_key`] was built for.
-#[inline]
-fn key_tile(key: u128) -> TileId {
-    TileId::new((key & ((1 << KEY_TILE_BITS) - 1)) as usize)
-}
-
-/// Moves the `k` smallest keys to the front of `keys`, in ascending order;
-/// the rest are left unordered.
-fn sort_smallest(keys: &mut [u128], k: usize) {
-    if k < keys.len() {
-        keys.select_nth_unstable(k);
-    }
-    keys[..k].sort_unstable();
+/// The tiles of `among` in the order of `(last_used, tile)`: generation by
+/// generation, oldest first, and by ascending tile within one. Stops once
+/// every tile of `among` came out.
+fn oldest_first(
+    generations: &[(Time, SlotMask)],
+    among: SlotMask,
+) -> impl Iterator<Item = usize> + '_ {
+    generations
+        .iter()
+        .flat_map(move |&(_, tiles)| tiles.intersection(among))
+        .take(among.len())
 }
 
 /// How the port chooses its next load.

@@ -13,21 +13,88 @@ use std::collections::BTreeSet;
 use drhw_model::{ConfigId, InitialSchedule, SubtaskGraph, SubtaskId, TileId, TileSlot, Time};
 use serde::{Deserialize, Serialize};
 
+use crate::mask::SlotMask;
+
 /// The configuration currently loaded on every physical tile, together with
 /// the last time each tile was used (for LRU-style replacement).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// A state of at most [`SlotMask::CAPACITY`] tiles also keeps two indexes
+/// over those tables, which the replacement kernel
+/// ([`PreparedSchedule::assign_tiles_into`](crate::PreparedSchedule::assign_tiles_into))
+/// reads instead of scanning and sorting the tiles: the tiles holding each
+/// configuration, as one tile mask per configuration id, and the tiles
+/// grouped by last-use stamp into *generations*, oldest first. Every update
+/// keeps both current. A wider state keeps neither: the classic modules
+/// scan its tables, and the kernels refuse it. Equality compares the
+/// configurations and stamps alone.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TileContents {
     configs: Vec<Option<ConfigId>>,
     last_used: Vec<Time>,
+    /// The tiles holding each configuration, indexed by configuration id.
+    /// Grows to the largest id loaded;
+    /// [`reserve_configs`](Self::reserve_configs) pre-sizes it.
+    holders: Vec<SlotMask>,
+    /// One `(stamp, tiles)` entry per distinct last-use stamp, in ascending
+    /// stamp order; every tile is in exactly one. At most one entry per
+    /// tile, and [`new`](Self::new) reserves that many.
+    generations: Vec<(Time, SlotMask)>,
 }
+
+impl PartialEq for TileContents {
+    /// Two states are equal when every tile holds the same configuration
+    /// with the same stamp; the indexes follow from those, whatever their
+    /// reserved sizes.
+    fn eq(&self, other: &Self) -> bool {
+        self.configs == other.configs && self.last_used == other.last_used
+    }
+}
+
+impl Eq for TileContents {}
 
 impl TileContents {
     /// Creates the state of a platform whose tiles are all empty.
     pub fn new(tile_count: usize) -> Self {
-        TileContents {
+        let mut contents = TileContents {
             configs: vec![None; tile_count],
             last_used: vec![Time::ZERO; tile_count],
+            holders: Vec::new(),
+            generations: Vec::new(),
+        };
+        if contents.indexed() {
+            contents.generations.reserve_exact(tile_count);
+            contents.reset();
         }
+        contents
+    }
+
+    /// Pre-sizes the per-configuration tile masks for ids below `configs`
+    /// (the size of an [interned](crate::PreparedSchedule::intern_configs)
+    /// dictionary), so loading them never allocates. A no-op on a state
+    /// wider than one mask word, which keeps no masks.
+    pub fn reserve_configs(&mut self, configs: usize) {
+        if self.indexed() && self.holders.len() < configs {
+            self.holders.resize(configs, SlotMask::EMPTY);
+        }
+    }
+
+    /// Whether the state keeps its indexes: its tiles fit one mask word.
+    fn indexed(&self) -> bool {
+        SlotMask::<1>::fits(self.configs.len())
+    }
+
+    /// The tiles holding `config` (empty for a state without indexes).
+    pub(crate) fn holding(&self, config: ConfigId) -> SlotMask {
+        self.holders
+            .get(config.index())
+            .copied()
+            .unwrap_or(SlotMask::EMPTY)
+    }
+
+    /// The tiles grouped by last-use stamp, oldest first (empty for a state
+    /// without indexes).
+    pub(crate) fn generations(&self) -> &[(Time, SlotMask)] {
+        &self.generations
     }
 
     /// Number of tiles tracked.
@@ -54,8 +121,44 @@ impl TileContents {
     ///
     /// Panics if `tile` is out of range.
     pub fn record_load(&mut self, tile: TileId, config: ConfigId, now: Time) {
-        self.configs[tile.index()] = Some(config);
-        self.last_used[tile.index()] = self.last_used[tile.index()].max(now);
+        self.record_loads([(tile, config)], now);
+    }
+
+    /// Records one batch of loads, all at instant `now`: like
+    /// [`record_load`](Self::record_load) for each `(tile, config)` in
+    /// turn, with the generations updated once for the whole batch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a tile is out of range.
+    pub(crate) fn record_loads(
+        &mut self,
+        loads: impl IntoIterator<Item = (TileId, ConfigId)>,
+        now: Time,
+    ) {
+        let indexed = self.indexed();
+        let mut restamped = SlotMask::EMPTY;
+        for (tile, config) in loads {
+            let t = tile.index();
+            if let Some(old) = self.configs[t].replace(config) {
+                if let Some(holders) = self.holders.get_mut(old.index()) {
+                    holders.remove(t);
+                }
+            }
+            if indexed {
+                if config.index() >= self.holders.len() {
+                    self.holders.resize(config.index() + 1, SlotMask::EMPTY);
+                }
+                self.holders[config.index()].insert(t);
+            }
+            if self.last_used[t] < now {
+                self.last_used[t] = now;
+                if indexed {
+                    restamped.insert(t);
+                }
+            }
+        }
+        self.restamp(restamped, now);
     }
 
     /// Records that the configuration on `tile` was used (executed) at `now`.
@@ -64,7 +167,41 @@ impl TileContents {
     ///
     /// Panics if `tile` is out of range.
     pub fn record_use(&mut self, tile: TileId, now: Time) {
-        self.last_used[tile.index()] = self.last_used[tile.index()].max(now);
+        let t = tile.index();
+        if self.last_used[t] < now {
+            self.last_used[t] = now;
+            if self.indexed() {
+                self.restamp(std::iter::once(t).collect(), now);
+            }
+        }
+    }
+
+    /// Moves `tiles`, whose stamps were all below `now` and are `now` by
+    /// now, into the generation stamped `now`: one pass over the older
+    /// generations, which drops the ones left empty, then a merge into an
+    /// existing `now` generation or an insertion in stamp order. The count
+    /// stays within the one generation per tile that `new` reserves, since
+    /// every generation holds a tile.
+    fn restamp(&mut self, tiles: SlotMask, now: Time) {
+        if tiles.is_empty() {
+            return;
+        }
+        let generations = &mut self.generations;
+        let newer = generations.partition_point(|&(stamp, _)| stamp < now);
+        let mut kept = 0;
+        for index in 0..newer {
+            let (stamp, held) = generations[index];
+            let held = held.difference(tiles);
+            if !held.is_empty() {
+                generations[kept] = (stamp, held);
+                kept += 1;
+            }
+        }
+        generations.drain(kept..newer);
+        match generations.get_mut(kept) {
+            Some((stamp, held)) if *stamp == now => *held = held.union(tiles),
+            _ => generations.insert(kept, (now, tiles)),
+        }
     }
 
     /// Tiles currently holding the given configuration.
@@ -79,8 +216,11 @@ impl TileContents {
 
     /// Clears every tile (e.g. when the FPGA is fully reconfigured).
     pub fn clear(&mut self) {
-        for c in &mut self.configs {
-            *c = None;
+        for held in self.configs.iter_mut().filter_map(Option::take) {
+            // Every tile holding `held` is being emptied.
+            if let Some(holders) = self.holders.get_mut(held.index()) {
+                holders.clear();
+            }
         }
     }
 
@@ -90,11 +230,12 @@ impl TileContents {
     /// value, which is what the chunked simulation engine needs when it
     /// reuses one tracker across chunk boundaries instead of reallocating.
     pub fn reset(&mut self) {
-        for c in &mut self.configs {
-            *c = None;
-        }
-        for t in &mut self.last_used {
-            *t = Time::ZERO;
+        self.clear();
+        self.last_used.fill(Time::ZERO);
+        self.generations.clear();
+        let tiles = self.tile_count();
+        if self.indexed() && tiles > 0 {
+            self.generations.push((Time::ZERO, SlotMask::full(tiles)));
         }
     }
 }
@@ -289,6 +430,143 @@ mod tests {
         // needs a's configuration which was overwritten by c's).
         let resident = reusable_subtasks(&g, &schedule, &mapping, &contents);
         assert_eq!(resident, [SubtaskId::new(1)].into_iter().collect());
+    }
+
+    /// Asserts that the indexes of `contents` equal ones rebuilt from its
+    /// configurations and stamps.
+    fn assert_indexes_rebuild(contents: &TileContents, label: &str) {
+        let tiles = contents.tile_count();
+        let held = |t: usize| contents.config_on(TileId::new(t));
+        for config in 0..contents.holders.len().max(16) {
+            let config = ConfigId::new(config);
+            let expected: SlotMask = (0..tiles).filter(|&t| held(t) == Some(config)).collect();
+            assert_eq!(contents.holding(config), expected, "{config} {label}");
+        }
+        let mut stamps = contents.last_used.clone();
+        stamps.sort_unstable();
+        stamps.dedup();
+        let expected: Vec<(Time, SlotMask)> = stamps
+            .into_iter()
+            .map(|stamp| {
+                let tiles = (0..tiles).filter(|&t| contents.last_used[t] == stamp);
+                (stamp, tiles.collect())
+            })
+            .collect();
+        assert_eq!(contents.generations(), &expected[..], "{label}");
+    }
+
+    #[test]
+    fn indexes_equal_a_rebuild_after_any_sequence_of_updates() {
+        for (seed, tiles) in [(1u64, 1usize), (2, 3), (3, 8), (4, 13), (5, 64)] {
+            let mut rng = drhw_model::SplitMix64::new(seed);
+            let mut draw = |bound: usize| (rng.next_u64() % bound as u64) as usize;
+            let mut contents = TileContents::new(tiles);
+            contents.reserve_configs(16);
+            let reserved = contents.generations.capacity();
+            assert_indexes_rebuild(&contents, "new");
+            for step in 0..400 {
+                // A few stamp values, so stamps tie and go back; a few
+                // configurations, so loads replace them in place.
+                let now = Time::from_millis(draw(6) as u64);
+                let tile = TileId::new(draw(tiles));
+                let config = ConfigId::new(draw(16));
+                let op = match draw(20) {
+                    0 => {
+                        contents.clear();
+                        "clear"
+                    }
+                    1 => {
+                        contents.reset();
+                        "reset"
+                    }
+                    2..=6 => {
+                        contents.record_use(tile, now);
+                        "use"
+                    }
+                    7..=13 => {
+                        contents.record_load(tile, config, now);
+                        "load"
+                    }
+                    _ => {
+                        // A batch of loads, possibly naming a tile twice.
+                        let batch: Vec<_> = (0..1 + draw(4))
+                            .map(|_| (TileId::new(draw(tiles)), ConfigId::new(draw(16))))
+                            .collect();
+                        contents.record_loads(batch, now);
+                        "batch"
+                    }
+                };
+                assert_indexes_rebuild(&contents, &format!("{tiles} tiles, step {step} {op}"));
+                // Updates never outgrow what `new` and `reserve_configs`
+                // sized.
+                assert_eq!(contents.generations.capacity(), reserved);
+                assert_eq!(contents.holders.len(), 16);
+            }
+        }
+    }
+
+    #[test]
+    fn equality_depends_only_on_configurations_and_stamps() {
+        let mut a = TileContents::new(4);
+        let mut b = TileContents::new(4);
+        b.reserve_configs(300);
+        // Same state through different histories and index sizes.
+        a.record_load(TileId::new(1), ConfigId::new(200), Time::from_millis(3));
+        b.record_load(TileId::new(1), ConfigId::new(7), Time::from_millis(1));
+        b.record_use(TileId::new(2), Time::from_millis(2));
+        b.clear();
+        b.record_load(TileId::new(1), ConfigId::new(200), Time::from_millis(3));
+        assert_ne!(a, b, "tile 2's stamps differ");
+        a.record_use(TileId::new(2), Time::from_millis(2));
+        assert_eq!(a, b);
+        assert_ne!(a.holders.len(), b.holders.len());
+        a.record_load(TileId::new(0), ConfigId::new(200), Time::from_millis(2));
+        assert_ne!(a, b, "tile 0's configuration differs");
+    }
+
+    #[test]
+    fn a_state_wider_than_one_mask_word_keeps_no_indexes_and_serves_the_classic_rules() {
+        use crate::{assign_tiles_protecting, ReplacementPolicy};
+        let (g, schedule, _) = simple();
+        let tiles = SlotMask::<1>::CAPACITY + 6;
+        let mut contents = TileContents::new(tiles);
+        contents.reserve_configs(64);
+        // Tile 69 holds slot 0's configuration, tile 68 a protected one;
+        // tile 0 was used last.
+        contents.record_load(TileId::new(69), ConfigId::new(10), Time::from_millis(60));
+        contents.record_loads(
+            [(TileId::new(68), ConfigId::new(99))],
+            Time::from_millis(10),
+        );
+        contents.record_use(TileId::new(0), Time::from_millis(70));
+        assert!(contents.holders.is_empty() && contents.generations().is_empty());
+        let protected = [ConfigId::new(99)].into_iter().collect();
+        let reuse = assign_tiles_protecting(
+            &g,
+            &schedule,
+            &contents,
+            ReplacementPolicy::ReuseAware,
+            &protected,
+        )
+        .unwrap();
+        assert_eq!(reuse.tile_of(TileSlot::new(0)), TileId::new(69));
+        assert_eq!(reuse.tile_of(TileSlot::new(1)), TileId::new(1));
+        let resident = reusable_subtasks(&g, &schedule, &reuse, &contents);
+        assert_eq!(resident, [SubtaskId::new(0)].into_iter().collect());
+        let lru = assign_tiles_protecting(
+            &g,
+            &schedule,
+            &contents,
+            ReplacementPolicy::LeastRecentlyUsed,
+            &protected,
+        )
+        .unwrap();
+        assert_eq!(lru.tile_of(TileSlot::new(0)), TileId::new(1));
+        assert_eq!(lru.tile_of(TileSlot::new(1)), TileId::new(2));
+        contents.clear();
+        contents.reset();
+        assert_eq!(contents, TileContents::new(tiles));
+        assert!(contents.generations().is_empty());
     }
 
     #[test]

@@ -626,7 +626,11 @@ impl IterationPlan {
     /// the plan allows it (see [`SimScratch`]).
     fn start_chunk(&self, policies: &[PolicyKind], scratch: &mut SimScratch) {
         self.bind(scratch);
-        scratch.start_chunk(policies, self.shared.shares_tiles);
+        scratch.start_chunk(
+            policies,
+            self.shared.shares_tiles,
+            self.shared.scratch_shape.configs,
+        );
     }
 
     /// Simulates iteration `index` for every running lane of the pass,
@@ -726,7 +730,13 @@ impl IterationPlan {
                     }
                     continue;
                 }
-                let reused = prepared.mark_reusable(&state.contents, prefetch);
+                let reused = match self.config.replacement {
+                    // The reuse-aware assignment left the residency mask.
+                    ReplacementPolicy::ReuseAware => prefetch.resident().len(),
+                    ReplacementPolicy::LeastRecentlyUsed | ReplacementPolicy::Direct => {
+                        prepared.mark_reusable(&state.contents, prefetch)
+                    }
+                };
                 let mut elapsed = prepared.ideal_makespan();
                 for lane in lanes.iter_mut().filter(|lane| lane.reads(state_index)) {
                     match score(lane.policy, artifacts, memo, &mut lane.window, prefetch) {

@@ -2,14 +2,15 @@
 //!
 //! [`SimScratch`] bundles everything one worker mutates while evaluating
 //! iterations: the prefetch-kernel buffers ([`drhw_prefetch::Scratch`]), the
-//! chunk-scoped tile states (tile contents and their stamp clock), one lane
-//! per requested policy (inter-task window, iteration outcome, chunk sums,
-//! first error), the per-iteration activation/protection buffers and the
-//! bound plan's kernel memos, one per prepared scenario. One instance per
-//! worker thread; binding it to a plan sizes every buffer for that plan, so
-//! a warm evaluation loop performs **zero heap allocations** — an invariant
-//! enforced by the `alloc_free` integration test with a counting global
-//! allocator.
+//! chunk-scoped tile states (tile contents, with the per-configuration tile
+//! masks and last-use generations the replacement kernel reads, and their
+//! stamp clock), one lane per requested policy (inter-task window, iteration
+//! outcome, chunk sums, first error), the per-iteration
+//! activation/protection buffers and the bound plan's kernel memos, one per
+//! prepared scenario. One instance per worker thread; binding it to a plan
+//! sizes every buffer for that plan, so a warm evaluation loop performs
+//! **zero heap allocations** — an invariant enforced by the `alloc_free`
+//! integration test with a counting global allocator.
 //!
 //! # Ownership and reset rules
 //!
@@ -32,7 +33,10 @@
 //!   platform, buffers for the new maxima, the new plan's memo set — and
 //!   binding to the same design on another tile count rebuilds the tile
 //!   contents and buffers but keeps the memo set, so a scratch made by one
-//!   plan's `make_scratch` can serve any other.
+//!   plan's `make_scratch` can serve any other. Every tile state's
+//!   per-configuration masks are sized to the bound plan's dictionary:
+//!   when the scratch binds, when a pass adds a tile state, and when tile
+//!   states are kept for another design on the same tile count.
 //! * Chunk-scoped state (tile states, lanes) is reset in place by
 //!   [`start_chunk`](SimScratch::start_chunk) at every chunk boundary —
 //!   bit-identical to constructing fresh state, without the allocation.
@@ -243,9 +247,9 @@ pub(crate) struct ScratchShape {
     pub(crate) tasks: usize,
 }
 
-/// One tile state of a pass: what every physical tile holds and the clock
-/// its last-use stamps come from (chunk-scoped; see [`SimScratch`] for the
-/// two clocks).
+/// One tile state of a pass: what every physical tile holds, with the
+/// indexes the replacement kernel reads, and the clock its last-use stamps
+/// come from (chunk-scoped; see [`SimScratch`] for the two clocks).
 #[derive(Debug)]
 pub(crate) struct TileState {
     pub(crate) contents: TileContents,
@@ -253,6 +257,20 @@ pub(crate) struct TileState {
     /// Whether several lanes read this state (its clock then leaves the
     /// penalties out).
     pub(crate) shared: bool,
+}
+
+impl TileState {
+    /// Empty tiles with the clock at zero, their per-configuration masks
+    /// sized for the dense ids below `configs`, so no load allocates.
+    fn cold(tiles: usize, configs: usize) -> Self {
+        let mut contents = TileContents::new(tiles);
+        contents.reserve_configs(configs);
+        TileState {
+            contents,
+            now: Time::ZERO,
+            shared: false,
+        }
+    }
 }
 
 /// One requested policy inside a pass: the tile state it reads, its
@@ -312,6 +330,12 @@ impl Lane {
 /// with the position of the activation that last touched it, so the
 /// policies evict alike and share one state exactly. Otherwise each keeps
 /// its own.
+///
+/// Each tile state also keeps the indexes the replacement kernel reads
+/// (see [`TileContents`]): a tile mask per configuration, sized to the
+/// bound plan's dictionary so that no load allocates, and the tiles
+/// grouped by last-use stamp, which is how eviction reads the stamps'
+/// order.
 #[derive(Debug)]
 pub struct SimScratch {
     /// Buffers of the per-activation prefetch kernels.
@@ -388,14 +412,16 @@ impl SimScratch {
             return;
         }
         self.prefetch
-            .reserve(shape.subtasks, shape.slots, tiles, shape.configs);
-        if !same_tiles {
+            .reserve(shape.subtasks, shape.slots, shape.configs);
+        if same_tiles {
+            // Kept from another design: size their masks for this one's
+            // dictionary.
+            for state in &mut self.tiles {
+                state.contents.reserve_configs(shape.configs);
+            }
+        } else {
             self.tiles.clear();
-            self.tiles.push(TileState {
-                contents: TileContents::new(tiles),
-                now: Time::ZERO,
-                shared: false,
-            });
+            self.tiles.push(TileState::cold(tiles, shape.configs));
         }
         self.tile_states = 0;
         self.lanes.clear();
@@ -427,9 +453,11 @@ impl SimScratch {
     /// begins at: one lane per policy with an empty window and zero sums,
     /// and empty tiles with the clock at zero. The reuse-exploiting lanes
     /// read one shared tile state when there are several of them and
-    /// `share` holds, else one tile state each. In place: after the first
-    /// pass with as many tile states, nothing is allocated.
-    pub(crate) fn start_chunk(&mut self, policies: &[PolicyKind], share: bool) {
+    /// `share` holds, else one tile state each; a state added here gets
+    /// masks for the `configs` ids of the bound plan's dictionary. In
+    /// place: after the first pass with as many tile states, nothing is
+    /// allocated.
+    pub(crate) fn start_chunk(&mut self, policies: &[PolicyKind], share: bool, configs: usize) {
         let reusing = policies.iter().filter(|p| p.exploits_reuse()).count();
         let shared = share && reusing > 1;
         self.lanes.clear();
@@ -454,11 +482,7 @@ impl SimScratch {
         self.tile_states = if shared { 1 } else { reusing };
         let tile_count = self.tiles[0].contents.tile_count();
         while self.tiles.len() < self.tile_states {
-            self.tiles.push(TileState {
-                contents: TileContents::new(tile_count),
-                now: Time::ZERO,
-                shared: false,
-            });
+            self.tiles.push(TileState::cold(tile_count, configs));
         }
         for state in &mut self.tiles[..self.tile_states] {
             state.contents.reset();

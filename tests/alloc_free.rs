@@ -16,9 +16,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use drhw_bench::experiments::workload_config;
-use drhw_model::Platform;
-use drhw_prefetch::PolicyKind;
-use drhw_sim::{IterationPlan, SimulationConfig};
+use drhw_integration::zero_time_task_set;
+use drhw_model::{Platform, TaskSet};
+use drhw_prefetch::{PolicyKind, ReplacementPolicy};
+use drhw_sim::{IterationPlan, SimScratch, SimulationConfig};
 use drhw_workloads::{MultimediaWorkload, PocketGlWorkload, Workload};
 
 /// Counts every allocation event (alloc, alloc_zeroed, realloc) of the
@@ -189,4 +190,82 @@ fn make_scratch_on_a_warm_memo_pool_builds_no_memo_table() {
             workload.name()
         );
     }
+}
+
+/// Runs every chunk of `plan` once through `scratch` as one shared pass
+/// over all five policies, the engine's unit of work.
+fn shared_pass(plan: &IterationPlan, scratch: &mut SimScratch) {
+    for chunk in 0..plan.chunk_count() {
+        for result in plan.evaluate_chunk_policies_with(&PolicyKind::ALL, chunk, scratch) {
+            result.expect("chunk evaluates");
+        }
+    }
+}
+
+/// Allocation events of a second shared pass over `plans` in turn, all
+/// through one scratch, after one warm pass.
+fn warm_shared_pass_allocations(plans: &[&IterationPlan]) -> usize {
+    let mut scratch = plans[0].make_scratch();
+    for plan in plans {
+        shared_pass(plan, &mut scratch);
+    }
+    let before = allocation_events();
+    for plan in plans {
+        shared_pass(plan, &mut scratch);
+    }
+    allocation_events() - before
+}
+
+#[test]
+fn warm_shared_passes_perform_zero_heap_allocations() {
+    let plan = |set: &TaskSet, tiles: usize, config: SimulationConfig| {
+        let platform = Platform::virtex_like(tiles).expect("tile count is positive");
+        IterationPlan::new(set, &platform, config.with_threads(1)).expect("plan builds")
+    };
+    let multimedia = MultimediaWorkload.task_set();
+    let pocket_gl = PocketGlWorkload.task_set();
+    let multimedia_8 = plan(
+        &multimedia,
+        8,
+        workload_config(&MultimediaWorkload, 96, 7).with_chunk_size(32),
+    );
+    let pocket_gl_8 = plan(
+        &pocket_gl,
+        8,
+        workload_config(&PocketGlWorkload, 96, 7).with_chunk_size(32),
+    );
+    // The five policies in one pass, on one shared tile state each.
+    for (label, one) in [
+        ("multimedia@8", &multimedia_8),
+        ("pocket_gl@8", &pocket_gl_8),
+    ] {
+        assert_eq!(warm_shared_pass_allocations(&[one]), 0, "{label}");
+    }
+    // Every ideal makespan zero: each reuse policy keeps its own tile
+    // state, which the pass adds to the scratch.
+    let zero_time = zero_time_task_set();
+    for replacement in [
+        ReplacementPolicy::ReuseAware,
+        ReplacementPolicy::LeastRecentlyUsed,
+        ReplacementPolicy::Direct,
+    ] {
+        let mut config = SimulationConfig::default()
+            .with_iterations(40)
+            .with_chunk_size(20)
+            .with_seed(1);
+        config.replacement = replacement;
+        let zero = plan(&zero_time, 4, config);
+        assert_eq!(
+            warm_shared_pass_allocations(&[&zero]),
+            0,
+            "zero-time {replacement}"
+        );
+    }
+    // One scratch carried to another design on the same tile count and
+    // back: its tile states are kept, with the masks of both dictionaries.
+    assert_eq!(
+        warm_shared_pass_allocations(&[&multimedia_8, &pocket_gl_8, &multimedia_8]),
+        0,
+        "multimedia@8 -> pocket_gl@8 -> multimedia@8"
+    );
 }

@@ -5,7 +5,8 @@
 
 use drhw_bench::experiments::workload_config;
 use drhw_engine::{Engine, JobSpec};
-use drhw_model::{ConfigId, Platform, Subtask, SubtaskGraph, Task, TaskId, TaskSet, Time};
+use drhw_integration::zero_time_task_set;
+use drhw_model::{Platform, TaskSet};
 use drhw_prefetch::{PolicyKind, ReplacementPolicy};
 use drhw_sim::{IterationPlan, SimulationConfig};
 use drhw_workloads::multimedia::multimedia_task_set;
@@ -396,30 +397,6 @@ fn a_repeated_policy_gets_its_own_report_each_time() {
     for (policy, report) in requested.iter().zip(&together) {
         assert_eq!(report, &plan.run(&[*policy]).unwrap()[0], "{policy}");
     }
-}
-
-/// Two tasks of three subtasks each, every subtask taking 0 ms, over six
-/// configurations: on four tiles the tasks keep evicting each other, and
-/// every ideal makespan is zero.
-fn zero_time_task_set() -> TaskSet {
-    let tasks = (0..2)
-        .map(|task| {
-            let mut graph = SubtaskGraph::new(format!("zero-{task}"));
-            let ids: Vec<_> = (0..3)
-                .map(|i| {
-                    graph.add_subtask(Subtask::new(
-                        format!("z{task}{i}"),
-                        Time::ZERO,
-                        ConfigId::new(task * 3 + i),
-                    ))
-                })
-                .collect();
-            graph.add_dependency(ids[0], ids[1]).unwrap();
-            graph.add_dependency(ids[0], ids[2]).unwrap();
-            Task::single_scenario(TaskId::new(task), format!("zero-{task}"), graph).unwrap()
-        })
-        .collect();
-    TaskSet::new("zero-time", tasks).unwrap()
 }
 
 #[test]

@@ -133,6 +133,20 @@ fn malformed_commands_echo_their_id_identically_on_both_front_ends() {
     assert_eq!(stdin, tcp);
 }
 
+#[test]
+fn a_unicode_escape_with_a_sign_is_invalid_json_on_both_front_ends() {
+    // `\u` takes exactly four hex digits; a signed `\u+041` once read as
+    // `A` and was answered as a valid `describe_spec` with `"id":"A"`.
+    let input = concat!(r#"{"cmd":"describe_spec","id":"\u+041"}"#, "\n");
+    let stdin = stdin_session(input);
+    let tcp = tcp_session(ServerConfig::default(), input);
+    assert_eq!(
+        stdin,
+        [r#"{"type":"error","line":1,"message":"invalid JSON at byte 30: invalid \\u escape"}"#]
+    );
+    assert_eq!(stdin, tcp);
+}
+
 /// Times 20 sequential round trips of `line` on one connection whose
 /// client sends without delay; every answer must contain `reply_type`.
 fn time_round_trips(line: &str, reply_type: &str) -> Duration {

@@ -12,9 +12,10 @@ use drhw_model::{
     SubtaskId, TileId, TileSlot, Time,
 };
 use drhw_prefetch::{
-    assign_tiles_protecting, reusable_subtasks, BranchBoundScheduler, CriticalSetAnalysis,
-    HybridPrefetch, InterTaskWindow, ListScheduler, OnDemandScheduler, PrefetchProblem,
-    PrefetchScheduler, PreparedSchedule, ReplacementPolicy, Scratch, SlotMask, TileContents,
+    apply_schedule_to_contents, assign_tiles_protecting, reusable_subtasks, BranchBoundScheduler,
+    CriticalSetAnalysis, HybridPrefetch, InterTaskWindow, ListScheduler, OnDemandScheduler,
+    PrefetchProblem, PrefetchScheduler, PreparedSchedule, ReplacementPolicy, Scratch, SlotMask,
+    TileContents,
 };
 use drhw_tcm::DesignTimeScheduler;
 use proptest::prelude::*;
@@ -302,11 +303,12 @@ proptest! {
     }
 }
 
-/// Draws from a random tile state and checks every replacement rule of the
-/// allocation-free kernels (`assign_tiles_into` + `mark_reusable`) against
-/// the classic modules (`assign_tiles_protecting` + `reusable_subtasks`),
-/// on the schedule both with raw configuration ids and interned into a
-/// dense dictionary.
+/// Checks every replacement rule of the allocation-free kernels
+/// (`assign_tiles_into` + `mark_reusable`) against the classic modules
+/// (`assign_tiles_protecting` + `reusable_subtasks`), on the schedule both
+/// with raw configuration ids and interned into a dense dictionary: on
+/// tile states drawn fresh, and after every step of one state evolved by
+/// random loads, uses, clears and kernel-applied activations.
 fn check_replacement_parity(seed: u64, tiles: usize) {
     let mut rng = SplitMix64::new(seed);
     let mut draw = |bound: usize| (rng.next_u64() % bound as u64) as usize;
@@ -340,8 +342,79 @@ fn check_replacement_parity(seed: u64, tiles: usize) {
     let mut interned = PreparedSchedule::new(&graph, schedule.clone(), &platform).unwrap();
     interned.intern_configs(&dictionary);
 
+    // Checks every rule against the classic modules on one pair of tile
+    // states (the same state in raw and in dense ids).
     let mut scratch = Scratch::new();
-    for _ in 0..4 {
+    let check = |scratch: &mut Scratch,
+                 contents: &TileContents,
+                 dense_contents: &TileContents,
+                 protected: &BTreeSet<ConfigId>,
+                 extra: &[ConfigId],
+                 label: &str| {
+        for policy in [
+            ReplacementPolicy::ReuseAware,
+            ReplacementPolicy::LeastRecentlyUsed,
+            ReplacementPolicy::Direct,
+        ] {
+            let classic =
+                assign_tiles_protecting(&graph, &schedule, contents, policy, protected).unwrap();
+            let expected: Vec<TileId> = (0..classic.slot_count())
+                .map(|s| classic.tile_of(TileSlot::new(s)))
+                .collect();
+            let resident: SlotMask = reusable_subtasks(&graph, &schedule, &classic, contents)
+                .iter()
+                .map(|id| id.index())
+                .collect();
+            let variants = [
+                (
+                    &raw,
+                    contents,
+                    protected.iter().copied().collect::<Vec<_>>(),
+                    extra.to_vec(),
+                ),
+                (
+                    &interned,
+                    dense_contents,
+                    protected.iter().map(|&c| dense(c)).collect(),
+                    extra.iter().map(|&c| dense(c)).collect(),
+                ),
+            ];
+            for (prepared, tile_state, ids, extra) in &variants {
+                scratch.clear_protection();
+                scratch.protect(ids);
+                scratch.protect(extra);
+                scratch.unprotect(extra);
+                prepared
+                    .assign_tiles_into(tile_state, policy, scratch)
+                    .unwrap();
+                assert_eq!(scratch.slot_to_tile(), &expected[..], "{policy} {label}");
+                if policy == ReplacementPolicy::ReuseAware {
+                    // The reuse-aware assignment leaves the residency mask.
+                    assert_eq!(scratch.resident(), resident, "{policy} {label}");
+                }
+                let count = prepared.mark_reusable(tile_state, scratch);
+                assert_eq!(count, resident.len(), "{policy} {label}");
+                assert_eq!(scratch.resident(), resident, "{policy} {label}");
+            }
+        }
+    };
+    let draw_protection = |draw: &mut dyn FnMut(usize) -> usize| {
+        // Protected twice and released once stays protected; released
+        // without a second protection drops back to zero.
+        let protected: BTreeSet<ConfigId> = dictionary
+            .iter()
+            .copied()
+            .filter(|_| draw(2) == 0)
+            .collect();
+        let extra: Vec<ConfigId> = dictionary
+            .iter()
+            .copied()
+            .filter(|_| draw(2) == 0)
+            .collect();
+        (protected, extra)
+    };
+
+    for round in 0..4 {
         // Most tiles hold a configuration; last-use stamps come from a few
         // values, so eviction keys tie on everything but the tile index.
         let mut contents = TileContents::new(tiles);
@@ -365,59 +438,91 @@ fn check_replacement_parity(seed: u64, tiles: usize) {
                 }
             }
         }
-        let protected: BTreeSet<ConfigId> = dictionary
-            .iter()
-            .copied()
-            .filter(|_| draw(2) == 0)
-            .collect();
-        // Protected twice and released once stays protected; released
-        // without a second protection drops back to zero.
-        let extra: Vec<ConfigId> = dictionary
-            .iter()
-            .copied()
-            .filter(|_| draw(2) == 0)
-            .collect();
-        for policy in [
-            ReplacementPolicy::ReuseAware,
-            ReplacementPolicy::LeastRecentlyUsed,
-            ReplacementPolicy::Direct,
-        ] {
-            let classic =
-                assign_tiles_protecting(&graph, &schedule, &contents, policy, &protected).unwrap();
-            let expected: Vec<TileId> = (0..classic.slot_count())
-                .map(|s| classic.tile_of(TileSlot::new(s)))
-                .collect();
-            let resident: SlotMask = reusable_subtasks(&graph, &schedule, &classic, &contents)
-                .iter()
-                .map(|id| id.index())
-                .collect();
-            let variants = [
-                (
-                    &raw,
-                    &contents,
-                    protected.iter().copied().collect::<Vec<_>>(),
-                    extra.clone(),
-                ),
-                (
-                    &interned,
-                    &dense_contents,
-                    protected.iter().map(|&c| dense(c)).collect(),
-                    extra.iter().map(|&c| dense(c)).collect(),
-                ),
-            ];
-            for (prepared, tile_state, ids, extra) in &variants {
+        let (protected, extra) = draw_protection(&mut draw);
+        check(
+            &mut scratch,
+            &contents,
+            &dense_contents,
+            &protected,
+            &extra,
+            &format!("fresh round {round}"),
+        );
+    }
+
+    // Evolved states: one pair of states goes through random loads, uses
+    // and clears — stamps from a few values, so they tie and go back, and
+    // loads replace configurations in place — and through whole
+    // activations applied by the kernel, compared after every step.
+    let mut contents = TileContents::new(tiles);
+    let mut dense_contents = TileContents::new(tiles);
+    for step in 0..32 {
+        let stamp = Time::from_millis(5 * draw(8) as u64);
+        let tile = TileId::new(draw(tiles));
+        match draw(8) {
+            0 => {
+                contents.clear();
+                dense_contents.clear();
+            }
+            1 | 2 => {
+                contents.record_use(tile, stamp);
+                dense_contents.record_use(tile, stamp);
+            }
+            3..=5 => {
+                let config = if draw(4) == 0 {
+                    foreign[draw(foreign.len())]
+                } else {
+                    pool[draw(pool.len())]
+                };
+                contents.record_load(tile, config, stamp);
+                dense_contents.record_load(tile, dense(config), stamp);
+            }
+            _ => {
+                // One activation under a random rule, applied by the kernel
+                // and, on a copy, by the classic module.
+                let policy = [
+                    ReplacementPolicy::ReuseAware,
+                    ReplacementPolicy::LeastRecentlyUsed,
+                    ReplacementPolicy::Direct,
+                ][draw(3)];
+                let (protected, _) = draw_protection(&mut draw);
+                let mapping =
+                    assign_tiles_protecting(&graph, &schedule, &contents, policy, &protected)
+                        .unwrap();
+                let mut classic = contents.clone();
+                apply_schedule_to_contents(&graph, &schedule, &mapping, &mut classic, stamp);
+                let ids: Vec<ConfigId> = protected.iter().copied().collect();
                 scratch.clear_protection();
-                scratch.protect(ids);
-                scratch.protect(extra);
-                scratch.unprotect(extra);
-                prepared
-                    .assign_tiles_into(tile_state, policy, &mut scratch)
+                scratch.protect(&ids);
+                raw.assign_tiles_into(&contents, policy, &mut scratch)
                     .unwrap();
-                assert_eq!(scratch.slot_to_tile(), &expected[..], "{policy}");
-                let count = prepared.mark_reusable(tile_state, &mut scratch);
-                assert_eq!(count, resident.len(), "{policy}");
-                assert_eq!(scratch.resident(), resident, "{policy}");
+                raw.apply_to_contents(&mut contents, &scratch, stamp);
+                assert_eq!(contents, classic, "{policy} step {step}");
+                let ids: Vec<ConfigId> = protected.iter().map(|&c| dense(c)).collect();
+                scratch.clear_protection();
+                scratch.protect(&ids);
+                interned
+                    .assign_tiles_into(&dense_contents, policy, &mut scratch)
+                    .unwrap();
+                interned.apply_to_contents(&mut dense_contents, &scratch, stamp);
             }
         }
+        for t in 0..tiles {
+            let tile = TileId::new(t);
+            assert_eq!(
+                dense_contents.config_on(tile),
+                contents.config_on(tile).map(dense),
+                "step {step}"
+            );
+            assert_eq!(dense_contents.last_used(tile), contents.last_used(tile));
+        }
+        let (protected, extra) = draw_protection(&mut draw);
+        check(
+            &mut scratch,
+            &contents,
+            &dense_contents,
+            &protected,
+            &extra,
+            &format!("evolved step {step}"),
+        );
     }
 }
