@@ -9,6 +9,8 @@
 //! gates; the bench exists so a regression can be bisected to one kernel
 //! with `cargo bench -p drhw-bench --bench kernels`. CI invokes it as a
 //! smoke test, so any panic in a kernel fails the pipeline.
+//! Like the gate's `kernel_ns.replacement`, `kernel_replacement` times the
+//! assignment and the contents update together, on an evolving tile state.
 //!
 //! `kernel_make_scratch` times the per-(worker, job) set-up in front of
 //! those kernels: binding a fresh `SimScratch` to a Pocket GL plan and to a
@@ -79,13 +81,18 @@ fn bench_kernels(c: &mut Criterion) {
     for p in &prepared {
         scratch.protect(&p.required_configs().collect::<Vec<_>>());
     }
+    // Each round's loads are stamped a millisecond after the previous
+    // round's, so the state evolves.
+    let mut now = Time::from_millis(1);
     c.bench_function("kernel_replacement", |b| {
         b.iter(|| {
+            now += Time::from_millis(1);
             for p in &prepared {
                 p.assign_tiles_into(&warm, ReplacementPolicy::ReuseAware, &mut scratch)
                     .expect("kernel runs");
+                p.apply_to_contents(&mut warm, &scratch, now);
             }
-            scratch.slot_to_tile().len()
+            warm.tile_count()
         })
     });
 

@@ -8,7 +8,9 @@
 //! `drhw-model` types** with the fast path (`drhw-sim`, `drhw-prefetch`,
 //! `drhw-tcm`): no `IterationPlan`, no precomputed artifacts, no chunked
 //! worker pool. Every task activation recomputes everything from first
-//! principles, one iteration after another, in plain program order.
+//! principles, one iteration after another, in plain program order — except
+//! the design-time optimum and the hybrid's critical set, which one
+//! simulator keeps per (task, scenario) once searched.
 //!
 //! The price is speed — the reference recomputes per activation what the
 //! engine caches per plan — and the payoff is arbitration power: when the
@@ -40,6 +42,7 @@
 //! the documented semantics of the batched engine, so the two sides simulate
 //! the same physical story.
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 
 use drhw_model::{
@@ -370,11 +373,13 @@ impl ReferenceReport {
 // Tile state.
 // ---------------------------------------------------------------------------
 
-/// What every physical tile holds, plus LRU timestamps.
-#[derive(Debug, Clone)]
-struct Tiles {
-    configs: Vec<Option<ConfigId>>,
-    last_used: Vec<Time>,
+/// What every physical tile holds, plus LRU timestamps, at any tile count.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Tiles {
+    /// The configuration on each tile, if any.
+    pub configs: Vec<Option<ConfigId>>,
+    /// When each tile last received a configuration.
+    pub last_used: Vec<Time>,
 }
 
 impl Tiles {
@@ -392,7 +397,7 @@ impl Tiles {
 }
 
 /// Dense slot → physical-tile mapping.
-type Mapping = Vec<usize>;
+pub type Mapping = Vec<usize>;
 
 /// The configuration each slot wants to find already loaded: the one of its
 /// first DRHW subtask.
@@ -406,7 +411,10 @@ fn desired_configs(graph: &SubtaskGraph, schedule: &InitialSchedule) -> Vec<Opti
         .collect()
 }
 
-fn assign_tiles(
+/// Maps every slot of the schedule onto a physical tile under `rule`, with
+/// `protected` evicted last by the reuse-aware rule; errs when the schedule
+/// needs more slots than there are tiles.
+pub fn assign_tiles(
     graph: &SubtaskGraph,
     schedule: &InitialSchedule,
     tiles: &Tiles,
@@ -472,7 +480,7 @@ fn assign_tiles(
 /// Which subtasks of the schedule find their configuration already resident
 /// on the tile their slot is mapped to (only the first occupant of a slot can
 /// profit from what a previous task left there).
-fn resident_subtasks(
+pub fn resident_subtasks(
     graph: &SubtaskGraph,
     schedule: &InitialSchedule,
     mapping: &Mapping,
@@ -494,8 +502,8 @@ fn resident_subtasks(
 }
 
 /// Commits an executed activation: each slot's tile ends up holding the
-/// configuration of the last DRHW subtask executed on it.
-fn commit_contents(
+/// configuration of the last DRHW subtask executed on it, stamped `now`.
+pub fn commit_contents(
     graph: &SubtaskGraph,
     schedule: &InitialSchedule,
     mapping: &Mapping,
@@ -905,6 +913,7 @@ fn explore(
 /// The design-time artifact of the hybrid heuristic: the Critical Subtask
 /// set (most critical first) plus the stored load order of the non-critical
 /// subtasks and its residual penalty.
+#[derive(Debug, Clone)]
 struct CriticalArtifact {
     critical: Vec<SubtaskId>,
     stored_order: Vec<SubtaskId>,
@@ -1184,6 +1193,10 @@ pub struct ReferenceSimulator<'a> {
     task_set: &'a TaskSet,
     platform: &'a Platform,
     config: OracleConfig,
+    /// The design-time optimum (penalty, loads) of each (task, scenario).
+    optimum: RefCell<BTreeMap<(TaskId, ScenarioId), (Time, usize)>>,
+    /// The hybrid heuristic's critical set of each (task, scenario).
+    critical: RefCell<BTreeMap<(TaskId, ScenarioId), CriticalArtifact>>,
 }
 
 impl<'a> ReferenceSimulator<'a> {
@@ -1202,6 +1215,8 @@ impl<'a> ReferenceSimulator<'a> {
             task_set,
             platform,
             config,
+            optimum: RefCell::default(),
+            critical: RefCell::default(),
         })
     }
 
@@ -1368,6 +1383,10 @@ impl<'a> ReferenceSimulator<'a> {
             })?;
             let graph = scenario.graph();
             let schedule = self.build_schedule(task, graph)?;
+            // The design-time searches depend on the graph, schedule and
+            // platform alone, and the schedule is fixed per (task,
+            // scenario), so their results are kept under that key.
+            let key = (task.id(), scenario_id);
             let ideal = schedule
                 .ideal_timing(graph)
                 .map_err(|e| OracleError::new(format!("untimeable schedule: {e}")))?
@@ -1403,11 +1422,14 @@ impl<'a> ReferenceSimulator<'a> {
                     (timing.penalty, timing.load_order.len(), 0)
                 }
                 ReferencePolicy::DesignTimeOnly => {
-                    // The frozen design-time optimum, recomputed from scratch.
-                    let problem =
-                        TimingProblem::new(graph, &schedule, self.platform, &BTreeSet::new())?;
-                    let timing = branch_bound(&problem)?;
-                    (timing.penalty, timing.load_order.len(), 0)
+                    // The frozen design-time optimum.
+                    let (penalty, loads) = memoised(&self.optimum, key, || {
+                        let empty = BTreeSet::new();
+                        let problem = TimingProblem::new(graph, &schedule, self.platform, &empty)?;
+                        let timing = branch_bound(&problem)?;
+                        Ok((timing.penalty, timing.load_order.len()))
+                    })?;
+                    (penalty, loads, 0)
                 }
                 ReferencePolicy::RunTime => {
                     let problem = TimingProblem::new(graph, &schedule, self.platform, &resident)?;
@@ -1427,7 +1449,9 @@ impl<'a> ReferenceSimulator<'a> {
                     (timing.penalty, timing.load_order.len() + preloaded.len(), 0)
                 }
                 ReferencePolicy::Hybrid => {
-                    let artifact = critical_set(graph, &schedule, self.platform)?;
+                    let artifact = memoised(&self.critical, key, || {
+                        critical_set(graph, &schedule, self.platform)
+                    })?;
                     let (timing, init, preloaded, body, cancelled) = self.hybrid_activation(
                         graph, &schedule, &artifact, &resident, *window, latency,
                     )?;
@@ -1518,6 +1542,20 @@ impl<'a> ReferenceSimulator<'a> {
             cancelled,
         ))
     }
+}
+
+/// `key`'s entry in `memo`, computed by `compute` on first use.
+fn memoised<T: Clone>(
+    memo: &RefCell<BTreeMap<(TaskId, ScenarioId), T>>,
+    key: (TaskId, ScenarioId),
+    compute: impl FnOnce() -> Result<T, OracleError>,
+) -> Result<T, OracleError> {
+    if let Some(value) = memo.borrow().get(&key) {
+        return Ok(value.clone());
+    }
+    let value = compute()?;
+    memo.borrow_mut().insert(key, value.clone());
+    Ok(value)
 }
 
 /// How many whole loads of `latency` fit in the port-idle `window`.

@@ -45,15 +45,16 @@
 //! last-use generations, so the reuse-aware rule finds the lowest free tile
 //! holding a slot's configuration with one `AND` and one trailing-zeros
 //! count, and both content-aware rules pick the tiles to evict by walking
-//! the generations oldest first instead of sorting the platform. Those
-//! tile masks are one word too, so the kernel rejects tile contents wider
-//! than [`SlotMask::CAPACITY`] ([`PrefetchError::TooManyTiles`]).
+//! the generations oldest first instead of sorting the platform. These
+//! kernels and the one-shot [`assign_tiles`](crate::assign_tiles) family
+//! share one implementation of the tile rules, generic over that width.
 //!
-//! The replacement, reuse, inter-task and hybrid kernels replicate the
-//! classic modules *exactly* (same traversal orders and tie-breaking
-//! comparators; mask iteration is ascending like the classic id vectors),
-//! and the differential oracle corpus (`drhw-oracle`) checks the whole
-//! pipeline against an independent reference on every CI run.
+//! The inter-task and hybrid kernels replicate the one-shot
+//! [`plan_preloads`](crate::plan_preloads) and
+//! [`HybridPrefetch::evaluate`] *exactly* (same traversal orders and
+//! tie-breaking comparators; mask iteration is ascending like the one-shot
+//! id vectors), and the differential oracle corpus (`drhw-oracle`) checks
+//! the whole pipeline against an independent reference on every CI run.
 
 use drhw_model::{
     ConfigId, GraphAnalysis, InitialSchedule, PeAssignment, Platform, SubtaskGraph, SubtaskId,
@@ -64,7 +65,7 @@ use crate::error::PrefetchError;
 use crate::hybrid::HybridPrefetch;
 use crate::inter_task::InterTaskWindow;
 use crate::mask::SlotMask;
-use crate::replacement::ReplacementPolicy;
+use crate::replacement::{ReplacementPolicy, SlotTables};
 use crate::reuse::TileContents;
 
 /// Sentinel in the flat per-PE predecessor table: no predecessor.
@@ -115,17 +116,8 @@ pub struct PreparedSchedule<const W: usize = 1> {
     slot_subtasks: Vec<u32>,
     /// Makespan of the schedule under zero reconfiguration latency.
     ideal: Time,
-    /// First subtask executed on each abstract tile slot.
-    first_on_slot: Vec<Option<SubtaskId>>,
-    /// The configuration each slot wants to find already loaded (the one of
-    /// its first DRHW subtask).
-    desired_configs: Vec<Option<ConfigId>>,
-    /// `desired_configs` flattened in slot order (the replacement module's
-    /// "wanted" list).
-    wanted_configs: Vec<ConfigId>,
-    /// The configuration each slot's tile holds after the task ran (the one
-    /// of its last DRHW subtask).
-    last_config_on_slot: Vec<Option<ConfigId>>,
+    /// What the tile rules read, slot by slot.
+    slots: SlotTables,
     /// Number of DRHW subtasks in the graph.
     drhw_count: usize,
 }
@@ -197,26 +189,13 @@ impl<const W: usize> PreparedSchedule<W> {
         let slots = schedule.slot_count();
         let mut slot_offsets = Vec::with_capacity(slots + 1);
         let mut slot_subtasks = Vec::new();
-        let mut first_on_slot = Vec::with_capacity(slots);
-        let mut last_config_on_slot = Vec::with_capacity(slots);
         slot_offsets.push(0u32);
         for s in 0..slots {
             let on_slot = schedule.subtasks_on(PeAssignment::Tile(TileSlot::new(s)));
             slot_subtasks.extend(on_slot.iter().map(|id| id.index() as u32));
             slot_offsets.push(slot_subtasks.len() as u32);
-            first_on_slot.push(schedule.first_on_slot(TileSlot::new(s)));
-            last_config_on_slot.push(
-                on_slot
-                    .iter()
-                    .rev()
-                    .find_map(|&id| graph.required_config(id)),
-            );
         }
-        let desired_configs: Vec<Option<ConfigId>> = first_on_slot
-            .iter()
-            .map(|first| first.and_then(|id| graph.required_config(id)))
-            .collect();
-        let wanted_configs = desired_configs.iter().flatten().copied().collect();
+        let slot_tables = SlotTables::new(graph, &schedule);
         let drhw_count = graph.drhw_subtasks().len();
         let mut weight_order: Vec<u32> = (0..n as u32).collect();
         weight_order.sort_unstable_by(|&a, &b| {
@@ -240,10 +219,7 @@ impl<const W: usize> PreparedSchedule<W> {
             slot_offsets,
             slot_subtasks,
             ideal,
-            first_on_slot,
-            desired_configs,
-            wanted_configs,
-            last_config_on_slot,
+            slots: slot_tables,
             drhw_count,
         })
     }
@@ -377,18 +353,10 @@ impl PreparedSchedule {
             });
             ConfigId::new(dense)
         };
-        for table in [
-            &mut self.required,
-            &mut self.desired_configs,
-            &mut self.last_config_on_slot,
-        ] {
-            for config in table.iter_mut().flatten() {
-                *config = intern(*config);
-            }
-        }
-        for config in &mut self.wanted_configs {
+        for config in self.required.iter_mut().flatten() {
             *config = intern(*config);
         }
+        self.slots.intern(intern);
     }
 
     /// The configuration of every DRHW subtask, in subtask order (repeats
@@ -410,153 +378,52 @@ impl PreparedSchedule {
     }
 
     /// Chooses a physical tile for every abstract slot, writing the mapping
-    /// into `scratch.slot_to_tile`. Replicates
-    /// [`assign_tiles_protecting`](crate::assign_tiles_protecting) exactly,
-    /// with the protected set being the configurations whose
-    /// [`Scratch::protect`] count is above zero.
-    ///
-    /// Both content-aware rules read the indexes `contents` keeps instead
-    /// of sorting tiles. The reuse-aware rule's pass 1 picks a slot's tile
-    /// from its configuration's tile mask with one `AND` and one
-    /// trailing-zeros count. Its pass 2 takes the free tiles class by
-    /// class — holding neither a wanted nor a protected configuration,
-    /// protected only, wanted only, both — and each class oldest
-    /// generation first, by ascending tile within a generation: exactly
-    /// the classic order of `(wanted, protected, last_used, tile)`. LRU is
-    /// the same walk over every tile, without classes.
+    /// into `scratch.slot_to_tile`: the rule of
+    /// [`assign_tiles_protecting`](crate::assign_tiles_protecting), on the
+    /// prepared per-slot tables, with the protected set being the
+    /// configurations whose [`Scratch::protect`] count is above zero.
     ///
     /// A slot's tile holds its first subtask's configuration exactly when
-    /// pass 1 matched it, so the reuse-aware rule also leaves the residency
-    /// mask [`mark_reusable`](Self::mark_reusable) would compute; the other
-    /// rules leave it as it was.
+    /// the reuse-aware rule's pass 1 matched it, so that rule also leaves
+    /// the residency mask [`mark_reusable`](Self::mark_reusable) would
+    /// compute; the other rules leave it as it was.
     ///
     /// # Errors
     ///
     /// Returns [`PrefetchError::NotEnoughTiles`] if the schedule uses more
-    /// slots than `contents` tracks tiles, and
-    /// [`PrefetchError::TooManyTiles`] if `contents` tracks more tiles than
-    /// a one-word [`SlotMask`] holds.
+    /// slots than `contents` tracks tiles.
     pub fn assign_tiles_into(
         &self,
         contents: &TileContents,
         policy: ReplacementPolicy,
         scratch: &mut Scratch,
     ) -> Result<(), PrefetchError> {
-        let slots = self.schedule.slot_count();
-        let tiles = contents.tile_count();
-        if slots > tiles {
-            return Err(PrefetchError::NotEnoughTiles {
-                required: slots,
-                available: tiles,
-            });
-        }
-        if !SlotMask::<1>::fits(tiles) {
-            return Err(PrefetchError::TooManyTiles {
-                tiles,
-                capacity: SlotMask::<1>::CAPACITY,
-            });
-        }
         let Scratch {
             slot_to_tile,
             resident,
             protect_counts,
             ..
         } = scratch;
-        slot_to_tile.clear();
-        let generations = contents.generations();
-        match policy {
-            ReplacementPolicy::Direct => {
-                slot_to_tile.extend((0..slots).map(TileId::new));
-            }
-            ReplacementPolicy::LeastRecentlyUsed => {
-                slot_to_tile.extend(
-                    oldest_first(generations, SlotMask::full(tiles))
-                        .take(slots)
-                        .map(TileId::new),
-                );
-            }
-            ReplacementPolicy::ReuseAware => {
-                slot_to_tile.resize(slots, UNASSIGNED);
-                resident.clear();
-                // Pass 1: give every slot a tile that already holds its first
-                // configuration (greedy, slot order, lowest matching tile).
-                let mut taken = SlotMask::EMPTY;
-                let mut open: SlotMask = SlotMask::full(slots);
-                for (slot, (first, desired)) in self
-                    .first_on_slot
-                    .iter()
-                    .zip(&self.desired_configs)
-                    .enumerate()
-                {
-                    let (Some(first), Some(desired)) = (first, desired) else {
-                        continue;
-                    };
-                    if let Some(tile) = contents.holding(*desired).difference(taken).iter().next() {
-                        slot_to_tile[slot] = TileId::new(tile);
-                        taken.insert(tile);
-                        open.remove(slot);
-                        resident.insert(first.index());
-                    }
-                }
-                if !open.is_empty() {
-                    // Pass 2: fill the open slots, in slot order, with free
-                    // tiles: first those whose content nobody wants, oldest
-                    // first.
-                    let free = SlotMask::full(tiles).difference(taken);
-                    let wanted = self
-                        .wanted_configs
-                        .iter()
-                        .fold(SlotMask::EMPTY, |mask, &config| {
-                            mask.union(contents.holding(config))
-                        });
-                    let protected: SlotMask = free
-                        .iter()
-                        .filter(|&t| {
-                            contents.config_on(TileId::new(t)).is_some_and(|held| {
-                                protect_counts.get(held.index()).is_some_and(|&n| n > 0)
-                            })
-                        })
-                        .collect();
-                    let unwanted = free.difference(wanted);
-                    let wanted = free.intersection(wanted);
-                    let classes = [
-                        unwanted.difference(protected),
-                        unwanted.intersection(protected),
-                        wanted.difference(protected),
-                        wanted.intersection(protected),
-                    ];
-                    let chosen = classes
-                        .into_iter()
-                        .flat_map(|class| oldest_first(generations, class));
-                    for (slot, tile) in open.iter().zip(chosen) {
-                        slot_to_tile[slot] = TileId::new(tile);
-                    }
-                }
-            }
+        let is_protected =
+            |config: ConfigId| protect_counts.get(config.index()).is_some_and(|&n| n > 0);
+        let mut reused = SlotMask::EMPTY;
+        let mark = |first: SubtaskId| reused.insert(first.index());
+        self.slots
+            .assign(contents, policy, is_protected, slot_to_tile, mark)?;
+        if policy == ReplacementPolicy::ReuseAware {
+            *resident = reused;
         }
         Ok(())
     }
 
     /// Marks in `scratch.resident` the subtasks that can reuse a
     /// configuration already resident on the physical tile their slot is
-    /// mapped to (per `scratch.slot_to_tile`), returning how many there are.
-    /// Replicates [`reusable_subtasks`](crate::reusable_subtasks).
+    /// mapped to (per `scratch.slot_to_tile`), returning how many there are:
+    /// the check of [`reusable_subtasks`](crate::reusable_subtasks).
     pub fn mark_reusable(&self, contents: &TileContents, scratch: &mut Scratch) -> usize {
-        scratch.resident.clear();
-        let mut count = 0usize;
-        for (slot, first) in self.first_on_slot.iter().enumerate() {
-            let Some(first) = first else { continue };
-            let Some(required) = self.required[first.index()] else {
-                continue;
-            };
-            if slot < scratch.slot_to_tile.len()
-                && contents.config_on(scratch.slot_to_tile[slot]) == Some(required)
-            {
-                scratch.resident.insert(first.index());
-                count += 1;
-            }
-        }
-        count
+        let reused = self.slots.reused(contents, &scratch.slot_to_tile);
+        scratch.resident = reused.map(SubtaskId::index).collect();
+        scratch.resident.len()
     }
 
     /// Clears the residency mask (for policies that cannot exploit reuse).
@@ -565,17 +432,12 @@ impl PreparedSchedule {
     }
 
     /// Applies the effect of executing this schedule to the tile contents:
-    /// every slot's tile ends up holding the configuration of the last DRHW
-    /// subtask executed on it, stamped `now`. Replicates
-    /// [`apply_schedule_to_contents`](crate::apply_schedule_to_contents)
-    /// against `scratch.slot_to_tile`, recording the loads as one batch.
+    /// every slot's tile (per `scratch.slot_to_tile`) ends up holding the
+    /// configuration of the last DRHW subtask executed on it, stamped
+    /// `now`, recorded as one batch — the update of
+    /// [`apply_schedule_to_contents`](crate::apply_schedule_to_contents).
     pub fn apply_to_contents(&self, contents: &mut TileContents, scratch: &Scratch, now: Time) {
-        let loads = scratch
-            .slot_to_tile
-            .iter()
-            .zip(&self.last_config_on_slot)
-            .filter_map(|(&tile, config)| Some((tile, (*config)?)));
-        contents.record_loads(loads, now);
+        self.slots.record(contents, &scratch.slot_to_tile, now);
     }
 
     /// Scores the on-demand (no-prefetch) policy with nothing resident.
@@ -892,23 +754,6 @@ impl Scratch {
     }
 }
 
-/// Sentinel in `Scratch::slot_to_tile` while the reuse-aware mapping still
-/// looks for a slot's tile.
-const UNASSIGNED: TileId = TileId::new(usize::MAX);
-
-/// The tiles of `among` in the order of `(last_used, tile)`: generation by
-/// generation, oldest first, and by ascending tile within one. Stops once
-/// every tile of `among` came out.
-fn oldest_first(
-    generations: &[(Time, SlotMask)],
-    among: SlotMask,
-) -> impl Iterator<Item = usize> + '_ {
-    generations
-        .iter()
-        .flat_map(move |&(_, tiles)| tiles.intersection(among))
-        .take(among.len())
-}
-
 /// How the port chooses its next load.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Strategy<'o> {
@@ -1171,10 +1016,7 @@ pub(crate) fn simulate_core<const W: usize>(
 mod tests {
     use super::*;
     use crate::fixtures::fig3;
-    use crate::{
-        apply_schedule_to_contents, assign_tiles_protecting, plan_preloads, reusable_subtasks,
-        ListScheduler, PrefetchProblem, PrefetchScheduler, TileMapping,
-    };
+    use crate::{plan_preloads, ListScheduler, PrefetchProblem, PrefetchScheduler, TileMapping};
     use drhw_model::Subtask;
     use std::collections::BTreeSet;
 
@@ -1343,104 +1185,6 @@ mod tests {
                     assert_eq!(hybrid_a, hybrid_b, "hybrid {label}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn replacement_and_reuse_kernels_match_the_classic_modules() {
-        let (g, schedule, platform) = fig3();
-        let prepared = PreparedSchedule::new(&g, schedule.clone(), &platform).unwrap();
-        let mut scratch = Scratch::new();
-        let mut contents = TileContents::new(platform.tile_count());
-        // A few activations' worth of evolving contents.
-        for step in 0..4u64 {
-            for policy in [
-                ReplacementPolicy::ReuseAware,
-                ReplacementPolicy::LeastRecentlyUsed,
-                ReplacementPolicy::Direct,
-            ] {
-                let protected = [ConfigId::new(2), ConfigId::new(7)];
-                let classic = assign_tiles_protecting(
-                    &g,
-                    &schedule,
-                    &contents,
-                    policy,
-                    &protected.into_iter().collect(),
-                )
-                .unwrap();
-                scratch.clear_protection();
-                scratch.protect(&protected);
-                prepared
-                    .assign_tiles_into(&contents, policy, &mut scratch)
-                    .unwrap();
-                let tiles: Vec<TileId> = (0..classic.slot_count())
-                    .map(|s| classic.tile_of(TileSlot::new(s)))
-                    .collect();
-                assert_eq!(scratch.slot_to_tile(), &tiles[..], "{policy} step {step}");
-
-                let classic_resident = reusable_subtasks(&g, &schedule, &classic, &contents);
-                let count = prepared.mark_reusable(&contents, &mut scratch);
-                assert_eq!(count, classic_resident.len(), "{policy} step {step}");
-                for id in g.ids() {
-                    assert_eq!(
-                        scratch.resident.contains(id.index()),
-                        classic_resident.contains(&id),
-                        "{policy} step {step} {id}"
-                    );
-                }
-            }
-            // Advance the contents the classic way and via the kernel; both
-            // must agree.
-            let mapping = assign_tiles_protecting(
-                &g,
-                &schedule,
-                &contents,
-                ReplacementPolicy::ReuseAware,
-                &BTreeSet::new(),
-            )
-            .unwrap();
-            let mut classic_contents = contents.clone();
-            apply_schedule_to_contents(
-                &g,
-                &schedule,
-                &mapping,
-                &mut classic_contents,
-                Time::from_millis(10 * (step + 1)),
-            );
-            scratch.clear_protection();
-            prepared
-                .assign_tiles_into(&contents, ReplacementPolicy::ReuseAware, &mut scratch)
-                .unwrap();
-            prepared.apply_to_contents(&mut contents, &scratch, Time::from_millis(10 * (step + 1)));
-            assert_eq!(contents, classic_contents, "step {step}");
-        }
-    }
-
-    #[test]
-    fn replacement_rejects_contents_wider_than_one_mask_word() {
-        let (g, schedule, platform) = fig3();
-        let prepared = PreparedSchedule::new(&g, schedule, &platform).unwrap();
-        let mut scratch = Scratch::new();
-        let widest = SlotMask::<1>::CAPACITY;
-        for policy in [
-            ReplacementPolicy::ReuseAware,
-            ReplacementPolicy::LeastRecentlyUsed,
-            ReplacementPolicy::Direct,
-        ] {
-            prepared
-                .assign_tiles_into(&TileContents::new(widest), policy, &mut scratch)
-                .unwrap();
-            let err = prepared
-                .assign_tiles_into(&TileContents::new(widest + 1), policy, &mut scratch)
-                .unwrap_err();
-            assert_eq!(
-                err,
-                PrefetchError::TooManyTiles {
-                    tiles: widest + 1,
-                    capacity: widest
-                },
-                "{policy}"
-            );
         }
     }
 

@@ -37,14 +37,6 @@ pub enum PrefetchError {
         /// Maximum the mask width supports.
         capacity: usize,
     },
-    /// The tile contents handed to the replacement kernel track more tiles
-    /// than its one-word tile masks hold.
-    TooManyTiles {
-        /// Tiles the contents track.
-        tiles: usize,
-        /// Maximum the replacement kernel supports.
-        capacity: usize,
-    },
 }
 
 impl fmt::Display for PrefetchError {
@@ -77,13 +69,6 @@ impl fmt::Display for PrefetchError {
                     f,
                     "graph has {subtasks} subtasks but the timing engine tracks at most \
                      {capacity} at this mask width"
-                )
-            }
-            PrefetchError::TooManyTiles { tiles, capacity } => {
-                write!(
-                    f,
-                    "tile contents track {tiles} tiles but the replacement kernel \
-                     tracks at most {capacity}"
                 )
             }
         }
@@ -129,12 +114,6 @@ mod tests {
             capacity: 64,
         };
         assert!(e.to_string().contains("90 subtasks"));
-        assert!(e.to_string().contains("at most 64"));
-        let e = PrefetchError::TooManyTiles {
-            tiles: 65,
-            capacity: 64,
-        };
-        assert!(e.to_string().contains("65 tiles"));
         assert!(e.to_string().contains("at most 64"));
     }
 

@@ -11,7 +11,10 @@
 //! ([`OnDemandScheduler`], [`DesignTimePrefetch`], [`ListScheduler`],
 //! [`BranchBoundScheduler`], and the [`HybridPrefetch`] heuristic built on the
 //! Critical Subtask analysis of [`CriticalSetAnalysis`]), and the
-//! **replacement module** ([`assign_tiles`]).
+//! **replacement module** ([`assign_tiles`]). The reuse and replacement
+//! rules have one implementation, generic over the width of the tile masks
+//! [`TileContents`] keeps, which the simulation's kernels on
+//! [`PreparedSchedule`] share.
 //!
 //! # The hybrid heuristic in a nutshell
 //!

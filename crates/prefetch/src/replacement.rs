@@ -6,13 +6,20 @@
 //! module decides which physical tile backs each slot. A good decision puts a
 //! slot on a tile that already holds the configuration the slot needs first,
 //! and evicts configurations that are least likely to be needed again.
+//!
+//! [`SlotTables`] holds the one implementation of every tile rule, which
+//! the simulation's kernels run on tables they prepared once and the
+//! one-shot functions on tables derived from the graph and schedule.
 
 use std::collections::BTreeSet;
 
-use drhw_model::{ConfigId, InitialSchedule, SubtaskGraph, TileId, TileSlot};
+use drhw_model::{
+    ConfigId, InitialSchedule, PeAssignment, SubtaskGraph, SubtaskId, TileId, TileSlot, Time,
+};
 use serde::{Deserialize, Serialize};
 
 use crate::error::PrefetchError;
+use crate::mask::SlotMask;
 use crate::reuse::{TileContents, TileMapping};
 
 /// The policy used to map slots onto physical tiles.
@@ -61,10 +68,10 @@ impl std::fmt::Display for ReplacementPolicy {
 ///
 /// Returns [`PrefetchError::NotEnoughTiles`] if the schedule uses more slots
 /// than the platform has tiles.
-pub fn assign_tiles(
+pub fn assign_tiles<const W: usize>(
     graph: &SubtaskGraph,
     schedule: &InitialSchedule,
-    contents: &TileContents,
+    contents: &TileContents<W>,
     policy: ReplacementPolicy,
 ) -> Result<TileMapping, PrefetchError> {
     assign_tiles_protecting(graph, schedule, contents, policy, &BTreeSet::new())
@@ -80,112 +87,226 @@ pub fn assign_tiles(
 ///
 /// Returns [`PrefetchError::NotEnoughTiles`] if the schedule uses more slots
 /// than the platform has tiles.
-pub fn assign_tiles_protecting(
+pub fn assign_tiles_protecting<const W: usize>(
     graph: &SubtaskGraph,
     schedule: &InitialSchedule,
-    contents: &TileContents,
+    contents: &TileContents<W>,
     policy: ReplacementPolicy,
     protected: &BTreeSet<ConfigId>,
 ) -> Result<TileMapping, PrefetchError> {
-    let slots = schedule.slot_count();
-    let tiles = contents.tile_count();
-    if slots > tiles {
-        return Err(PrefetchError::NotEnoughTiles {
-            required: slots,
-            available: tiles,
-        });
-    }
-    let mapping = match policy {
-        ReplacementPolicy::Direct => TileMapping::identity(slots),
-        ReplacementPolicy::LeastRecentlyUsed => lru_mapping(slots, contents),
-        ReplacementPolicy::ReuseAware => reuse_aware_mapping(graph, schedule, contents, protected),
-    };
-    Ok(mapping)
+    let tables = SlotTables::new(graph, schedule);
+    let is_protected = |config| protected.contains(&config);
+    let mut slot_to_tile = Vec::new();
+    tables.assign(contents, policy, is_protected, &mut slot_to_tile, |_| {})?;
+    Ok(TileMapping::new(slot_to_tile))
 }
 
-/// The configuration each slot would like to find already loaded: the one of
-/// its first DRHW subtask.
-fn desired_configs(graph: &SubtaskGraph, schedule: &InitialSchedule) -> Vec<Option<ConfigId>> {
-    (0..schedule.slot_count())
-        .map(|s| {
-            schedule
-                .first_on_slot(TileSlot::new(s))
-                .and_then(|id| graph.required_config(id))
-        })
-        .collect()
+/// What the tile rules read of one schedule, slot by slot, with the rules
+/// themselves — replacement, reuse check, contents update — as methods
+/// generic over the tile-mask width.
+#[derive(Debug, Clone)]
+pub(crate) struct SlotTables {
+    /// First subtask executed on each slot.
+    first: Vec<Option<SubtaskId>>,
+    /// The configuration each slot wants to find already loaded: the one of
+    /// its first DRHW subtask.
+    desired: Vec<Option<ConfigId>>,
+    /// The configuration each slot's tile holds after the task ran: the one
+    /// of its last DRHW subtask.
+    last: Vec<Option<ConfigId>>,
 }
 
-fn lru_mapping(slots: usize, contents: &TileContents) -> TileMapping {
-    let mut tiles: Vec<TileId> = (0..contents.tile_count()).map(TileId::new).collect();
-    tiles.sort_by_key(|&t| (contents.last_used(t), t.index()));
-    TileMapping::new(tiles.into_iter().take(slots).collect())
-}
-
-fn reuse_aware_mapping(
-    graph: &SubtaskGraph,
-    schedule: &InitialSchedule,
-    contents: &TileContents,
-    protected: &BTreeSet<ConfigId>,
-) -> TileMapping {
-    let desired = desired_configs(graph, schedule);
-    let slots = desired.len();
-    let mut assigned: Vec<Option<TileId>> = vec![None; slots];
-    let mut taken = vec![false; contents.tile_count()];
-
-    // Pass 1: give every slot a tile that already holds its first
-    // configuration (greedy, slot order is deterministic).
-    for (slot, desired_config) in desired.iter().enumerate() {
-        let Some(config) = desired_config else {
-            continue;
-        };
-        if let Some(tile) = contents
-            .tiles_holding(*config)
-            .into_iter()
-            .find(|t| !taken[t.index()])
-        {
-            assigned[slot] = Some(tile);
-            taken[tile.index()] = true;
+impl SlotTables {
+    /// Derives the tables of `schedule`, in the graph's configuration ids.
+    pub(crate) fn new(graph: &SubtaskGraph, schedule: &InitialSchedule) -> Self {
+        let slots = schedule.slot_count();
+        let mut first = Vec::with_capacity(slots);
+        let mut desired = Vec::with_capacity(slots);
+        let mut last = Vec::with_capacity(slots);
+        for s in 0..slots {
+            let on_slot = schedule.subtasks_on(PeAssignment::Tile(TileSlot::new(s)));
+            let head = on_slot.first().copied();
+            first.push(head);
+            desired.push(head.and_then(|id| graph.required_config(id)));
+            last.push(
+                on_slot
+                    .iter()
+                    .rev()
+                    .find_map(|&id| graph.required_config(id)),
+            );
+        }
+        SlotTables {
+            first,
+            desired,
+            last,
         }
     }
 
-    // Pass 2: fill the remaining slots with free tiles, preferring tiles whose
-    // content is wanted by nobody (neither this task nor the protected
-    // configurations of upcoming tasks) and, among those, the least recently
-    // used — so nothing useful is evicted.
-    let wanted: Vec<ConfigId> = desired.iter().flatten().copied().collect();
-    let mut free: Vec<TileId> = (0..contents.tile_count())
-        .map(TileId::new)
-        .filter(|t| !taken[t.index()])
-        .collect();
-    free.sort_by_key(|&t| {
-        let holds_wanted = contents
-            .config_on(t)
-            .map(|c| wanted.contains(&c))
-            .unwrap_or(false);
-        let holds_protected = contents
-            .config_on(t)
-            .map(|c| protected.contains(&c))
-            .unwrap_or(false);
-        (
-            holds_wanted,
-            holds_protected,
-            contents.last_used(t),
-            t.index(),
-        )
-    });
-    let mut free_iter = free.into_iter();
-    for slot_tile in assigned.iter_mut() {
-        if slot_tile.is_none() {
-            *slot_tile = free_iter.next();
+    /// Renames every configuration of the tables through `intern`.
+    pub(crate) fn intern(&mut self, intern: impl Fn(ConfigId) -> ConfigId) {
+        for table in [&mut self.desired, &mut self.last] {
+            for config in table.iter_mut().flatten() {
+                *config = intern(*config);
+            }
         }
     }
 
-    TileMapping::new(
-        assigned
-            .into_iter()
-            .map(|t| t.expect("slot count was checked against tile count"))
-            .collect(),
-    )
+    /// Chooses a physical tile for every slot under `policy`, writing the
+    /// mapping into `slot_to_tile`, with `is_protected` telling which
+    /// configurations upcoming tasks want. Calls `reused` with the first
+    /// subtask of every slot the reuse-aware rule's pass 1 matches: exactly
+    /// the slots whose tile holds that subtask's configuration (never under
+    /// the other rules).
+    ///
+    /// Both content-aware rules read the indexes `contents` keeps instead
+    /// of sorting tiles. Pass 2 takes the free tiles class by class —
+    /// holding neither a wanted nor a protected configuration, protected
+    /// only, wanted only, both — and each class oldest generation first,
+    /// by ascending tile within one: the order of `(wanted, protected,
+    /// last_used, tile)`. LRU is the same walk over every tile.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PrefetchError::NotEnoughTiles`] if there are more slots
+    /// than `contents` tracks tiles.
+    pub(crate) fn assign<const W: usize>(
+        &self,
+        contents: &TileContents<W>,
+        policy: ReplacementPolicy,
+        is_protected: impl Fn(ConfigId) -> bool,
+        slot_to_tile: &mut Vec<TileId>,
+        mut reused: impl FnMut(SubtaskId),
+    ) -> Result<(), PrefetchError> {
+        let slots = self.desired.len();
+        let tiles = contents.tile_count();
+        if slots > tiles {
+            return Err(PrefetchError::NotEnoughTiles {
+                required: slots,
+                available: tiles,
+            });
+        }
+        slot_to_tile.clear();
+        let generations = contents.generations();
+        match policy {
+            ReplacementPolicy::Direct => {
+                slot_to_tile.extend((0..slots).map(TileId::new));
+            }
+            ReplacementPolicy::LeastRecentlyUsed => {
+                slot_to_tile.extend(
+                    oldest_first(generations, SlotMask::full(tiles))
+                        .take(slots)
+                        .map(TileId::new),
+                );
+            }
+            ReplacementPolicy::ReuseAware => {
+                slot_to_tile.resize(slots, UNASSIGNED);
+                // Pass 1: give every slot a tile that already holds its first
+                // configuration (greedy, slot order, lowest matching tile).
+                let mut taken = SlotMask::EMPTY;
+                let mut open = SlotMask::<W>::full(slots);
+                for (slot, (first, desired)) in self.first.iter().zip(&self.desired).enumerate() {
+                    let (Some(first), Some(desired)) = (first, desired) else {
+                        continue;
+                    };
+                    if let Some(tile) = contents.holding(*desired).difference(taken).iter().next() {
+                        slot_to_tile[slot] = TileId::new(tile);
+                        taken.insert(tile);
+                        open.remove(slot);
+                        reused(*first);
+                    }
+                }
+                if !open.is_empty() {
+                    // Pass 2: fill the open slots, in slot order, with free
+                    // tiles: first those whose content nobody wants, oldest
+                    // first.
+                    let free = SlotMask::full(tiles).difference(taken);
+                    let wanted = self
+                        .desired
+                        .iter()
+                        .flatten()
+                        .fold(SlotMask::EMPTY, |mask, &config| {
+                            mask.union(contents.holding(config))
+                        });
+                    let protected: SlotMask<W> = free
+                        .iter()
+                        .filter(|&t| {
+                            contents
+                                .config_on(TileId::new(t))
+                                .is_some_and(&is_protected)
+                        })
+                        .collect();
+                    let unwanted = free.difference(wanted);
+                    let wanted = free.intersection(wanted);
+                    let classes = [
+                        unwanted.difference(protected),
+                        unwanted.intersection(protected),
+                        wanted.difference(protected),
+                        wanted.intersection(protected),
+                    ];
+                    let chosen = classes
+                        .into_iter()
+                        .flat_map(|class| oldest_first(generations, class));
+                    for (slot, tile) in open.iter().zip(chosen) {
+                        slot_to_tile[slot] = TileId::new(tile);
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The subtasks that can reuse a configuration already resident on the
+    /// physical tile their slot is mapped to (per `slot_to_tile`): the
+    /// first subtask of every slot whose tile holds the configuration it
+    /// needs, in slot order.
+    pub(crate) fn reused<'a, const W: usize>(
+        &'a self,
+        contents: &'a TileContents<W>,
+        slot_to_tile: &'a [TileId],
+    ) -> impl Iterator<Item = SubtaskId> + 'a {
+        self.first
+            .iter()
+            .zip(&self.desired)
+            .zip(slot_to_tile)
+            .filter(|((_, desired), &tile)| {
+                desired.is_some() && contents.config_on(tile) == **desired
+            })
+            .filter_map(|((first, _), _)| *first)
+    }
+
+    /// Records the effect of executing the schedule on the tile contents:
+    /// every slot's tile (per `slot_to_tile`) ends up holding the
+    /// configuration of the last DRHW subtask executed on it, stamped `now`,
+    /// recorded as one batch.
+    pub(crate) fn record<const W: usize>(
+        &self,
+        contents: &mut TileContents<W>,
+        slot_to_tile: &[TileId],
+        now: Time,
+    ) {
+        let loads = slot_to_tile
+            .iter()
+            .zip(&self.last)
+            .filter_map(|(&tile, config)| Some((tile, (*config)?)));
+        contents.record_loads(loads, now);
+    }
+}
+
+/// Sentinel in a slot-to-tile mapping while the reuse-aware rule still
+/// looks for a slot's tile.
+const UNASSIGNED: TileId = TileId::new(usize::MAX);
+
+/// The tiles of `among` in the order of `(last_used, tile)`: generation by
+/// generation, oldest first, and by ascending tile within one. Stops once
+/// every tile of `among` came out.
+fn oldest_first<const W: usize>(
+    generations: &[(Time, SlotMask<W>)],
+    among: SlotMask<W>,
+) -> impl Iterator<Item = usize> + '_ {
+    generations
+        .iter()
+        .flat_map(move |&(_, tiles)| tiles.intersection(among))
+        .take(among.len())
 }
 
 #[cfg(test)]

@@ -14,34 +14,34 @@ use drhw_model::{ConfigId, InitialSchedule, SubtaskGraph, SubtaskId, TileId, Til
 use serde::{Deserialize, Serialize};
 
 use crate::mask::SlotMask;
+use crate::replacement::SlotTables;
 
 /// The configuration currently loaded on every physical tile, together with
 /// the last time each tile was used (for LRU-style replacement).
 ///
-/// A state of at most [`SlotMask::CAPACITY`] tiles also keeps two indexes
-/// over those tables, which the replacement kernel
-/// ([`PreparedSchedule::assign_tiles_into`](crate::PreparedSchedule::assign_tiles_into))
-/// reads instead of scanning and sorting the tiles: the tiles holding each
-/// configuration, as one tile mask per configuration id, and the tiles
-/// grouped by last-use stamp into *generations*, oldest first. Every update
-/// keeps both current. A wider state keeps neither: the classic modules
-/// scan its tables, and the kernels refuse it. Equality compares the
-/// configurations and stamps alone.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct TileContents {
+/// The state also keeps two indexes over those tables, which the
+/// replacement rules read instead of scanning and sorting the tiles: the
+/// tiles holding each configuration, as one tile mask per configuration
+/// id, and the tiles grouped by last-use stamp into *generations*, oldest
+/// first. Every update keeps both current. The tile masks are `W` words
+/// wide (one by default, as for [`SlotMask`]), so a state tracks at most
+/// `64 × W` tiles; the word count is a capacity and changes no result.
+/// Equality compares the configurations and stamps alone.
+#[derive(Debug, Clone)]
+pub struct TileContents<const W: usize = 1> {
     configs: Vec<Option<ConfigId>>,
     last_used: Vec<Time>,
     /// The tiles holding each configuration, indexed by configuration id.
     /// Grows to the largest id loaded;
     /// [`reserve_configs`](Self::reserve_configs) pre-sizes it.
-    holders: Vec<SlotMask>,
+    holders: Vec<SlotMask<W>>,
     /// One `(stamp, tiles)` entry per distinct last-use stamp, in ascending
     /// stamp order; every tile is in exactly one. At most one entry per
-    /// tile, and [`new`](Self::new) reserves that many.
-    generations: Vec<(Time, SlotMask)>,
+    /// tile, and [`cold`](Self::cold) reserves that many.
+    generations: Vec<(Time, SlotMask<W>)>,
 }
 
-impl PartialEq for TileContents {
+impl<const W: usize> PartialEq for TileContents<W> {
     /// Two states are equal when every tile holds the same configuration
     /// with the same stamp; the indexes follow from those, whatever their
     /// reserved sizes.
@@ -50,50 +50,63 @@ impl PartialEq for TileContents {
     }
 }
 
-impl Eq for TileContents {}
+impl<const W: usize> Eq for TileContents<W> {}
 
 impl TileContents {
-    /// Creates the state of a platform whose tiles are all empty.
+    /// Creates the state of a platform whose tiles are all empty, in
+    /// one-word tile masks: the width the simulation runs at. Wider states
+    /// are built at an explicit word count with [`cold`](Self::cold).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tile_count` exceeds [`SlotMask::CAPACITY`].
     pub fn new(tile_count: usize) -> Self {
+        Self::cold(tile_count)
+    }
+}
+
+impl<const W: usize> TileContents<W> {
+    /// Creates the state of a platform whose tiles are all empty, in
+    /// `W`-word tile masks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tile_count` exceeds the `64 × W` tiles `W` words hold.
+    pub fn cold(tile_count: usize) -> Self {
+        assert!(
+            SlotMask::<W>::fits(tile_count),
+            "{tile_count} tiles exceed the {} a {W}-word tile mask holds",
+            SlotMask::<W>::CAPACITY
+        );
         let mut contents = TileContents {
             configs: vec![None; tile_count],
             last_used: vec![Time::ZERO; tile_count],
             holders: Vec::new(),
-            generations: Vec::new(),
+            generations: Vec::with_capacity(tile_count),
         };
-        if contents.indexed() {
-            contents.generations.reserve_exact(tile_count);
-            contents.reset();
-        }
+        contents.reset();
         contents
     }
 
     /// Pre-sizes the per-configuration tile masks for ids below `configs`
     /// (the size of an [interned](crate::PreparedSchedule::intern_configs)
-    /// dictionary), so loading them never allocates. A no-op on a state
-    /// wider than one mask word, which keeps no masks.
+    /// dictionary), so loading them never allocates.
     pub fn reserve_configs(&mut self, configs: usize) {
-        if self.indexed() && self.holders.len() < configs {
+        if self.holders.len() < configs {
             self.holders.resize(configs, SlotMask::EMPTY);
         }
     }
 
-    /// Whether the state keeps its indexes: its tiles fit one mask word.
-    fn indexed(&self) -> bool {
-        SlotMask::<1>::fits(self.configs.len())
-    }
-
-    /// The tiles holding `config` (empty for a state without indexes).
-    pub(crate) fn holding(&self, config: ConfigId) -> SlotMask {
+    /// The tiles holding `config`.
+    pub(crate) fn holding(&self, config: ConfigId) -> SlotMask<W> {
         self.holders
             .get(config.index())
             .copied()
             .unwrap_or(SlotMask::EMPTY)
     }
 
-    /// The tiles grouped by last-use stamp, oldest first (empty for a state
-    /// without indexes).
-    pub(crate) fn generations(&self) -> &[(Time, SlotMask)] {
+    /// The tiles grouped by last-use stamp, oldest first.
+    pub(crate) fn generations(&self) -> &[(Time, SlotMask<W>)] {
         &self.generations
     }
 
@@ -136,26 +149,19 @@ impl TileContents {
         loads: impl IntoIterator<Item = (TileId, ConfigId)>,
         now: Time,
     ) {
-        let indexed = self.indexed();
         let mut restamped = SlotMask::EMPTY;
         for (tile, config) in loads {
             let t = tile.index();
             if let Some(old) = self.configs[t].replace(config) {
-                if let Some(holders) = self.holders.get_mut(old.index()) {
-                    holders.remove(t);
-                }
+                self.holders[old.index()].remove(t);
             }
-            if indexed {
-                if config.index() >= self.holders.len() {
-                    self.holders.resize(config.index() + 1, SlotMask::EMPTY);
-                }
-                self.holders[config.index()].insert(t);
+            if config.index() >= self.holders.len() {
+                self.holders.resize(config.index() + 1, SlotMask::EMPTY);
             }
+            self.holders[config.index()].insert(t);
             if self.last_used[t] < now {
                 self.last_used[t] = now;
-                if indexed {
-                    restamped.insert(t);
-                }
+                restamped.insert(t);
             }
         }
         self.restamp(restamped, now);
@@ -170,9 +176,7 @@ impl TileContents {
         let t = tile.index();
         if self.last_used[t] < now {
             self.last_used[t] = now;
-            if self.indexed() {
-                self.restamp(std::iter::once(t).collect(), now);
-            }
+            self.restamp(std::iter::once(t).collect(), now);
         }
     }
 
@@ -180,9 +184,9 @@ impl TileContents {
     /// now, into the generation stamped `now`: one pass over the older
     /// generations, which drops the ones left empty, then a merge into an
     /// existing `now` generation or an insertion in stamp order. The count
-    /// stays within the one generation per tile that `new` reserves, since
+    /// stays within the one generation per tile that `cold` reserves, since
     /// every generation holds a tile.
-    fn restamp(&mut self, tiles: SlotMask, now: Time) {
+    fn restamp(&mut self, tiles: SlotMask<W>, now: Time) {
         if tiles.is_empty() {
             return;
         }
@@ -204,27 +208,15 @@ impl TileContents {
         }
     }
 
-    /// Tiles currently holding the given configuration.
-    pub fn tiles_holding(&self, config: ConfigId) -> Vec<TileId> {
-        self.configs
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| **c == Some(config))
-            .map(|(i, _)| TileId::new(i))
-            .collect()
-    }
-
     /// Clears every tile (e.g. when the FPGA is fully reconfigured).
     pub fn clear(&mut self) {
         for held in self.configs.iter_mut().filter_map(Option::take) {
             // Every tile holding `held` is being emptied.
-            if let Some(holders) = self.holders.get_mut(held.index()) {
-                holders.clear();
-            }
+            self.holders[held.index()].clear();
         }
     }
 
-    /// Resets the tracker to the cold state of [`TileContents::new`]: every
+    /// Resets the tracker to the cold state of [`TileContents::cold`]: every
     /// tile empty *and* every LRU timestamp back to zero. Unlike
     /// [`clear`](Self::clear) this is bit-identical to a freshly constructed
     /// value, which is what the chunked simulation engine needs when it
@@ -234,7 +226,7 @@ impl TileContents {
         self.last_used.fill(Time::ZERO);
         self.generations.clear();
         let tiles = self.tile_count();
-        if self.indexed() && tiles > 0 {
+        if tiles > 0 {
             self.generations.push((Time::ZERO, SlotMask::full(tiles)));
         }
     }
@@ -289,50 +281,28 @@ impl TileMapping {
 /// task left on the tile — anything executed later on the slot sees whatever
 /// the slot's own loads put there (that intra-task reuse is handled by
 /// [`PrefetchProblem`](crate::PrefetchProblem) itself).
-pub fn reusable_subtasks(
+pub fn reusable_subtasks<const W: usize>(
     graph: &SubtaskGraph,
     schedule: &InitialSchedule,
     mapping: &TileMapping,
-    contents: &TileContents,
+    contents: &TileContents<W>,
 ) -> BTreeSet<SubtaskId> {
-    let mut resident = BTreeSet::new();
-    for slot_index in 0..schedule.slot_count() {
-        let slot = TileSlot::new(slot_index);
-        let Some(first) = schedule.first_on_slot(slot) else {
-            continue;
-        };
-        let Some(required) = graph.required_config(first) else {
-            continue;
-        };
-        if slot_index < mapping.slot_count()
-            && contents.config_on(mapping.tile_of(slot)) == Some(required)
-        {
-            resident.insert(first);
-        }
-    }
-    resident
+    SlotTables::new(graph, schedule)
+        .reused(contents, &mapping.slot_to_tile)
+        .collect()
 }
 
 /// Applies the effect of executing a task to the tile contents: every slot's
 /// tile ends up holding the configuration of the last DRHW subtask executed on
 /// that slot, stamped with the completion instant `now`.
-pub fn apply_schedule_to_contents(
+pub fn apply_schedule_to_contents<const W: usize>(
     graph: &SubtaskGraph,
     schedule: &InitialSchedule,
     mapping: &TileMapping,
-    contents: &mut TileContents,
+    contents: &mut TileContents<W>,
     now: Time,
 ) {
-    for (slot, tile) in mapping.iter() {
-        let subtasks = schedule.subtasks_on(drhw_model::PeAssignment::Tile(slot));
-        let last_config = subtasks
-            .iter()
-            .rev()
-            .find_map(|&id| graph.required_config(id));
-        if let Some(config) = last_config {
-            contents.record_load(tile, config, now);
-        }
-    }
+    SlotTables::new(graph, schedule).record(contents, &mapping.slot_to_tile, now);
 }
 
 #[cfg(test)]
@@ -399,10 +369,7 @@ mod tests {
         contents.record_use(TileId::new(0), Time::from_millis(25));
         assert_eq!(contents.config_on(TileId::new(0)), Some(ConfigId::new(5)));
         assert_eq!(contents.last_used(TileId::new(0)), Time::from_millis(25));
-        assert_eq!(
-            contents.tiles_holding(ConfigId::new(5)),
-            vec![TileId::new(0)]
-        );
+        assert_eq!(contents.holding(ConfigId::new(5)), SlotMask::from_bits(0b1));
         // Stale timestamps never move backwards.
         contents.record_use(TileId::new(0), Time::from_millis(1));
         assert_eq!(contents.last_used(TileId::new(0)), Time::from_millis(25));
@@ -434,18 +401,18 @@ mod tests {
 
     /// Asserts that the indexes of `contents` equal ones rebuilt from its
     /// configurations and stamps.
-    fn assert_indexes_rebuild(contents: &TileContents, label: &str) {
+    fn assert_indexes_rebuild<const W: usize>(contents: &TileContents<W>, label: &str) {
         let tiles = contents.tile_count();
         let held = |t: usize| contents.config_on(TileId::new(t));
         for config in 0..contents.holders.len().max(16) {
             let config = ConfigId::new(config);
-            let expected: SlotMask = (0..tiles).filter(|&t| held(t) == Some(config)).collect();
+            let expected: SlotMask<W> = (0..tiles).filter(|&t| held(t) == Some(config)).collect();
             assert_eq!(contents.holding(config), expected, "{config} {label}");
         }
         let mut stamps = contents.last_used.clone();
         stamps.sort_unstable();
         stamps.dedup();
-        let expected: Vec<(Time, SlotMask)> = stamps
+        let expected: Vec<(Time, SlotMask<W>)> = stamps
             .into_iter()
             .map(|stamp| {
                 let tiles = (0..tiles).filter(|&t| contents.last_used[t] == stamp);
@@ -458,50 +425,59 @@ mod tests {
     #[test]
     fn indexes_equal_a_rebuild_after_any_sequence_of_updates() {
         for (seed, tiles) in [(1u64, 1usize), (2, 3), (3, 8), (4, 13), (5, 64)] {
-            let mut rng = drhw_model::SplitMix64::new(seed);
-            let mut draw = |bound: usize| (rng.next_u64() % bound as u64) as usize;
-            let mut contents = TileContents::new(tiles);
-            contents.reserve_configs(16);
-            let reserved = contents.generations.capacity();
-            assert_indexes_rebuild(&contents, "new");
-            for step in 0..400 {
-                // A few stamp values, so stamps tie and go back; a few
-                // configurations, so loads replace them in place.
-                let now = Time::from_millis(draw(6) as u64);
-                let tile = TileId::new(draw(tiles));
-                let config = ConfigId::new(draw(16));
-                let op = match draw(20) {
-                    0 => {
-                        contents.clear();
-                        "clear"
-                    }
-                    1 => {
-                        contents.reset();
-                        "reset"
-                    }
-                    2..=6 => {
-                        contents.record_use(tile, now);
-                        "use"
-                    }
-                    7..=13 => {
-                        contents.record_load(tile, config, now);
-                        "load"
-                    }
-                    _ => {
-                        // A batch of loads, possibly naming a tile twice.
-                        let batch: Vec<_> = (0..1 + draw(4))
-                            .map(|_| (TileId::new(draw(tiles)), ConfigId::new(draw(16))))
-                            .collect();
-                        contents.record_loads(batch, now);
-                        "batch"
-                    }
-                };
-                assert_indexes_rebuild(&contents, &format!("{tiles} tiles, step {step} {op}"));
-                // Updates never outgrow what `new` and `reserve_configs`
-                // sized.
-                assert_eq!(contents.generations.capacity(), reserved);
-                assert_eq!(contents.holders.len(), 16);
-            }
+            check_indexes_rebuild(TileContents::new(tiles), seed);
+        }
+        for (seed, tiles) in [(6u64, 70usize), (7, 128)] {
+            check_indexes_rebuild(TileContents::<2>::cold(tiles), seed);
+        }
+    }
+
+    /// Runs 400 random updates on `contents`, checking its indexes against
+    /// a rebuild after each.
+    fn check_indexes_rebuild<const W: usize>(mut contents: TileContents<W>, seed: u64) {
+        let tiles = contents.tile_count();
+        let mut rng = drhw_model::SplitMix64::new(seed);
+        let mut draw = |bound: usize| (rng.next_u64() % bound as u64) as usize;
+        contents.reserve_configs(16);
+        let reserved = contents.generations.capacity();
+        assert_indexes_rebuild(&contents, "new");
+        for step in 0..400 {
+            // A few stamp values, so stamps tie and go back; a few
+            // configurations, so loads replace them in place.
+            let now = Time::from_millis(draw(6) as u64);
+            let tile = TileId::new(draw(tiles));
+            let config = ConfigId::new(draw(16));
+            let op = match draw(20) {
+                0 => {
+                    contents.clear();
+                    "clear"
+                }
+                1 => {
+                    contents.reset();
+                    "reset"
+                }
+                2..=6 => {
+                    contents.record_use(tile, now);
+                    "use"
+                }
+                7..=13 => {
+                    contents.record_load(tile, config, now);
+                    "load"
+                }
+                _ => {
+                    // A batch of loads, possibly naming a tile twice.
+                    let batch: Vec<_> = (0..1 + draw(4))
+                        .map(|_| (TileId::new(draw(tiles)), ConfigId::new(draw(16))))
+                        .collect();
+                    contents.record_loads(batch, now);
+                    "batch"
+                }
+            };
+            assert_indexes_rebuild(&contents, &format!("{tiles} tiles, step {step} {op}"));
+            // Updates never outgrow what `cold` and `reserve_configs`
+            // sized.
+            assert_eq!(contents.generations.capacity(), reserved);
+            assert_eq!(contents.holders.len(), 16);
         }
     }
 
@@ -525,11 +501,11 @@ mod tests {
     }
 
     #[test]
-    fn a_state_wider_than_one_mask_word_keeps_no_indexes_and_serves_the_classic_rules() {
+    fn a_two_word_state_keeps_its_indexes_and_serves_every_rule() {
         use crate::{assign_tiles_protecting, ReplacementPolicy};
         let (g, schedule, _) = simple();
         let tiles = SlotMask::<1>::CAPACITY + 6;
-        let mut contents = TileContents::new(tiles);
+        let mut contents = TileContents::<2>::cold(tiles);
         contents.reserve_configs(64);
         // Tile 69 holds slot 0's configuration, tile 68 a protected one;
         // tile 0 was used last.
@@ -539,7 +515,7 @@ mod tests {
             Time::from_millis(10),
         );
         contents.record_use(TileId::new(0), Time::from_millis(70));
-        assert!(contents.holders.is_empty() && contents.generations().is_empty());
+        assert_indexes_rebuild(&contents, "two words");
         let protected = [ConfigId::new(99)].into_iter().collect();
         let reuse = assign_tiles_protecting(
             &g,
@@ -565,8 +541,14 @@ mod tests {
         assert_eq!(lru.tile_of(TileSlot::new(1)), TileId::new(2));
         contents.clear();
         contents.reset();
-        assert_eq!(contents, TileContents::new(tiles));
-        assert!(contents.generations().is_empty());
+        assert_eq!(contents, TileContents::<2>::cold(tiles));
+        assert_indexes_rebuild(&contents, "two words, reset");
+    }
+
+    #[test]
+    #[should_panic(expected = "65 tiles exceed the 64 a 1-word tile mask holds")]
+    fn the_one_word_constructor_refuses_65_tiles() {
+        let _ = TileContents::new(SlotMask::<1>::CAPACITY + 1);
     }
 
     #[test]

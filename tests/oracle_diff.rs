@@ -4,9 +4,9 @@
 //! every DAG family and demands **bit-for-bit** agreement — per-iteration
 //! outcomes, the sequential aggregate reports, and their replay through the
 //! engine's default-size worker pool (CI additionally runs the whole suite
-//! under `DRHW_SIM_THREADS=1`). `DRHW_FUZZ_CASES` scales the corpus; the default
-//! here keeps unoptimised test runs quick, while the `oracle_diff` binary
-//! (release) runs hundreds by default and thousands on demand.
+//! under `DRHW_SIM_THREADS=1`). `DRHW_FUZZ_CASES` scales the corpus; by
+//! default every profile runs the whole pinned corpus, and the `oracle_diff`
+//! binary (release) runs thousands on demand.
 
 use drhw_model::{ConfigId, Platform, Subtask, SubtaskGraph, Task, TaskId, TaskSet, Time};
 use drhw_oracle::diff::CORPUS_SEED;
@@ -16,13 +16,11 @@ use drhw_prefetch::{PolicyKind, ReplacementPolicy, SlotMask};
 use drhw_sim::{IterationPlan, SimulationConfig};
 use drhw_workloads::{FuzzFamily, FuzzWorkload, MultimediaWorkload, PocketGlWorkload, Workload};
 
-/// Default corpus size for unoptimised `cargo test` runs; the release-mode
-/// test (and the `oracle_diff` binary) run the full pinned 240-case corpus,
-/// which `run_corpus` routes through BOTH the direct `IterationPlan::run`
-/// path and the `drhw-engine` job path with bit-for-bit comparison.
-#[cfg(debug_assertions)]
-const DEFAULT_TEST_CASES: usize = 18;
-#[cfg(not(debug_assertions))]
+/// Default corpus size: the full pinned 240-case corpus, in the debug and
+/// the release profile alike (the dev profile optimises the oracle crate,
+/// whose reference simulator is the slow half), which `run_corpus` routes
+/// through BOTH the direct `IterationPlan::run` path and the `drhw-engine`
+/// job path with bit-for-bit comparison.
 const DEFAULT_TEST_CASES: usize = 240;
 
 #[test]

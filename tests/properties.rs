@@ -1,8 +1,7 @@
 //! Property-based tests (proptest) of the scheduling invariants on random
 //! task graphs, a reference-model check of the `SlotMask` bitmask set the
 //! hot kernels use in place of per-subtask boolean vectors, and a parity
-//! check of the allocation-free replacement kernels against the classic
-//! replacement and reuse modules.
+//! check of the tile rules, kernels and one-shot, against the oracle's.
 
 use std::collections::{BTreeSet, HashSet};
 
@@ -11,6 +10,7 @@ use drhw_model::{
     ConfigId, InitialSchedule, PeAssignment, Platform, SplitMix64, Subtask, SubtaskGraph,
     SubtaskId, TileId, TileSlot, Time,
 };
+use drhw_oracle::reference::{self, Mapping, ReplacementRule, Tiles};
 use drhw_prefetch::{
     apply_schedule_to_contents, assign_tiles_protecting, reusable_subtasks, BranchBoundScheduler,
     CriticalSetAnalysis, HybridPrefetch, InterTaskWindow, ListScheduler, OnDemandScheduler,
@@ -223,14 +223,29 @@ proptest! {
         }
     }
 
-    /// The allocation-free replacement and reuse kernels agree with the
-    /// classic modules for all three replacement rules on random tile
-    /// states: configurations repeated across tiles, tied last-use stamps,
-    /// random protected sets, sparse ids from 10 000 up, and up to 64 tiles
-    /// with as many slots as tiles or fewer.
+    /// The allocation-free replacement, reuse and contents-update kernels
+    /// agree with the oracle's reference for all three replacement rules
+    /// on random tile states: configurations repeated across tiles, tied
+    /// last-use stamps, random protected sets, sparse ids from 10 000 up,
+    /// and up to 64 tiles with as many slots as tiles or fewer.
     #[test]
-    fn replacement_kernels_match_the_classic_modules(seed in 0u64..1_000_000, tiles in 1usize..65) {
-        check_replacement_parity(seed, tiles);
+    fn replacement_kernels_match_the_reference(seed in 0u64..1_000_000, tiles in 1usize..65) {
+        let mut rng = SplitMix64::new(seed);
+        let mut draw = |bound: usize| (rng.next_u64() % bound as u64) as usize;
+        let case = ParityCase::draw(&mut draw, tiles, SlotMask::<1>::CAPACITY);
+        check_kernels(&case, &mut draw, tiles);
+    }
+
+    /// The one-shot replacement, reuse check and contents update agree
+    /// with the oracle's reference in the same way on tile states wider
+    /// than one mask word: 65 to 256 tiles, kept in two or four words.
+    #[test]
+    fn wide_one_shot_tile_rules_match_the_reference(seed in 0u64..1_000_000, tiles in 65usize..257) {
+        if SlotMask::<2>::fits(tiles) {
+            check_one_shot::<2>(seed, tiles);
+        } else {
+            check_one_shot::<4>(seed, tiles);
+        }
     }
 
     /// `SlotMask` behaves exactly like a `HashSet<usize>` over `0..64` under
@@ -303,226 +318,329 @@ proptest! {
     }
 }
 
-/// Checks every replacement rule of the allocation-free kernels
-/// (`assign_tiles_into` + `mark_reusable`) against the classic modules
-/// (`assign_tiles_protecting` + `reusable_subtasks`), on the schedule both
-/// with raw configuration ids and interned into a dense dictionary: on
-/// tile states drawn fresh, and after every step of one state evolved by
-/// random loads, uses, clears and kernel-applied activations.
-fn check_replacement_parity(seed: u64, tiles: usize) {
+/// The three replacement rules, each with the oracle's name for it.
+const RULES: [(ReplacementPolicy, ReplacementRule); 3] = [
+    (ReplacementPolicy::ReuseAware, ReplacementRule::ReuseAware),
+    (
+        ReplacementPolicy::LeastRecentlyUsed,
+        ReplacementRule::LeastRecentlyUsed,
+    ),
+    (ReplacementPolicy::Direct, ReplacementRule::Direct),
+];
+
+/// A protected set and a set protected once and released once; protected
+/// twice and released once stays protected, released without a second
+/// protection drops back to zero.
+type Protection = [Vec<ConfigId>; 2];
+
+/// What one activation decides: the tile of every slot and the subtasks
+/// that reuse a resident configuration.
+type Decision = (Vec<TileId>, BTreeSet<SubtaskId>);
+
+/// One activation: its rule, its protection in the ids of the state it
+/// runs on and, to record its loads too, the instant it ends.
+type Activation<'p> = (ReplacementPolicy, &'p Protection, Option<Time>);
+
+/// The tile rules under test, run for one activation on a state in raw ids
+/// (`false`) or dense ids (`true`).
+type Rules<'a, const W: usize> =
+    dyn FnMut(bool, &mut TileContents<W>, Activation<'_>) -> Decision + 'a;
+
+/// The reference tile state holding what `contents` holds: each tile's
+/// configuration and last-use stamp.
+fn reference_tiles<const W: usize>(contents: &TileContents<W>) -> Tiles {
+    let tiles = (0..contents.tile_count()).map(TileId::new);
+    Tiles {
+        configs: tiles.clone().map(|t| contents.config_on(t)).collect(),
+        last_used: tiles.map(|t| contents.last_used(t)).collect(),
+    }
+}
+
+/// A schedule whose configurations come from small pools of sparse ids,
+/// so they repeat across subtasks and tiles; `foreign` ones are wanted by
+/// no subtask. `dense_graph` renames every id to its position in
+/// `dictionary`, which holds both pools, sorted.
+struct ParityCase {
+    graph: SubtaskGraph,
+    dense_graph: SubtaskGraph,
+    schedule: InitialSchedule,
+    pool: Vec<ConfigId>,
+    foreign: Vec<ConfigId>,
+    dictionary: Vec<ConfigId>,
+}
+
+impl ParityCase {
+    /// A random case of 1 to `tiles` slots and at most `capacity` subtasks.
+    fn draw(draw: &mut dyn FnMut(usize) -> usize, tiles: usize, capacity: usize) -> Self {
+        let slots = 1 + draw(tiles);
+        let subtasks = slots + draw(capacity - slots + 1);
+        let mut sparse = || ConfigId::new(10_000 + draw(50_000));
+        let mut pool: Vec<ConfigId> = (0..12).map(|_| sparse()).collect();
+        let foreign = (0..4).map(|_| sparse()).collect();
+        pool.truncate(1 + draw(pool.len()));
+        let subtasks: Vec<_> = (0..subtasks)
+            .map(|i| {
+                let config = pool[draw(pool.len())];
+                let ms = 1 + draw(5) as u64;
+                (ms, config, if i < slots { i } else { draw(slots) })
+            })
+            .collect();
+        ParityCase::new(&subtasks, pool, foreign)
+    }
+
+    /// The case of `subtasks`: execution ms, configuration and slot each
+    /// (dependencies do not enter the tile rules).
+    fn new(
+        subtasks: &[(u64, ConfigId, usize)],
+        pool: Vec<ConfigId>,
+        foreign: Vec<ConfigId>,
+    ) -> Self {
+        let mut dictionary: Vec<ConfigId> = pool.iter().chain(&foreign).copied().collect();
+        dictionary.sort_unstable();
+        dictionary.dedup();
+        let graph = |rename: &dyn Fn(ConfigId) -> ConfigId| {
+            let mut graph = SubtaskGraph::new("parity");
+            for (i, &(ms, config, _)) in subtasks.iter().enumerate() {
+                let exec = Time::from_millis(ms);
+                graph.add_subtask(Subtask::new(format!("s{i}"), exec, rename(config)));
+            }
+            graph
+        };
+        let dense = |config| ConfigId::new(dictionary.binary_search(&config).unwrap());
+        let (graph, dense_graph) = (graph(&|config| config), graph(&dense));
+        let slots = subtasks
+            .iter()
+            .map(|s| PeAssignment::Tile(TileSlot::new(s.2)));
+        let schedule = InitialSchedule::from_assignment(&graph, slots.collect()).unwrap();
+        ParityCase {
+            graph,
+            dense_graph,
+            schedule,
+            pool,
+            foreign,
+            dictionary,
+        }
+    }
+
+    /// `configs` renamed to their positions in the dictionary if `dense`.
+    fn ids(&self, configs: &[ConfigId], dense: bool) -> Vec<ConfigId> {
+        let rename = |c: &ConfigId| ConfigId::new(self.dictionary.binary_search(c).unwrap());
+        configs
+            .iter()
+            .map(|c| if dense { rename(c) } else { *c })
+            .collect()
+    }
+
+    /// Loads a configuration of the pool, or a foreign one with one chance
+    /// in `odds`, onto `tile` of the raw and the dense state.
+    fn load<const W: usize>(
+        &self,
+        draw: &mut dyn FnMut(usize) -> usize,
+        states: &mut [TileContents<W>; 2],
+        tile: usize,
+        odds: usize,
+        now: Time,
+    ) {
+        let from = [&self.pool, &self.foreign][usize::from(draw(odds) == 0)];
+        let config = [from[draw(from.len())]];
+        for (dense, state) in [false, true].into_iter().zip(states) {
+            state.record_load(TileId::new(tile), self.ids(&config, dense)[0], now);
+        }
+    }
+
+    /// The reference's mapping of the schedule onto `state`.
+    fn reference(&self, state: &Tiles, rule: ReplacementRule, protected: &[ConfigId]) -> Mapping {
+        let protected = protected.iter().copied().collect();
+        reference::assign_tiles(&self.graph, &self.schedule, state, rule, &protected).unwrap()
+    }
+
+    /// Checks `rules` against the oracle's reference on tile states of `W`
+    /// words, in raw and in dense ids: four fresh states (most tiles hold a
+    /// configuration; stamps from a few values, so eviction keys tie on
+    /// everything but the tile index), then one state evolved by 32 random
+    /// loads, uses, clears and activations applied by `rules` (stamps from a
+    /// few values, so they tie and go back), compared after every step. The
+    /// reference state is rebuilt from each tile's configuration and stamp.
+    fn check<const W: usize>(
+        &self,
+        draw: &mut dyn FnMut(usize) -> usize,
+        tiles: usize,
+        rules: &mut Rules<'_, W>,
+    ) {
+        let cold = || [0, 1].map(|_| TileContents::<W>::cold(tiles));
+        for round in 0..4 {
+            let mut states = cold();
+            for t in 0..tiles {
+                let now = Time::from_millis(5 * draw(4) as u64);
+                match draw(4) {
+                    0 => states
+                        .iter_mut()
+                        .for_each(|s| s.record_use(TileId::new(t), now)),
+                    _ => self.load(draw, &mut states, t, 3, now),
+                }
+            }
+            self.check_rules(draw, &mut states, rules, &format!("fresh round {round}"));
+        }
+        let mut states = cold();
+        for step in 0..32 {
+            let now = Time::from_millis(5 * draw(8) as u64);
+            let tile = draw(tiles);
+            match draw(8) {
+                0 => states.iter_mut().for_each(TileContents::clear),
+                1 | 2 => states
+                    .iter_mut()
+                    .for_each(|s| s.record_use(TileId::new(tile), now)),
+                3..=5 => self.load(draw, &mut states, tile, 4, now),
+                _ => {
+                    let (policy, rule) = RULES[draw(3)];
+                    let protected = self.protection(draw)[0].clone();
+                    let mut expected = reference_tiles(&states[0]);
+                    let mapping = self.reference(&expected, rule, &protected);
+                    reference::commit_contents(
+                        &self.graph,
+                        &self.schedule,
+                        &mapping,
+                        &mut expected,
+                        now,
+                    );
+                    for (dense, state) in [false, true].into_iter().zip(&mut states) {
+                        let protection = [self.ids(&protected, dense), Vec::new()];
+                        rules(dense, state, (policy, &protection, Some(now)));
+                    }
+                    assert_eq!(
+                        reference_tiles(&states[0]),
+                        expected,
+                        "{policy} step {step}"
+                    );
+                }
+            }
+            for t in (0..tiles).map(TileId::new) {
+                let raw = (
+                    states[0].config_on(t).map(|c| self.ids(&[c], true)[0]),
+                    states[0].last_used(t),
+                );
+                assert_eq!(
+                    (states[1].config_on(t), states[1].last_used(t)),
+                    raw,
+                    "step {step}"
+                );
+            }
+            self.check_rules(draw, &mut states, rules, &format!("evolved step {step}"));
+        }
+    }
+
+    /// A random protection.
+    fn protection(&self, draw: &mut dyn FnMut(usize) -> usize) -> Protection {
+        [0, 1].map(|_| {
+            self.dictionary
+                .iter()
+                .copied()
+                .filter(|_| draw(2) == 0)
+                .collect()
+        })
+    }
+
+    /// Checks every rule of `rules` on both states against the reference,
+    /// under a random protection.
+    fn check_rules<const W: usize>(
+        &self,
+        draw: &mut dyn FnMut(usize) -> usize,
+        states: &mut [TileContents<W>; 2],
+        rules: &mut Rules<'_, W>,
+        label: &str,
+    ) {
+        let protection = self.protection(draw);
+        let state = reference_tiles(&states[0]);
+        for (policy, rule) in RULES {
+            let mapping = self.reference(&state, rule, &protection[0]);
+            let reused =
+                reference::resident_subtasks(&self.graph, &self.schedule, &mapping, &state);
+            let expected = (mapping.into_iter().map(TileId::new).collect(), reused);
+            for (dense, contents) in [false, true].into_iter().zip(states.iter_mut()) {
+                let protection = protection.clone().map(|ids| self.ids(&ids, dense));
+                let got = rules(dense, contents, (policy, &protection, None));
+                assert_eq!(got, expected, "{policy} dense {dense} {label}");
+            }
+        }
+    }
+}
+
+/// Checks the allocation-free kernels (`assign_tiles_into`,
+/// `mark_reusable`, `apply_to_contents`) on `case`, prepared with raw ids
+/// and interned into its dictionary, against the oracle's reference.
+fn check_kernels(case: &ParityCase, draw: &mut dyn FnMut(usize) -> usize, tiles: usize) {
+    let platform = Platform::virtex_like(tiles).unwrap();
+    let raw = PreparedSchedule::new(&case.graph, case.schedule.clone(), &platform).unwrap();
+    let mut interned = raw.clone();
+    interned.intern_configs(&case.dictionary);
+    let mut scratch = Scratch::new();
+    let mut kernels =
+        |dense, contents: &mut TileContents, (policy, [ids, extra], now): Activation| {
+            let prepared = if dense { &interned } else { &raw };
+            scratch.clear_protection();
+            scratch.protect(ids);
+            scratch.protect(extra);
+            scratch.unprotect(extra);
+            prepared
+                .assign_tiles_into(contents, policy, &mut scratch)
+                .unwrap();
+            let left = scratch.resident();
+            let count = prepared.mark_reusable(contents, &mut scratch);
+            let resident = scratch.resident();
+            assert_eq!(count, resident.len());
+            if policy == ReplacementPolicy::ReuseAware {
+                // The reuse-aware assignment leaves the residency mask.
+                assert_eq!(left, resident);
+            }
+            if let Some(now) = now {
+                prepared.apply_to_contents(contents, &scratch, now);
+            }
+            let resident = resident.iter().map(SubtaskId::new).collect();
+            (scratch.slot_to_tile().to_vec(), resident)
+        };
+    case.check::<1>(draw, tiles, &mut kernels);
+}
+
+/// Checks the one-shot functions (`assign_tiles_protecting`,
+/// `reusable_subtasks`, `apply_schedule_to_contents`) on a random case, on
+/// tile states of `W` words, against the oracle's reference.
+fn check_one_shot<const W: usize>(seed: u64, tiles: usize) {
     let mut rng = SplitMix64::new(seed);
     let mut draw = |bound: usize| (rng.next_u64() % bound as u64) as usize;
-    let slots = 1 + draw(tiles);
-    let subtasks = slots + draw(SlotMask::<1>::CAPACITY - slots + 1);
-    // Small pools of sparse ids, so configurations repeat across subtasks
-    // and tiles; `foreign` ones are wanted by no subtask of this graph.
-    let mut sparse = || ConfigId::new(10_000 + draw(50_000));
-    let pool: Vec<ConfigId> = (0..12).map(|_| sparse()).collect();
-    let foreign: Vec<ConfigId> = (0..4).map(|_| sparse()).collect();
-    let pool = &pool[..1 + draw(pool.len())];
-    let mut graph = SubtaskGraph::new("parity");
-    let mut assignment = Vec::with_capacity(subtasks);
-    for i in 0..subtasks {
-        let config = pool[draw(pool.len())];
-        graph.add_subtask(Subtask::new(
-            format!("s{i}"),
-            Time::from_millis(1 + draw(5) as u64),
-            config,
-        ));
-        let slot = if i < slots { i } else { draw(slots) };
-        assignment.push(PeAssignment::Tile(TileSlot::new(slot)));
-    }
-    let schedule = InitialSchedule::from_assignment(&graph, assignment).unwrap();
-    let platform = Platform::virtex_like(tiles).unwrap();
-    let mut dictionary: Vec<ConfigId> = pool.iter().chain(&foreign).copied().collect();
-    dictionary.sort_unstable();
-    dictionary.dedup();
-    let dense = |config: ConfigId| ConfigId::new(dictionary.binary_search(&config).unwrap());
-    let raw = PreparedSchedule::new(&graph, schedule.clone(), &platform).unwrap();
-    let mut interned = PreparedSchedule::new(&graph, schedule.clone(), &platform).unwrap();
-    interned.intern_configs(&dictionary);
+    let case = ParityCase::draw(&mut draw, tiles, SlotMask::<W>::CAPACITY);
+    let schedule = &case.schedule;
+    let mut one_shot =
+        |dense, contents: &mut TileContents<W>, (policy, [ids, _], now): Activation| {
+            let graph = [&case.graph, &case.dense_graph][usize::from(dense)];
+            let protected = ids.iter().copied().collect();
+            let mapping =
+                assign_tiles_protecting(graph, schedule, contents, policy, &protected).unwrap();
+            let reused = reusable_subtasks(graph, schedule, &mapping, contents);
+            if let Some(now) = now {
+                apply_schedule_to_contents(graph, schedule, &mapping, contents, now);
+            }
+            (mapping.iter().map(|(_, tile)| tile).collect(), reused)
+        };
+    case.check::<W>(&mut draw, tiles, &mut one_shot);
+}
 
-    // Checks every rule against the classic modules on one pair of tile
-    // states (the same state in raw and in dense ids).
-    let mut scratch = Scratch::new();
-    let check = |scratch: &mut Scratch,
-                 contents: &TileContents,
-                 dense_contents: &TileContents,
-                 protected: &BTreeSet<ConfigId>,
-                 extra: &[ConfigId],
-                 label: &str| {
-        for policy in [
-            ReplacementPolicy::ReuseAware,
-            ReplacementPolicy::LeastRecentlyUsed,
-            ReplacementPolicy::Direct,
-        ] {
-            let classic =
-                assign_tiles_protecting(&graph, &schedule, contents, policy, protected).unwrap();
-            let expected: Vec<TileId> = (0..classic.slot_count())
-                .map(|s| classic.tile_of(TileSlot::new(s)))
-                .collect();
-            let resident: SlotMask = reusable_subtasks(&graph, &schedule, &classic, contents)
-                .iter()
-                .map(|id| id.index())
-                .collect();
-            let variants = [
-                (
-                    &raw,
-                    contents,
-                    protected.iter().copied().collect::<Vec<_>>(),
-                    extra.to_vec(),
-                ),
-                (
-                    &interned,
-                    dense_contents,
-                    protected.iter().map(|&c| dense(c)).collect(),
-                    extra.iter().map(|&c| dense(c)).collect(),
-                ),
-            ];
-            for (prepared, tile_state, ids, extra) in &variants {
-                scratch.clear_protection();
-                scratch.protect(ids);
-                scratch.protect(extra);
-                scratch.unprotect(extra);
-                prepared
-                    .assign_tiles_into(tile_state, policy, scratch)
-                    .unwrap();
-                assert_eq!(scratch.slot_to_tile(), &expected[..], "{policy} {label}");
-                if policy == ReplacementPolicy::ReuseAware {
-                    // The reuse-aware assignment leaves the residency mask.
-                    assert_eq!(scratch.resident(), resident, "{policy} {label}");
-                }
-                let count = prepared.mark_reusable(tile_state, scratch);
-                assert_eq!(count, resident.len(), "{policy} {label}");
-                assert_eq!(scratch.resident(), resident, "{policy} {label}");
-            }
-        }
-    };
-    let draw_protection = |draw: &mut dyn FnMut(usize) -> usize| {
-        // Protected twice and released once stays protected; released
-        // without a second protection drops back to zero.
-        let protected: BTreeSet<ConfigId> = dictionary
-            .iter()
-            .copied()
-            .filter(|_| draw(2) == 0)
-            .collect();
-        let extra: Vec<ConfigId> = dictionary
-            .iter()
-            .copied()
-            .filter(|_| draw(2) == 0)
-            .collect();
-        (protected, extra)
-    };
-
-    for round in 0..4 {
-        // Most tiles hold a configuration; last-use stamps come from a few
-        // values, so eviction keys tie on everything but the tile index.
-        let mut contents = TileContents::new(tiles);
-        let mut dense_contents = TileContents::new(tiles);
-        for t in 0..tiles {
-            let tile = TileId::new(t);
-            let stamp = Time::from_millis(5 * draw(4) as u64);
-            let held = match draw(4) {
-                0 => None,
-                1 => Some(foreign[draw(foreign.len())]),
-                _ => Some(pool[draw(pool.len())]),
-            };
-            match held {
-                Some(config) => {
-                    contents.record_load(tile, config, stamp);
-                    dense_contents.record_load(tile, dense(config), stamp);
-                }
-                None => {
-                    contents.record_use(tile, stamp);
-                    dense_contents.record_use(tile, stamp);
-                }
-            }
-        }
-        let (protected, extra) = draw_protection(&mut draw);
-        check(
-            &mut scratch,
-            &contents,
-            &dense_contents,
-            &protected,
-            &extra,
-            &format!("fresh round {round}"),
-        );
-    }
-
-    // Evolved states: one pair of states goes through random loads, uses
-    // and clears — stamps from a few values, so they tie and go back, and
-    // loads replace configurations in place — and through whole
-    // activations applied by the kernel, compared after every step.
-    let mut contents = TileContents::new(tiles);
-    let mut dense_contents = TileContents::new(tiles);
-    for step in 0..32 {
-        let stamp = Time::from_millis(5 * draw(8) as u64);
-        let tile = TileId::new(draw(tiles));
-        match draw(8) {
-            0 => {
-                contents.clear();
-                dense_contents.clear();
-            }
-            1 | 2 => {
-                contents.record_use(tile, stamp);
-                dense_contents.record_use(tile, stamp);
-            }
-            3..=5 => {
-                let config = if draw(4) == 0 {
-                    foreign[draw(foreign.len())]
-                } else {
-                    pool[draw(pool.len())]
-                };
-                contents.record_load(tile, config, stamp);
-                dense_contents.record_load(tile, dense(config), stamp);
-            }
-            _ => {
-                // One activation under a random rule, applied by the kernel
-                // and, on a copy, by the classic module.
-                let policy = [
-                    ReplacementPolicy::ReuseAware,
-                    ReplacementPolicy::LeastRecentlyUsed,
-                    ReplacementPolicy::Direct,
-                ][draw(3)];
-                let (protected, _) = draw_protection(&mut draw);
-                let mapping =
-                    assign_tiles_protecting(&graph, &schedule, &contents, policy, &protected)
-                        .unwrap();
-                let mut classic = contents.clone();
-                apply_schedule_to_contents(&graph, &schedule, &mapping, &mut classic, stamp);
-                let ids: Vec<ConfigId> = protected.iter().copied().collect();
-                scratch.clear_protection();
-                scratch.protect(&ids);
-                raw.assign_tiles_into(&contents, policy, &mut scratch)
-                    .unwrap();
-                raw.apply_to_contents(&mut contents, &scratch, stamp);
-                assert_eq!(contents, classic, "{policy} step {step}");
-                let ids: Vec<ConfigId> = protected.iter().map(|&c| dense(c)).collect();
-                scratch.clear_protection();
-                scratch.protect(&ids);
-                interned
-                    .assign_tiles_into(&dense_contents, policy, &mut scratch)
-                    .unwrap();
-                interned.apply_to_contents(&mut dense_contents, &scratch, stamp);
-            }
-        }
-        for t in 0..tiles {
-            let tile = TileId::new(t);
-            assert_eq!(
-                dense_contents.config_on(tile),
-                contents.config_on(tile).map(dense),
-                "step {step}"
-            );
-            assert_eq!(dense_contents.last_used(tile), contents.last_used(tile));
-        }
-        let (protected, extra) = draw_protection(&mut draw);
-        check(
-            &mut scratch,
-            &contents,
-            &dense_contents,
-            &protected,
-            &extra,
-            &format!("evolved step {step}"),
-        );
+/// The kernels agree with the oracle's reference on the slots of the Fig. 3
+/// schedule: four subtasks on three tiles, subtask 4 sharing slot 0 with
+/// subtask 1; configuration 7 is wanted by no subtask.
+#[test]
+fn replacement_and_reuse_kernels_match_the_reference_on_fig3() {
+    let config = ConfigId::new;
+    let subtasks = [
+        (10, config(1), 0),
+        (12, config(2), 1),
+        (6, config(3), 2),
+        (8, config(4), 0),
+    ];
+    let pool = (1..=4).map(config).collect();
+    let case = ParityCase::new(&subtasks, pool, vec![config(7)]);
+    for seed in 0..8 {
+        let mut rng = SplitMix64::new(seed);
+        let mut draw = |bound: usize| (rng.next_u64() % bound as u64) as usize;
+        check_kernels(&case, &mut draw, 3);
     }
 }
