@@ -672,17 +672,21 @@ enum PortRule<'o> {
 }
 
 /// The result of timing one activation under one port rule.
-struct Timing {
-    load_order: Vec<SubtaskId>,
+#[derive(Debug, Clone)]
+pub struct Timing {
+    /// The loads in the order the port performed them.
+    pub load_order: Vec<SubtaskId>,
     /// Stall directly attributable to waiting for the subtask's own load.
     load_delays: Vec<Time>,
     exec_makespan: Time,
     port_busy_until: Time,
-    penalty: Time,
+    /// How much later the executions finish than the ideal makespan.
+    pub penalty: Time,
 }
 
 impl Timing {
-    fn trailing_port_idle(&self) -> Time {
+    /// How long the port idles before the activation ends.
+    pub fn trailing_port_idle(&self) -> Time {
         self.exec_makespan.saturating_sub(self.port_busy_until)
     }
 
@@ -1369,7 +1373,6 @@ impl<'a> ReferenceSimulator<'a> {
         window: &mut Time,
         now: &mut Time,
     ) -> Result<ReferenceOutcome, OracleError> {
-        let latency = self.platform.reconfig_latency();
         let activations = self.pick_activations(index);
         let mut outcome = ReferenceOutcome::default();
 
@@ -1437,27 +1440,28 @@ impl<'a> ReferenceSimulator<'a> {
                     (timing.penalty, timing.load_order.len(), 0)
                 }
                 ReferencePolicy::RunTimeInterTask => {
-                    let base = TimingProblem::new(graph, &schedule, self.platform, &resident)?;
-                    let by_weight = base.loads_by_weight_desc();
-                    let fit = whole_loads(*window, latency).min(by_weight.len());
-                    let preloaded = &by_weight[..fit];
-                    let mut extended = resident.clone();
-                    extended.extend(preloaded.iter().copied());
-                    let problem = TimingProblem::new(graph, &schedule, self.platform, &extended)?;
-                    let timing = run_timing(&problem, PortRule::ListByWeight)?;
+                    let (timing, preloaded) =
+                        inter_task_activation(graph, &schedule, self.platform, &resident, *window)?;
                     *window = timing.trailing_port_idle();
-                    (timing.penalty, timing.load_order.len() + preloaded.len(), 0)
+                    (timing.penalty, timing.load_order.len() + preloaded, 0)
                 }
                 ReferencePolicy::Hybrid => {
                     let artifact = memoised(&self.critical, key, || {
                         critical_set(graph, &schedule, self.platform)
                     })?;
-                    let (timing, init, preloaded, body, cancelled) = self.hybrid_activation(
-                        graph, &schedule, &artifact, &resident, *window, latency,
+                    let activation = hybrid_activation(
+                        graph,
+                        &schedule,
+                        self.platform,
+                        &artifact.critical,
+                        &artifact.stored_order,
+                        &resident,
+                        *window,
                     )?;
-                    *window = timing.trailing_port_idle();
-                    let loads = init + body + preloaded;
-                    (timing.penalty, loads, cancelled)
+                    *window = activation.timing.trailing_port_idle();
+                    let loads =
+                        activation.init.len() + activation.body.len() + activation.preloaded.len();
+                    (activation.timing.penalty, loads, activation.cancelled)
                 }
             };
 
@@ -1476,72 +1480,112 @@ impl<'a> ReferenceSimulator<'a> {
 
         Ok(outcome)
     }
+}
 
-    /// The hybrid run-time phase for one activation: decide the
-    /// initialization loads, the window-hidden preloads, the surviving body
-    /// loads and the cancelled ones, then time the body with the stored
-    /// order. Returns `(timing, init, preloaded, body, cancelled)` counts.
-    #[allow(clippy::too_many_arguments)]
-    fn hybrid_activation(
-        &self,
-        graph: &SubtaskGraph,
-        schedule: &InitialSchedule,
-        artifact: &CriticalArtifact,
-        resident: &BTreeSet<SubtaskId>,
-        window: Time,
-        latency: Time,
-    ) -> Result<(Timing, usize, usize, usize, usize), OracleError> {
-        let base = TimingProblem::new(graph, schedule, self.platform, resident)?;
-        let cs: BTreeSet<SubtaskId> = artifact.critical.iter().copied().collect();
-        let assumed_resident: BTreeSet<SubtaskId> = resident.union(&cs).copied().collect();
-        let assumed = TimingProblem::new(graph, schedule, self.platform, &assumed_resident)?;
+/// The run-time policy with the §6 inter-task optimization for one
+/// activation: the most critical pending loads that fit whole in the
+/// port-idle `window` are preloaded, and the list rule times the rest.
+/// Returns that timing and the preloaded count.
+///
+/// # Errors
+///
+/// Returns an error when the schedule does not fit the platform.
+pub fn inter_task_activation(
+    graph: &SubtaskGraph,
+    schedule: &InitialSchedule,
+    platform: &Platform,
+    resident: &BTreeSet<SubtaskId>,
+    window: Time,
+) -> Result<(Timing, usize), OracleError> {
+    let base = TimingProblem::new(graph, schedule, platform, resident)?;
+    let by_weight = base.loads_by_weight_desc();
+    let fit = whole_loads(window, platform.reconfig_latency()).min(by_weight.len());
+    let mut extended = resident.clone();
+    extended.extend(by_weight[..fit].iter().copied());
+    let problem = TimingProblem::new(graph, schedule, platform, &extended)?;
+    Ok((run_timing(&problem, PortRule::ListByWeight)?, fit))
+}
 
-        // Critical loads the initialization phase must realise (pre-loading
-        // only helps when the slot is untouched before the subtask runs).
-        let mut init: Vec<SubtaskId> = artifact
-            .critical
-            .iter()
-            .copied()
-            .filter(|&id| base.needs_load[id.index()] && !assumed.needs_load[id.index()])
-            .collect();
-        let fit = whole_loads(window, latency).min(init.len());
-        let preloaded: Vec<SubtaskId> = init.drain(..fit).collect();
+/// What the hybrid run-time phase decides for one activation.
+#[derive(Debug, Clone)]
+pub struct HybridActivation {
+    /// Critical loads of the initialization phase, most critical first.
+    pub init: Vec<SubtaskId>,
+    /// Critical loads hidden in the port-idle window, most critical first.
+    pub preloaded: Vec<SubtaskId>,
+    /// The stored order minus the cancelled loads, then the rest by id.
+    pub body: Vec<SubtaskId>,
+    /// Stored loads cancelled because their configuration is resident.
+    pub cancelled: usize,
+    /// The body, timed after the initialization phase.
+    pub timing: Timing,
+}
 
-        // Body loads: the stored order minus cancelled entries, plus any
-        // critical subtask whose reuse cannot be realised.
-        let body_needed: BTreeSet<SubtaskId> = assumed.loads().into_iter().collect();
-        let mut body_loads: Vec<SubtaskId> = artifact
-            .stored_order
-            .iter()
-            .copied()
-            .filter(|id| body_needed.contains(id))
-            .collect();
-        for id in &body_needed {
-            if !body_loads.contains(id) {
-                body_loads.push(*id);
-            }
+/// The hybrid run-time phase for one activation, given the design-time
+/// `critical` set (most critical first) and `stored_order`: decide the
+/// initialization, preloaded, body and cancelled loads, then time the body.
+///
+/// # Errors
+///
+/// Returns an error when the schedule does not fit the platform or the body
+/// order deadlocks.
+pub fn hybrid_activation(
+    graph: &SubtaskGraph,
+    schedule: &InitialSchedule,
+    platform: &Platform,
+    critical: &[SubtaskId],
+    stored_order: &[SubtaskId],
+    resident: &BTreeSet<SubtaskId>,
+    window: Time,
+) -> Result<HybridActivation, OracleError> {
+    let latency = platform.reconfig_latency();
+    let base = TimingProblem::new(graph, schedule, platform, resident)?;
+    let cs: BTreeSet<SubtaskId> = critical.iter().copied().collect();
+    let assumed_resident: BTreeSet<SubtaskId> = resident.union(&cs).copied().collect();
+    let assumed = TimingProblem::new(graph, schedule, platform, &assumed_resident)?;
+
+    // Critical loads the initialization phase must realise (pre-loading
+    // only helps when the slot is untouched before the subtask runs).
+    let mut init: Vec<SubtaskId> = critical
+        .iter()
+        .copied()
+        .filter(|&id| base.needs_load[id.index()] && !assumed.needs_load[id.index()])
+        .collect();
+    let fit = whole_loads(window, latency).min(init.len());
+    let preloaded: Vec<SubtaskId> = init.drain(..fit).collect();
+
+    // Body loads: the stored order minus cancelled entries, plus any
+    // critical subtask whose reuse cannot be realised.
+    let body_needed: BTreeSet<SubtaskId> = assumed.loads().into_iter().collect();
+    let mut body: Vec<SubtaskId> = stored_order
+        .iter()
+        .copied()
+        .filter(|id| body_needed.contains(id))
+        .collect();
+    for id in &body_needed {
+        if !body.contains(id) {
+            body.push(*id);
         }
-        let cancelled = artifact
-            .stored_order
-            .iter()
-            .filter(|id| !body_needed.contains(id))
-            .count();
-
-        let init_duration = latency * init.len() as u64;
-        let mut body_resident = resident.clone();
-        body_resident.extend(init.iter().copied());
-        body_resident.extend(preloaded.iter().copied());
-        let body_problem = TimingProblem::new(graph, schedule, self.platform, &body_resident)?
-            .with_offsets(init_duration, init_duration);
-        let timing = run_timing(&body_problem, PortRule::FixedOrder(&body_loads))?;
-        Ok((
-            timing,
-            init.len(),
-            preloaded.len(),
-            body_loads.len(),
-            cancelled,
-        ))
     }
+    let cancelled = stored_order
+        .iter()
+        .filter(|id| !body_needed.contains(id))
+        .count();
+
+    let init_duration = latency * init.len() as u64;
+    let mut body_resident = resident.clone();
+    body_resident.extend(init.iter().copied());
+    body_resident.extend(preloaded.iter().copied());
+    let body_problem = TimingProblem::new(graph, schedule, platform, &body_resident)?
+        .with_offsets(init_duration, init_duration);
+    let timing = run_timing(&body_problem, PortRule::FixedOrder(&body))?;
+    Ok(HybridActivation {
+        init,
+        preloaded,
+        body,
+        cancelled,
+        timing,
+    })
 }
 
 /// `key`'s entry in `memo`, computed by `compute` on first use.

@@ -49,18 +49,16 @@
 //! kernels and the one-shot [`assign_tiles`](crate::assign_tiles) family
 //! share one implementation of the tile rules, generic over that width.
 //!
-//! The inter-task and hybrid kernels replicate the one-shot
-//! [`plan_preloads`](crate::plan_preloads) and
-//! [`HybridPrefetch::evaluate`] *exactly* (same traversal orders and
-//! tie-breaking comparators; mask iteration is ascending like the one-shot
-//! id vectors), and the differential oracle corpus (`drhw-oracle`) checks
-//! the whole pipeline against an independent reference on every CI run.
+//! The hybrid heuristic's run-time decision is written once as well,
+//! generic over the mask width: the hybrid kernel runs it at one word and
+//! [`HybridPrefetch`]'s one-shot run-time phase at four.
 
 use drhw_model::{
     ConfigId, GraphAnalysis, InitialSchedule, PeAssignment, Platform, SubtaskGraph, SubtaskId,
     TileId, TileSlot, Time,
 };
 
+use crate::critical::CriticalSetAnalysis;
 use crate::error::PrefetchError;
 use crate::hybrid::HybridPrefetch;
 use crate::inter_task::InterTaskWindow;
@@ -298,6 +296,78 @@ impl<const W: usize> PreparedSchedule<W> {
         needs
     }
 
+    /// How many whole loads `window` can hide, capped at the graph size.
+    /// This is the only way [`evaluate_inter_task`](PreparedSchedule::evaluate_inter_task)
+    /// and the hybrid decision read the window, so two windows with the same
+    /// value give the same results — which makes it, with the residency
+    /// mask, a complete memo key for both windowed kernels.
+    pub fn window_loads(&self, window: InterTaskWindow) -> usize {
+        window
+            .whole_loads(self.reconfig_latency)
+            .min(self.exec_times.len())
+    }
+
+    /// The hybrid heuristic's run-time decision for one activation with
+    /// `resident` on the tiles. It schedules nothing: it tests masks against
+    /// the stored artifact. `init` receives the critical loads the
+    /// initialization phase realises, most critical first, of which the
+    /// first [`preloaded`](HybridDecision::preloaded) hide in `window`;
+    /// `body` the stored order minus the cancelled loads, then every other
+    /// load of the body in id order.
+    pub(crate) fn hybrid_decision(
+        &self,
+        critical: &CriticalSetAnalysis,
+        resident: SlotMask<W>,
+        window: InterTaskWindow,
+        init: &mut Vec<SubtaskId>,
+        body: &mut Vec<SubtaskId>,
+    ) -> HybridDecision<W> {
+        let needs_base = self.needs_load_mask(resident);
+        // Assumed residency: the critical set on top of what is resident. A
+        // subtask's need depends on its own residency alone, so the body
+        // after the initialization phase needs just what this one needs.
+        let mut assumed = resident;
+        for &id in critical.critical_subtasks() {
+            assumed.insert(id.index());
+        }
+        let body_needs = self.needs_load_mask(assumed);
+
+        // Critical subtasks that need a load now and whose slot is untouched
+        // before they run, so loading them ahead helps.
+        init.clear();
+        init.extend(
+            critical
+                .critical_subtasks()
+                .iter()
+                .copied()
+                .filter(|id| needs_base.contains(id.index()) && !body_needs.contains(id.index())),
+        );
+        let preloaded = self.window_loads(window).min(init.len());
+
+        // Plus the loads the stored order does not cover: critical subtasks
+        // whose reuse cannot be realised.
+        let stored = critical.stored_load_order();
+        body.clear();
+        body.extend(
+            stored
+                .iter()
+                .copied()
+                .filter(|id| body_needs.contains(id.index())),
+        );
+        let covered: SlotMask<W> = stored.iter().map(|id| id.index()).collect();
+        body.extend(body_needs.difference(covered).iter().map(SubtaskId::new));
+        let cancelled = stored
+            .iter()
+            .filter(|id| !body_needs.contains(id.index()))
+            .count();
+        HybridDecision {
+            preloaded,
+            cancelled,
+            body_needs,
+            init_duration: self.reconfig_latency * (init.len() - preloaded) as u64,
+        }
+    }
+
     /// Latest finish among the dependencies of `idx` (graph predecessors and
     /// the previous subtask on its PE), floored at `earliest_exec`: the
     /// instant `idx` could start if its own load were free. Meaningful once
@@ -364,17 +434,6 @@ impl PreparedSchedule {
     /// ran).
     pub fn required_configs(&self) -> impl Iterator<Item = ConfigId> + '_ {
         self.required.iter().flatten().copied()
-    }
-
-    /// How many whole loads `window` can hide, capped at the graph size.
-    /// This is the only way [`evaluate_inter_task`](Self::evaluate_inter_task)
-    /// and [`evaluate_hybrid`](Self::evaluate_hybrid) read the window, so two
-    /// windows with the same value give the same results — which makes it,
-    /// with the residency mask, a complete memo key for both kernels.
-    pub fn window_loads(&self, window: InterTaskWindow) -> usize {
-        window
-            .whole_loads(self.reconfig_latency)
-            .min(self.exec_times.len())
     }
 
     /// Chooses a physical tile for every abstract slot, writing the mapping
@@ -499,17 +558,11 @@ impl PreparedSchedule {
         scratch: &mut Scratch,
     ) -> Result<(ExecSummary, usize), PrefetchError> {
         let needs_base = self.needs_load_mask(scratch.resident);
-        // The pending loads by decreasing criticality weight — the order the
-        // initialization phase would load them in.
-        let order_a = &mut scratch.order_a;
-        order_a.clear();
-        order_a.extend(self.by_weight(needs_base));
-        let fit = self.window_loads(window).min(order_a.len());
-        // Extended residency: what the preloads leave on the tiles.
+        // The most critical pending loads that fit in the window are
+        // preloaded; extended residency: what they leave on the tiles.
+        let fit = self.window_loads(window).min(needs_base.len());
         let mut aux_resident = scratch.resident;
-        for &id in order_a.iter().take(fit) {
-            aux_resident.insert(id.index());
-        }
+        aux_resident.extend(self.by_weight(needs_base).take(fit).map(SubtaskId::index));
         let needs_aux = self.needs_load_mask(aux_resident);
         let summary = simulate_core(
             self,
@@ -524,8 +577,9 @@ impl PreparedSchedule {
     }
 
     /// Scores one activation of the hybrid heuristic against the residency
-    /// mask currently in `scratch.resident`. Replicates
-    /// [`HybridPrefetch::evaluate`] (runtime decision + body simulation).
+    /// mask currently in `scratch.resident`: the run-time decision
+    /// [`HybridPrefetch::evaluate`] takes, and its body timed after the
+    /// initialization phase.
     ///
     /// # Errors
     ///
@@ -536,82 +590,45 @@ impl PreparedSchedule {
         window: InterTaskWindow,
         scratch: &mut Scratch,
     ) -> Result<HybridSummary, PrefetchError> {
-        let latency = self.reconfig_latency;
-        let critical = hybrid.critical();
-        let resident = scratch.resident;
-        let needs_base = self.needs_load_mask(resident);
-        // Assumed residency: the critical set on top of what is resident.
-        let mut aux_resident = resident;
-        for &id in critical.critical_subtasks() {
-            aux_resident.insert(id.index());
-        }
-        let needs_aux = self.needs_load_mask(aux_resident);
-
-        // Critical subtasks whose residency assumption must be realised by
-        // the initialization phase, most critical first; the prefix that fits
-        // in the inter-task window is preloaded for free.
-        let order_a = &mut scratch.order_a;
-        order_a.clear();
-        order_a.extend(
-            critical
-                .critical_subtasks()
-                .iter()
-                .copied()
-                .filter(|id| needs_base.contains(id.index()) && !needs_aux.contains(id.index())),
-        );
-        let preloaded = self.window_loads(window).min(order_a.len());
-        let init_count = order_a.len() - preloaded;
-        let init_duration = latency * init_count as u64;
-
-        // Body loads: the stored order minus cancelled loads, plus any load
-        // the stored order does not cover, in subtask-id order.
-        let order_b = &mut scratch.order_b;
-        order_b.clear();
-        order_b.extend(
-            critical
-                .stored_load_order()
-                .iter()
-                .copied()
-                .filter(|id| needs_aux.contains(id.index())),
-        );
-        for index in needs_aux.iter() {
-            let id = SubtaskId::new(index);
-            if !order_b.contains(&id) {
-                order_b.push(id);
-            }
-        }
-        let cancelled = critical
-            .stored_load_order()
-            .iter()
-            .filter(|id| !needs_aux.contains(id.index()))
-            .count();
-
-        // During the body the initialization and preloaded configurations are
-        // resident, and nothing starts before the initialization phase ends.
-        let mut body_resident = resident;
-        for &id in order_a.iter() {
-            body_resident.insert(id.index());
-        }
-        let needs_body = self.needs_load_mask(body_resident);
-        validate_order(needs_body, order_b)?;
-
+        let Scratch {
+            resident,
+            init,
+            body,
+            timeline,
+            ..
+        } = scratch;
+        let decision = self.hybrid_decision(hybrid.critical(), *resident, window, init, body);
+        validate_order(decision.body_needs, body)?;
         let summary = simulate_core(
             self,
-            needs_body,
-            Strategy::Fixed(order_b),
-            init_duration,
-            init_duration,
-            &mut scratch.timeline,
+            decision.body_needs,
+            Strategy::Fixed(body),
+            decision.init_duration,
+            decision.init_duration,
+            timeline,
             None,
         )?;
         Ok(HybridSummary {
             penalty: summary.penalty,
-            loads_performed: init_count + scratch.order_b.len(),
-            preloaded,
-            cancelled,
+            loads_performed: init.len() - decision.preloaded + body.len(),
+            preloaded: decision.preloaded,
+            cancelled: decision.cancelled,
             trailing_port_idle: summary.trailing_port_idle,
         })
     }
+}
+
+/// What [`PreparedSchedule::hybrid_decision`] decides besides its two lists.
+pub(crate) struct HybridDecision<const W: usize> {
+    /// How many leading initialization loads the window hides.
+    pub(crate) preloaded: usize,
+    /// Stored loads cancelled because their configuration is resident.
+    pub(crate) cancelled: usize,
+    /// The loads the body performs; the body order is a permutation of them.
+    pub(crate) body_needs: SlotMask<W>,
+    /// The initialization phase the window does not hide, before which no
+    /// execution and no body load starts.
+    pub(crate) init_duration: Time,
 }
 
 /// What the per-activation timing loop reports back to the simulation:
@@ -663,10 +680,10 @@ pub struct Scratch {
     /// [`PreparedSchedule::clear_residency`] or a reuse-aware
     /// [`PreparedSchedule::assign_tiles_into`].
     pub(crate) resident: SlotMask,
-    /// Weight-ordered load list / hybrid initialization loads.
-    order_a: Vec<SubtaskId>,
+    /// Hybrid initialization loads.
+    init: Vec<SubtaskId>,
     /// Hybrid body load order.
-    order_b: Vec<SubtaskId>,
+    body: Vec<SubtaskId>,
     /// The timing loop's timestamp tables.
     timeline: Timeline,
     /// The slot-to-tile mapping the replacement kernel produces.
@@ -690,8 +707,8 @@ impl Scratch {
     /// `configs` (the size of an
     /// [interned](PreparedSchedule::intern_configs) dictionary).
     pub fn reserve(&mut self, subtasks: usize, slots: usize, configs: usize) {
-        self.order_a.reserve(subtasks);
-        self.order_b.reserve(subtasks);
+        self.init.reserve(subtasks);
+        self.body.reserve(subtasks);
         self.timeline.exec_finish.reserve(subtasks);
         self.timeline.loaded_at.reserve(subtasks);
         self.slot_to_tile.reserve(slots);
@@ -1016,7 +1033,7 @@ pub(crate) fn simulate_core<const W: usize>(
 mod tests {
     use super::*;
     use crate::fixtures::fig3;
-    use crate::{plan_preloads, ListScheduler, PrefetchProblem, PrefetchScheduler, TileMapping};
+    use crate::{ListScheduler, PrefetchProblem, PrefetchScheduler, TileMapping};
     use drhw_model::Subtask;
     use std::collections::BTreeSet;
 
@@ -1039,12 +1056,14 @@ mod tests {
         for resident in resident_masks(g.len()) {
             for window_ms in [0u64, 4, 9, 100] {
                 let window = InterTaskWindow::new(Time::from_millis(window_ms));
-                // Classic pipeline, as run_iteration used to do it.
+                // The classic pipeline: preload the heaviest loads that fit
+                // whole in the window, then list-schedule the rest.
                 let base =
                     PrefetchProblem::with_resident(&g, &schedule, &platform, &resident).unwrap();
-                let (preloaded, _) = plan_preloads(&base.loads_by_weight_desc(), window, latency);
+                let by_weight = base.loads_by_weight_desc();
+                let fit = window.whole_loads(latency).min(by_weight.len());
                 let mut extended = resident.clone();
-                extended.extend(preloaded.iter().copied());
+                extended.extend(by_weight[..fit].iter().copied());
                 let problem =
                     PrefetchProblem::with_resident(&g, &schedule, &platform, &extended).unwrap();
                 let classic = ListScheduler::new().schedule(&problem).unwrap();
@@ -1053,8 +1072,9 @@ mod tests {
                 for &id in &resident {
                     scratch.resident.insert(id.index());
                 }
-                let (summary, fit) = prepared.evaluate_inter_task(window, &mut scratch).unwrap();
-                assert_eq!(fit, preloaded.len(), "{resident:?} w={window_ms}");
+                let (summary, preloaded) =
+                    prepared.evaluate_inter_task(window, &mut scratch).unwrap();
+                assert_eq!(preloaded, fit, "{resident:?} w={window_ms}");
                 assert_eq!(
                     summary.penalty,
                     classic.penalty(),

@@ -17,9 +17,9 @@
 //!
 //! * an **evaluation memo** keyed by `(load set, load order)` — a restricted
 //!   fixed-order simulation depends on nothing else once the problem's graph,
-//!   schedule, platform and timing offsets are fixed, so entries stay valid
-//!   across rounds (and across the design-time all-loads search, whose leaves
-//!   are the first round's evaluations). It is a hash map that grows with
+//!   schedule and platform are fixed, so entries stay valid across rounds
+//!   (and across the design-time all-loads search, whose leaves are the
+//!   first round's evaluations). It is a hash map that grows with
 //!   use: a search that ends at the root allocates next to nothing;
 //! * a **dominance table**, valid within one search only: a prefix whose
 //!   per-load finish times (compared in ascending subtask id order, so
@@ -103,7 +103,7 @@ impl BranchBoundScheduler {
     /// Runs the assisted search and reports its statistics.
     ///
     /// `cache` may be shared across searches over the **same** graph,
-    /// schedule, platform and timing offsets (the critical-set rounds); call
+    /// schedule and platform (the critical-set rounds); call
     /// [`SearchCache::clear`] before reusing it with a different problem.
     /// `warm_order` is a complete load order from a related search; its
     /// penalty, when it evaluates cleanly against this problem, prunes every
@@ -150,7 +150,6 @@ impl BranchBoundScheduler {
             exec_tail: exec_tails(problem)?,
             latency: problem.platform().reconfig_latency(),
             ideal: problem.ideal_makespan(),
-            port_start: problem.earliest_port_start(),
             tail_scratch: Vec::with_capacity(loads.len()),
         };
         // The warm order is already a complete feasible order of the same
@@ -300,14 +299,14 @@ type EvalValue = Option<(Time, Box<[Time]>)>;
 /// round re-searches the same graph/schedule/platform with a shrinking load
 /// set. The evaluation memo survives across those rounds; the dominance table
 /// is valid within a single search only and is reset automatically. Reusing a
-/// cache with a *different* graph, schedule, platform or timing offsets is a
-/// logic error (debug builds assert against it) — call
-/// [`clear`](SearchCache::clear) in between.
+/// cache with a *different* graph, schedule or platform is a logic error
+/// (debug builds assert against it) — call [`clear`](SearchCache::clear) in
+/// between.
 pub struct SearchCache {
     evals: HashMap<EvalKey, EvalValue>,
     dominance: HashMap<SlotMask, Vec<Box<[Time]>>>,
     #[cfg(debug_assertions)]
-    bound_to: Option<(usize, usize, usize, Time, Time)>,
+    bound_to: Option<(usize, usize, usize)>,
 }
 
 impl SearchCache {
@@ -346,8 +345,6 @@ impl SearchCache {
                 problem.graph() as *const _ as usize,
                 problem.schedule() as *const _ as usize,
                 problem.platform() as *const _ as usize,
-                problem.earliest_exec_start(),
-                problem.earliest_port_start(),
             );
             if let Some(bound) = self.bound_to {
                 debug_assert!(
@@ -412,8 +409,6 @@ struct AssistedSearch<'c, 'p, 'a> {
     latency: Time,
     /// The zero-latency makespan penalties are measured against.
     ideal: Time,
-    /// Earliest instant the reconfiguration port may start a load.
-    port_start: Time,
     /// Scratch for the descending sort of remaining execution tails.
     tail_scratch: Vec<Time>,
 }
@@ -474,7 +469,7 @@ impl AssistedSearch<'_, '_, '_> {
         // load finishes as early as the port allows, the remaining loads
         // still queue on the single reconfiguration port with their
         // mandatory execution chains behind them.
-        let port_lb = self.port_start + self.latency * prefix.len() as u64;
+        let port_lb = self.latency * prefix.len() as u64;
         let tail_lb = self.tail_lower_bound(port_lb, remaining);
         if tail_lb >= self.best.penalty() {
             self.stats.tail_prunes += 1;
@@ -494,7 +489,7 @@ impl AssistedSearch<'_, '_, '_> {
                     // The restricted simulation yields the prefix's true
                     // port-free instant, which sharpens the serialization
                     // bound beyond the pre-simulation estimate.
-                    let port_free = times.iter().copied().max().unwrap_or(self.port_start);
+                    let port_free = times.iter().copied().max().unwrap_or(Time::ZERO);
                     let bound = penalty.max(self.tail_lower_bound(port_free, remaining));
                     let bound_pruned = bound >= self.best.penalty();
                     let warm_pruned = self.warm_bound.is_some_and(|warm| bound > warm);

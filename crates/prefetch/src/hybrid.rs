@@ -10,18 +10,20 @@
 //!   short *initialization phase* (most critical first), cancel the stored
 //!   loads whose configuration turned out to be resident, and start the stored
 //!   schedule. No scheduling computation happens at run time — only set
-//!   membership tests — which is what makes the heuristic scale.
+//!   membership tests — which is what makes the heuristic scale. The
+//!   simulation's hybrid kernel runs the same decision code, at a narrower
+//!   mask ([`PreparedSchedule::evaluate_hybrid`](crate::PreparedSchedule::evaluate_hybrid)).
 
 use std::collections::BTreeSet;
 
-use drhw_model::{InitialSchedule, Platform, SubtaskGraph, SubtaskId, Time};
+use drhw_model::{InitialSchedule, ModelError, Platform, SubtaskGraph, SubtaskId, Time};
 use serde::{Deserialize, Serialize};
 
-use crate::arena::Strategy;
+use crate::arena::{HybridDecision, Strategy};
 use crate::critical::CriticalSetAnalysis;
 use crate::error::PrefetchError;
 use crate::inter_task::InterTaskWindow;
-use crate::problem::{ExecutionResult, PrefetchProblem};
+use crate::problem::{ExecutionResult, PrefetchProblem, PROBLEM_WORDS};
 use crate::scheduler::PrefetchScheduler;
 
 /// The design-time artifact of the hybrid heuristic for one initial schedule.
@@ -210,7 +212,8 @@ impl HybridPrefetch {
     ///
     /// # Errors
     ///
-    /// Returns an error if the model is inconsistent with the stored artifact.
+    /// Returns an error if the model is inconsistent with the stored
+    /// artifact ([`ModelError::UnknownSubtask`] for an id outside `graph`).
     pub fn runtime_decision(
         &self,
         graph: &SubtaskGraph,
@@ -219,68 +222,46 @@ impl HybridPrefetch {
         resident: &BTreeSet<SubtaskId>,
         window: InterTaskWindow,
     ) -> Result<HybridRuntimeDecision, PrefetchError> {
-        let mut problem = PrefetchProblem::with_resident(graph, schedule, platform, resident)?;
-        Ok(self.decide(&mut problem, resident, window))
+        let problem = PrefetchProblem::new(graph, schedule, platform)?;
+        Ok(self.run_time_phase(&problem, resident, window)?.0)
     }
 
-    /// The run-time decision for `resident`, given the problem built for it.
-    /// Leaves `problem` re-targeted at the assumed residency: `resident`
-    /// plus the critical set.
-    fn decide(
+    /// Checks that the artifact names only subtasks of `problem`'s graph,
+    /// then takes the run-time decision on the schedule `problem` prepared
+    /// and copies its lists out.
+    fn run_time_phase(
         &self,
-        problem: &mut PrefetchProblem<'_>,
+        problem: &PrefetchProblem<'_>,
         resident: &BTreeSet<SubtaskId>,
         window: InterTaskWindow,
-    ) -> HybridRuntimeDecision {
-        let critical = self.critical.critical_subtasks();
-        let needed_now: Vec<SubtaskId> = critical
-            .iter()
-            .copied()
-            .filter(|&id| problem.needs_load(id))
-            .collect();
-        let mut assumed_resident = resident.clone();
-        assumed_resident.extend(critical.iter().copied());
-        problem.set_resident(&assumed_resident);
-
-        // Critical subtasks whose residency assumption must be realised by the
-        // initialization phase: they need a load now, and pre-loading them
-        // actually helps (their slot is untouched before they run).
-        let mut init: Vec<SubtaskId> = needed_now
-            .into_iter()
-            .filter(|&id| !problem.needs_load(id))
-            .collect();
-        // Loads already hidden by the previous task's idle window.
-        let fit = window
-            .whole_loads(problem.platform().reconfig_latency())
-            .min(init.len());
-        let preloaded: Vec<SubtaskId> = init.drain(..fit).collect();
-
-        // Body loads: the stored order, minus the loads whose configuration is
-        // resident (cancelled), plus any critical subtask whose reuse cannot
-        // be realised (its slot is overwritten earlier in the task).
+    ) -> Result<(HybridRuntimeDecision, HybridDecision<PROBLEM_WORDS>), PrefetchError> {
+        let len = problem.graph().len();
         let stored = self.critical.stored_load_order();
-        let mut body_loads: Vec<SubtaskId> = stored
-            .iter()
-            .copied()
-            .filter(|&id| problem.needs_load(id))
-            .collect();
-        for id in problem.loads() {
-            if !body_loads.contains(&id) {
-                body_loads.push(id);
-            }
+        let mut ids = self.critical.critical_subtasks().iter().chain(stored);
+        if let Some(&id) = ids.find(|id| id.index() >= len) {
+            return Err(ModelError::UnknownSubtask { id, len }.into());
         }
-        let cancelled_loads: Vec<SubtaskId> = stored
+        let (mut init_loads, mut body_loads) = (Vec::new(), Vec::new());
+        let decided = problem.prepared().hybrid_decision(
+            &self.critical,
+            problem.resident_mask(resident),
+            window,
+            &mut init_loads,
+            &mut body_loads,
+        );
+        let preloaded = init_loads.drain(..decided.preloaded).collect();
+        let cancelled_loads = stored
             .iter()
             .copied()
-            .filter(|&id| !problem.needs_load(id))
+            .filter(|id| !decided.body_needs.contains(id.index()))
             .collect();
-
-        HybridRuntimeDecision {
-            init_loads: init,
+        let decision = HybridRuntimeDecision {
+            init_loads,
             preloaded,
             body_loads,
             cancelled_loads,
-        }
+        };
+        Ok((decision, decided))
     }
 
     /// Simulates one activation of the task under the hybrid heuristic.
@@ -292,7 +273,7 @@ impl HybridPrefetch {
     ///
     /// # Errors
     ///
-    /// Returns an error if the model is inconsistent with the stored artifact.
+    /// As [`runtime_decision`](Self::runtime_decision).
     pub fn evaluate(
         &self,
         graph: &SubtaskGraph,
@@ -301,25 +282,16 @@ impl HybridPrefetch {
         resident: &BTreeSet<SubtaskId>,
         window: InterTaskWindow,
     ) -> Result<HybridOutcome, PrefetchError> {
-        let mut problem = PrefetchProblem::with_resident(graph, schedule, platform, resident)?;
-        let decision = self.decide(&mut problem, resident, window);
-        let latency = platform.reconfig_latency();
-        let init_duration = latency * decision.init_loads.len() as u64;
-
-        // During the body, the initialization loads (and the preloaded ones)
-        // are resident; the executions may not start before the
-        // initialization phase completes.
-        let mut body_resident = resident.clone();
-        body_resident.extend(decision.init_loads.iter().copied());
-        body_resident.extend(decision.preloaded.iter().copied());
-        problem.set_resident(&body_resident);
-        let result = problem
-            .with_earliest_exec_start(init_duration)
-            .with_earliest_port_start(init_duration)
-            .simulate(Strategy::Fixed(&decision.body_loads))?;
+        let problem = PrefetchProblem::new(graph, schedule, platform)?;
+        let (decision, decided) = self.run_time_phase(&problem, resident, window)?;
+        let result = problem.simulate_from(
+            decided.init_duration,
+            decided.body_needs,
+            Strategy::Fixed(&decision.body_loads),
+        )?;
         Ok(HybridOutcome {
             decision,
-            init_duration,
+            init_duration: decided.init_duration,
             result,
         })
     }
@@ -499,6 +471,37 @@ mod tests {
             a.critical().critical_subtasks(),
             b.critical().critical_subtasks()
         );
+    }
+
+    #[test]
+    fn an_artifact_naming_subtasks_outside_the_graph_is_an_error() {
+        let (g, schedule, platform) = fig3();
+        let id = SubtaskId::new;
+        let unknown = |bad: usize| {
+            PrefetchError::Model(ModelError::UnknownSubtask {
+                id: id(bad),
+                len: 4,
+            })
+        };
+        // A critical subtask past the graph, and a stored load past even
+        // the one-shot mask width.
+        for (critical, stored, bad) in [
+            (vec![id(0), id(4)], vec![id(1), id(2), id(3)], 4),
+            (vec![id(0)], vec![id(1), id(300), id(2), id(3)], 300),
+        ] {
+            let artifact = CriticalSetAnalysis::from_parts(critical, stored, Time::ZERO, 1, 4);
+            let hybrid = HybridPrefetch::from_critical(artifact);
+            for window in [
+                InterTaskWindow::empty(),
+                InterTaskWindow::new(Time::from_millis(8)),
+            ] {
+                let resident = BTreeSet::new();
+                let decision = hybrid.runtime_decision(&g, &schedule, &platform, &resident, window);
+                assert_eq!(decision.unwrap_err(), unknown(bad));
+                let outcome = hybrid.evaluate(&g, &schedule, &platform, &resident, window);
+                assert_eq!(outcome.unwrap_err(), unknown(bad));
+            }
+        }
     }
 
     #[test]

@@ -4,11 +4,14 @@
 //! port sits idle until the task completes. The run-time prefetch module uses
 //! that final idle window to start the initialization phase of the *next* task
 //! in the sequence produced by the TCM run-time scheduler, hiding loads that
-//! would otherwise delay it. The helpers in this module do the window
-//! bookkeeping shared by the "run-time + inter-task" policy and the hybrid
-//! heuristic.
+//! would otherwise delay it. [`InterTaskWindow`] is that window; both the
+//! "run-time + inter-task" policy
+//! ([`PreparedSchedule::evaluate_inter_task`](crate::PreparedSchedule::evaluate_inter_task))
+//! and the hybrid heuristic read it only as the number of whole loads it
+//! holds ([`PreparedSchedule::window_loads`](crate::PreparedSchedule::window_loads))
+//! and preload that many of their most critical pending loads.
 
-use drhw_model::{SubtaskId, Time};
+use drhw_model::Time;
 use serde::{Deserialize, Serialize};
 
 /// The idle window the reconfiguration port offers at the end of a task.
@@ -19,10 +22,10 @@ use serde::{Deserialize, Serialize};
 /// use drhw_model::Time;
 /// use drhw_prefetch::InterTaskWindow;
 ///
-/// let mut window = InterTaskWindow::new(Time::from_millis(10));
-/// // A 4 ms load fits; only 6 ms of idle time remain.
-/// assert_eq!(window.absorb(Time::from_millis(4)), Time::from_millis(4));
-/// assert_eq!(window.remaining(), Time::from_millis(6));
+/// let window = InterTaskWindow::new(Time::from_millis(10));
+/// // Two whole 4 ms loads fit; the 2 ms left over hide nothing.
+/// assert_eq!(window.whole_loads(Time::from_millis(4)), 2);
+/// assert_eq!(window.remaining(), Time::from_millis(10));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct InterTaskWindow {
@@ -44,25 +47,12 @@ impl InterTaskWindow {
         }
     }
 
-    /// Idle time still available.
+    /// The window's idle time.
     pub fn remaining(&self) -> Time {
         self.remaining
     }
 
-    /// Returns `true` if no idle time is left.
-    pub fn is_exhausted(&self) -> bool {
-        self.remaining.is_zero()
-    }
-
-    /// Consumes up to `work` from the window and returns how much was
-    /// actually hidden.
-    pub fn absorb(&mut self, work: Time) -> Time {
-        let hidden = self.remaining.min(work);
-        self.remaining = self.remaining.saturating_sub(hidden);
-        hidden
-    }
-
-    /// How many whole loads of the given latency fit in the remaining window.
+    /// How many whole loads of the given latency fit in the window.
     pub fn whole_loads(&self, latency: Time) -> usize {
         if latency.is_zero() {
             usize::MAX
@@ -72,49 +62,9 @@ impl InterTaskWindow {
     }
 }
 
-/// Splits a weight-ordered list of pending loads into the prefix that fits in
-/// the inter-task window (and is therefore preloaded before the task starts)
-/// and the suffix that must still be loaded by the task itself.
-///
-/// The order of `loads_by_weight_desc` is preserved in both halves; the
-/// initialization phase of the hybrid heuristic, like the run-time heuristic,
-/// loads the most critical subtask first (§6).
-///
-/// # Examples
-///
-/// ```
-/// use drhw_model::{SubtaskId, Time};
-/// use drhw_prefetch::{plan_preloads, InterTaskWindow};
-///
-/// let loads = vec![SubtaskId::new(2), SubtaskId::new(0), SubtaskId::new(1)];
-/// let window = InterTaskWindow::new(Time::from_millis(9));
-/// let (preloaded, remaining) = plan_preloads(&loads, window, Time::from_millis(4));
-/// assert_eq!(preloaded, vec![SubtaskId::new(2), SubtaskId::new(0)]);
-/// assert_eq!(remaining, vec![SubtaskId::new(1)]);
-/// ```
-pub fn plan_preloads(
-    loads_by_weight_desc: &[SubtaskId],
-    window: InterTaskWindow,
-    latency: Time,
-) -> (Vec<SubtaskId>, Vec<SubtaskId>) {
-    let fit = window.whole_loads(latency).min(loads_by_weight_desc.len());
-    let preloaded = loads_by_weight_desc[..fit].to_vec();
-    let remaining = loads_by_weight_desc[fit..].to_vec();
-    (preloaded, remaining)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn window_absorbs_up_to_its_capacity() {
-        let mut w = InterTaskWindow::new(Time::from_millis(6));
-        assert_eq!(w.absorb(Time::from_millis(4)), Time::from_millis(4));
-        assert_eq!(w.absorb(Time::from_millis(4)), Time::from_millis(2));
-        assert!(w.is_exhausted());
-        assert_eq!(w.absorb(Time::from_millis(1)), Time::ZERO);
-    }
 
     #[test]
     fn whole_loads_floors_the_ratio() {
@@ -131,27 +81,5 @@ mod tests {
     fn zero_latency_loads_always_fit() {
         let w = InterTaskWindow::new(Time::from_millis(1));
         assert_eq!(w.whole_loads(Time::ZERO), usize::MAX);
-    }
-
-    #[test]
-    fn plan_preloads_splits_by_whole_loads() {
-        let loads: Vec<SubtaskId> = (0..4).map(SubtaskId::new).collect();
-        let (pre, rest) = plan_preloads(
-            &loads,
-            InterTaskWindow::new(Time::from_millis(8)),
-            Time::from_millis(4),
-        );
-        assert_eq!(pre.len(), 2);
-        assert_eq!(rest.len(), 2);
-        let (pre, rest) = plan_preloads(
-            &loads,
-            InterTaskWindow::new(Time::from_millis(100)),
-            Time::from_millis(4),
-        );
-        assert_eq!(pre.len(), 4);
-        assert!(rest.is_empty());
-        let (pre, rest) = plan_preloads(&loads, InterTaskWindow::empty(), Time::from_millis(4));
-        assert!(pre.is_empty());
-        assert_eq!(rest.len(), 4);
     }
 }

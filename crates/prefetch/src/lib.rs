@@ -14,7 +14,8 @@
 //! **replacement module** ([`assign_tiles`]). The reuse and replacement
 //! rules have one implementation, generic over the width of the tile masks
 //! [`TileContents`] keeps, which the simulation's kernels on
-//! [`PreparedSchedule`] share.
+//! [`PreparedSchedule`] share, and so does the hybrid heuristic's run-time
+//! decision ([`HybridPrefetch::evaluate`]).
 //!
 //! # The hybrid heuristic in a nutshell
 //!
@@ -87,7 +88,7 @@ pub use critical::CriticalSetAnalysis;
 pub use design_time::DesignTimePrefetch;
 pub use error::PrefetchError;
 pub use hybrid::{HybridOutcome, HybridPrefetch, HybridRuntimeDecision};
-pub use inter_task::{plan_preloads, InterTaskWindow};
+pub use inter_task::InterTaskWindow;
 pub use list_scheduler::ListScheduler;
 pub use mask::{SlotMask, SlotMaskIter};
 pub use on_demand::OnDemandScheduler;

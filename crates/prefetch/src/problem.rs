@@ -26,7 +26,7 @@ use crate::mask::SlotMask;
 
 /// Mask words of the one-shot API: problems of up to `64 × 4 = 256`
 /// subtasks, the largest graphs its callers build.
-const PROBLEM_WORDS: usize = 4;
+pub(crate) const PROBLEM_WORDS: usize = 4;
 
 /// A set of subtasks of a [`PrefetchProblem`].
 pub(crate) type ProblemMask = SlotMask<PROBLEM_WORDS>;
@@ -75,8 +75,6 @@ pub struct PrefetchProblem<'a> {
     platform: &'a Platform,
     prepared: PreparedSchedule<PROBLEM_WORDS>,
     needs: ProblemMask,
-    earliest_exec_start: Time,
-    earliest_port_start: Time,
 }
 
 impl<'a> PrefetchProblem<'a> {
@@ -122,8 +120,6 @@ impl<'a> PrefetchProblem<'a> {
             platform,
             prepared,
             needs: ProblemMask::EMPTY,
-            earliest_exec_start: Time::ZERO,
-            earliest_port_start: Time::ZERO,
         };
         problem.set_resident(resident);
         Ok(problem)
@@ -134,31 +130,22 @@ impl<'a> PrefetchProblem<'a> {
     /// for `resident`, without preparing the schedule again. Ids outside the
     /// graph are ignored.
     pub(crate) fn set_resident(&mut self, resident: &BTreeSet<SubtaskId>) {
+        self.needs = self.prepared.needs_load_mask(self.resident_mask(resident));
+    }
+
+    /// `resident` as a mask, ignoring ids outside the graph.
+    pub(crate) fn resident_mask(&self, resident: &BTreeSet<SubtaskId>) -> ProblemMask {
         let n = self.graph().len();
-        let resident = resident
+        resident
             .iter()
             .map(|id| id.index())
             .take_while(|&index| index < n)
-            .collect();
-        self.needs = self.prepared.needs_load_mask(resident);
+            .collect()
     }
 
-    /// Returns a copy of the problem in which no execution may start before
-    /// `instant` (used to model the initialization phase of the hybrid
-    /// heuristic, which must complete before the stored schedule starts).
-    #[must_use]
-    pub fn with_earliest_exec_start(mut self, instant: Time) -> Self {
-        self.earliest_exec_start = instant;
-        self
-    }
-
-    /// Returns a copy of the problem in which the reconfiguration port is
-    /// busy until `instant` (used when the port is still finishing loads that
-    /// belong to a previous task).
-    #[must_use]
-    pub fn with_earliest_port_start(mut self, instant: Time) -> Self {
-        self.earliest_port_start = instant;
-        self
+    /// The prepared schedule every evaluation of the problem runs on.
+    pub(crate) fn prepared(&self) -> &PreparedSchedule<PROBLEM_WORDS> {
+        &self.prepared
     }
 
     /// The subtask graph being scheduled.
@@ -189,16 +176,6 @@ impl<'a> PrefetchProblem<'a> {
     /// Makespan of the initial schedule with zero reconfiguration latency.
     pub fn ideal_makespan(&self) -> Time {
         self.prepared.ideal_makespan()
-    }
-
-    /// Earliest instant any execution may start.
-    pub fn earliest_exec_start(&self) -> Time {
-        self.earliest_exec_start
-    }
-
-    /// Earliest instant the reconfiguration port may start a load.
-    pub fn earliest_port_start(&self) -> Time {
-        self.earliest_port_start
     }
 
     /// Whether a subtask requires a configuration load in this problem.
@@ -251,21 +228,37 @@ impl<'a> PrefetchProblem<'a> {
         &self,
         strategy: Strategy<'_>,
     ) -> Result<ExecutionResult, PrefetchError> {
+        self.simulate_from(Time::ZERO, self.needs, strategy)
+    }
+
+    /// [`simulate`](Self::simulate) for the loads of `needs`, with nothing
+    /// starting before `start` (the hybrid body after its initialization
+    /// phase).
+    ///
+    /// # Errors
+    ///
+    /// As [`simulate`](Self::simulate), with `needs` for the problem's loads.
+    pub(crate) fn simulate_from(
+        &self,
+        start: Time,
+        needs: ProblemMask,
+        strategy: Strategy<'_>,
+    ) -> Result<ExecutionResult, PrefetchError> {
         if let Strategy::Fixed(order) = strategy {
-            validate_order(self.needs, order)?;
+            validate_order(needs, order)?;
         }
         let mut timeline = Timeline::default();
-        let mut order = Vec::with_capacity(self.needs.len());
+        let mut order = Vec::with_capacity(needs.len());
         simulate_core(
             &self.prepared,
-            self.needs,
+            needs,
             strategy,
-            self.earliest_exec_start,
-            self.earliest_port_start,
+            start,
+            start,
             &mut timeline,
             Some(&mut order),
         )?;
-        Ok(self.record(&timeline, order))
+        Ok(self.record(&timeline, order, start))
     }
 
     /// Times `order` with only the loads of `needs` costing anything — the
@@ -288,19 +281,19 @@ impl<'a> PrefetchProblem<'a> {
             &self.prepared,
             needs,
             Strategy::Fixed(order),
-            self.earliest_exec_start,
-            self.earliest_port_start,
+            Time::ZERO,
+            Time::ZERO,
             timeline,
             None,
         )?;
         Ok(summary.penalty)
     }
 
-    /// Assembles the result of a finished loop from its timeline and port
-    /// order: each execution started its duration before it finished, each
-    /// load one latency before it completed, and a subtask's load delay is
-    /// how long it started after its dependencies allowed.
-    fn record(&self, timeline: &Timeline, order: Vec<SubtaskId>) -> ExecutionResult {
+    /// Assembles the result of a loop started at `start` from its timeline
+    /// and port order: each execution started its duration before it
+    /// finished, each load one latency before it completed, and a subtask's
+    /// load delay is how long it started after its dependencies allowed.
+    fn record(&self, timeline: &Timeline, order: Vec<SubtaskId>, start: Time) -> ExecutionResult {
         let graph = self.graph();
         let latency = self.platform().reconfig_latency();
         let starts: Vec<Time> = graph
@@ -333,11 +326,9 @@ impl<'a> PrefetchProblem<'a> {
         let load_delays = graph
             .ids()
             .map(|id| {
-                let ready = self.prepared.deps_ready(
-                    &timeline.exec_finish,
-                    self.earliest_exec_start,
-                    id.index(),
-                );
+                let ready = self
+                    .prepared
+                    .deps_ready(&timeline.exec_finish, start, id.index());
                 starts[id.index()].saturating_sub(ready)
             })
             .collect();
@@ -545,18 +536,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_style_offsets_are_recorded() {
-        let (g, _, schedule) = graph_two_slots();
-        let platform = Platform::virtex_like(2).unwrap();
-        let p = PrefetchProblem::new(&g, &schedule, &platform)
-            .unwrap()
-            .with_earliest_exec_start(Time::from_millis(8))
-            .with_earliest_port_start(Time::from_millis(2));
-        assert_eq!(p.earliest_exec_start(), Time::from_millis(8));
-        assert_eq!(p.earliest_port_start(), Time::from_millis(2));
-    }
-
-    #[test]
     fn ideal_makespan_matches_initial_schedule() {
         let (g, _, schedule) = graph_two_slots();
         let platform = Platform::virtex_like(2).unwrap();
@@ -683,10 +662,14 @@ mod tests {
     #[test]
     fn earliest_exec_start_delays_the_whole_body() {
         let (g, schedule, platform) = fig3();
-        let problem = PrefetchProblem::new(&g, &schedule, &platform)
-            .unwrap()
-            .with_earliest_exec_start(Time::from_millis(100));
-        let result = problem.simulate(Strategy::ListByWeight).unwrap();
+        let problem = PrefetchProblem::new(&g, &schedule, &platform).unwrap();
+        let result = problem
+            .simulate_from(
+                Time::from_millis(100),
+                problem.needs_mask(),
+                Strategy::ListByWeight,
+            )
+            .unwrap();
         assert!(
             result.timed().execution_makespan()
                 >= problem.ideal_makespan() + Time::from_millis(100)

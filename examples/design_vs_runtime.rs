@@ -7,6 +7,8 @@
 //! re-running the full list-scheduling heuristic — the scalability argument of
 //! §4 in miniature.
 //!
+//! Wall-clock timings go to stderr, so stdout is the same on every run.
+//!
 //! Run with: `cargo run -p drhw-examples --bin design_vs_runtime`
 
 use std::collections::BTreeSet;
@@ -50,8 +52,8 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     // Scalability: run-time list scheduling versus the hybrid run-time phase
     // on increasingly large random graphs.
-    println!("Run-time cost, list scheduler vs hybrid run-time phase (wall clock):");
-    println!("subtasks  list scheduler  hybrid run-time phase");
+    eprintln!("Run-time cost, list scheduler vs hybrid run-time phase (wall clock):");
+    eprintln!("subtasks  list scheduler  hybrid run-time phase");
     let big_platform = Platform::virtex_like(512)?;
     for &n in &[16usize, 64, 256] {
         let graph = seeded_random_graph(&RandomGraphConfig::with_subtasks(n), 11);
@@ -81,9 +83,9 @@ fn main() -> Result<(), Box<dyn Error>> {
         }
         let hybrid_time = start.elapsed() / repetitions;
 
-        println!("{n:>8}  {list_time:>14.2?}  {hybrid_time:>21.2?}");
+        eprintln!("{n:>8}  {list_time:>14.2?}  {hybrid_time:>21.2?}");
     }
-    println!();
+    eprintln!();
     println!("The list scheduler's cost grows with the graph size, while the hybrid");
     println!("run-time phase only performs set membership tests — the reason the paper");
     println!("moves every computation-intensive part to design time.");
@@ -101,9 +103,9 @@ fn main() -> Result<(), Box<dyn Error>> {
     let start = Instant::now();
     engine.run(spec.with_seed(2))?;
     let warm = start.elapsed();
-    println!();
-    println!("Engine plan cache on repeat jobs (multimedia, 8 tiles, 50 iterations):");
-    println!("  cold submission (prepares the plan): {cold:>10.2?}");
-    println!("  warm submission (cache hit)        : {warm:>10.2?}");
+    eprintln!();
+    eprintln!("Engine plan cache on repeat jobs (multimedia, 8 tiles, 50 iterations):");
+    eprintln!("  cold submission (prepares the plan): {cold:>10.2?}");
+    eprintln!("  warm submission (cache hit)        : {warm:>10.2?}");
     Ok(())
 }

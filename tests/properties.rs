@@ -1,7 +1,8 @@
 //! Property-based tests (proptest) of the scheduling invariants on random
 //! task graphs, a reference-model check of the `SlotMask` bitmask set the
-//! hot kernels use in place of per-subtask boolean vectors, and a parity
-//! check of the tile rules, kernels and one-shot, against the oracle's.
+//! hot kernels use in place of per-subtask boolean vectors, and parity
+//! checks of the tile rules and of the run-time decisions, kernels and
+//! one-shot, against the oracle's.
 
 use std::collections::{BTreeSet, HashSet};
 
@@ -13,9 +14,9 @@ use drhw_model::{
 use drhw_oracle::reference::{self, Mapping, ReplacementRule, Tiles};
 use drhw_prefetch::{
     apply_schedule_to_contents, assign_tiles_protecting, reusable_subtasks, BranchBoundScheduler,
-    CriticalSetAnalysis, HybridPrefetch, InterTaskWindow, ListScheduler, OnDemandScheduler,
-    PrefetchProblem, PrefetchScheduler, PreparedSchedule, ReplacementPolicy, Scratch, SlotMask,
-    TileContents,
+    CriticalSetAnalysis, ExecSummary, HybridPrefetch, HybridSummary, InterTaskWindow,
+    ListScheduler, OnDemandScheduler, PrefetchProblem, PrefetchScheduler, PreparedSchedule,
+    ReplacementPolicy, Scratch, SlotMask, TileContents,
 };
 use drhw_tcm::DesignTimeScheduler;
 use proptest::prelude::*;
@@ -245,6 +246,34 @@ proptest! {
             check_one_shot::<2>(seed, tiles);
         } else {
             check_one_shot::<4>(seed, tiles);
+        }
+    }
+
+    /// The hybrid heuristic's run-time decision and the inter-task preload
+    /// agree with the oracle's reference, fed the fast path's critical set
+    /// and stored order, on random graphs, random residency and windows of
+    /// zero to four whole loads plus a remainder: the one-word kernels in
+    /// every number they report, and the one-shot `HybridPrefetch` in the
+    /// same numbers and in every list of its decision. Each graph runs on
+    /// its fully parallel schedule and on a design-time schedule of one to
+    /// three slots, where subtasks share slots: only there do intra-task
+    /// reuse and an overwritten slot decide what residency is worth.
+    #[test]
+    fn run_time_decisions_match_the_reference(subtasks in 2usize..17, seed in 0u64..1_000_000, latency in 1u64..8, slots in 1usize..4) {
+        let (graph, parallel, platform) = random_instance(subtasks, seed, latency);
+        let shared = DesignTimeScheduler::new().schedule_on(&graph, slots).unwrap();
+        let mut rng = SplitMix64::new(seed);
+        let mut draw = |bound: u64| rng.next_u64() % bound;
+        for schedule in [&parallel, &shared] {
+            let hybrid =
+                HybridPrefetch::compute_with(&graph, schedule, &platform, &ListScheduler::new()).unwrap();
+            let case = DecisionCase::new(&graph, schedule, &platform, &hybrid);
+            for _ in 0..6 {
+                let resident = graph.ids().filter(|_| draw(2) == 0).collect();
+                let remainder = Time::from_micros(draw(latency * 1_000));
+                let window = Time::from_millis(latency * draw(5)) + remainder;
+                case.check(&resident, window);
+            }
         }
     }
 
@@ -642,5 +671,185 @@ fn replacement_and_reuse_kernels_match_the_reference_on_fig3() {
         let mut rng = SplitMix64::new(seed);
         let mut draw = |bound: usize| (rng.next_u64() % bound as u64) as usize;
         check_kernels(&case, &mut draw, 3);
+    }
+}
+
+/// One scheduled graph and its hybrid artifact, prepared for the one-word
+/// kernels.
+struct DecisionCase<'a> {
+    graph: &'a SubtaskGraph,
+    schedule: &'a InitialSchedule,
+    platform: &'a Platform,
+    hybrid: &'a HybridPrefetch,
+    prepared: PreparedSchedule,
+}
+
+impl<'a> DecisionCase<'a> {
+    fn new(
+        graph: &'a SubtaskGraph,
+        schedule: &'a InitialSchedule,
+        platform: &'a Platform,
+        hybrid: &'a HybridPrefetch,
+    ) -> Self {
+        let prepared = PreparedSchedule::new(graph, schedule.clone(), platform).unwrap();
+        DecisionCase {
+            graph,
+            schedule,
+            platform,
+            hybrid,
+            prepared,
+        }
+    }
+
+    /// A scratch whose residency is `resident` as the simulation finds it:
+    /// the configuration of each member that is first on its slot sits on
+    /// the tile the direct rule maps the slot to, and the reuse check reads
+    /// it back (only a slot's first subtask can reuse what an earlier task
+    /// left there).
+    fn scratch(&self, resident: &BTreeSet<SubtaskId>) -> Scratch {
+        let mut contents = TileContents::new(self.platform.tile_count());
+        for slot in (0..self.schedule.slot_count()).map(TileSlot::new) {
+            let first = self.schedule.first_on_slot(slot);
+            if let Some(id) = first.filter(|id| resident.contains(id)) {
+                let config = self.graph.required_config(id).unwrap();
+                contents.record_load(TileId::new(slot.index()), config, Time::ZERO);
+            }
+        }
+        let mut scratch = Scratch::new();
+        self.prepared
+            .assign_tiles_into(&contents, ReplacementPolicy::Direct, &mut scratch)
+            .unwrap();
+        self.prepared.mark_reusable(&contents, &mut scratch);
+        scratch
+    }
+
+    /// Checks one activation with `resident` on the tiles and a port-idle
+    /// `window` against the reference.
+    fn check(&self, resident: &BTreeSet<SubtaskId>, window: Time) {
+        let label = format!(
+            "{} resident {resident:?} window {window}",
+            self.graph.name()
+        );
+        let (graph, schedule, platform) = (self.graph, self.schedule, self.platform);
+        let critical = self.hybrid.critical();
+        let stored = critical.stored_load_order();
+        let expected = reference::hybrid_activation(
+            graph,
+            schedule,
+            platform,
+            critical.critical_subtasks(),
+            stored,
+            resident,
+            window,
+        )
+        .unwrap();
+        let (inter_timing, inter_preloaded) =
+            reference::inter_task_activation(graph, schedule, platform, resident, window).unwrap();
+        let trailing = expected.timing.trailing_port_idle();
+        let window = InterTaskWindow::new(window);
+
+        let mut scratch = self.scratch(resident);
+        let inter = self.prepared.evaluate_inter_task(window, &mut scratch);
+        let summary = ExecSummary {
+            penalty: inter_timing.penalty,
+            loads: inter_timing.load_order.len(),
+            trailing_port_idle: inter_timing.trailing_port_idle(),
+        };
+        assert_eq!(
+            inter,
+            Ok((summary, inter_preloaded)),
+            "inter-task kernel {label}"
+        );
+        let kernel = self
+            .prepared
+            .evaluate_hybrid(self.hybrid, window, &mut scratch);
+        let summary = HybridSummary {
+            penalty: expected.timing.penalty,
+            loads_performed: expected.init.len() + expected.body.len(),
+            preloaded: expected.preloaded.len(),
+            cancelled: expected.cancelled,
+            trailing_port_idle: trailing,
+        };
+        assert_eq!(kernel, Ok(summary), "hybrid kernel {label}");
+
+        let decision = self
+            .hybrid
+            .runtime_decision(graph, schedule, platform, resident, window)
+            .unwrap();
+        let outcome = self
+            .hybrid
+            .evaluate(graph, schedule, platform, resident, window)
+            .unwrap();
+        assert_eq!(outcome.decision(), &decision, "{label}");
+        let cancelled: Vec<SubtaskId> = stored
+            .iter()
+            .copied()
+            .filter(|id| !expected.body.contains(id))
+            .collect();
+        assert_eq!(cancelled.len(), expected.cancelled, "{label}");
+        assert_eq!(
+            (
+                &decision.init_loads,
+                &decision.preloaded,
+                &decision.body_loads,
+                &decision.cancelled_loads,
+            ),
+            (
+                &expected.init,
+                &expected.preloaded,
+                &expected.body,
+                &cancelled
+            ),
+            "one-shot decision {label}"
+        );
+        assert_eq!(
+            (
+                outcome.penalty(),
+                outcome.loads_performed(),
+                outcome.init_duration(),
+                outcome.trailing_window().remaining(),
+            ),
+            (
+                expected.timing.penalty,
+                summary.loads_performed,
+                platform.reconfig_latency() * expected.init.len() as u64,
+                trailing,
+            ),
+            "one-shot outcome {label}"
+        );
+    }
+}
+
+/// The run-time decisions agree with the oracle's reference on the Fig. 3
+/// example (four subtasks on three tiles, subtask 4 sharing slot 0 with
+/// subtask 1, which branch & bound leaves the only critical one) under
+/// every single resident subtask, none and all, and windows of none, one,
+/// two and all loads.
+#[test]
+fn run_time_decisions_match_the_reference_on_fig3() {
+    let mut graph = SubtaskGraph::new("fig3");
+    let ids: Vec<SubtaskId> = [(10, 1), (12, 2), (6, 3), (8, 4)]
+        .into_iter()
+        .map(|(ms, config)| {
+            let name = format!("{config}");
+            let exec = Time::from_millis(ms);
+            graph.add_subtask(Subtask::new(name, exec, ConfigId::new(config)))
+        })
+        .collect();
+    for (from, to) in [(0, 1), (0, 2), (2, 3)] {
+        graph.add_dependency(ids[from], ids[to]).unwrap();
+    }
+    let slots = [0, 1, 2, 0].map(|slot| PeAssignment::Tile(TileSlot::new(slot)));
+    let schedule = InitialSchedule::from_assignment(&graph, slots.to_vec()).unwrap();
+    let platform = Platform::virtex_like(3).unwrap();
+    let hybrid = HybridPrefetch::compute(&graph, &schedule, &platform).unwrap();
+    assert_eq!(hybrid.critical().critical_subtasks(), &ids[..1]);
+    let case = DecisionCase::new(&graph, &schedule, &platform, &hybrid);
+    let mut residencies = vec![BTreeSet::new(), ids.iter().copied().collect()];
+    residencies.extend(ids.iter().map(|&id| BTreeSet::from([id])));
+    for resident in &residencies {
+        for window_ms in [0, 4, 9, 100] {
+            case.check(resident, Time::from_millis(window_ms));
+        }
     }
 }

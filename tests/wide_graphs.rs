@@ -3,19 +3,19 @@
 //!
 //! The simulation's kernels stop at 64 subtasks, but the one-shot entry
 //! points (`PrefetchProblem` with the list, on-demand and branch & bound
-//! schedulers, and the hybrid design-time phase) serve larger graphs: the
-//! `scheduler_scaling` bench and the `design_vs_runtime` example run them
-//! on up to 256 subtasks. These values pin what those entry points answer
-//! on two seeded random DAGs of 100 and 256 subtasks, each on a fully
-//! parallel schedule, so a change to the timing engine underneath cannot
-//! move them unnoticed.
+//! schedulers, and the hybrid design-time and run-time phases) serve larger
+//! graphs: the `scheduler_scaling` bench and the `design_vs_runtime`
+//! example run them on up to 256 subtasks. These values pin what those
+//! entry points answer on two seeded random DAGs of 100 and 256 subtasks,
+//! each on a fully parallel schedule, so a change to the timing engine or
+//! to the hybrid run-time decision underneath cannot move them unnoticed.
 
 use std::collections::BTreeSet;
 
 use drhw_model::{fnv1a, InitialSchedule, Platform, SubtaskGraph, SubtaskId, Time};
 use drhw_prefetch::{
-    BranchBoundScheduler, HybridPrefetch, ListScheduler, OnDemandScheduler, PrefetchProblem,
-    PrefetchScheduler, SearchCache,
+    BranchBoundScheduler, HybridPrefetch, InterTaskWindow, ListScheduler, OnDemandScheduler,
+    PrefetchProblem, PrefetchScheduler, SearchCache,
 };
 use drhw_workloads::random::{seeded_random_graph, RandomGraphConfig};
 
@@ -32,6 +32,11 @@ struct Expected {
     /// Branch & bound with every subtask but the first twelve resident:
     /// penalty (µs), order hash and search nodes.
     branch_bound: (u64, u64, u64),
+    /// Hybrid run time on that design-time artifact with the first quarter
+    /// of the ids resident, under windows of zero and three whole loads:
+    /// penalty (µs), the lengths of the init, preloaded, body and cancelled
+    /// lists, and the hash of the four lists in that order.
+    run_time: [(u64, [usize; 4], u64); 2],
 }
 
 const EXPECTED: [Expected; 2] = [
@@ -41,6 +46,10 @@ const EXPECTED: [Expected; 2] = [
         on_demand: (310_216, 100, 1_118, 0x40eb_23fa_3fee_fce5),
         hybrid: (73, 0xd300_027c_2173_79d7, 27, 0x1071_7dc2_3b2d_d3f7, 74),
         branch_bound: (31_711, 0x50a6_7055_4300_74e5, 1),
+        run_time: [
+            (204_000, [51, 0, 24, 3], 0xed66_803c_dda2_486a),
+            (192_000, [48, 3, 24, 3], 0x54c1_4a29_440b_ef0a),
+        ],
     },
     Expected {
         subtasks: 256,
@@ -48,6 +57,10 @@ const EXPECTED: [Expected; 2] = [
         on_demand: (802_338, 256, 3_907, 0xbd74_0947_e6e3_fec5),
         hybrid: (190, 0xdc75_01f4_367c_fc7a, 66, 0xd822_f9eb_2a50_ca9a, 191),
         branch_bound: (31_711, 0x50a6_7055_4300_74e5, 1),
+        run_time: [
+            (556_000, [139, 0, 53, 13], 0xfa84_a9e0_6418_705b),
+            (544_000, [136, 3, 53, 13], 0x0e44_2380_e5b4_ddfb),
+        ],
     },
 ];
 
@@ -131,6 +144,46 @@ fn hybrid_design_time_keeps_its_answers_above_one_mask_word() {
             expected.hybrid,
             "hybrid design time on {n} subtasks"
         );
+    }
+}
+
+#[test]
+fn hybrid_run_time_keeps_its_answers_above_one_mask_word() {
+    for expected in &EXPECTED {
+        let n = expected.subtasks;
+        let graph = graph(n);
+        let schedule = InitialSchedule::fully_parallel(&graph).expect("valid graph");
+        let platform = Platform::virtex_like(n).expect("non-empty platform");
+        let hybrid =
+            HybridPrefetch::compute_with(&graph, &schedule, &platform, &ListScheduler::new())
+                .expect("design-time phase");
+        let resident: BTreeSet<SubtaskId> = graph.ids().take(n / 4).collect();
+        for (loads, pinned) in [0, 3].into_iter().zip(&expected.run_time) {
+            let window = InterTaskWindow::new(platform.reconfig_latency() * loads);
+            let decision = hybrid
+                .runtime_decision(&graph, &schedule, &platform, &resident, window)
+                .expect("run-time decision");
+            let outcome = hybrid
+                .evaluate(&graph, &schedule, &platform, &resident, window)
+                .expect("run-time phase");
+            assert_eq!(outcome.decision(), &decision);
+            let lists = [
+                &decision.init_loads,
+                &decision.preloaded,
+                &decision.body_loads,
+                &decision.cancelled_loads,
+            ];
+            let all: Vec<SubtaskId> = lists.iter().flat_map(|list| list.iter().copied()).collect();
+            assert_eq!(
+                (
+                    outcome.penalty().as_micros(),
+                    lists.map(Vec::len),
+                    order_hash(&all)
+                ),
+                *pinned,
+                "hybrid run time on {n} subtasks, window of {loads} loads"
+            );
+        }
     }
 }
 
